@@ -10,12 +10,14 @@ Schemas are ordered tuples of attribute names, unique within one schema.
 Name collisions that would arise when concatenating the inputs of a join or
 cross product are resolved by suffixing the right-hand attribute with primes
 (``b`` collides -> ``b'``); the mapping is derivable from the child schemas
-alone so that :func:`schema_of` stays a pure function.
+alone. Each node computes its schema from its children's on first use and
+caches it, so :func:`schema_of` is a field read after the first call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import dataclass, fields, replace
+from functools import cache, cached_property
+from typing import Iterable, Mapping, Union
 
 
 class AlgebraError(Exception):
@@ -198,168 +200,18 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
 # operators
 #
 # eq=False keeps identity semantics: nodes hash by object identity, which is
-# what dictionaries keyed by graph node need.
+# what dictionaries keyed by graph node need. Structure comes from the
+# dataclass fields: the fields annotated ``Node`` are the children, in
+# declaration order, and every other field is the operator's own data.
+# ``children`` and ``schema`` are computed on first use and cached on the
+# node, which immutability makes sound. Building a malformed node succeeds;
+# its SchemaError surfaces when its schema is first read.
 
 
-@dataclass(frozen=True, eq=False)
-class Node:
-    """Base class for algebra operators."""
-
-    @property
-    def children(self) -> tuple["Node", ...]:
-        return ()
-
-
-@dataclass(frozen=True, eq=False)
-class Relation(Node):
-    name: str
-    attrs: tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class Select(Node):
-    cond: Expr
-    child: Node
-
-    @property
-    def children(self):
-        return (self.child,)
-
-
-@dataclass(frozen=True, eq=False)
-class Project(Node):
-    #: (expression, output name) pairs, in output order
-    targets: tuple[tuple[Expr, str], ...]
-    child: Node
-    #: sqlgen fence: emit this node as a non-mergeable subquery
-    materialize: bool = False
-
-    @property
-    def children(self):
-        return (self.child,)
-
-
-@dataclass(frozen=True, eq=False)
-class Join(Node):
-    """Equi-join on pairwise equal attributes (left attr, right attr)."""
-
-    pairs: tuple[tuple[str, str], ...]
-    left: Node
-    right: Node
-
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True, eq=False)
-class Cross(Node):
-    left: Node
-    right: Node
-
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True, eq=False)
-class Union(Node):
-    left: Node
-    right: Node
-
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True, eq=False)
-class Intersect(Node):
-    left: Node
-    right: Node
-
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True, eq=False)
-class Diff(Node):
-    left: Node
-    right: Node
-
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True, eq=False)
-class Agg(Node):
-    group_by: tuple[str, ...]
-    #: (function, input attr, output attr) triples
-    aggs: tuple[tuple[str, str, str], ...]
-    child: Node
-
-    @property
-    def children(self):
-        return (self.child,)
-
-
-@dataclass(frozen=True, eq=False)
-class DupElim(Node):
-    child: Node
-
-    @property
-    def children(self):
-        return (self.child,)
-
-
-@dataclass(frozen=True, eq=False)
-class Window(Node):
-    fn: str
-    arg: str
-    out: str
-    partition_by: tuple[str, ...]
-    order_by: tuple[str, ...]
-    child: Node
-    frame: str = FRAME_RUNNING
-
-    @property
-    def children(self):
-        return (self.child,)
-
-
-def replace_children(node: Node, kids: tuple[Node, ...]) -> Node:
-    """Copy a node with new children, preserving every other field."""
-    if isinstance(node, Relation):
-        if kids:
-            raise GraphError("relation takes no children")
-        return node
-    if isinstance(node, Select):
-        return Select(node.cond, kids[0])
-    if isinstance(node, Project):
-        return Project(node.targets, kids[0], node.materialize)
-    if isinstance(node, Join):
-        return Join(node.pairs, kids[0], kids[1])
-    if isinstance(node, Cross):
-        return Cross(kids[0], kids[1])
-    if isinstance(node, Union):
-        return Union(kids[0], kids[1])
-    if isinstance(node, Intersect):
-        return Intersect(kids[0], kids[1])
-    if isinstance(node, Diff):
-        return Diff(kids[0], kids[1])
-    if isinstance(node, Agg):
-        return Agg(node.group_by, node.aggs, kids[0])
-    if isinstance(node, DupElim):
-        return DupElim(kids[0])
-    if isinstance(node, Window):
-        return Window(node.fn, node.arg, node.out, node.partition_by,
-                      node.order_by, kids[0], node.frame)
-    raise GraphError(f"unknown operator {type(node).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# schema computation
+def _need(attrs: Iterable[str], sch: tuple[str, ...], what: str) -> None:
+    missing = set(attrs) - set(sch)
+    if missing:
+        raise SchemaError(f"{what}: unresolved attribute(s) {sorted(missing)} in schema {list(sch)}")
 
 
 def concat_qualified(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -377,87 +229,204 @@ def concat_qualified(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[tup
     return tuple(out), tuple(right_out)
 
 
-def schema_of(node: Node, _memo: Optional[dict[Node, tuple[str, ...]]] = None) -> tuple[str, ...]:
-    """Output schema of an operator, computed bottom-up.
+@cache
+def _field_names(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(child field names, own field names) of an operator class."""
+    kids: list[str] = []
+    own: list[str] = []
+    for f in fields(cls):
+        (kids if f.type == "Node" else own).append(f.name)
+    return tuple(kids), tuple(own)
 
-    Pure in the node variant and child schemas; raises SchemaError on
-    unresolved attribute references or duplicate output names.
-    """
-    memo: dict[Node, tuple[str, ...]] = {} if _memo is None else _memo
 
-    def rec(n: Node) -> tuple[str, ...]:
-        if n in memo:
-            return memo[n]
-        sch = compute(n)
-        memo[n] = sch
+@dataclass(frozen=True, eq=False)
+class Node:
+    """Base class for algebra operators."""
+
+    @cached_property
+    def children(self) -> tuple["Node", ...]:
+        return tuple(getattr(self, name) for name in _field_names(type(self))[0])
+
+    @property
+    def schema(self) -> tuple[str, ...]:
+        """Output schema; each operator computes it from its children's."""
+        raise SchemaError(f"unknown operator {type(self).__name__}")
+
+
+@dataclass(frozen=True, eq=False)
+class Relation(Node):
+    name: str
+    attrs: tuple[str, ...]
+
+    @cached_property
+    def schema(self):
+        if len(set(self.attrs)) != len(self.attrs):
+            raise SchemaError(f"relation {self.name}: duplicate attribute names")
+        return self.attrs
+
+
+@dataclass(frozen=True, eq=False)
+class Select(Node):
+    cond: Expr
+    child: Node
+
+    @cached_property
+    def schema(self):
+        sch = self.child.schema
+        _need(expr_attrs(self.cond), sch, "selection condition")
         return sch
 
-    def need(attrs: Iterable[str], sch: tuple[str, ...], what: str) -> None:
-        missing = set(attrs) - set(sch)
-        if missing:
-            raise SchemaError(f"{what}: unresolved attribute(s) {sorted(missing)} in schema {list(sch)}")
 
-    def compute(n: Node) -> tuple[str, ...]:
-        if isinstance(n, Relation):
-            if len(set(n.attrs)) != len(n.attrs):
-                raise SchemaError(f"relation {n.name}: duplicate attribute names")
-            return n.attrs
-        if isinstance(n, Select):
-            sch = rec(n.child)
-            need(expr_attrs(n.cond), sch, "selection condition")
-            return sch
-        if isinstance(n, Project):
-            sch = rec(n.child)
-            out = []
-            for expr, name in n.targets:
-                need(expr_attrs(expr), sch, f"projection target {name}")
-                if name in out:
-                    raise SchemaError(f"duplicate output name {name!r} in projection")
-                out.append(name)
-            return tuple(out)
-        if isinstance(n, Join):
-            ls, rs = rec(n.left), rec(n.right)
-            for a, b in n.pairs:
-                need((a,), ls, "join condition (left)")
-                need((b,), rs, "join condition (right)")
-            return concat_qualified(ls, rs)[0]
-        if isinstance(n, Cross):
-            return concat_qualified(rec(n.left), rec(n.right))[0]
-        if isinstance(n, (Union, Intersect, Diff)):
-            ls, rs = rec(n.left), rec(n.right)
-            if len(ls) != len(rs):
-                raise SchemaError(f"{type(n).__name__.lower()}: inputs have different arity "
-                                  f"({len(ls)} vs {len(rs)})")
-            return ls
-        if isinstance(n, Agg):
-            sch = rec(n.child)
-            need(n.group_by, sch, "group-by")
-            out = list(n.group_by)
-            for fn, arg, name in n.aggs:
-                if fn not in AGG_FNS:
-                    raise SchemaError(f"unknown aggregation function {fn!r}")
-                need((arg,), sch, f"aggregation {fn}({arg})")
-                if name in out:
-                    raise SchemaError(f"duplicate output name {name!r} in aggregation")
-                out.append(name)
-            return tuple(out)
-        if isinstance(n, DupElim):
-            return rec(n.child)
-        if isinstance(n, Window):
-            sch = rec(n.child)
-            if n.fn not in AGG_FNS:
-                raise SchemaError(f"unknown window function {n.fn!r}")
-            need((n.arg,), sch, "window argument")
-            need(n.partition_by, sch, "partition-by")
-            need(n.order_by, sch, "order-by")
-            if n.out in sch:
-                raise SchemaError(f"window output {n.out!r} duplicates an input attribute")
-            if n.frame not in (FRAME_RUNNING, FRAME_PARTITION):
-                raise SchemaError(f"unknown window frame {n.frame!r}")
-            return sch + (n.out,)
-        raise SchemaError(f"unknown operator {type(n).__name__}")
+@dataclass(frozen=True, eq=False)
+class Project(Node):
+    #: (expression, output name) pairs, in output order
+    targets: tuple[tuple[Expr, str], ...]
+    child: Node
+    #: sqlgen fence: emit this node as a non-mergeable subquery
+    materialize: bool = False
 
-    return rec(node)
+    @cached_property
+    def schema(self):
+        sch = self.child.schema
+        out = []
+        for expr, name in self.targets:
+            _need(expr_attrs(expr), sch, f"projection target {name}")
+            if name in out:
+                raise SchemaError(f"duplicate output name {name!r} in projection")
+            out.append(name)
+        return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class Join(Node):
+    """Equi-join on pairwise equal attributes (left attr, right attr)."""
+
+    pairs: tuple[tuple[str, str], ...]
+    left: Node
+    right: Node
+
+    @cached_property
+    def schema(self):
+        ls, rs = self.left.schema, self.right.schema
+        for a, b in self.pairs:
+            _need((a,), ls, "join condition (left)")
+            _need((b,), rs, "join condition (right)")
+        return concat_qualified(ls, rs)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Cross(Node):
+    left: Node
+    right: Node
+
+    @cached_property
+    def schema(self):
+        return concat_qualified(self.left.schema, self.right.schema)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class SetOp(Node):
+    """Positional set operator: inputs of equal arity, left input's names."""
+
+    left: Node
+    right: Node
+
+    @cached_property
+    def schema(self):
+        ls, rs = self.left.schema, self.right.schema
+        if len(ls) != len(rs):
+            raise SchemaError(f"{type(self).__name__.lower()}: inputs have different arity "
+                              f"({len(ls)} vs {len(rs)})")
+        return ls
+
+
+@dataclass(frozen=True, eq=False)
+class Union(SetOp):
+    pass
+
+
+@dataclass(frozen=True, eq=False)
+class Intersect(SetOp):
+    pass
+
+
+@dataclass(frozen=True, eq=False)
+class Diff(SetOp):
+    pass
+
+
+@dataclass(frozen=True, eq=False)
+class Agg(Node):
+    group_by: tuple[str, ...]
+    #: (function, input attr, output attr) triples
+    aggs: tuple[tuple[str, str, str], ...]
+    child: Node
+
+    @cached_property
+    def schema(self):
+        sch = self.child.schema
+        _need(self.group_by, sch, "group-by")
+        out = list(self.group_by)
+        for fn, arg, name in self.aggs:
+            if fn not in AGG_FNS:
+                raise SchemaError(f"unknown aggregation function {fn!r}")
+            _need((arg,), sch, f"aggregation {fn}({arg})")
+            if name in out:
+                raise SchemaError(f"duplicate output name {name!r} in aggregation")
+            out.append(name)
+        return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class DupElim(Node):
+    child: Node
+
+    @cached_property
+    def schema(self):
+        return self.child.schema
+
+
+@dataclass(frozen=True, eq=False)
+class Window(Node):
+    fn: str
+    arg: str
+    out: str
+    partition_by: tuple[str, ...]
+    order_by: tuple[str, ...]
+    child: Node
+    frame: str = FRAME_RUNNING
+
+    @cached_property
+    def schema(self):
+        sch = self.child.schema
+        if self.fn not in AGG_FNS:
+            raise SchemaError(f"unknown window function {self.fn!r}")
+        _need((self.arg,), sch, "window argument")
+        _need(self.partition_by, sch, "partition-by")
+        _need(self.order_by, sch, "order-by")
+        if self.out in sch:
+            raise SchemaError(f"window output {self.out!r} duplicates an input attribute")
+        if self.frame not in (FRAME_RUNNING, FRAME_PARTITION):
+            raise SchemaError(f"unknown window frame {self.frame!r}")
+        return sch + (self.out,)
+
+
+def replace_children(node: Node, kids: tuple[Node, ...]) -> Node:
+    """Copy a node with new children, preserving every other field."""
+    names = _field_names(type(node))[0]
+    if len(kids) != len(names):
+        raise GraphError(f"{type(node).__name__.lower()} takes {len(names)} "
+                         f"child(ren), got {len(kids)}")
+    return replace(node, **dict(zip(names, kids)))
+
+
+def schema_of(node: Node) -> tuple[str, ...]:
+    """Output schema of an operator, cached on the node.
+
+    Raises SchemaError on unresolved attribute references or duplicate
+    output names.
+    """
+    return node.schema
 
 
 def right_output_names(node: Node) -> tuple[str, ...]:
@@ -579,35 +548,24 @@ def identity_targets(attrs: Iterable[str]) -> tuple[tuple[Expr, str], ...]:
 
 
 def structurally_equal(a: Node, b: Node) -> bool:
-    """Compare two graphs by shape and fields, ignoring node identity."""
-    if type(a) is not type(b):
-        return False
-    if _own_fields(a) != _own_fields(b):
-        return False
-    return all(structurally_equal(ca, cb) for ca, cb in zip(a.children, b.children))
+    """Compare two graphs by shape and fields, ignoring node identity.
+
+    Each pair of nodes is compared once, so shared subgraphs cost linear
+    time.
+    """
+    memo: dict[tuple[int, int], bool] = {}
+
+    def eq(x: Node, y: Node) -> bool:
+        if x is y:
+            return True
+        key = (id(x), id(y))
+        if key not in memo:
+            memo[key] = (type(x) is type(y) and _own_fields(x) == _own_fields(y)
+                         and all(eq(cx, cy) for cx, cy in zip(x.children, y.children)))
+        return memo[key]
+
+    return eq(a, b)
 
 
-def _own_fields(n: Node):
-    if isinstance(n, Select):
-        return ("select", n.cond)
-    if isinstance(n, Project):
-        return ("project", n.targets, n.materialize)
-    if isinstance(n, Join):
-        return ("join", n.pairs)
-    if isinstance(n, Cross):
-        return ("cross",)
-    if isinstance(n, Union):
-        return ("union",)
-    if isinstance(n, Intersect):
-        return ("intersect",)
-    if isinstance(n, Diff):
-        return ("diff",)
-    if isinstance(n, Agg):
-        return ("agg", n.group_by, n.aggs)
-    if isinstance(n, DupElim):
-        return ("dupelim",)
-    if isinstance(n, Window):
-        return ("window", n.fn, n.arg, n.out, n.partition_by, n.order_by, n.frame)
-    if isinstance(n, Relation):
-        return ("rel", n.name, n.attrs)
-    raise GraphError(f"unknown operator {type(n).__name__}")
+def _own_fields(n: Node) -> tuple:
+    return tuple(getattr(n, name) for name in _field_names(type(n))[1])

@@ -283,41 +283,18 @@ def cmd_optimize(args) -> int:
     if args.dump_steps:
         lines = []
         current = plan
+        kept_dupelims: set = set()
         for rnd in range(cfg.rounds):
-            for name in rewrites.RULE_ORDER:
+            for name, rule in rewrites.RULES.items():
                 if not cfg.rule_enabled(name):
                     continue
-                current = _apply_single_rule(current, name, cfg)
+                current = rule(current, cfg, kept_dupelims)
                 lines.append(f"; round {rnd + 1}, after {name}")
                 lines.append(plantext.format_plan(current))
         _emit(args, "\n".join(lines) + "\n")
         return 0
     _emit(args, plantext.format_plan(rewrites.apply_pats(plan, cfg)))
     return 0
-
-
-def _apply_single_rule(root, name: str, cfg: rewrites.RewriteConfig):
-    if name == "factor_attributes":
-        return rewrites.factor_attributes(root)
-    if name == "merge_projections":
-        return rewrites.merge_projections(root, cfg)
-    if name == "merge_selections":
-        return rewrites.merge_selections(root)
-    if name == "selection_move_around":
-        return rewrites.selection_move_around(root, cfg)
-    if name == "pull_up_prov_projection":
-        return rewrites.pull_up_prov_projection(root)
-    if name == "project_to_icols":
-        return rewrites.project_to_icols(root)
-    if name == "remove_window":
-        return rewrites.remove_window(root)
-    if name == "remove_dupelim_by_key":
-        return rewrites.remove_dupelim_by_key(root, cfg.base_keys)
-    if name == "remove_dupelim_by_set":
-        return rewrites.remove_dupelim_by_set(root, cfg.dupelim_set_choice)
-    if name == "remove_redundant_projection":
-        return rewrites.remove_redundant_projection(root)
-    raise ValueError(f"unknown rule {name!r}")
 
 
 def cmd_explain(args) -> int:

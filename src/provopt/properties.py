@@ -507,8 +507,8 @@ def _icols_down(n: Node, child_idx: int, need: frozenset[str]) -> set[str]:
 
 def infer_set(root: Node) -> dict[Node, bool]:
     """True when a duplicate elimination downstream on every path makes the
-    operator's multiplicities irrelevant (no aggregation or window operator
-    in between)."""
+    operator's multiplicities irrelevant (no aggregation, window or bag
+    difference in between: each reads its inputs' multiplicities)."""
     order = all_nodes(root)
     value: dict[Node, Optional[bool]] = {n: None for n in order}
     value[root] = False
@@ -517,7 +517,7 @@ def infer_set(root: Node) -> dict[Node, bool]:
         for child in n.children:
             if isinstance(n, DupElim):
                 contrib = True
-            elif isinstance(n, (Agg, Window)):
+            elif isinstance(n, (Agg, Window, Diff)):
                 contrib = False
             else:
                 contrib = bool(own)

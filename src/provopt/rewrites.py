@@ -34,19 +34,6 @@ from .properties import (
 
 ChoiceFn = Callable[[int], int]
 
-RULE_ORDER = (
-    "factor_attributes",
-    "merge_projections",
-    "merge_selections",
-    "selection_move_around",
-    "pull_up_prov_projection",
-    "project_to_icols",
-    "remove_window",
-    "remove_dupelim_by_key",
-    "remove_dupelim_by_set",
-    "remove_redundant_projection",
-)
-
 
 @dataclass
 class RewriteConfig:
@@ -66,6 +53,12 @@ class RewriteConfig:
     base_keys: Mapping[str, Iterable[Iterable[str]]] = field(default_factory=dict)
     #: test-only: disable the merge safety check
     unsafe_naive_merge: bool = False
+
+    def __post_init__(self):
+        unknown = sorted(set(self.enabled or ()) - set(RULES))
+        if unknown:
+            raise ValueError(f"unknown rule(s) {', '.join(map(repr, unknown))}; "
+                             f"valid rules: {', '.join(RULES)}")
 
     def rule_enabled(self, name: str) -> bool:
         return self.enabled is None or name in self.enabled
@@ -745,6 +738,25 @@ def _same_up_class(up_classes, m1, m2) -> bool:
 # pipeline
 
 
+#: The pipeline in order: rule name -> call on (root, config, ids of the
+#: duplicate eliminations kept by choice, carried across rounds). Each entry
+#: looks its rule up as a module global when called, so a wrapper installed
+#: on ``rewrites.<rule>`` sees the pipeline's calls.
+RULES: dict[str, Callable[[Node, RewriteConfig, set], Node]] = {
+    "factor_attributes": lambda root, cfg, kept: factor_attributes(root),
+    "merge_projections": lambda root, cfg, kept: merge_projections(root, cfg),
+    "merge_selections": lambda root, cfg, kept: merge_selections(root),
+    "selection_move_around": lambda root, cfg, kept: selection_move_around(root, cfg),
+    "pull_up_prov_projection": lambda root, cfg, kept: pull_up_prov_projection(root),
+    "project_to_icols": lambda root, cfg, kept: project_to_icols(root),
+    "remove_window": lambda root, cfg, kept: remove_window(root),
+    "remove_dupelim_by_key": lambda root, cfg, kept: remove_dupelim_by_key(root, cfg.base_keys),
+    "remove_dupelim_by_set":
+        lambda root, cfg, kept: remove_dupelim_by_set(root, cfg.dupelim_set_choice, kept),
+    "remove_redundant_projection": lambda root, cfg, kept: remove_redundant_projection(root),
+}
+RULE_ORDER = tuple(RULES)
+
 #: extra fixpoint rounds allowed beyond the configured minimum
 _EXTRA_ROUNDS = 14
 
@@ -764,26 +776,9 @@ def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     kept_dupelims: set = set()
     for rnd in range(cfg.rounds + _EXTRA_ROUNDS):
         before = root
-        if cfg.rule_enabled("factor_attributes"):
-            root = factor_attributes(root)
-        if cfg.rule_enabled("merge_projections"):
-            root = merge_projections(root, cfg)
-        if cfg.rule_enabled("merge_selections"):
-            root = merge_selections(root)
-        if cfg.rule_enabled("selection_move_around"):
-            root = selection_move_around(root, cfg)
-        if cfg.rule_enabled("pull_up_prov_projection"):
-            root = pull_up_prov_projection(root)
-        if cfg.rule_enabled("project_to_icols"):
-            root = project_to_icols(root)
-        if cfg.rule_enabled("remove_window"):
-            root = remove_window(root)
-        if cfg.rule_enabled("remove_dupelim_by_key"):
-            root = remove_dupelim_by_key(root, cfg.base_keys)
-        if cfg.rule_enabled("remove_dupelim_by_set"):
-            root = remove_dupelim_by_set(root, cfg.dupelim_set_choice, kept_dupelims)
-        if cfg.rule_enabled("remove_redundant_projection"):
-            root = remove_redundant_projection(root)
+        for name, rule in RULES.items():
+            if cfg.rule_enabled(name):
+                root = rule(root, cfg, kept_dupelims)
         if rnd + 1 >= cfg.rounds and structurally_equal(before, root):
             break
     if schema_of(root) != original_schema:

@@ -30,7 +30,6 @@ class SqlGenError(Exception):
 class SqlUnit:
     text: str
     cte_defs: tuple[tuple[str, str], ...] = ()
-    dialect: str = "generic"
 
 
 _PLAIN = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -231,4 +230,4 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
         text = "WITH " + ",\n".join(parts) + "\n" + main
     else:
         text = main
-    return SqlUnit(text + ";\n", tuple(cte_defs), "generic")
+    return SqlUnit(text + ";\n", tuple(cte_defs))

@@ -7,8 +7,8 @@ from provopt.algebra import (
     Agg, Arith, Attr, Cmp, Const, Cross, DupElim, GraphError,
     Join, Project, Relation, SchemaError, Select, Union, Window,
     all_nodes, ancestry, expr_attrs, expr_size, fresh_name, node_count,
-    parent_map, right_output_names, schema_of, structurally_equal, substitute,
-    substitute_attrs,
+    parent_map, replace_children, right_output_names, schema_of,
+    structurally_equal, substitute, substitute_attrs,
 )
 
 
@@ -97,6 +97,17 @@ class TestSubstitute:
     def test_target_not_in_graph(self):
         with pytest.raises(GraphError):
             substitute(rel(), rel("S"), rel("T"))
+
+    def test_replace_children_keeps_own_fields_and_checks_arity(self):
+        w = Window("sum", "b", "x", ("a",), (), rel(), "partition")
+        got = replace_children(w, (rel("S"),))
+        assert got.children[0].name == "S"
+        assert (got.fn, got.arg, got.out, got.partition_by, got.frame) == (
+            "sum", "b", "x", ("a",), "partition")
+        with pytest.raises(GraphError):
+            replace_children(w, (rel(), rel()))
+        with pytest.raises(GraphError):
+            replace_children(rel(), (rel(),))
 
     def test_schema_mismatch_checked(self):
         q = DupElim(rel())

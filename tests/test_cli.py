@@ -1,6 +1,7 @@
 import pytest
 
 from provopt.cli import main
+from provopt.rewrites import RULE_ORDER
 
 
 EX1_PLAN = ("(project ((attr name) -> name)"
@@ -123,6 +124,32 @@ class TestOtherCommands:
                                  "--rules", "merge_selections")
         assert code == 0, err
         assert out.count("select") == 1
+
+    def test_optimize_unknown_rule_rejected(self, capsys, tmp_path):
+        plan = tmp_path / "q.plan"
+        plan.write_text("(select (= a 5) (select (< b 6) (rel R (attrs a b))))")
+        code, out, err = run_cli(capsys, "optimize", "--plan", str(plan),
+                                 "--rules", "merge_selections,bogus")
+        assert code == 1 and not out
+        assert "'bogus'" in err
+        assert all(name in err for name in RULE_ORDER)
+
+    def test_optimize_dump_steps(self, capsys, tmp_path):
+        plan = tmp_path / "q.plan"
+        plan.write_text("(select (= a 5) (select (< b 6) (rel R (attrs a b))))")
+        code, out, err = run_cli(capsys, "optimize", "--plan", str(plan),
+                                 "--dump-steps", "--rounds", "3")
+        assert code == 0, err
+        headers = [l for l in out.splitlines() if l.startswith(";")]
+        assert headers == [f"; round {r}, after {name}"
+                           for r in (1, 2, 3) for name in RULE_ORDER]
+        code, out, err = run_cli(capsys, "optimize", "--plan", str(plan), "--dump-steps",
+                                 "--rules", "remove_window,merge_selections")
+        assert code == 0, err
+        headers = [l for l in out.splitlines() if l.startswith(";")]
+        assert headers == [f"; round {r}, after {name}" for r in (1, 2)
+                           for name in ("merge_selections", "remove_window")]
+        assert out.splitlines()[1] == "(select (and (= a 5) (< b 6)) (rel R (attrs a b)))"
 
     def test_explain_properties(self, capsys, tmp_path):
         plan = tmp_path / "q.plan"

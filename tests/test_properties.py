@@ -5,7 +5,7 @@ import pytest
 from randgen import random_instance, random_query
 
 from provopt.algebra import (
-    Agg, Arith, Attr, BoolOp, Cmp, Const, Cross, DupElim, Join, Project,
+    Agg, Arith, Attr, BoolOp, Cmp, Const, Cross, Diff, DupElim, Join, Project,
     Relation, SchemaError, Select, Union, Window,
     all_nodes, identity_targets, schema_of, substitute,
 )
@@ -192,6 +192,16 @@ class TestSet:
         inner = DupElim(r)
         q = DupElim(Agg(("a",), (("count", "a", "c"),), inner))
         assert infer_set(q)[inner] is False
+
+    def test_diff_blocks(self):
+        # bag difference subtracts multiplicities: {a:2} - {a:1} keeps a,
+        # but with either input deduplicated the result differs
+        left = DupElim(Relation("R", ("a",)))
+        right = DupElim(Relation("S", ("a",)))
+        q = DupElim(Diff(left, right))
+        got = infer_set(q)
+        assert got[left] is False
+        assert got[right] is False
 
     def test_root_false(self):
         r = Relation("R", ("a",))
