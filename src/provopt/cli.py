@@ -121,10 +121,14 @@ def _seed(args) -> int:
 
 
 def _load_data(args):
-    db, key_decls = datafiles.load_directory(args.data)
+    """(db, declared keys per relation, catalog, statistics) of ``--data``;
+    empty, with no catalog, when it is not given."""
+    if not args.data:
+        return {}, {}, None, {}
+    db, base_keys = datafiles.load_directory(args.data)
     catalog = {name: rel.schema for name, rel in db.items()}
     stats = {name: TableStats(rel.total, _distincts(rel)) for name, rel in db.items()}
-    return db, key_decls, catalog, stats
+    return db, base_keys, catalog, stats
 
 
 def _distincts(rel: BagRelation) -> dict[str, float]:
@@ -163,27 +167,14 @@ def _parse_stop(spec: str):
 
 
 def cmd_run(args) -> int:
-    db, key_decls, catalog, stats = _load_data(args)
-    base_keys = {name: [tuple(k) for k in ks] for name, ks in key_decls.items()}
+    db, base_keys, catalog, stats = _load_data(args)
     rng = random.Random(_seed(args))
     stop, max_iters = _parse_stop(args.stop)
 
     extra_rels: dict[str, BagRelation] = {}
 
     if args.reenact is not None:
-        updates = instr.parse_updates(args.reenact.read_text())
-        name = updates[0].relation
-        reenacted = instr.reenact(updates, schema=db[name].schema)
-        if args.scope != "none":
-            store = None
-            if args.scope == "histjoin":
-                store = instr.VersionedStore()
-                store.load(name, db[name], key=(base_keys.get(name) or [None])[0])
-                store.apply_transaction(1, updates)
-            method = instr.FILTER_UPDATED if args.scope == "filter" else instr.HIST_JOIN
-            reenacted, extra_rels = instr.scope_to_updated(reenacted, updates, store,
-                                                           method, txn_id=1)
-        source = reenacted
+        source, extra_rels = _reenactment(args, db, base_keys, catalog)
         instrument_step = False
     elif args.prov_of is not None:
         source = plantext.parse_plan(args.prov_of.read_text(), catalog)
@@ -234,49 +225,43 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _instrument_source(args, catalog, db, base_keys):
-    if args.reenact is not None:
-        updates = instr.parse_updates(args.reenact.read_text())
-        name = updates[0].relation
-        schema = catalog.get(name) if catalog else None
-        if schema is None:
-            raise instr.InstrumentError(
-                f"relation {name!r} needs --data to supply its schema")
-        reenacted = instr.reenact(updates, schema=schema)
-        extra: dict[str, BagRelation] = {}
-        if args.scope != "none":
-            store = None
-            if args.scope == "histjoin":
-                store = instr.VersionedStore()
-                store.load(name, db[name], key=(base_keys.get(name) or [None])[0])
-                store.apply_transaction(1, updates)
-            method = instr.FILTER_UPDATED if args.scope == "filter" else instr.HIST_JOIN
-            reenacted, extra = instr.scope_to_updated(reenacted, updates, store, method, txn_id=1)
-        return reenacted, extra
-    if args.prov_of is not None:
-        plan = plantext.parse_plan(args.prov_of.read_text(), catalog)
-        method = "window" if args.agg_method == "cbo" else args.agg_method
-        return instr.instrument_query(plan, agg_method=method), {}
-    raise instr.InstrumentError("instrument needs --prov-of or --reenact")
+def _reenactment(args, db, base_keys, catalog):
+    """The ``--reenact`` script compiled to a plan and narrowed per
+    ``--scope``, plus the extra relations its evaluation needs."""
+    updates = instr.parse_updates(args.reenact.read_text())
+    name = updates[0].relation
+    schema = catalog.get(name) if catalog else None
+    if schema is None:
+        raise instr.InstrumentError(
+            f"relation {name!r} needs --data to supply its schema")
+    reenacted = instr.reenact(updates, schema=schema)
+    if args.scope == "none":
+        return reenacted, {}
+    store = None
+    if args.scope == "histjoin":
+        store = instr.VersionedStore()
+        store.load(name, db[name], key=(base_keys.get(name) or [None])[0])
+        store.apply_transaction(1, updates)
+    method = instr.FILTER_UPDATED if args.scope == "filter" else instr.HIST_JOIN
+    return instr.scope_to_updated(reenacted, updates, store, method, txn_id=1)
 
 
 def cmd_instrument(args) -> int:
-    db, key_decls, catalog = {}, {}, None
-    base_keys = {}
-    if args.data:
-        db, key_decls, catalog, _ = _load_data(args)
-        base_keys = {name: [tuple(k) for k in ks] for name, ks in key_decls.items()}
-    graph, _ = _instrument_source(args, catalog, db, base_keys)
+    db, base_keys, catalog, _ = _load_data(args)
+    if args.reenact is not None:
+        graph, _ = _reenactment(args, db, base_keys, catalog)
+    elif args.prov_of is not None:
+        plan = plantext.parse_plan(args.prov_of.read_text(), catalog)
+        method = "window" if args.agg_method == "cbo" else args.agg_method
+        graph = instr.instrument_query(plan, agg_method=method)
+    else:
+        raise instr.InstrumentError("instrument needs --prov-of or --reenact")
     _emit(args, plantext.format_plan(graph))
     return 0
 
 
 def cmd_optimize(args) -> int:
-    catalog = None
-    base_keys = {}
-    if args.data:
-        _, key_decls, catalog, _ = _load_data(args)
-        base_keys = {name: [tuple(k) for k in ks] for name, ks in key_decls.items()}
+    _, base_keys, catalog, _ = _load_data(args)
     plan = plantext.parse_plan(args.plan.read_text(), catalog)
     enabled = frozenset(args.rules.split(",")) if args.rules else None
     cfg = rewrites.RewriteConfig(rounds=args.rounds, enabled=enabled, base_keys=base_keys)
@@ -298,11 +283,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    catalog = None
-    base_keys = {}
-    if args.data:
-        _, key_decls, catalog, _ = _load_data(args)
-        base_keys = {name: [tuple(k) for k in ks] for name, ks in key_decls.items()}
+    _, base_keys, catalog, _ = _load_data(args)
     plan = plantext.parse_plan(args.plan.read_text(), catalog)
     store = infer_all(plan, base_keys)
     lines = []
@@ -317,9 +298,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_sql(args) -> int:
-    catalog = None
-    if args.data:
-        _, _, catalog, _ = _load_data(args)
+    _, _, catalog, _ = _load_data(args)
     plan = plantext.parse_plan(args.plan.read_text(), catalog)
     _emit(args, sqlgen.to_sql(plan).text)
     return 0

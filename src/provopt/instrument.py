@@ -230,8 +230,12 @@ def update_targets(u: UpdateStmt, schema: tuple[str, ...]) -> tuple[tuple[Expr, 
     return tuple(targets)
 
 
-def replay(updates: list[UpdateStmt], state: BagRelation) -> BagRelation:
-    """Imperative update application; oracle for the reenactment compiler."""
+def replay(updates: list[UpdateStmt], state: BagRelation,
+           on_match: Optional[Callable[[dict], None]] = None) -> BagRelation:
+    """Imperative update application; oracle for the reenactment compiler.
+
+    ``on_match`` is called with the attribute -> value environment of every
+    tuple an update's condition matches, before the update changes it."""
     current = state
     for u in updates:
         out = BagRelation(current.schema)
@@ -241,6 +245,8 @@ def replay(updates: list[UpdateStmt], state: BagRelation) -> BagRelation:
             if _predicate(u.where, env):
                 row = tuple(eval_expr(assigned[a], env) if a in assigned else env[a]
                             for a in current.schema)
+                if on_match is not None:
+                    on_match(env)
             else:
                 row = t
             out.add(row, m)
@@ -321,24 +327,10 @@ class VersionedStore:
                         f"update assigns key attribute(s) {sorted(overlap)}; "
                         "tracked relations need immutable keys")
         start = max(self.snapshots[name])
-        state = self.snapshots[name][start]
         touched: set[tuple] = set()
-        for u in updates:
-            assigned = dict(u.set_clauses)
-            out = BagRelation(state.schema)
-            for t, m in state.rows():
-                env = dict(zip(state.schema, t))
-                if _predicate(u.where, env):
-                    row = tuple(eval_expr(assigned[a], env) if a in assigned else env[a]
-                                for a in state.schema)
-                    if key:
-                        touched.add(tuple(env[k] for k in key))
-                else:
-                    row = t
-                out.add(row, m)
-            state = out
+        on_match = (lambda env: touched.add(tuple(env[k] for k in key))) if key else None
         commit = start + 1
-        self.snapshots[name][commit] = state
+        self.snapshots[name][commit] = replay(updates, self.snapshots[name][start], on_match)
         if key:
             marks = self.last_updater.setdefault(name, {})
             for kv in touched:

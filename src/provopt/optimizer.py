@@ -55,13 +55,22 @@ class ChoiceLog:
         run out of untried options."""
         return not self._exhausted
 
-    def choose(self, num_options: int) -> int:
+    def choose(self, num_options: int, *, clamp: bool = False,
+               fallback: Optional[Callable[[int], int]] = None) -> int:
+        """Take the next predetermined option, or ``fallback(num_options)``
+        (the first option by default) once they run out, and record it.
+
+        A predetermined option out of range raises, or with ``clamp`` (for
+        strategies whose prefixes are approximate) becomes the last option.
+        """
         if num_options < 1:
             raise EnumerationError("a choice point needs at least one option")
         if self.pending:
             pick = self.pending.pop(0)
+            if pick >= num_options and clamp:
+                pick = num_options - 1
         else:
-            pick = 0
+            pick = fallback(num_options) if fallback is not None else 0
         if pick >= num_options:
             raise EnumerationError(
                 f"predetermined option {pick} out of range for a choice point "
@@ -138,29 +147,15 @@ class OptimizeResult:
     log: ChoiceLog
 
 
-def _run_iteration(pipeline: Pipeline, log: ChoiceLog, prefix: Iterable[int],
-                   *, lenient: bool = False):
-    """Run the pipeline once with a predetermined prefix.
+#: runs the pipeline once with a choose callback; the plan, or ``_FAILED``
+Attempt = Callable[[Callable[[int], int]], object]
 
-    Lenient mode clamps out-of-range predetermined options and ignores
-    leftovers (used by strategies whose prefixes are approximate)."""
+
+def _run_lenient(attempt: Attempt, log: ChoiceLog, prefix: Iterable[int]):
+    """Run the pipeline once with an approximate predetermined prefix:
+    out-of-range options are clamped and leftovers ignored."""
     log.seed(prefix)
-    if not lenient:
-        plan = pipeline(log.choose)
-        log.finish_iteration()
-        return plan
-
-    def choose(num_options: int) -> int:
-        if num_options < 1:
-            raise EnumerationError("a choice point needs at least one option")
-        pick = log.pending.pop(0) if log.pending else 0
-        pick = min(pick, num_options - 1)
-        log.taken.append(pick)
-        log.option_counts.append(num_options)
-        log._track()
-        return pick
-
-    plan = pipeline(choose)
+    plan = attempt(lambda n: log.choose(n, clamp=True))
     log.pending = []
     return plan
 
@@ -179,12 +174,24 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
     ``stop`` is ``none`` (exhaust the strategy), ``adaptive`` (halt when the
     best cost undercuts the time spent), or ``max-iters`` combined with
     ``max_iters``. Iterations whose pipeline or costing raises are recorded
-    with infinite cost and skipped.
+    with infinite cost and skipped; when no plan is left, the error names
+    the last such exception and chains it.
     """
     budget = OptimizerBudget(clock=clock or time.monotonic)
     log = ChoiceLog()
     trace: list[CostedPlan] = []
     best: Optional[CostedPlan] = None
+    last_error: Optional[Exception] = None
+
+    def attempt(choose):
+        nonlocal last_error
+        try:
+            return pipeline(choose)
+        except EnumerationError:
+            raise
+        except Exception as exc:
+            last_error = exc
+            return _FAILED  # recorded with infinite cost
 
     def should_continue() -> bool:
         if stop == "adaptive" and not continue_adaptive(budget):
@@ -194,10 +201,11 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
         return True
 
     def consider(plan, path) -> CostedPlan:
-        nonlocal best
+        nonlocal best, last_error
         try:
             c = cost_fn(plan) if plan is not _FAILED else math.inf
-        except Exception:
+        except Exception as exc:
+            last_error = exc
             c = math.inf
         sql = sql_fn(plan) if sql_fn is not None and c < math.inf else None
         costed = CostedPlan(plan, sql, c, tuple(path))
@@ -209,41 +217,40 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
         return costed
 
     if strategy == "seq":
-        _search_sequential(pipeline, log, budget, consider, should_continue)
+        _search_sequential(attempt, log, budget, consider, should_continue)
     elif strategy == "bin":
-        _search_binary(pipeline, log, budget, consider, should_continue)
+        _search_binary(attempt, log, budget, consider, should_continue)
     elif strategy == "sa":
-        _search_annealing(pipeline, log, budget, consider, should_continue,
+        _search_annealing(attempt, log, budget, consider, should_continue,
                           rng or random.Random(0), sa_temp, sa_cooling)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     if best is None:
-        raise EnumerationError("no plan could be generated")
+        if last_error is None:
+            raise EnumerationError("no plan could be generated")
+        raise EnumerationError(f"no plan could be generated; last failure: "
+                               f"{type(last_error).__name__}: {last_error}") from last_error
     return OptimizeResult(best, trace, budget, log)
 
 
-def _search_sequential(pipeline, log, budget, consider, should_continue):
+def _search_sequential(attempt, log, budget, consider, should_continue):
     first = True
     while log.has_more_plans() and should_continue():
         started = budget.clock()
         if first:
             log.seed([])
             first = False
-        try:
-            plan = pipeline(log.choose)
+        plan = attempt(log.choose)
+        if plan is not _FAILED:
             log.finish_iteration()
-        except EnumerationError:
-            raise
-        except Exception:
-            plan = _FAILED  # record with infinite cost and move on
         path = list(log.taken)
         log.plan_next_iteration()
         consider(plan, path)
         budget.time_optimizing += budget.clock() - started
 
 
-def _search_binary(pipeline, log, budget, consider, should_continue):
+def _search_binary(attempt, log, budget, consider, should_continue):
     """Bisect the leaf order; exhaustive and duplicate-free.
 
     Intervals are pairs of realized paths; the midpoint prefix bumps the
@@ -254,16 +261,11 @@ def _search_binary(pipeline, log, budget, consider, should_continue):
 
     def realize(prefix, *, maximal=False):
         started = budget.clock()
-        try:
-            if maximal:
-                log.seed([])
-                plan = pipeline(_max_chooser(log))
-            else:
-                plan = _run_iteration(pipeline, log, prefix, lenient=True)
-        except EnumerationError:
-            raise
-        except Exception:
-            plan = _FAILED
+        if maximal:
+            log.seed([])
+            plan = attempt(lambda n: log.choose(n, fallback=lambda n: n - 1))
+        else:
+            plan = _run_lenient(attempt, log, prefix)
         path = tuple(log.taken)
         counts = tuple(log.option_counts)
         fresh = path not in realized
@@ -318,22 +320,12 @@ def _successor(path, counts):
     return None
 
 
-def _max_chooser(log: ChoiceLog):
-    def choose(num_options: int) -> int:
-        pick = num_options - 1
-        log.taken.append(pick)
-        log.option_counts.append(num_options)
-        log._track()
-        return pick
-    return choose
-
-
 def annealing_temperature(temp0: float, cooling: float, step: int) -> float:
     """Temperature after a number of steps: temp0 * cooling**step."""
     return temp0 * cooling ** step
 
 
-def _search_annealing(pipeline, log, budget, consider, should_continue,
+def _search_annealing(attempt, log, budget, consider, should_continue,
                       rng: random.Random, temp0: float, cooling: float):
     """Simulated annealing over choice paths.
 
@@ -345,20 +337,7 @@ def _search_annealing(pipeline, log, budget, consider, should_continue,
     """
     started = budget.clock()
     log.seed([])
-
-    def random_chooser(num_options: int) -> int:
-        pick = rng.randrange(num_options)
-        log.taken.append(pick)
-        log.option_counts.append(num_options)
-        log._track()
-        return pick
-
-    try:
-        plan = pipeline(random_chooser)
-    except EnumerationError:
-        raise
-    except Exception:
-        plan = _FAILED
+    plan = attempt(lambda n: log.choose(n, fallback=rng.randrange))
     cur_path = list(log.taken)
     cur_counts = list(log.option_counts)
     cur_cost = consider(plan, cur_path).cost
@@ -370,12 +349,7 @@ def _search_annealing(pipeline, log, budget, consider, should_continue,
         pos = rng.randrange(len(cur_path))
         proposal = list(cur_path)
         proposal[pos] = rng.randrange(cur_counts[pos])
-        try:
-            plan = _run_iteration(pipeline, log, proposal, lenient=True)
-        except EnumerationError:
-            raise
-        except Exception:
-            plan = _FAILED
+        plan = _run_lenient(attempt, log, proposal)
         path = list(log.taken)
         counts = list(log.option_counts)
         costed = consider(plan, path)

@@ -16,7 +16,7 @@ instances are empty).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union as TUnion
+from typing import Iterable, Mapping, Optional
 
 from .algebra import (
     Agg, Attr, BoolOp, Cmp, Const, Cross, Diff, DupElim, Expr,
@@ -32,7 +32,6 @@ class EcConst:
     value: object
 
 
-EcMember = TUnion[str, EcConst]
 EcClass = frozenset
 KeySet = frozenset
 
@@ -72,13 +71,6 @@ def ec_closure(classes: Iterable[frozenset]) -> frozenset[EcClass]:
 
 def singletons(attrs: Iterable[str]) -> frozenset[EcClass]:
     return frozenset(frozenset((a,)) for a in attrs)
-
-
-def class_of(classes: Iterable[EcClass], member: EcMember) -> Optional[EcClass]:
-    for c in classes:
-        if member in c:
-            return c
-    return None
 
 
 def _rename_classes(classes: Iterable[EcClass], mapping: Mapping[str, str]) -> frozenset[EcClass]:
@@ -353,16 +345,14 @@ def _ec_up(n: Node, up, cnf_cap) -> frozenset[EcClass]:
     if isinstance(n, Select):
         return up[n.child] | equality_classes_from_condition(n.cond, cnf_cap)
     if isinstance(n, Project):
-        renames = _pure_renames(n)
-        child = up[n.child]
-        classes = []
-        names = list(renames)
-        for i, b1 in enumerate(names):
-            for b2 in names[i + 1:]:
-                c = class_of(child, renames[b1])
-                if c is not None and renames[b2] in c:
-                    classes.append(frozenset((b1, b2)))
-        return frozenset(classes)
+        # output names renaming members of one child class form a class,
+        # together with that class's constants
+        class_of_attr = {m: c for c in up[n.child] for m in c if isinstance(m, str)}
+        grouped: dict[EcClass, list[str]] = {}
+        for name, src in _pure_renames(n).items():
+            grouped.setdefault(class_of_attr[src], []).append(name)
+        return frozenset(frozenset(names).union(m for m in c if not isinstance(m, str))
+                         for c, names in grouped.items())
     if isinstance(n, Join):
         right_map = dict(zip(schema_of(n.right), right_output_names(n)))
         right = _rename_classes(up[n.right], right_map)
@@ -399,11 +389,9 @@ def _ec_down(n: Node, child_idx: int, own: frozenset[EcClass]) -> Optional[froze
         renames = _pure_renames(n)
         classes = []
         for c in own:
-            named = [renames[m] for m in c if isinstance(m, str) and m in renames]
-            for i, a1 in enumerate(named):
-                for a2 in named[i + 1:]:
-                    if a1 != a2:
-                        classes.append(frozenset((a1, a2)))
+            named = {renames[m] for m in c if isinstance(m, str) and m in renames}
+            if named:
+                classes.append(frozenset(named) | {m for m in c if not isinstance(m, str)})
         return frozenset(classes)
     if isinstance(n, (Join, Cross)):
         left_schema = set(schema_of(n.left))

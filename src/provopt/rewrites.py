@@ -1,10 +1,14 @@
 """Equivalence-preserving rewrite rules and the fixed-order pipeline.
 
 Every rule maps a graph to an equivalent graph; preconditions come from the
-property inference in :mod:`provopt.properties`. Rules that can shrink or
-reorder an operator's output schema validate the rewritten graph and skip
-the candidate when ancestors would break (for example, a column drop under
-one input of a positional set operator).
+property inference in :mod:`provopt.properties`. Most rules are generators
+of (target, replacement) candidates run by one loop, :func:`_rewrite`: it
+applies the first candidate the graph absorbs, rescans, and stops when none
+applies. A replacement whose schema differs from its target's is validated
+against the ancestors and skipped when they would break (for example, a
+column drop under one input of a positional set operator). A rule that
+changes nothing returns its input object, so the pipeline detects its
+fixpoint by identity.
 
 The projection-merge safety check is what keeps reenactment stacks from
 exploding: merging is rejected when a non-trivial inner definition is
@@ -17,6 +21,7 @@ SQL generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
@@ -24,7 +29,7 @@ from .algebra import (
     Intersect, Join, Node, Project, Select, Union, Window,
     all_nodes, conjuncts, conjunction, expr_attrs, expr_size,
     identity_targets, parent_map, replace_children, right_output_names,
-    schema_of, structurally_equal, substitute as graph_substitute,
+    schema_of, substitute as graph_substitute,
     substitute_attrs, SchemaError,
 )
 from .properties import (
@@ -33,6 +38,8 @@ from .properties import (
 )
 
 ChoiceFn = Callable[[int], int]
+#: (target node, replacement node) proposed by a rule
+Candidates = Iterable[tuple[Node, Node]]
 
 
 @dataclass
@@ -64,18 +71,31 @@ class RewriteConfig:
         return self.enabled is None or name in self.enabled
 
 
-def _substitute(root: Node, target: Node, replacement: Node) -> Node:
-    return graph_substitute(root, target, replacement, check_schema=False)
+def _absorb(root: Node, target: Node, replacement: Node) -> Optional[Node]:
+    """Substitute; None when the replacement or its ancestors are malformed.
 
-
-def _try_substitute(root: Node, target: Node, replacement: Node) -> Optional[Node]:
-    """Substitute and validate; None when ancestors cannot absorb the change."""
+    Only a replacement with a different schema can break an ancestor, so
+    only then is the rebuilt graph validated."""
     try:
-        new_root = _substitute(root, target, replacement)
-        schema_of(new_root)
+        new_root = graph_substitute(root, target, replacement, check_schema=False)
+        if schema_of(replacement) != schema_of(target):
+            schema_of(new_root)
         return new_root
     except SchemaError:
         return None
+
+
+def _rewrite(root: Node, candidates: Callable[[Node], Candidates]) -> Node:
+    """Apply the first candidate the graph absorbs and rescan, until a scan
+    applies none; returns the input object when nothing applied."""
+    while True:
+        for target, replacement in candidates(root):
+            new_root = _absorb(root, target, replacement)
+            if new_root is not None:
+                root = new_root
+                break
+        else:
+            return root
 
 
 def count_attr_refs(e: Expr, name: str) -> int:
@@ -197,63 +217,45 @@ def merge_projections(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     flagged as a materialization fence.
     """
     cfg = cfg or RewriteConfig()
-    while True:
+
+    def candidates(root: Node) -> Candidates:
         parents = parent_map(root)
-        candidate = None
         for n in all_nodes(root):
             if (isinstance(n, Project) and isinstance(n.child, Project)
-                    and len(parents[n.child]) == 1
-                    and not n.child.materialize):
-                candidate = n
-                break
-        if candidate is None:
-            return root
-        inner = candidate.child
-        defs = {name: e for e, name in inner.targets}
-        merged = tuple((substitute_attrs(e, defs), name) for e, name in candidate.targets)
-        if _merge_safe(candidate, inner, cfg, merged):
-            new_node = Project(merged, inner.child, candidate.materialize)
-            root = _substitute(root, candidate, new_node)
-        else:
-            fenced = Project(inner.targets, inner.child, materialize=True)
-            root = _substitute(root, inner, fenced)
+                    and len(parents[n.child]) == 1 and not n.child.materialize):
+                inner = n.child
+                defs = {name: e for e, name in inner.targets}
+                merged = tuple((substitute_attrs(e, defs), name) for e, name in n.targets)
+                if _merge_safe(n, inner, cfg, merged):
+                    yield n, Project(merged, inner.child, n.materialize)
+                else:
+                    yield inner, Project(inner.targets, inner.child, materialize=True)
+
+    return _rewrite(root, candidates)
 
 
 def merge_selections(root: Node) -> Node:
-    while True:
+    def candidates(root: Node) -> Candidates:
         parents = parent_map(root)
-        candidate = None
         for n in all_nodes(root):
             if (isinstance(n, Select) and isinstance(n.child, Select)
                     and len(parents[n.child]) == 1):
-                candidate = n
-                break
-        if candidate is None:
-            return root
-        inner = candidate.child
-        new_node = Select(conjunction([candidate.cond, inner.cond]), inner.child)
-        root = _substitute(root, candidate, new_node)
+                yield n, Select(conjunction([n.cond, n.child.cond]), n.child.child)
+
+    return _rewrite(root, candidates)
 
 
 def remove_redundant_projection(root: Node) -> Node:
-    skipped: set[int] = set()
-    while True:
-        found = None
+    def candidates(root: Node) -> Candidates:
         for n in all_nodes(root):
-            if isinstance(n, Project) and not n.materialize and id(n) not in skipped:
+            if isinstance(n, Project) and not n.materialize:
                 child_schema = schema_of(n.child)
                 if (len(n.targets) == len(child_schema)
                         and all(isinstance(e, Attr) and e.name == a and name == a
                                 for (e, name), a in zip(n.targets, child_schema))):
-                    found = n
-                    break
-        if found is None:
-            return root
-        new_root = _try_substitute(root, found, found.child)
-        if new_root is None:
-            skipped.add(id(found))
-            continue
-        root = new_root
+                    yield n, n.child
+
+    return _rewrite(root, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +263,13 @@ def remove_redundant_projection(root: Node) -> Node:
 
 
 def remove_dupelim_by_key(root: Node, base_keys=None) -> Node:
-    while True:
+    def candidates(root: Node) -> Candidates:
         keys = infer_keys(root, base_keys)
-        found = None
         for n in all_nodes(root):
             if isinstance(n, DupElim) and keys[n.child]:
-                found = n
-                break
-        if found is None:
-            return root
-        root = _substitute(root, found, found.child)
+                yield n, n.child
+
+    return _rewrite(root, candidates)
 
 
 def remove_dupelim_by_set(root: Node, choice: Optional[ChoiceFn] = None,
@@ -278,23 +277,23 @@ def remove_dupelim_by_set(root: Node, choice: Optional[ChoiceFn] = None,
     """Drop duplicate eliminations whose effect is absorbed downstream.
 
     With a choice callback, each removable operator becomes a cost-based
-    decision (0 removes, 1 keeps); ``decided_keep`` carries keep-decisions
-    across pipeline rounds so one operator is decided once.
+    decision (0 removes, 1 keeps); ``decided_keep`` holds the kept
+    ``DupElim`` nodes across pipeline rounds so one operator is decided
+    once. It holds the nodes, not their ids: a node it holds stays alive,
+    so its id cannot be reused by a node built later.
     """
     decided_keep = set() if decided_keep is None else decided_keep
-    while True:
+
+    def candidates(root: Node) -> Candidates:
         dup = infer_set(root)
-        found = None
         for n in all_nodes(root):
-            if isinstance(n, DupElim) and dup[n] and id(n) not in decided_keep:
-                found = n
-                break
-        if found is None:
-            return root
-        if choice is not None and choice(2) == 1:
-            decided_keep.add(id(found))
-            continue
-        root = _substitute(root, found, found.child)
+            if isinstance(n, DupElim) and dup[n] and n not in decided_keep:
+                if choice is not None and choice(2) == 1:
+                    decided_keep.add(n)
+                else:
+                    yield n, n.child
+
+    return _rewrite(root, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +317,9 @@ def _positional_descendants(root: Node) -> set[Node]:
 
 def project_to_icols(root: Node) -> Node:
     """Insert pruning projections above operators producing unneeded columns."""
-    while True:
+    def candidates(root: Node) -> Candidates:
         icols = infer_icols(root)
         parents = parent_map(root)
-        applied = False
         for n in all_nodes(root):
             if n is root:
                 continue
@@ -332,34 +330,20 @@ def project_to_icols(root: Node) -> Node:
             if parents[n] and all(isinstance(p, Project) for p in parents[n]):
                 continue  # demand is already expressed by projections
             keep = tuple(a for a in sch if a in need)
-            if not keep:
-                continue
-            wrapper = Project(identity_targets(keep), n)
-            new_root = _try_substitute(root, n, wrapper)
-            if new_root is not None:
-                root = new_root
-                applied = True
-                break
-        if not applied:
-            return root
+            if keep:
+                yield n, Project(identity_targets(keep), n)
+
+    return _rewrite(root, candidates)
 
 
 def remove_window(root: Node) -> Node:
-    skipped: set[int] = set()
-    while True:
+    def candidates(root: Node) -> Candidates:
         icols = infer_icols(root)
-        found = None
         for n in all_nodes(root):
-            if isinstance(n, Window) and n.out not in icols[n] and id(n) not in skipped:
-                found = n
-                break
-        if found is None:
-            return root
-        new_root = _try_substitute(root, found, found.child)
-        if new_root is None:
-            skipped.add(id(found))
-            continue
-        root = new_root
+            if isinstance(n, Window) and n.out not in icols[n]:
+                yield n, n.child
+
+    return _rewrite(root, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +361,7 @@ def pull_up_prov_projection(root: Node) -> Node:
     the duplicated column is re-created by a new projection above the
     parent. Repeats until no more duplications can climb.
     """
-    while True:
-        moved = False
+    def candidates(root: Node) -> Candidates:
         parents = parent_map(root)
         positional = _positional_descendants(root)
         for proj in all_nodes(root):
@@ -404,28 +387,19 @@ def pull_up_prov_projection(root: Node) -> Node:
             if not pulled or not kept:
                 continue
             reduced = Project(tuple(kept), proj.child, proj.materialize)
-            slot = [i for i, c in enumerate(parent.children) if c is proj]
-            kids = list(parent.children)
-            for i in slot:
-                kids[i] = reduced
-            new_parent = replace_children(parent, tuple(kids))
+            new_parent = replace_children(
+                parent, tuple(reduced if c is proj else c for c in parent.children))
             try:
                 parent_schema = schema_of(new_parent)
             except SchemaError:
                 continue
             if any(src not in parent_schema for src, _ in pulled):
                 continue
-            wrapper = Project(
-                identity_targets(parent_schema)
-                + tuple((Attr(src), name) for src, name in pulled),
-                new_parent)
-            new_root = _try_substitute(root, parent, wrapper)
-            if new_root is not None:
-                root = new_root
-                moved = True
-                break
-        if not moved:
-            return root
+            yield parent, Project(identity_targets(parent_schema)
+                                  + tuple((Attr(src), name) for src, name in pulled),
+                                  new_parent)
+
+    return _rewrite(root, candidates)
 
 
 def _own_used_attrs(n: Node) -> frozenset[str]:
@@ -473,8 +447,7 @@ def _chain_conjuncts(node: Node) -> list[Expr]:
 
 
 def _transfer_join_conditions(root: Node) -> Node:
-    while True:
-        applied = False
+    def candidates(root: Node) -> Candidates:
         for j in all_nodes(root):
             if not isinstance(j, Join):
                 continue
@@ -492,21 +465,12 @@ def _transfer_join_conditions(root: Node) -> Node:
                     if any(transferred == e for e in existing):
                         continue
                     placed, inserted = _place_pushed(transferred, dst)
-                    if not inserted:
-                        continue
-                    kids = list(j.children)
-                    kids[1 - src_idx] = placed
-                    new_root = _try_substitute(root, j, replace_children(j, tuple(kids)))
-                    if new_root is not None:
-                        root = new_root
-                        applied = True
-                        break
-                if applied:
-                    break
-            if applied:
-                break
-        if not applied:
-            return root
+                    if inserted:
+                        kids = list(j.children)
+                        kids[1 - src_idx] = placed
+                        yield j, replace_children(j, tuple(kids))
+
+    return _rewrite(root, candidates)
 
 
 def _place_pushed(cond: Expr, node: Node) -> tuple[Node, bool]:
@@ -584,24 +548,18 @@ def _place_pushed(cond: Expr, node: Node) -> tuple[Node, bool]:
 
 
 def _enforce_ancestor_equalities(root: Node, cfg: RewriteConfig) -> Node:
-    while True:
+    def candidates(root: Node) -> Candidates:
         down = infer_ec(root, cfg.cnf_cap)
         up_only = infer_ec_bottom_up(root, cfg.cnf_cap)
         parents = parent_map(root)
-        applied = False
         for n in all_nodes(root):
             if n is root:
                 continue
             cond = _new_equality(n, down, up_only[n], parents)
-            if cond is None:
-                continue
-            new_root = _try_substitute(root, n, Select(cond, n))
-            if new_root is not None:
-                root = new_root
-                applied = True
-                break
-        if not applied:
-            return root
+            if cond is not None:
+                yield n, Select(cond, n)
+
+    return _rewrite(root, candidates)
 
 
 def _new_equality(n: Node, down, up_classes, parents) -> Optional[Expr]:
@@ -738,8 +696,8 @@ def _same_up_class(up_classes, m1, m2) -> bool:
 # pipeline
 
 
-#: The pipeline in order: rule name -> call on (root, config, ids of the
-#: duplicate eliminations kept by choice, carried across rounds). Each entry
+#: The pipeline in order: rule name -> call on (root, config, the duplicate
+#: eliminations kept by choice, carried across rounds). Each entry
 #: looks its rule up as a module global when called, so a wrapper installed
 #: on ``rewrites.<rule>`` sees the pipeline's calls.
 RULES: dict[str, Callable[[Node, RewriteConfig, set], Node]] = {
@@ -757,29 +715,29 @@ RULES: dict[str, Callable[[Node, RewriteConfig, set], Node]] = {
 }
 RULE_ORDER = tuple(RULES)
 
-#: extra fixpoint rounds allowed beyond the configured minimum
-_EXTRA_ROUNDS = 14
-
 
 def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     """Run the fixed-order rewrite pipeline, then restore the original root
     schema (rules may reorder columns).
 
-    The configured round count is a minimum: rounds repeat while a pass
-    still changes the graph, so a rewritten plan is a fixpoint and a second
-    application is a no-op. A late-created opportunity (say, a pruning
-    projection inserted after the merge pass ran) is picked up by the next
-    round.
+    The configured round count is a minimum: rounds repeat until one in
+    which no rule fired, so a rewritten plan is a fixpoint and a second
+    application is a no-op. A rule that fires returns a new root object and
+    one that does not returns its input, so "no rule fired" is ``root is
+    before``. There is no round cap: a rule pair that undid each other's
+    work would loop, and is a defect of the rules. A late-created
+    opportunity (say, a pruning projection inserted after the merge pass
+    ran) is picked up by the next round.
     """
     cfg = cfg or RewriteConfig()
     original_schema = schema_of(root)
     kept_dupelims: set = set()
-    for rnd in range(cfg.rounds + _EXTRA_ROUNDS):
+    for rnd in count(1):
         before = root
         for name, rule in RULES.items():
             if cfg.rule_enabled(name):
                 root = rule(root, cfg, kept_dupelims)
-        if rnd + 1 >= cfg.rounds and structurally_equal(before, root):
+        if rnd >= cfg.rounds and root is before:
             break
     if schema_of(root) != original_schema:
         # rules may have reordered columns; restore and fold the fix-up

@@ -171,6 +171,24 @@ class TestSequential:
         assert res.best.graph == "ok"
         assert any(math.isinf(p.cost) for p in res.trace)
 
+    @pytest.mark.parametrize("strategy", ["seq", "bin", "sa"])
+    def test_no_plan_error_names_the_pipeline_failure(self, strategy):
+        def pipeline(choose):
+            choose(2)
+            raise ValueError("boom")
+
+        with pytest.raises(EnumerationError, match="boom") as info:
+            optimize(pipeline, lambda p: 1.0, strategy=strategy,
+                     max_iters=4, rng=random.Random(4))
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_no_plan_error_names_the_costing_failure(self):
+        def cost(plan):
+            raise KeyError("no statistics for relation r")
+
+        with pytest.raises(EnumerationError, match="no statistics for relation r"):
+            optimize(fig_tree_pipeline, cost)
+
 
 class TestBinary:
     def test_depth_one_visits_both_leaves(self):

@@ -118,6 +118,18 @@ class TestEcWorkedExamples:
         # sibling schema), so no cross-side class remains below the join
         assert down[sales] == classes(("itemId",), ("qty",))
 
+    def test_projection_keeps_constant(self):
+        # a column equated to a constant below a renaming projection is
+        # still equated to it above
+        q = Project(((Attr("a"), "b"),),
+                    Select(Cmp("=", Attr("a"), Const(1)), Relation("R", ("a", "c"))))
+        assert frozenset(("b", EcConst(1))) in infer_ec(q)[q]
+
+    def test_constant_from_above_crosses_projection(self):
+        proj = Project(((Attr("a"), "b"), (Attr("c"), "c")), Relation("R", ("a", "c")))
+        q = Select(Cmp("=", Attr("b"), Const(1)), proj)
+        assert infer_ec(q)[proj.child] == classes(("a", EcConst(1)), ("c",))
+
 
 class TestKeys:
     def test_projection_drops_key(self):

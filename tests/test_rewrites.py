@@ -169,6 +169,15 @@ class TestSimpleRules:
         kept = remove_dupelim_by_set(q, choice=lambda n: 1)
         assert sum(isinstance(n, DupElim) for n in all_nodes(kept)) == 2
 
+    def test_keep_decisions_hold_the_nodes(self):
+        # a held node stays alive, so a later node cannot reuse its id and
+        # silently inherit the decision
+        inner = DupElim(Relation("R", ("a",)))
+        q = DupElim(Select(Cmp("<", Attr("a"), Const(9)), inner))
+        decided: set = set()
+        assert remove_dupelim_by_set(q, lambda n: 1, decided) is q
+        assert decided == {inner}
+
     def test_remove_window_when_output_unused(self):
         r = Relation("R", ("a", "b"))
         w = Window("sum", "b", "x", (), (), r)
@@ -331,6 +340,22 @@ class TestApplyPats:
             got = evaluate(optimized, db)
             assert got.schema == expected.schema
             assert got.tuples == expected.tuples
+
+    def test_idempotent_on_instrumented_queries(self):
+        # the corpus above; five of its queries once never reached a
+        # fixpoint, because a constant equality lost at a renaming
+        # projection was re-inserted by selection move-around every round
+        from randgen import random_agg_query, random_spju_query
+        rng = random.Random(888)
+        for i in range(120):
+            if i % 2:
+                q, state = random_spju_query(rng)
+            else:
+                q, state = random_agg_query(rng, rng.randint(1, 2))
+            random_instance(state, rng, 5)
+            inst = instrument_query(q, agg_method=rng.choice(("join", "window")))
+            once = apply_pats(inst, RewriteConfig())
+            assert apply_pats(once, RewriteConfig()) is once, i
 
     def test_reenactment_merges_to_single_projection(self):
         # one update per attribute, conditions on a shared column: after
