@@ -34,6 +34,8 @@ CostFn = Callable[[object], float]
 
 #: placeholder plan for iterations whose pipeline raised
 _FAILED = object()
+#: annealing temperature below which acceptance is greedy
+_FROZEN = 1e-12
 
 
 class EnumerationError(Exception):
@@ -89,14 +91,7 @@ class ChoiceLog:
 
     def plan_next_iteration(self) -> bool:
         """Set up the path for the next leaf; False when exhausted."""
-        nxt = list(self.taken)
-        counts = list(self.option_counts)
-        while nxt:
-            c = nxt.pop()
-            n = counts.pop()
-            if c + 1 < n:
-                nxt.append(c + 1)
-                break
+        nxt = _successor(self.taken, self.option_counts) or []
         self.taken = []
         self.option_counts = []
         self.pending = nxt
@@ -173,9 +168,12 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
 
     ``stop`` is ``none`` (exhaust the strategy), ``adaptive`` (halt when the
     best cost undercuts the time spent), or ``max-iters`` combined with
-    ``max_iters``. Iterations whose pipeline or costing raises are recorded
-    with infinite cost and skipped; when no plan is left, the error names
-    the last such exception and chains it.
+    ``max_iters``. Simulated annealing, which never exhausts, ends without
+    a stop rule at its first step whose temperature is frozen (below
+    ``1e-12``, where acceptance is already greedy). Iterations whose
+    pipeline or costing raises are recorded with infinite cost and skipped;
+    when no plan is left, the error names the last such exception and
+    chains it.
     """
     budget = OptimizerBudget(clock=clock or time.monotonic)
     log = ChoiceLog()
@@ -221,6 +219,8 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
     elif strategy == "bin":
         _search_binary(attempt, log, budget, consider, should_continue)
     elif strategy == "sa":
+        if stop != "adaptive" and max_iters is None:
+            max_iters = 1 + _frozen_step(sa_temp, sa_cooling)  # the first plan, then one per step
         _search_annealing(attempt, log, budget, consider, should_continue,
                           rng or random.Random(0), sa_temp, sa_cooling)
     else:
@@ -309,6 +309,8 @@ def _bisect(lo, hi, realize, realized):
 
 
 def _successor(path, counts):
+    """The path with its last choice that still has an untried option
+    bumped and everything after it dropped; None when there is none."""
     nxt = list(path)
     cnt = list(counts)
     while nxt:
@@ -323,6 +325,17 @@ def _successor(path, counts):
 def annealing_temperature(temp0: float, cooling: float, step: int) -> float:
     """Temperature after a number of steps: temp0 * cooling**step."""
     return temp0 * cooling ** step
+
+
+def _frozen_step(temp0: float, cooling: float) -> int:
+    """The first annealing step whose temperature is below ``_FROZEN``."""
+    if cooling >= 1 and temp0 >= _FROZEN:
+        raise ValueError("simulated annealing without a stop rule needs a cooling "
+                         f"factor below 1, got {cooling}")
+    step = 0
+    while annealing_temperature(temp0, cooling, step) >= _FROZEN:
+        step += 1
+    return step
 
 
 def _search_annealing(attempt, log, budget, consider, should_continue,
@@ -356,7 +369,7 @@ def _search_annealing(attempt, log, budget, consider, should_continue,
         diff = costed.cost - cur_cost
         temp = annealing_temperature(temp0, cooling, step)
         accept = costed.cost < cur_cost
-        if not accept and temp > 1e-12 and math.isfinite(diff):
+        if not accept and temp > _FROZEN and math.isfinite(diff):
             accept = rng.random() < math.exp(-diff / temp)
         if accept:
             cur_path, cur_counts, cur_cost = path, counts, costed.cost

@@ -12,6 +12,11 @@ Equivalence classes are frozensets whose members are attribute names (str)
 or ``EcConst`` wrappers; a class holds at most one constant in practice but
 nothing breaks if contradictory selections put two there (the corresponding
 instances are empty).
+
+:func:`filter_map` is the one place that says how a filter crosses an
+operator: which output columns of a node are which columns of one input.
+Top-down equivalence classes, selection push-down and the test whether an
+ancestor selection already guards a node all read it.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from typing import Iterable, Mapping, Optional
 
 from .algebra import (
     Agg, Attr, BoolOp, Cmp, Const, Cross, Diff, DupElim, Expr,
-    Intersect, Join, Node, Project, Relation, Select, Union, Window,
+    Intersect, Join, Node, Project, Relation, Select, SetOp, Union, Window,
     all_nodes, expr_attrs, right_output_names, schema_of,
 )
 
@@ -80,31 +85,15 @@ def _rename_classes(classes: Iterable[EcClass], mapping: Mapping[str, str]) -> f
     return frozenset(out)
 
 
-def _restrict_classes(classes: Iterable[EcClass], attrs: set[str], *, keep_consts: bool) -> frozenset[EcClass]:
-    out = []
-    for c in classes:
-        kept = frozenset(m for m in c
-                         if (isinstance(m, str) and m in attrs)
-                         or (not isinstance(m, str) and keep_consts))
-        if kept:
-            out.append(kept)
-    return frozenset(out)
-
-
-def _subtract_classes(classes: Iterable[EcClass], attrs: set[str]) -> frozenset[EcClass]:
-    out = []
-    for c in classes:
-        kept = frozenset(m for m in c if not (isinstance(m, str) and m in attrs))
-        if kept:
-            out.append(kept)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # CNF normalization (equality harvesting only)
 
 
-def to_cnf_conjuncts(e: Expr, cap: int = 64) -> Optional[list[Expr]]:
+#: ceiling on CNF expansion during equivalence-class seeding
+CNF_CAP = 64
+
+
+def to_cnf_conjuncts(e: Expr, cap: int = CNF_CAP) -> Optional[list[Expr]]:
     """Conjuncts of the CNF of a condition, or None when it would blow up.
 
     Only used to harvest equality conjuncts, so an opaque result merely
@@ -156,9 +145,9 @@ def to_cnf_conjuncts(e: Expr, cap: int = 64) -> Optional[list[Expr]]:
     return out
 
 
-def equality_classes_from_condition(e: Expr, cap: int = 64) -> frozenset[EcClass]:
+def equality_classes_from_condition(e: Expr) -> frozenset[EcClass]:
     """{a,b} and {a,const} classes implied by a selection condition."""
-    cnf_parts = to_cnf_conjuncts(e, cap)
+    cnf_parts = to_cnf_conjuncts(e)
     if cnf_parts is None:
         return frozenset()
     out = []
@@ -279,20 +268,52 @@ def _keys_of(n: Node, out, base_keys) -> frozenset[KeySet]:
 # equivalence classes (bottom-up, then top-down)
 
 
-def infer_ec(root: Node, cnf_cap: int = 64) -> dict[Node, frozenset[EcClass]]:
+def filter_map(node: Node, child_idx: int) -> Optional[dict[str, str]]:
+    """Output attribute -> attribute of input ``child_idx``, for the columns
+    across which a filter on the node's output can move into that input
+    without changing the result; None when no filter can.
+
+    A filter on a union's output must move into every input; for every
+    other operator one input that takes it suffices.
+    """
+    if isinstance(node, (Select, DupElim)) or (
+            child_idx == 0 and isinstance(node, (Join, Cross, SetOp))):
+        return {a: a for a in schema_of(node.children[child_idx])}
+    if isinstance(node, Project):
+        return _pure_renames(node)
+    if isinstance(node, (Join, Cross)):
+        return dict(zip(right_output_names(node), schema_of(node.right)))
+    if isinstance(node, Agg):
+        # filtering other child columns would change the groups' aggregates
+        return {a: a for a in node.group_by}
+    if isinstance(node, Window):
+        # partition attributes play the group-by's role; order attributes
+        # are not safe: a running frame aggregates over rows a filter removes
+        return {a: a for a in node.partition_by}
+    if isinstance(node, (Union, Intersect)):
+        return _positional_rename(schema_of(node.left), schema_of(node.right))
+    if isinstance(node, Diff):
+        return None  # removing subtrahend rows would add result rows
+    raise TypeError(f"unknown operator {type(node).__name__}")
+
+
+def infer_ec(root: Node) -> dict[Node, frozenset[EcClass]]:
     """Equivalence classes per operator.
 
     Bottom-up pass seeds classes from conditions and merges across
     operators; the top-down pass then pushes ancestor-derived classes back
-    into the inputs. A node with several parents only keeps what every
-    parent path supports (pairwise intersection of the contributions), so
-    the combination stays sound on DAGs.
+    into the inputs.
     """
-    up: dict[Node, frozenset[EcClass]] = {}
-    order = all_nodes(root)
-    for n in order:
-        up[n] = ec_closure(_ec_up(n, up, cnf_cap) | singletons(schema_of(n)))
+    return ec_top_down(root, infer_ec_bottom_up(root))
 
+
+def ec_top_down(root: Node, up: Mapping[Node, frozenset[EcClass]]) -> dict[Node, frozenset[EcClass]]:
+    """The top-down pass of :func:`infer_ec` over the bottom-up classes
+    ``up`` (keyed children before parents, as :func:`infer_ec_bottom_up`
+    returns them). A node with several parents only keeps what every parent
+    path supports (pairwise intersection of the contributions), so the
+    combination stays sound on DAGs."""
+    order = list(up)
     slots: dict[Node, list[tuple[Node, int]]] = {n: [] for n in order}
     for n in order:
         for idx, child in enumerate(n.children):
@@ -304,9 +325,7 @@ def infer_ec(root: Node, cnf_cap: int = 64) -> dict[Node, frozenset[EcClass]]:
             continue
         combined: Optional[frozenset[EcClass]] = None
         for parent, idx in slots[n]:
-            contrib = _ec_down(parent, idx, down[parent])
-            if contrib is None:
-                contrib = frozenset()
+            contrib = ec_transfer_down(parent, idx, down[parent])
             combined = contrib if combined is None else _intersect_class_sets(combined, contrib)
         down[n] = ec_closure(up[n] | (combined or frozenset()))
     return down
@@ -325,25 +344,33 @@ def _intersect_class_sets(a: Iterable[EcClass], b: Iterable[EcClass]) -> frozens
 def ec_transfer_down(parent: Node, child_idx: int,
                      classes: frozenset) -> frozenset[EcClass]:
     """Map equivalence classes from a parent's output into one child's
-    naming, per the top-down transfer rules; empty when nothing survives."""
-    out = _ec_down(parent, child_idx, classes)
-    return frozenset() if out is None else out
+    naming through :func:`filter_map`. A class keeps its constants when one
+    of its attributes crosses; empty when nothing crosses."""
+    fmap = filter_map(parent, child_idx)
+    if fmap is None:
+        return frozenset()
+    out = []
+    for c in classes:
+        named = {fmap[m] for m in c if isinstance(m, str) and m in fmap}
+        if named:
+            out.append(frozenset(named).union(m for m in c if not isinstance(m, str)))
+    return frozenset(out)
 
 
-def infer_ec_bottom_up(root: Node, cnf_cap: int = 64) -> dict[Node, frozenset[EcClass]]:
+def infer_ec_bottom_up(root: Node) -> dict[Node, frozenset[EcClass]]:
     """Equivalence classes from the bottom-up pass only (intrinsic to each
     operator's output, independent of where it sits in the query)."""
     up: dict[Node, frozenset[EcClass]] = {}
     for n in all_nodes(root):
-        up[n] = ec_closure(_ec_up(n, up, cnf_cap) | singletons(schema_of(n)))
+        up[n] = ec_closure(_ec_up(n, up) | singletons(schema_of(n)))
     return up
 
 
-def _ec_up(n: Node, up, cnf_cap) -> frozenset[EcClass]:
+def _ec_up(n: Node, up) -> frozenset[EcClass]:
     if isinstance(n, Relation):
         return singletons(n.attrs)
     if isinstance(n, Select):
-        return up[n.child] | equality_classes_from_condition(n.cond, cnf_cap)
+        return up[n.child] | equality_classes_from_condition(n.cond)
     if isinstance(n, Project):
         # output names renaming members of one child class form a class,
         # together with that class's constants
@@ -362,8 +389,8 @@ def _ec_up(n: Node, up, cnf_cap) -> frozenset[EcClass]:
         right_map = dict(zip(schema_of(n.right), right_output_names(n)))
         return up[n.left] | _rename_classes(up[n.right], right_map)
     if isinstance(n, Agg):
-        group = set(n.group_by)
-        kept = _restrict_classes(up[n.child], group, keep_consts=False)
+        group = frozenset(n.group_by)
+        kept = frozenset(c & group for c in up[n.child] if c & group)
         return kept | singletons(name for _, _, name in n.aggs)
     if isinstance(n, DupElim):
         return up[n.child]
@@ -378,54 +405,6 @@ def _ec_up(n: Node, up, cnf_cap) -> frozenset[EcClass]:
         return up[n.left]
     if isinstance(n, Window):
         return up[n.child] | frozenset((frozenset((n.out,)),))
-    raise TypeError(f"unknown operator {type(n).__name__}")
-
-
-def _ec_down(n: Node, child_idx: int, own: frozenset[EcClass]) -> Optional[frozenset[EcClass]]:
-    """Classes a parent contributes to one child; None resets to singletons."""
-    if isinstance(n, (Select, DupElim)):
-        return own
-    if isinstance(n, Project):
-        renames = _pure_renames(n)
-        classes = []
-        for c in own:
-            named = {renames[m] for m in c if isinstance(m, str) and m in renames}
-            if named:
-                classes.append(frozenset(named) | {m for m in c if not isinstance(m, str)})
-        return frozenset(classes)
-    if isinstance(n, (Join, Cross)):
-        left_schema = set(schema_of(n.left))
-        right_names = right_output_names(n)
-        right_schema = schema_of(n.right)
-        if child_idx == 0:
-            return _subtract_classes(own, set(right_names))
-        back = dict(zip(right_names, right_schema))
-        kept = _subtract_classes(own, left_schema)
-        return _rename_classes(kept, back)
-    if isinstance(n, Agg):
-        # only equalities over group-by attributes survive the trip through
-        # an aggregation: filtering other child columns would change the
-        # groups' aggregate values
-        return _restrict_classes(own, set(n.group_by), keep_consts=True)
-    if isinstance(n, Union):
-        if child_idx == 0:
-            return own
-        rename = _positional_rename(schema_of(n.left), schema_of(n.right))
-        return _rename_classes(own, rename)
-    if isinstance(n, Intersect):
-        if child_idx == 0:
-            return own
-        rename = _positional_rename(schema_of(n.left), schema_of(n.right))
-        return _rename_classes(own, rename)
-    if isinstance(n, Diff):
-        if child_idx == 0:
-            return own
-        return None  # difference right input: reset to singletons
-    if isinstance(n, Window):
-        # same reasoning as aggregation, with partition attributes in the
-        # role of the group-by (order attributes are not safe: a running
-        # frame aggregates over rows a filter would remove)
-        return _restrict_classes(own, set(n.partition_by), keep_consts=True)
     raise TypeError(f"unknown operator {type(n).__name__}")
 
 

@@ -28,13 +28,13 @@ from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     Intersect, Join, Node, Project, Select, Union, Window,
     all_nodes, conjuncts, conjunction, expr_attrs, expr_size,
-    identity_targets, parent_map, replace_children, right_output_names,
+    identity_targets, parent_map, replace_children,
     schema_of, substitute as graph_substitute,
     substitute_attrs, SchemaError,
 )
 from .properties import (
-    EcConst, ec_transfer_down, infer_ec, infer_ec_bottom_up, infer_icols,
-    infer_keys, infer_set,
+    EcConst, ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up,
+    infer_icols, infer_keys, infer_set,
 )
 
 ChoiceFn = Callable[[int], int]
@@ -42,15 +42,15 @@ ChoiceFn = Callable[[int], int]
 Candidates = Iterable[tuple[Node, Node]]
 
 
+#: reject a merge when the result exceeds this multiple of the input sizes
+MERGE_GROWTH_FACTOR = 4.0
+#: inner definitions larger than one node may be referenced at most this often
+MERGE_REF_LIMIT = 1
+
+
 @dataclass
 class RewriteConfig:
     rounds: int = 2
-    #: reject a merge when the result exceeds this multiple of the input sizes
-    merge_growth_factor: float = 4.0
-    #: inner definitions larger than one node may be referenced at most this often
-    merge_ref_limit: int = 1
-    #: hard ceiling on CNF expansion during equivalence-class seeding
-    cnf_cap: int = 64
     #: rule names to run; None enables the full pipeline
     enabled: Optional[frozenset] = None
     #: per-candidate callback for the set-based duplicate elimination removal
@@ -202,12 +202,12 @@ def _merge_safe(outer: Project, inner: Project, cfg: RewriteConfig,
         if expr_size(e) <= 1:
             continue
         refs = sum(count_attr_refs(oe, name) for oe, _ in outer.targets)
-        if refs > cfg.merge_ref_limit:
+        if refs > MERGE_REF_LIMIT:
             return False
     merged_size = sum(expr_size(e) for e, _ in merged)
     input_size = (sum(expr_size(e) for e, _ in outer.targets)
                   + sum(expr_size(e) for e, _ in inner.targets))
-    return merged_size <= cfg.merge_growth_factor * input_size
+    return merged_size <= MERGE_GROWTH_FACTOR * input_size
 
 
 def merge_projections(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
@@ -424,15 +424,12 @@ def _own_used_attrs(n: Node) -> frozenset[str]:
 # selection move-around
 
 
-def selection_move_around(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
+def selection_move_around(root: Node) -> Node:
     """Derive new selections from equivalence classes and push them toward
     the leaves: conditions guarding one join input transfer to the other
     input when the join pairs the attributes they mention, and attribute
     pairs equated by ancestors are enforced early."""
-    cfg = cfg or RewriteConfig()
-    root = _transfer_join_conditions(root)
-    root = _enforce_ancestor_equalities(root, cfg)
-    return root
+    return _enforce_ancestor_equalities(_transfer_join_conditions(root))
 
 
 def _chain_conjuncts(node: Node) -> list[Expr]:
@@ -478,84 +475,34 @@ def _place_pushed(cond: Expr, node: Node) -> tuple[Node, bool]:
 
     Returns the rewritten subtree and False when an identical conjunct
     already guards the path (nothing to do)."""
-    attrs = set(expr_attrs(cond))
-
-    if isinstance(node, Select):
-        if any(cond == c for c in conjuncts(node.cond)):
-            return node, False
-        inner, inserted = _place_pushed(cond, node.child)
-        return (Select(node.cond, inner), True) if inserted else (node, False)
-    if isinstance(node, DupElim):
-        inner, inserted = _place_pushed(cond, node.child)
-        return (DupElim(inner), True) if inserted else (node, False)
-    if isinstance(node, Project):
-        renames: dict[str, str] = {}
-        for e, name in node.targets:
-            if isinstance(e, Attr):
-                renames[name] = e.name
-        if attrs <= set(renames):
-            rewritten = substitute_attrs(cond, {o: Attr(s) for o, s in renames.items()})
-            inner, inserted = _place_pushed(rewritten, node.child)
-            if inserted:
-                return Project(node.targets, inner, node.materialize), True
-            return node, False
-        return Select(cond, node), True
-    if isinstance(node, (Join, Cross)):
-        left_schema = set(schema_of(node.left))
-        if attrs <= left_schema:
-            inner, inserted = _place_pushed(cond, node.left)
-            if inserted:
-                return replace_children(node, (inner, node.right)), True
-            return node, False
-        right_names = right_output_names(node)
-        back = dict(zip(right_names, schema_of(node.right)))
-        if attrs <= set(right_names):
-            rewritten = substitute_attrs(cond, {o: Attr(s) for o, s in back.items()})
-            inner, inserted = _place_pushed(rewritten, node.right)
-            if inserted:
-                return replace_children(node, (node.left, inner)), True
-            return node, False
-        return Select(cond, node), True
-    if isinstance(node, Union):
-        # a filter over a union must reach both branches
-        rename = dict(zip(schema_of(node.left), schema_of(node.right)))
-        right_cond = substitute_attrs(cond, {a: Attr(b) for a, b in rename.items()})
-        left, li = _place_pushed(cond, node.left)
-        right, ri = _place_pushed(right_cond, node.right)
-        if not li and not ri:
-            return node, False
-        return Union(left, right), True
-    if isinstance(node, (Intersect, Diff)):
-        inner, inserted = _place_pushed(cond, node.left)
-        if inserted:
-            return replace_children(node, (inner, node.right)), True
+    if isinstance(node, Select) and any(cond == c for c in conjuncts(node.cond)):
         return node, False
-    if isinstance(node, Agg):
-        if attrs <= set(node.group_by):
-            inner, inserted = _place_pushed(cond, node.child)
-            if inserted:
-                return Agg(node.group_by, node.aggs, inner), True
-            return node, False
+    attrs = expr_attrs(cond)
+    kids = list(node.children)
+    entered = inserted = False
+    for idx, child in enumerate(node.children):
+        fmap = filter_map(node, idx)
+        if fmap is None or not attrs <= fmap.keys():
+            continue
+        renamed = substitute_attrs(cond, {a: Attr(fmap[a]) for a in attrs})
+        kids[idx], placed = _place_pushed(renamed, child)
+        entered, inserted = True, inserted or placed
+        if not isinstance(node, Union):  # a filter over a union reaches every input
+            break
+    if not entered:
         return Select(cond, node), True
-    if isinstance(node, Window):
-        if attrs <= set(node.partition_by):
-            inner, inserted = _place_pushed(cond, node.child)
-            if inserted:
-                return replace_children(node, (inner,)), True
-            return node, False
-        return Select(cond, node), True
-    return Select(cond, node), True
+    return (replace_children(node, tuple(kids)), True) if inserted else (node, False)
 
 
-def _enforce_ancestor_equalities(root: Node, cfg: RewriteConfig) -> Node:
+def _enforce_ancestor_equalities(root: Node) -> Node:
     def candidates(root: Node) -> Candidates:
-        down = infer_ec(root, cfg.cnf_cap)
-        up_only = infer_ec_bottom_up(root, cfg.cnf_cap)
+        up = infer_ec_bottom_up(root)
+        down = ec_top_down(root, up)
         parents = parent_map(root)
         for n in all_nodes(root):
             if n is root:
                 continue
-            cond = _new_equality(n, down, up_only[n], parents)
+            cond = _new_equality(n, down, up[n], parents)
             if cond is not None:
                 yield n, Select(cond, n)
 
@@ -628,49 +575,18 @@ def _pair_guarded_above(n: Node, parents, m1, m2, memo) -> bool:
 
 
 def _map_members_up(parent: Node, child: Node, members):
-    """Map equality members from a child's output names into the parent's,
-    restricted to operators an equality filter commutes with; None when the
-    filter cannot travel (so a selection above cannot guard the child)."""
-
-    def map_one(m, mapping):
-        if isinstance(m, EcConst):
-            return m
-        return mapping(m)
-
-    if isinstance(parent, (Select, DupElim)):
-        return members
-    if isinstance(parent, Project):
-        exported = {}
-        for e, name in parent.targets:
-            if isinstance(e, Attr) and e.name not in exported:
-                exported[e.name] = name
-        out = tuple(map_one(m, lambda a: exported.get(a)) for m in members)
-        return None if None in out else out
-    if isinstance(parent, (Join, Cross)):
-        if parent.children[0] is child:
-            return members
-        back = dict(zip(schema_of(parent.right), right_output_names(parent)))
-        out = tuple(map_one(m, lambda a: back.get(a)) for m in members)
-        return None if None in out else out
-    if isinstance(parent, Union):
-        if parent.children[0] is child:
-            return members
-        rename = dict(zip(schema_of(parent.right), schema_of(parent.left)))
-        out = tuple(map_one(m, lambda a: rename.get(a)) for m in members)
-        return None if None in out else out
-    if isinstance(parent, (Intersect, Diff)):
-        if parent.children[0] is child:
-            return members
+    """Map equality members from a child's output names into the parent's
+    through :func:`filter_map` (the first output name of each attribute);
+    None when the filter cannot travel (so a selection above cannot guard
+    the child)."""
+    fmap = filter_map(parent, next(i for i, c in enumerate(parent.children) if c is child))
+    if fmap is None:
         return None
-    if isinstance(parent, Agg):
-        out = tuple(map_one(m, lambda a: a if a in parent.group_by else None)
-                    for m in members)
-        return None if None in out else out
-    if isinstance(parent, Window):
-        out = tuple(map_one(m, lambda a: a if a in parent.partition_by else None)
-                    for m in members)
-        return None if None in out else out
-    return None
+    up: dict[str, str] = {}
+    for name, src in fmap.items():
+        up.setdefault(src, name)
+    out = tuple(m if isinstance(m, EcConst) else up.get(m) for m in members)
+    return None if None in out else out
 
 
 def _member_expr(m) -> Expr:
@@ -704,7 +620,7 @@ RULES: dict[str, Callable[[Node, RewriteConfig, set], Node]] = {
     "factor_attributes": lambda root, cfg, kept: factor_attributes(root),
     "merge_projections": lambda root, cfg, kept: merge_projections(root, cfg),
     "merge_selections": lambda root, cfg, kept: merge_selections(root),
-    "selection_move_around": lambda root, cfg, kept: selection_move_around(root, cfg),
+    "selection_move_around": lambda root, cfg, kept: selection_move_around(root),
     "pull_up_prov_projection": lambda root, cfg, kept: pull_up_prov_projection(root),
     "project_to_icols": lambda root, cfg, kept: project_to_icols(root),
     "remove_window": lambda root, cfg, kept: remove_window(root),

@@ -151,6 +151,15 @@ class TestOtherCommands:
                            for name in ("merge_selections", "remove_window")]
         assert out.splitlines()[1] == "(select (and (= a 5) (< b 6)) (rel R (attrs a b)))"
 
+    def test_optimize_filter_above_intersect_guards_both_inputs(self, capsys, tmp_path):
+        # the selection above already filters the right input's rows too
+        plan = tmp_path / "q.plan"
+        plan.write_text("(select (= a 3) (intersect (rel R (attrs a b)) (rel S (attrs c d))))")
+        code, out, err = run_cli(capsys, "optimize", "--plan", str(plan))
+        assert code == 0, err
+        assert out.strip() == ("(select (= a 3) (intersect (rel R (attrs a b)) "
+                               "(rel S (attrs c d))))")
+
     def test_explain_properties(self, capsys, tmp_path):
         plan = tmp_path / "q.plan"
         plan.write_text("(dupelim (agg (groupby b) (aggs (sum a -> s)) (rel R (attrs a b))))")

@@ -265,6 +265,22 @@ class TestSimulatedAnnealing:
         # greedy never accepts a worse current plan, so the best only improves
         assert res.best.cost == min(costs)
 
+    def test_ends_without_stop_rule(self):
+        # 10 * 0.8**step first drops below 1e-12 at step 135: the walk is
+        # the first plan and steps 0..134
+        pipeline, cost = self._pipeline_and_cost()
+        calls = itertools.count()
+
+        def bounded(choose):
+            if next(calls) > 10_000:
+                raise EnumerationError("the walk did not end")
+            return pipeline(choose)
+
+        res = optimize(bounded, cost, strategy="sa", rng=random.Random(1))
+        assert len(res.trace) == 136
+        with pytest.raises(ValueError, match="cooling"):
+            optimize(pipeline, cost, strategy="sa", sa_cooling=1.0)
+
     def test_temperature_sequence_is_geometric(self):
         from provopt.optimizer import annealing_temperature
         for step in range(10):

@@ -5,13 +5,13 @@ import pytest
 from randgen import random_instance, random_query
 
 from provopt.algebra import (
-    Agg, Arith, Attr, BoolOp, Cmp, Const, Cross, Diff, DupElim, Join, Project,
-    Relation, SchemaError, Select, Union, Window,
+    Agg, Arith, Attr, BoolOp, Cmp, Const, Cross, Diff, DupElim, Intersect, Join,
+    Node, Project, Relation, SchemaError, Select, Union, Window,
     all_nodes, identity_targets, schema_of, substitute,
 )
 from provopt.executor import evaluate
 from provopt.properties import (
-    EcConst, ec_closure, equality_classes_from_condition,
+    EcConst, ec_closure, equality_classes_from_condition, filter_map,
     infer_ec, infer_icols, infer_keys, infer_set, to_cnf_conjuncts,
 )
 
@@ -129,6 +129,25 @@ class TestEcWorkedExamples:
         proj = Project(((Attr("a"), "b"), (Attr("c"), "c")), Relation("R", ("a", "c")))
         q = Select(Cmp("=", Attr("b"), Const(1)), proj)
         assert infer_ec(q)[proj.child] == classes(("a", EcConst(1)), ("c",))
+
+
+class TestFilterMap:
+    def test_inputs_a_filter_crosses_into(self):
+        r, s = Relation("R", ("a", "b")), Relation("S", ("c", "d"))
+        assert filter_map(Intersect(r, s), 0) == {"a": "a", "b": "b"}
+        assert filter_map(Intersect(r, s), 1) == {"a": "c", "b": "d"}
+        assert filter_map(Diff(r, s), 1) is None
+        assert filter_map(Join((("a", "c"),), r, s), 1) == {"c": "c", "d": "d"}
+        assert filter_map(Agg(("b",), (("sum", "a", "s"),), r), 0) == {"b": "b"}
+        assert filter_map(Project(((Attr("a"), "x"), (Arith("+", Attr("a"), Attr("b")), "y")),
+                                  r), 0) == {"x": "a"}
+
+    def test_unknown_operator_raises(self):
+        class Opaque(Node):
+            pass
+
+        with pytest.raises(TypeError, match="Opaque"):
+            filter_map(Opaque(), 0)
 
 
 class TestKeys:

@@ -17,7 +17,7 @@ from provopt.rewrites import (
     factor_expression, merge_projections, merge_selections,
     project_to_icols, pull_up_prov_projection, remove_dupelim_by_key,
     remove_dupelim_by_set, remove_redundant_projection, selection_move_around,
-    remove_window, total_expression_size,
+    remove_window, total_expression_size, _place_pushed,
 )
 
 
@@ -248,6 +248,13 @@ class TestSelectionMoveAround:
     def test_no_shared_classes_unchanged(self):
         q = Cross(Relation("R", ("a",)), Relation("S", ("b",)))
         assert selection_move_around(q) is q
+
+    def test_pushed_condition_enters_every_union_input(self):
+        r, s = Relation("R", ("a", "b")), Relation("S", ("c", "d"))
+        placed, inserted = _place_pushed(Cmp("=", Attr("b"), Const(2)), Union(r, s))
+        assert inserted
+        assert structurally_equal(placed, Union(Select(Cmp("=", Attr("b"), Const(2)), r),
+                                                Select(Cmp("=", Attr("d"), Const(2)), s)))
 
 
 class TestRuleEquivalence:
