@@ -8,14 +8,29 @@ variables) over the fragment where that semantics is defined, and
 encoding (one output row per monomial, witness values in duplicated
 columns).
 
+Both evaluators touch each input row a constant number of times per
+operator. An equi-join builds a dict on the right input's key values and
+probes it with the left rows in order, so matches come out in nested-loop
+order (left rows in order, their right matches in right order) and bags,
+float sums above the join and printed output do not depend on the join
+algorithm. A key with a null never matches, ``1`` matches ``1.0``, and a
+key column whose non-null values on the two inputs span more than one kind
+(boolean, numeric, other) raises :class:`EvalError` unless an input is
+empty. Selection conditions and projection targets are compiled once per
+operator into functions of a row tuple (:func:`compile_expr`), with
+attributes resolved to column indexes and every type check kept, made
+lazily at evaluation time.
+
 The cost model is a deterministic textbook estimator; it exists to give the
 cost-based optimizer a total order over plans, not to predict real runtimes.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
@@ -99,79 +114,185 @@ def reorder_columns(bag: BagRelation, schema: Iterable[str]) -> BagRelation:
 
 # ---------------------------------------------------------------------------
 # expression evaluation
+#
+# An expression is compiled once per operator into a function of a row
+# tuple: every attribute is resolved to its column index up front and the
+# per-row work is one closure call per expression node. Compilation walks
+# the expression as a DAG (memoized by node identity), so the shared
+# conditions reenactment builds compile in time linear in their DAG size.
+# Every check is still made at evaluation time, lazily: an unbound attribute
+# raises only when it is read, a conditional evaluates only the branch it
+# takes, and a boolean operator evaluates all of its arguments and then
+# type-checks each one.
+
+
+RowFn = Callable[[tuple], Value]
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
-    if isinstance(e, Attr):
-        if e.name not in env:
-            raise EvalError(f"unbound attribute {e.name!r}")
-        return env[e.name]
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Arith):
-        lv, rv = eval_expr(e.left, env), eval_expr(e.right, env)
-        if not _is_number(lv) or not _is_number(rv):
+#: exact types :func:`_is_number` accepts, tested first as a fast path
+_NUMBER_TYPES = frozenset((int, float))
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_CMP = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _kind(tp: type) -> str:
+    """Values of different kinds (boolean, numeric, other) never compare."""
+    if issubclass(tp, bool):
+        return "boolean"
+    return "numeric" if issubclass(tp, (int, float)) else "other"
+
+
+def _check_comparable(lv: Value, rv: Value) -> None:
+    lk, rk = _kind(type(lv)), _kind(type(rv))
+    if lk != rk:
+        what = "boolean with non-boolean" if "boolean" in (lk, rk) else "values of different types"
+        raise EvalError(f"cannot compare {what} ({lv!r}, {rv!r})")
+
+
+def _compiler(schema: Sequence[str]) -> Callable[[Expr], RowFn]:
+    """A compile function over rows of ``schema``, sharing one memo.
+
+    A repeated attribute name resolves to its last column, as a name ->
+    value environment built from the row would."""
+    index = {a: i for i, a in enumerate(schema)}
+    # keyed by identity; holding the expression keeps its id from being reused
+    memo: dict[int, tuple[Expr, RowFn]] = {}
+
+    def comp(e: Expr) -> RowFn:
+        if id(e) in memo:
+            return memo[id(e)][1]
+        if isinstance(e, Attr):
+            fn = itemgetter(index[e.name]) if e.name in index else _unbound(e.name)
+        elif isinstance(e, Const):
+            fn = _constant(e.value)
+        elif isinstance(e, Arith):
+            fn = _arith(e.op, comp(e.left), comp(e.right))
+        elif isinstance(e, Cmp):
+            fn = _cmp(e.op, comp(e.left), comp(e.right))
+        elif isinstance(e, BoolOp):
+            fn = _boolop(e.op, tuple(comp(a) for a in e.args))
+        elif isinstance(e, Cond):
+            fn = _cond(comp(e.pred), comp(e.if_true), comp(e.if_false))
+        else:
+            fn = _not_an_expression(e)
+        memo[id(e)] = (e, fn)
+        return fn
+
+    return comp
+
+
+def _unbound(name: str) -> RowFn:
+    def unbound(row):
+        raise EvalError(f"unbound attribute {name!r}")
+    return unbound
+
+
+def _not_an_expression(e) -> RowFn:
+    def bad(row):
+        raise EvalError(f"not an expression: {e!r}")
+    return bad
+
+
+def _constant(value: Value) -> RowFn:
+    return lambda row: value
+
+
+def _arith(op: str, left: RowFn, right: RowFn) -> RowFn:
+    apply = _ARITH.get(op)
+
+    def arith(row):
+        lv, rv = left(row), right(row)
+        if not ((type(lv) in _NUMBER_TYPES or _is_number(lv))
+                and (type(rv) in _NUMBER_TYPES or _is_number(rv))):
             raise EvalError(f"arithmetic on non-numeric values {lv!r}, {rv!r}")
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
+        if apply is not None:
+            return apply(lv, rv)
         if rv == 0:
             raise EvalError("division by zero")
         return lv / rv
-    if isinstance(e, Cmp):
-        return _compare(e.op, eval_expr(e.left, env), eval_expr(e.right, env))
-    if isinstance(e, BoolOp):
-        vals = [eval_expr(a, env) for a in e.args]
+    return arith
+
+
+def _cmp(op: str, left: RowFn, right: RowFn) -> RowFn:
+    apply = _CMP[op]
+    # null compares unequal to everything, including null
+    on_null = op == "<>"
+
+    def cmp(row):
+        lv, rv = left(row), right(row)
+        if lv is None or rv is None:
+            return on_null
+        if type(lv) is not type(rv):  # values of one type are always comparable
+            _check_comparable(lv, rv)
+        return apply(lv, rv)
+    return cmp
+
+
+def _boolop(op: str, args: tuple[RowFn, ...]) -> RowFn:
+    def boolop(row):
+        vals = [a(row) for a in args]
         for v in vals:
-            if not isinstance(v, bool):
+            if v is not True and v is not False:
                 raise EvalError(f"boolean operator over non-boolean value {v!r}")
-        if e.op == "and":
+        if op == "and":
             return all(vals)
-        if e.op == "or":
+        if op == "or":
             return any(vals)
         return not vals[0]
-    if isinstance(e, Cond):
-        pred = eval_expr(e.pred, env)
-        if not isinstance(pred, bool):
-            raise EvalError(f"conditional test is not boolean: {pred!r}")
-        return eval_expr(e.if_true if pred else e.if_false, env)
-    raise EvalError(f"not an expression: {e!r}")
+    return boolop
 
 
-def _compare(op: str, lv: Value, rv: Value) -> bool:
-    # null compares unequal to everything, including null
-    if lv is None or rv is None:
-        return op == "<>"
-    lb, rb = isinstance(lv, bool), isinstance(rv, bool)
-    if lb != rb:
-        raise EvalError(f"cannot compare boolean with non-boolean ({lv!r}, {rv!r})")
-    if not lb and _is_number(lv) != _is_number(rv):
-        raise EvalError(f"cannot compare values of different types ({lv!r}, {rv!r})")
-    if op == "=":
-        return lv == rv
-    if op == "<>":
-        return lv != rv
-    if op == "<":
-        return lv < rv
-    if op == "<=":
-        return lv <= rv
-    if op == ">":
-        return lv > rv
-    return lv >= rv
+def _cond(pred: RowFn, if_true: RowFn, if_false: RowFn) -> RowFn:
+    def cond(row):
+        p = pred(row)
+        if p is True:
+            return if_true(row)
+        if p is False:
+            return if_false(row)
+        raise EvalError(f"conditional test is not boolean: {p!r}")
+    return cond
+
+
+def compile_expr(e: Expr, schema: Sequence[str]) -> RowFn:
+    """The expression as a function of one row of ``schema``."""
+    return _compiler(schema)(e)
+
+
+def compile_row(exprs: Iterable[Expr], schema: Sequence[str]) -> Callable[[tuple], tuple]:
+    """A function from a row of ``schema`` to the tuple of the expressions'
+    values; subexpressions shared between them compile once."""
+    comp = _compiler(schema)
+    fns = [comp(e) for e in exprs]
+    return lambda row: tuple([f(row) for f in fns])
+
+
+def compile_predicate(cond: Expr, schema: Sequence[str]) -> Callable[[tuple], bool]:
+    """A selection condition over rows of ``schema``; a non-boolean value raises."""
+    fn = compile_expr(cond, schema)
+
+    def predicate(row):
+        v = fn(row)
+        if v is not True and v is not False:
+            raise EvalError(f"selection condition evaluated to non-boolean {v!r}")
+        return v
+    return predicate
+
+
+def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
+    """Evaluate one expression over an attribute -> value environment."""
+    return compile_expr(e, tuple(env))(tuple(env.values()))
 
 
 def _predicate(cond: Expr, env: Mapping[str, Value]) -> bool:
-    v = eval_expr(cond, env)
-    if not isinstance(v, bool):
-        raise EvalError(f"selection condition evaluated to non-boolean {v!r}")
-    return v
+    """Evaluate one selection condition over an environment."""
+    return compile_predicate(cond, tuple(env))(tuple(env.values()))
 
 
 def aggregate(fn: str, values: list[tuple[Value, int]]) -> Value:
@@ -202,6 +323,51 @@ def aggregate(fn: str, values: list[tuple[Value, int]]) -> Value:
 
 
 # ---------------------------------------------------------------------------
+# equi-join
+
+
+def _equi_matches(left: Collection[tuple[tuple, object]], right: Collection[tuple[tuple, object]],
+                  li: Sequence[int], ri: Sequence[int]) -> Iterator[tuple]:
+    """The (left item, right item) pairs whose rows agree on the key columns.
+
+    Items are (row, payload) pairs; column ``li[k]`` of a left row is
+    compared with column ``ri[k]`` of a right row. A dict on the right
+    rows' keys is probed with the left rows, so pairs come out in the
+    nested loop's order: left order, then right order within each left row.
+    A key with a null (or NaN) never matches, and ``1`` matches ``1.0``.
+    A key column whose non-null values on the two inputs, taken together,
+    are of more than one kind (boolean, numeric, other) raises, when both
+    inputs have such values. That is what comparing every pair would do for
+    the first column; for later columns it is stricter, since a pairwise
+    comparison reaches them only after the earlier columns matched. An
+    empty input never raises.
+    """
+    if not left or not right:
+        return
+    for i, j in zip(li, ri):
+        lt = {type(t[i]) for t, _ in left} - {type(None)}
+        rt = {type(t[j]) for t, _ in right} - {type(None)}
+        if lt and rt and len({_kind(tp) for tp in lt | rt}) > 1:
+            raise EvalError("cannot compare join key values of different kinds: "
+                            + ", ".join(sorted(tp.__name__ for tp in lt | rt)))
+    table: dict[tuple, list] = {}
+    for item in right:
+        k = tuple([item[0][j] for j in ri])
+        if _matchable(k):
+            table.setdefault(k, []).append(item)
+    for item in left:
+        k = tuple([item[0][i] for i in li])
+        if _matchable(k):
+            for other in table.get(k, ()):
+                yield item, other
+
+
+def _matchable(key: tuple) -> bool:
+    # NaN is the one value unequal to itself
+    return None not in key and all(v == v for v in key)
+
+
+# ---------------------------------------------------------------------------
 # plain evaluation
 
 
@@ -227,27 +393,26 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
             return rel.renamed(n.attrs)
         if isinstance(n, Select):
             child = rec(n.child)
+            keep = compile_predicate(n.cond, child.schema)
             out = BagRelation(sch)
             for t, m in child.rows():
-                if _predicate(n.cond, dict(zip(child.schema, t))):
+                if keep(t):
                     out.add(t, m)
             return out
         if isinstance(n, Project):
             child = rec(n.child)
+            row = compile_row((e for e, _ in n.targets), child.schema)
             out = BagRelation(sch)
             for t, m in child.rows():
-                env = dict(zip(child.schema, t))
-                out.add(tuple(eval_expr(e, env) for e, _ in n.targets), m)
+                out.add(row(t), m)
             return out
         if isinstance(n, Join):
             left, right = rec(n.left), rec(n.right)
             li = [left.schema.index(a) for a, _ in n.pairs]
             ri = [right.schema.index(b) for _, b in n.pairs]
             out = BagRelation(sch)
-            for lt, lm in left.rows():
-                for rt, rm in right.rows():
-                    if all(_compare("=", lt[i], rt[j]) for i, j in zip(li, ri)):
-                        out.add(lt + rt, lm * rm)
+            for (lt, lm), (rt, rm) in _equi_matches(left.rows(), right.rows(), li, ri):
+                out.add(lt + rt, lm * rm)
             return out
         if isinstance(n, Cross):
             left, right = rec(n.left), rec(n.right)
@@ -309,6 +474,14 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
 
 
 def _window(n: Window, child: BagRelation, sch) -> BagRelation:
+    """Window aggregate over each row's frame within its partition.
+
+    The whole-partition frame is aggregated once per partition. The running
+    frame (members ordered at or before the row, ties included) is
+    aggregated afresh for every row, O(n^2) per partition: a running total
+    would add floats in another order than the per-row sum, and the
+    evaluator, being the oracle, must stay exact.
+    """
     pi = [child.schema.index(a) for a in n.partition_by]
     oi = [child.schema.index(a) for a in n.order_by]
     ai = child.schema.index(n.arg)
@@ -316,14 +489,15 @@ def _window(n: Window, child: BagRelation, sch) -> BagRelation:
     for t, m in child.rows():
         parts.setdefault(tuple(t[i] for i in pi), []).append((t, m))
     out = BagRelation(sch)
+    whole = n.frame == FRAME_PARTITION or not oi
     for members in parts.values():
+        if whole:
+            val = aggregate(n.fn, [(u[ai], um) for u, um in members])
         for t, m in members:
-            if n.frame == FRAME_PARTITION or not oi:
-                window = members
-            else:
+            if not whole:
                 key = _order_key(t, oi)
                 window = [(u, um) for u, um in members if _order_key(u, oi) <= key]
-            val = aggregate(n.fn, [(u[ai], um) for u, um in window])
+                val = aggregate(n.fn, [(u[ai], um) for u, um in window])
             out.add(t + (val,), m)
     return out
 
@@ -464,31 +638,22 @@ def evaluate_annotated(root: Node, adb: AnnotatedDb) -> AnnotatedRelation:
                 sources.append(n.name)
             return merge(sch, ((t, {(var,): 1}) for t, var in adb.tables[n.name]))
         if isinstance(n, Select):
-            child = rec(n.child)
-            csch = schema_of(n.child)
-            return [(t, p) for t, p in child if _predicate(n.cond, dict(zip(csch, t)))]
+            keep = compile_predicate(n.cond, schema_of(n.child))
+            return [(t, p) for t, p in rec(n.child) if keep(t)]
         if isinstance(n, Project):
-            child = rec(n.child)
-            csch = schema_of(n.child)
-            pairs = []
-            for t, p in child:
-                env = dict(zip(csch, t))
-                pairs.append((tuple(eval_expr(e, env) for e, _ in n.targets), p))
-            return merge(sch, pairs)
+            row = compile_row((e for e, _ in n.targets), schema_of(n.child))
+            return merge(sch, ((row(t), p) for t, p in rec(n.child)))
         if isinstance(n, (Join, Cross)):
             left, right = rec(n.left), rec(n.right)
-            ls, rs = schema_of(n.left), schema_of(n.right)
             if isinstance(n, Join):
+                ls, rs = schema_of(n.left), schema_of(n.right)
                 li = [ls.index(a) for a, _ in n.pairs]
                 ri = [rs.index(b) for _, b in n.pairs]
-            pairs = []
-            for lt, lp in left:
-                for rt, rp in right:
-                    if isinstance(n, Join) and not all(
-                            _compare("=", lt[i], rt[j]) for i, j in zip(li, ri)):
-                        continue
-                    pairs.append((lt + rt, poly_product(lp, rp)))
-            return merge(sch, pairs)
+                matches = _equi_matches(left, right, li, ri)
+            else:
+                matches = ((lt, rt) for lt in left for rt in right)
+            return merge(sch, ((lt + rt, poly_product(lp, rp))
+                               for (lt, lp), (rt, rp) in matches))
         if isinstance(n, Union):
             return merge(sch, rec(n.left) + rec(n.right))
         if isinstance(n, Agg):

@@ -27,7 +27,7 @@ from .algebra import (
     FRAME_PARTITION, disjunction, expr_attrs, fresh_name, identity_targets,
     schema_of, substitute_attrs,
 )
-from .executor import BagRelation, EvalError, _predicate, eval_expr, prov_attr_name
+from .executor import BagRelation, EvalError, compile_predicate, compile_row, prov_attr_name
 
 
 class InstrumentError(Exception):
@@ -240,13 +240,14 @@ def replay(updates: list[UpdateStmt], state: BagRelation,
     for u in updates:
         out = BagRelation(current.schema)
         assigned = dict(u.set_clauses)
+        matches = compile_predicate(u.where, current.schema)
+        updated = compile_row((assigned.get(a, Attr(a)) for a in current.schema),
+                              current.schema)
         for t, m in current.rows():
-            env = dict(zip(current.schema, t))
-            if _predicate(u.where, env):
-                row = tuple(eval_expr(assigned[a], env) if a in assigned else env[a]
-                            for a in current.schema)
+            if matches(t):
+                row = updated(t)
                 if on_match is not None:
-                    on_match(env)
+                    on_match(dict(zip(current.schema, t)))
             else:
                 row = t
             out.add(row, m)

@@ -169,8 +169,9 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
     ``stop`` is ``none`` (exhaust the strategy), ``adaptive`` (halt when the
     best cost undercuts the time spent), or ``max-iters`` combined with
     ``max_iters``. Simulated annealing, which never exhausts, ends without
-    a stop rule at its first step whose temperature is frozen (below
-    ``1e-12``, where acceptance is already greedy). Iterations whose
+    ``max_iters`` at its first step whose temperature is frozen (below
+    ``1e-12``, where acceptance is already greedy), also under the adaptive
+    rule, which never stops while no plan has a finite cost. Iterations whose
     pipeline or costing raises are recorded with infinite cost and skipped;
     when no plan is left, the error names the last such exception and
     chains it.
@@ -219,7 +220,7 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
     elif strategy == "bin":
         _search_binary(attempt, log, budget, consider, should_continue)
     elif strategy == "sa":
-        if stop != "adaptive" and max_iters is None:
+        if max_iters is None:
             max_iters = 1 + _frozen_step(sa_temp, sa_cooling)  # the first plan, then one per step
         _search_annealing(attempt, log, budget, consider, should_continue,
                           rng or random.Random(0), sa_temp, sa_cooling)
@@ -330,8 +331,8 @@ def annealing_temperature(temp0: float, cooling: float, step: int) -> float:
 def _frozen_step(temp0: float, cooling: float) -> int:
     """The first annealing step whose temperature is below ``_FROZEN``."""
     if cooling >= 1 and temp0 >= _FROZEN:
-        raise ValueError("simulated annealing without a stop rule needs a cooling "
-                         f"factor below 1, got {cooling}")
+        raise ValueError("simulated annealing without an iteration cap needs a "
+                         f"cooling factor below 1, got {cooling}")
     step = 0
     while annealing_temperature(temp0, cooling, step) >= _FROZEN:
         step += 1

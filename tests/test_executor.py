@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,13 +7,13 @@ import oracles
 from randgen import random_instance, random_spju_query
 
 from provopt.algebra import (
-    Agg, Arith, Attr, Cmp, Const, Cross, Diff, DupElim, Intersect, Join,
-    Project, Relation, Select, Union, Window, FRAME_PARTITION,
+    Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Intersect,
+    Join, Project, Relation, Select, Union, Window, FRAME_PARTITION,
 )
 from provopt.executor import (
-    BagRelation, EvalError, annotate, bags_equal, cost, encode_provenance,
-    eval_expr, evaluate, evaluate_annotated, poly_weight, reorder_columns,
-    TableStats,
+    BagRelation, EvalError, annotate, bags_equal, compile_expr, compile_row, cost,
+    encode_provenance, eval_expr, evaluate, evaluate_annotated, poly_weight,
+    reorder_columns, TableStats,
 )
 from provopt.instrument import instrument_query
 
@@ -280,3 +281,205 @@ def test_bag_containment_uses_multiplicities():
     big = bag(("a",), [(1,), (1,), (2,)])
     assert big.contains(small)
     assert not small.contains(big)
+
+
+# ---------------------------------------------------------------------------
+# equi-join semantics, for both evaluators
+
+
+def _plain(q, db):
+    return evaluate(q, db)
+
+
+def _annotated(q, db):
+    return evaluate_annotated(q, annotate(db)).as_bag()
+
+
+EVALUATORS = pytest.mark.parametrize("run", [_plain, _annotated], ids=["plain", "annotated"])
+
+
+def _join(pairs, left_attrs, right_attrs):
+    return Join(tuple(pairs), Relation("L", left_attrs), Relation("R", right_attrs))
+
+
+class TestJoinSemantics:
+    @EVALUATORS
+    def test_null_keys_never_match(self, run):
+        db = {"L": bag(("a", "x"), [(None, 1), (1, 2), (None, 3)]),
+              "R": bag(("b",), [(None,), (1,)])}
+        assert run(_join([("a", "b")], ("a", "x"), ("b",)), db).tuples == {(1, 2, 1): 1}
+
+    @EVALUATORS
+    def test_null_in_a_later_key_column_never_matches(self, run):
+        db = {"L": bag(("a", "c"), [(1, None), (1, 2)]),
+              "R": bag(("b", "d"), [(1, None), (1, 2)])}
+        q = _join([("a", "b"), ("c", "d")], ("a", "c"), ("b", "d"))
+        assert run(q, db).tuples == {(1, 2, 1, 2): 1}
+
+    @EVALUATORS
+    def test_nan_keys_never_match(self, run):
+        nan = float("nan")
+        db = {"L": bag(("a",), [(nan,), (1.5,)]), "R": bag(("b",), [(nan,), (1.5,)])}
+        assert run(_join([("a", "b")], ("a",), ("b",)), db).tuples == {(1.5, 1.5): 1}
+
+    @EVALUATORS
+    def test_int_joins_float(self, run):
+        db = {"L": bag(("a",), [(1,), (2,)]), "R": bag(("b",), [(1.0,), (3.0,)])}
+        out = run(_join([("a", "b")], ("a",), ("b",)), db)
+        assert out.tuples == {(1, 1.0): 1}
+
+    @EVALUATORS
+    @pytest.mark.parametrize("left, right", [(True, 1), (1, True), ("x", 1), (1, "x")])
+    def test_keys_of_different_kinds_raise(self, run, left, right):
+        db = {"L": bag(("a",), [(left,)]), "R": bag(("b",), [(right,)])}
+        with pytest.raises(EvalError, match="different kinds"):
+            run(_join([("a", "b")], ("a",), ("b",)), db)
+
+    @EVALUATORS
+    def test_later_key_column_of_mixed_kinds_raises(self, run):
+        # no pair agrees on the first column, but the second mixes kinds
+        db = {"L": bag(("a", "c"), [(1, "x")]), "R": bag(("b", "d"), [(2, 5)])}
+        with pytest.raises(EvalError, match="different kinds"):
+            run(_join([("a", "b"), ("c", "d")], ("a", "c"), ("b", "d")), db)
+
+    @EVALUATORS
+    def test_mixed_kinds_against_only_nulls_do_not_raise(self, run):
+        db = {"L": bag(("a",), [(1,), ("x",)]), "R": bag(("b",), [(None,)])}
+        assert run(_join([("a", "b")], ("a",), ("b",)), db).tuples == {}
+
+    @EVALUATORS
+    @pytest.mark.parametrize("empty_side", ["L", "R"])
+    def test_empty_input_never_raises(self, run, empty_side):
+        mixed = bag(("a",), [(1,), ("x",), (True,), (None,)])
+        db = {"L": mixed, "R": mixed.renamed(("b",))}
+        db[empty_side] = BagRelation(db[empty_side].schema)
+        assert run(_join([("a", "b")], ("a",), ("b",)), db).tuples == {}
+
+    @EVALUATORS
+    def test_multi_column_duplicates_multiply(self, run):
+        left = BagRelation(("a", "c"))
+        left.add((1, 2), 2)
+        left.add((1, 3), 1)
+        right = BagRelation(("b", "d"))
+        right.add((1, 2), 3)
+        right.add((1.0, 3), 1)
+        right.add((2, 2), 5)
+        q = _join([("a", "b"), ("c", "d")], ("a", "c"), ("b", "d"))
+        assert run(q, {"L": left, "R": right}).tuples == {(1, 2, 1, 2): 6, (1, 3, 1.0, 3): 1}
+
+    def test_matches_in_nested_loop_order(self):
+        db = {"L": bag(("a", "x"), [(2, "p"), (1, "q"), (2, "r")]),
+              "R": bag(("b", "y"), [(2, "s"), (1, "t"), (2, "u")])}
+        out = evaluate(_join([("a", "b")], ("a", "x"), ("b", "y")), db)
+        assert list(out.tuples) == [(2, "p", 2, "s"), (2, "p", 2, "u"), (1, "q", 1, "t"),
+                                    (2, "r", 2, "s"), (2, "r", 2, "u")]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_joins_match_select_over_cross(self, seed):
+        rng = random.Random(seed)
+        values = [None, 0, 1, 2, 0.0, 1.0, 2.5]
+
+        def random_bag(attrs):
+            out = BagRelation(attrs)
+            for _ in range(rng.randint(0, 12)):
+                out.add(tuple(rng.choice(values) for _ in attrs), rng.randint(1, 3))
+            return out
+
+        left, right = random_bag(("a0", "a1", "a2")), random_bag(("b0", "b1"))
+        pairs = rng.sample([(i, j) for i in range(3) for j in range(2)], rng.randint(1, 2))
+        q = _join([(f"a{i}", f"b{j}") for i, j in pairs], left.schema, right.schema)
+
+        def pred(t):
+            return all(t[i] is not None and t[3 + j] is not None and t[i] == t[3 + j]
+                       for i, j in pairs)
+
+        expected = oracles.sigma(oracles.cross(left.tuples, right.tuples), pred)
+        db = {"L": left, "R": right}
+        assert evaluate(q, db).tuples == expected
+        assert _annotated(q, db).tuples == expected
+
+
+# ---------------------------------------------------------------------------
+# compiled expressions
+
+
+class TestCompiledExpressions:
+    def test_unbound_attribute_raises_only_in_the_taken_branch(self):
+        fn = compile_expr(Cond(Cmp("=", Attr("a"), Const(1)), Attr("a"), Attr("missing")),
+                          ("a",))
+        assert fn((1,)) == 1
+        with pytest.raises(EvalError, match="unbound attribute 'missing'"):
+            fn((2,))
+
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_boolop_type_checks_every_argument(self, op):
+        first = Const(op == "or")  # decides the result on its own
+        with pytest.raises(EvalError, match="non-boolean"):
+            eval_expr(BoolOp(op, (first, Attr("a"))), {"a": 1})
+
+    def test_not_over_non_boolean_raises(self):
+        with pytest.raises(EvalError, match="non-boolean"):
+            eval_expr(BoolOp("not", (Const(0),)), {})
+
+    def test_conditional_test_must_be_boolean(self):
+        with pytest.raises(EvalError, match="conditional test"):
+            eval_expr(Cond(Const(1), Const(2), Const(3)), {})
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(EvalError, match="division by zero"):
+            eval_expr(Arith("/", Attr("a"), Arith("-", Attr("a"), Attr("a"))), {"a": 4})
+        assert eval_expr(Arith("/", Attr("a"), Const(2)), {"a": 4}) == 2.0
+
+    def test_arithmetic_and_comparison_type_checks(self):
+        with pytest.raises(EvalError, match="non-numeric"):
+            eval_expr(Arith("+", Const(True), Const(1)), {})
+        with pytest.raises(EvalError, match="boolean with non-boolean"):
+            eval_expr(Cmp("<", Const(True), Const(1)), {})
+        with pytest.raises(EvalError, match="different types"):
+            eval_expr(Cmp("=", Const("1"), Const(1)), {})
+
+    def test_repeated_name_reads_the_last_column(self):
+        assert compile_expr(Attr("a"), ("a", "b", "a"))((1, 2, 3)) == 3
+
+    def test_shared_conditional_chain_compiles_linearly(self):
+        # as a tree this is 2**60 nodes; as a DAG, 60 conditionals
+        x = Attr("a")
+        for i in range(60):
+            x = Cond(Cmp("<", Attr("b"), Const(i)), x, x)
+        started = time.perf_counter()
+        fn = compile_expr(x, ("a", "b"))
+        assert [fn((7, b)) for b in range(100)] == [7] * 100
+        assert eval_expr(x, {"a": 1, "b": 2}) == 1
+        assert time.perf_counter() - started < 1.0
+
+    def test_row_compiler_over_expressions_freed_as_it_goes(self):
+        # the generator's expressions are dropped once compiled, so a memo
+        # keyed by identity alone would hand a later one an earlier one's code
+        schema = tuple(f"c{i}" for i in range(50))
+        row = compile_row((Arith("+", Attr(a), Const(i)) for i, a in enumerate(schema)),
+                          schema)
+        assert row(tuple(range(50))) == tuple(2 * i for i in range(50))
+
+    def test_row_compiler_shares_subexpressions(self):
+        shared = Arith("+", Attr("a"), Const(1))
+        row = compile_row([shared, Arith("*", shared, shared), Attr("a")], ("a",))
+        assert row((2,)) == (3, 9, 2)
+
+
+def test_partition_frame_aggregates_once_per_partition(monkeypatch):
+    from provopt import executor
+
+    calls = []
+    real = executor.aggregate
+
+    def counting(fn, values):
+        calls.append(len(values))
+        return real(fn, values)
+
+    monkeypatch.setattr(executor, "aggregate", counting)
+    r = bag(("g", "v"), [(1, 10), (1, 20), (1, 30), (2, 5), (2, 6)])
+    q = Window("sum", "v", "x", ("g",), ("v",), Relation("R", ("g", "v")), FRAME_PARTITION)
+    out = evaluate(q, {"R": r})
+    assert out.tuples == {(1, 10, 60): 1, (1, 20, 60): 1, (1, 30, 60): 1,
+                          (2, 5, 11): 1, (2, 6, 11): 1}
+    assert calls == [3, 2]

@@ -311,3 +311,18 @@ class TestUpdateParser:
     def test_syntax_error(self):
         with pytest.raises(UpdateSyntaxError):
             parse_updates("UPDATE R WHERE a = 1;")
+
+
+def test_replay_on_the_fixture_transaction():
+    from pathlib import Path
+
+    from provopt.datafiles import load_directory
+
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures_txn"
+    db, _ = load_directory(fixtures)
+    ups = parse_updates((fixtures / "t1.sql").read_text())
+    matched = []
+    got = replay(ups, db["R"], on_match=matched.append)
+    assert got.tuples == {(3, 1): 1, (-2, 2): 1, (-1, 2): 1}
+    assert matched == [{"A": 3, "B": 2}, {"A": 4, "B": 2}, {"A": 2, "B": 1}]
+    assert evaluate(reenact(ups, schema=db["R"].schema), db).tuples == got.tuples

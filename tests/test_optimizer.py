@@ -281,6 +281,24 @@ class TestSimulatedAnnealing:
         with pytest.raises(ValueError, match="cooling"):
             optimize(pipeline, cost, strategy="sa", sa_cooling=1.0)
 
+    def test_adaptive_ends_when_every_plan_fails(self):
+        # the adaptive rule alone never stops while the best cost is
+        # infinite; the frozen-temperature cap ends the walk
+        calls = itertools.count()
+
+        def failing(choose):
+            if next(calls) > 10_000:
+                raise EnumerationError("the walk did not end")
+            choose(2)
+            raise RuntimeError("no plan here")
+
+        with pytest.raises(EnumerationError,
+                           match="no plan could be generated; last failure: "
+                                 "RuntimeError: no plan here"):
+            optimize(failing, lambda plan: 0.0, strategy="sa", stop="adaptive",
+                     rng=random.Random(1))
+        assert next(calls) == 136
+
     def test_temperature_sequence_is_geometric(self):
         from provopt.optimizer import annealing_temperature
         for step in range(10):
