@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
-from typing import Iterable, Mapping, Union
+from operator import is_
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 
 class AlgebraError(Exception):
@@ -119,44 +120,46 @@ def expr_children(e: Expr) -> tuple[Expr, ...]:
     raise AlgebraError(f"not an expression: {e!r}")
 
 
+def expr_with_children(e: Expr, kids: Iterable[Expr]) -> Expr:
+    """Copy an expression with new children, in :func:`expr_children` order;
+    the expression itself when no child changed."""
+    kids = tuple(kids)
+    if all(map(is_, kids, expr_children(e))):
+        return e
+    if isinstance(e, (Arith, Cmp)):
+        return type(e)(e.op, *kids)
+    if isinstance(e, BoolOp):
+        return BoolOp(e.op, kids)
+    return Cond(*kids)
+
+
+def expr_nodes(e: Expr) -> Iterator[Expr]:
+    """Every node of an expression tree, a shared subexpression once per
+    reference. Iterative, so any depth is walked at any recursion limit."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(expr_children(x))
+
+
 def expr_size(e: Expr) -> int:
     """Node count of an expression tree."""
-    return 1 + sum(expr_size(c) for c in expr_children(e))
+    return sum(1 for _ in expr_nodes(e))
 
 
 def expr_attrs(e: Expr) -> frozenset[str]:
     """All attribute names referenced by an expression."""
     if isinstance(e, Attr):
         return frozenset((e.name,))
-    out: frozenset[str] = frozenset()
-    for c in expr_children(e):
-        out |= expr_attrs(c)
-    return out
+    return frozenset(x.name for x in expr_nodes(e) if isinstance(x, Attr))
 
 
 def substitute_attrs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace attribute references by expressions, bottom-up."""
     if isinstance(e, Attr):
         return mapping.get(e.name, e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Arith):
-        return Arith(e.op, substitute_attrs(e.left, mapping), substitute_attrs(e.right, mapping))
-    if isinstance(e, Cmp):
-        return Cmp(e.op, substitute_attrs(e.left, mapping), substitute_attrs(e.right, mapping))
-    if isinstance(e, BoolOp):
-        return BoolOp(e.op, tuple(substitute_attrs(a, mapping) for a in e.args))
-    if isinstance(e, Cond):
-        return Cond(
-            substitute_attrs(e.pred, mapping),
-            substitute_attrs(e.if_true, mapping),
-            substitute_attrs(e.if_false, mapping),
-        )
-    raise AlgebraError(f"not an expression: {e!r}")
-
-
-def rename_attrs(e: Expr, mapping: Mapping[str, str]) -> Expr:
-    return substitute_attrs(e, {a: Attr(b) for a, b in mapping.items()})
+    return expr_with_children(e, [substitute_attrs(c, mapping) for c in expr_children(e)])
 
 
 def conjuncts(e: Expr) -> list[Expr]:
@@ -441,17 +444,19 @@ def right_output_names(node: Node) -> tuple[str, ...]:
 
 
 def all_nodes(root: Node) -> list[Node]:
-    """All nodes reachable from the root, children before parents."""
+    """All nodes reachable from the root, children before parents; iterative,
+    so a graph of any depth is walked at any recursion limit."""
     seen: dict[Node, None] = {}
-
-    def rec(n: Node) -> None:
-        if n in seen:
-            return
-        for c in n.children:
-            rec(c)
-        seen[n] = None
-
-    rec(root)
+    nodes, kids = [root], [iter(root.children)]
+    while nodes:
+        for c in kids[-1]:
+            if c not in seen:
+                nodes.append(c)
+                kids.append(iter(c.children))
+                break
+        else:
+            kids.pop()
+            seen[nodes.pop()] = None
     return list(seen)
 
 
@@ -468,6 +473,20 @@ def node_count(root: Node) -> int:
     return len(all_nodes(root))
 
 
+def rebuild_bottom_up(root: Node, step: Callable[[Node, Node], Node]) -> Node:
+    """Rebuild a graph children first, in :func:`all_nodes` order, preserving
+    sharing: ``step(original, rebuilt)`` gets each node and its copy over the
+    rebuilt children (the node itself when none changed) and returns what
+    takes its place. Returns the root itself when no step changed anything."""
+    new: dict[Node, Node] = {}  # the nodes that changed
+    for n in all_nodes(root):
+        kids = tuple([new.get(c, c) for c in n.children]) if new else n.children
+        out = step(n, n if all(map(is_, kids, n.children)) else replace_children(n, kids))
+        if out is not n:
+            new[n] = out
+    return new.get(root, root)
+
+
 def substitute(root: Node, target: Node, replacement: Node, *, check_schema: bool = True) -> Node:
     """Return the graph with one node replaced, preserving sharing.
 
@@ -480,19 +499,7 @@ def substitute(root: Node, target: Node, replacement: Node, *, check_schema: boo
     if check_schema and schema_of(target) != schema_of(replacement):
         raise SchemaError("replacement schema differs from target schema "
                           f"({list(schema_of(replacement))} vs {list(schema_of(target))})")
-    memo: dict[Node, Node] = {}
-
-    def rebuild(n: Node) -> Node:
-        if n is target:
-            return replacement
-        if n in memo:
-            return memo[n]
-        kids = tuple(rebuild(c) for c in n.children)
-        new = n if all(k is c for k, c in zip(kids, n.children)) else replace_children(n, kids)
-        memo[n] = new
-        return new
-
-    return rebuild(root)
+    return rebuild_bottom_up(root, lambda n, rebuilt: replacement if n is target else rebuilt)
 
 
 NOT_ANCESTOR = "not_ancestor"

@@ -202,8 +202,7 @@ def cmd_run(args) -> int:
     result = optimizer.optimize(
         pipeline, lambda g: cost(g, stats).total,
         strategy=args.strategy, stop=stop, max_iters=max_iters,
-        rng=rng, sa_temp=args.sa_temp, sa_cooling=args.sa_cooling,
-        sql_fn=lambda g: sqlgen.to_sql(g).text)
+        rng=rng, sa_temp=args.sa_temp, sa_cooling=args.sa_cooling)
 
     if args.trace_plans:
         lines = [f"{list(p.path)}\t{p.cost}" for p in result.trace]
@@ -220,7 +219,7 @@ def cmd_run(args) -> int:
     out.append(format_bag(bag))
     out.append("")
     out.append("SQL:")
-    out.append(result.best.sql or sqlgen.to_sql(result.best.graph).text)
+    out.append(sqlgen.to_sql(result.best.graph).text)
     _emit(args, "\n".join(out))
     return 0
 

@@ -113,7 +113,6 @@ class ChoiceLog:
 @dataclass
 class CostedPlan:
     graph: object
-    sql: Optional[str]
     cost: float
     path: tuple[int, ...]
 
@@ -162,8 +161,7 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
              clock: Optional[Callable[[], float]] = None,
              rng: Optional[random.Random] = None,
              sa_temp: float = 10.0,
-             sa_cooling: float = 0.8,
-             sql_fn: Optional[Callable[[object], str]] = None) -> OptimizeResult:
+             sa_cooling: float = 0.8) -> OptimizeResult:
     """Explore the plan space and return the cheapest plan found.
 
     ``stop`` is ``none`` (exhaust the strategy), ``adaptive`` (halt when the
@@ -206,8 +204,7 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
         except Exception as exc:
             last_error = exc
             c = math.inf
-        sql = sql_fn(plan) if sql_fn is not None and c < math.inf else None
-        costed = CostedPlan(plan, sql, c, tuple(path))
+        costed = CostedPlan(plan, c, tuple(path))
         trace.append(costed)
         budget.iterations += 1
         if c < budget.best_cost:

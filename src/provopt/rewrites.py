@@ -1,14 +1,18 @@
 """Equivalence-preserving rewrite rules and the fixed-order pipeline.
 
 Every rule maps a graph to an equivalent graph; preconditions come from the
-property inference in :mod:`provopt.properties`. Most rules are generators
-of (target, replacement) candidates run by one loop, :func:`_rewrite`: it
-applies the first candidate the graph absorbs, rescans, and stops when none
-applies. A replacement whose schema differs from its target's is validated
-against the ancestors and skipped when they would break (for example, a
-column drop under one input of a positional set operator). A rule that
-changes nothing returns its input object, so the pipeline detects its
-fixpoint by identity.
+property inference in :mod:`provopt.properties`. The local rules (attribute
+factoring, projection and selection merging, redundant projection removal)
+look only at a node and its child; each is one children-first pass,
+:func:`provopt.algebra.rebuild_bottom_up`. The property-driven rules read
+whole-graph properties (keys, icols, equivalence classes, set-insensitivity,
+parents); each is a generator of (target, replacement) candidates run by
+:func:`_rewrite`, which applies the first candidate the graph absorbs and
+rescans until none applies. A replacement whose schema differs from its
+target's is validated against the ancestors and skipped when they would
+break (for example, a column drop under one input of a positional set
+operator). A rule that changes nothing returns its input object, so the
+pipeline detects its fixpoint by identity.
 
 The projection-merge safety check is what keeps reenactment stacks from
 exploding: merging is rejected when a non-trivial inner definition is
@@ -20,17 +24,19 @@ SQL generation.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import count
 from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
-    Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
+    Agg, Arith, Attr, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     Intersect, Join, Node, Project, Select, Union, Window,
-    all_nodes, conjuncts, conjunction, expr_attrs, expr_size,
-    identity_targets, parent_map, replace_children,
-    schema_of, substitute as graph_substitute,
-    substitute_attrs, SchemaError,
+    all_nodes, conjuncts, conjunction, expr_attrs, expr_children, expr_nodes,
+    expr_size, expr_with_children,
+    identity_targets, parent_map, rebuild_bottom_up, replace_children,
+    schema_of, substitute as graph_substitute, substitute_attrs, SchemaError,
 )
 from .properties import (
     EcConst, ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up,
@@ -99,18 +105,7 @@ def _rewrite(root: Node, candidates: Callable[[Node], Candidates]) -> Node:
 
 
 def count_attr_refs(e: Expr, name: str) -> int:
-    if isinstance(e, Attr):
-        return 1 if e.name == name else 0
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, (Arith, Cmp)):
-        return count_attr_refs(e.left, name) + count_attr_refs(e.right, name)
-    if isinstance(e, BoolOp):
-        return sum(count_attr_refs(a, name) for a in e.args)
-    if isinstance(e, Cond):
-        return (count_attr_refs(e.pred, name) + count_attr_refs(e.if_true, name)
-                + count_attr_refs(e.if_false, name))
-    raise TypeError(f"not an expression: {e!r}")
+    return sum(isinstance(x, Attr) and x.name == name for x in expr_nodes(e))
 
 
 def total_expression_size(root: Node) -> int:
@@ -138,21 +133,14 @@ def factor_expression(e: Expr) -> Expr:
     factored symmetrically."""
     if isinstance(e, (Attr, Const)):
         return e
-    if isinstance(e, Arith):
-        return Arith(e.op, factor_expression(e.left), factor_expression(e.right))
-    if isinstance(e, Cmp):
-        return Cmp(e.op, factor_expression(e.left), factor_expression(e.right))
-    if isinstance(e, BoolOp):
-        return BoolOp(e.op, tuple(factor_expression(a) for a in e.args))
-    if isinstance(e, Cond):
-        pred = factor_expression(e.pred)
-        then = factor_expression(e.if_true)
-        other = factor_expression(e.if_false)
-        factored = _factor_cond(pred, then, other, negate=False)
-        if factored is None:
-            factored = _factor_cond(pred, other, then, negate=True)
-        return factored if factored is not None else Cond(pred, then, other)
-    raise TypeError(f"not an expression: {e!r}")
+    kids = [factor_expression(c) for c in expr_children(e)]
+    if not isinstance(e, Cond):
+        return expr_with_children(e, kids)
+    pred, then, other = kids
+    factored = _factor_cond(pred, then, other, negate=False)
+    if factored is None:
+        factored = _factor_cond(pred, other, then, negate=True)
+    return factored if factored is not None else expr_with_children(e, kids)
 
 
 def _factor_cond(pred: Expr, bigger: Expr, base: Expr, *, negate: bool) -> Optional[Expr]:
@@ -173,41 +161,43 @@ def _factor_cond(pred: Expr, bigger: Expr, base: Expr, *, negate: bool) -> Optio
 
 def factor_attributes(root: Node) -> Node:
     """Apply expression factoring inside every projection."""
-    memo: dict[Node, Node] = {}
-
-    def rec(n: Node) -> Node:
-        if n in memo:
-            return memo[n]
-        kids = tuple(rec(c) for c in n.children)
-        node = n if all(k is c for k, c in zip(kids, n.children)) else replace_children(n, kids)
+    def step(n: Node, node: Node) -> Node:
         if isinstance(node, Project):
             targets = tuple((factor_expression(e), name) for e, name in node.targets)
             if targets != node.targets:
-                node = Project(targets, node.child, node.materialize)
-        memo[n] = node
+                return Project(targets, node.child, node.materialize)
         return node
 
-    return rec(root)
+    return rebuild_bottom_up(root, step)
 
 
 # ---------------------------------------------------------------------------
-# merging adjacent projections / selections
+# merging adjacent projections / selections. Merging and fencing never change
+# a surviving node's parent count, so parents are counted once, when needed.
 
 
-def _merge_safe(outer: Project, inner: Project, cfg: RewriteConfig,
-                merged: tuple[tuple[Expr, str], ...]) -> bool:
+def _merge_safe(outer: Project, inner: Project, merged: Project, cfg: RewriteConfig,
+                sizes: dict[Project, tuple[int, ...]]) -> bool:
+    """Whether merging is safe. ``sizes`` memoizes target sizes by node, not
+    by expression (expressions hash structurally, which is exponential on
+    shared conditions); a merged node's follow from its inputs' without
+    walking its expressions and serve the next merge up the stack."""
     if cfg.unsafe_naive_merge:
         return True
-    for e, name in inner.targets:
-        if expr_size(e) <= 1:
-            continue
-        refs = sum(count_attr_refs(oe, name) for oe, _ in outer.targets)
-        if refs > MERGE_REF_LIMIT:
-            return False
-    merged_size = sum(expr_size(e) for e, _ in merged)
-    input_size = (sum(expr_size(e) for e, _ in outer.targets)
-                  + sum(expr_size(e) for e, _ in inner.targets))
-    return merged_size <= MERGE_GROWTH_FACTOR * input_size
+    if inner not in sizes:
+        sizes[inner] = tuple(expr_size(e) for e, _ in inner.targets)
+    inner_size = {name: s for (_, name), s in zip(inner.targets, sizes[inner])}
+    refs = Counter(x.name for e, _ in outer.targets for x in expr_nodes(e) if isinstance(x, Attr))
+    if any(s > 1 and refs[name] > MERGE_REF_LIMIT for name, s in inner_size.items()):
+        return False
+    # an inner reference counts at the size of the definition replacing it
+    merged_sizes = tuple(sum(inner_size.get(x.name, 1) if isinstance(x, Attr) else 1
+                             for x in expr_nodes(e)) for e, _ in outer.targets)
+    outer_size = sum(expr_size(e) for e, _ in outer.targets)
+    if sum(merged_sizes) > MERGE_GROWTH_FACTOR * (outer_size + sum(sizes[inner])):
+        return False
+    sizes[merged] = merged_sizes
+    return True
 
 
 def merge_projections(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
@@ -217,45 +207,47 @@ def merge_projections(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     flagged as a materialization fence.
     """
     cfg = cfg or RewriteConfig()
+    parents = cache(lambda: parent_map(root))
+    sizes: dict[Project, tuple[int, ...]] = {}
 
-    def candidates(root: Node) -> Candidates:
-        parents = parent_map(root)
-        for n in all_nodes(root):
-            if (isinstance(n, Project) and isinstance(n.child, Project)
-                    and len(parents[n.child]) == 1 and not n.child.materialize):
-                inner = n.child
-                defs = {name: e for e, name in inner.targets}
-                merged = tuple((substitute_attrs(e, defs), name) for e, name in n.targets)
-                if _merge_safe(n, inner, cfg, merged):
-                    yield n, Project(merged, inner.child, n.materialize)
-                else:
-                    yield inner, Project(inner.targets, inner.child, materialize=True)
+    def step(n: Node, outer: Node) -> Node:
+        if not (isinstance(outer, Project) and isinstance(outer.child, Project)
+                and not outer.child.materialize and len(parents()[n.child]) == 1):
+            return outer
+        inner = outer.child
+        defs = {name: e for e, name in inner.targets}
+        merged = Project(tuple((substitute_attrs(e, defs), name) for e, name in outer.targets),
+                         inner.child, outer.materialize)
+        if _merge_safe(outer, inner, merged, cfg, sizes):
+            return merged
+        return replace_children(outer, (Project(inner.targets, inner.child, materialize=True),))
 
-    return _rewrite(root, candidates)
+    return rebuild_bottom_up(root, step)
 
 
 def merge_selections(root: Node) -> Node:
-    def candidates(root: Node) -> Candidates:
-        parents = parent_map(root)
-        for n in all_nodes(root):
-            if (isinstance(n, Select) and isinstance(n.child, Select)
-                    and len(parents[n.child]) == 1):
-                yield n, Select(conjunction([n.cond, n.child.cond]), n.child.child)
+    parents = cache(lambda: parent_map(root))
 
-    return _rewrite(root, candidates)
+    def step(n: Node, outer: Node) -> Node:
+        if (isinstance(outer, Select) and isinstance(outer.child, Select)
+                and len(parents()[n.child]) == 1):
+            return Select(conjunction([outer.cond, outer.child.cond]), outer.child.child)
+        return outer
+
+    return rebuild_bottom_up(root, step)
 
 
 def remove_redundant_projection(root: Node) -> Node:
-    def candidates(root: Node) -> Candidates:
-        for n in all_nodes(root):
-            if isinstance(n, Project) and not n.materialize:
-                child_schema = schema_of(n.child)
-                if (len(n.targets) == len(child_schema)
-                        and all(isinstance(e, Attr) and e.name == a and name == a
-                                for (e, name), a in zip(n.targets, child_schema))):
-                    yield n, n.child
+    def step(n: Node, node: Node) -> Node:
+        if isinstance(node, Project) and not node.materialize:
+            child_schema = schema_of(node.child)
+            if (len(node.targets) == len(child_schema)
+                    and all(isinstance(e, Attr) and e.name == a and name == a
+                            for (e, name), a in zip(node.targets, child_schema))):
+                return node.child
+        return node
 
-    return _rewrite(root, candidates)
+    return rebuild_bottom_up(root, step)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from provopt import sqlgen
 from provopt.cli import main
 from provopt.rewrites import RULE_ORDER
 
@@ -100,6 +103,19 @@ class TestRun:
                              "--data", str(data), "--trace-plans", str(trace))
         assert code == 0
         assert trace.read_text().strip()
+
+    def test_sql_rendered_once_for_the_chosen_plan(self, capsys, monkeypatch):
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        to_sql = sqlgen.to_sql
+        rendered = []
+        monkeypatch.setattr(sqlgen, "to_sql", lambda g: rendered.append(g) or to_sql(g))
+        code, out, err = run_cli(capsys, "run", "--prov-of",
+                                 str(fixtures / "sales_per_shop.plan"),
+                                 "--data", str(fixtures))
+        assert code == 0, err
+        assert "iterations: 2" in out  # the aggregation method is a choice
+        assert len(rendered) == 1
+        assert out.endswith(to_sql(rendered[0]).text)
 
 
 class TestOtherCommands:

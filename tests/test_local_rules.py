@@ -1,0 +1,291 @@
+"""The local rewrite rules (projection and selection merging, redundant
+projection removal) run as one bottom-up pass.
+
+The candidate generators below are the rules as they were written for the
+rescanning loop ``rewrites._rewrite``, which applies one candidate, rebuilds
+every ancestor and rescans the whole graph. They are kept as the reference:
+the single pass must build a structurally equal graph, and return its input
+object when nothing applies.
+"""
+import random
+import sys
+
+import pytest
+
+from randgen import random_agg_query, random_query, random_spju_query, share_subtree
+
+from provopt.algebra import (
+    Arith, Attr, BoolOp, Cmp, Cond, Const, DupElim, Join, Node, Project,
+    Relation, Select, Union, all_nodes, conjunction, expr_size,
+    identity_targets, parent_map, schema_of, structurally_equal, substitute,
+    substitute_attrs,
+)
+from provopt.instrument import UpdateStmt, instrument_query, reenact
+from provopt.rewrites import (
+    MERGE_GROWTH_FACTOR, MERGE_REF_LIMIT, RewriteConfig, _rewrite,
+    count_attr_refs, factor_attributes, merge_projections, merge_selections,
+    remove_redundant_projection,
+)
+
+# ---------------------------------------------------------------------------
+# the rescanning reference
+
+
+def _old_merge_safe(outer, inner, cfg, merged):
+    if cfg.unsafe_naive_merge:
+        return True
+    for e, name in inner.targets:
+        if expr_size(e) <= 1:
+            continue
+        refs = sum(count_attr_refs(oe, name) for oe, _ in outer.targets)
+        if refs > MERGE_REF_LIMIT:
+            return False
+    merged_size = sum(expr_size(e) for e, _ in merged)
+    input_size = (sum(expr_size(e) for e, _ in outer.targets)
+                  + sum(expr_size(e) for e, _ in inner.targets))
+    return merged_size <= MERGE_GROWTH_FACTOR * input_size
+
+
+def old_merge_projections(root, cfg=None):
+    cfg = cfg or RewriteConfig()
+
+    def candidates(root):
+        parents = parent_map(root)
+        for n in all_nodes(root):
+            if (isinstance(n, Project) and isinstance(n.child, Project)
+                    and len(parents[n.child]) == 1 and not n.child.materialize):
+                inner = n.child
+                defs = {name: e for e, name in inner.targets}
+                merged = tuple((substitute_attrs(e, defs), name) for e, name in n.targets)
+                if _old_merge_safe(n, inner, cfg, merged):
+                    yield n, Project(merged, inner.child, n.materialize)
+                else:
+                    yield inner, Project(inner.targets, inner.child, materialize=True)
+
+    return _rewrite(root, candidates)
+
+
+def old_merge_selections(root):
+    def candidates(root):
+        parents = parent_map(root)
+        for n in all_nodes(root):
+            if (isinstance(n, Select) and isinstance(n.child, Select)
+                    and len(parents[n.child]) == 1):
+                yield n, Select(conjunction([n.cond, n.child.cond]), n.child.child)
+
+    return _rewrite(root, candidates)
+
+
+def old_remove_redundant_projection(root):
+    def candidates(root):
+        for n in all_nodes(root):
+            if isinstance(n, Project) and not n.materialize:
+                child_schema = schema_of(n.child)
+                if (len(n.targets) == len(child_schema)
+                        and all(isinstance(e, Attr) and e.name == a and name == a
+                                for (e, name), a in zip(n.targets, child_schema))):
+                    yield n, n.child
+
+    return _rewrite(root, candidates)
+
+
+PAIRS = {
+    "merge_projections": (merge_projections, old_merge_projections),
+    "merge_selections": (merge_selections, old_merge_selections),
+    "remove_redundant_projection": (remove_redundant_projection,
+                                    old_remove_redundant_projection),
+}
+
+# ---------------------------------------------------------------------------
+# corpora
+
+
+def _update_stack(rng, n):
+    """A reenacted transaction over R(k, a, b); self-doubling updates make
+    the merge reject pairs and fence them."""
+    def assignment():
+        roll = rng.random()
+        if roll < 0.5:
+            return Arith("+", Attr("a"), Const(rng.randrange(1, 4)))
+        if roll < 0.8:
+            return Arith("+", Attr("a"), Attr("a"))
+        return Arith("*", Attr("b"), Const(2))
+
+    ups = [UpdateStmt("R", ((rng.choice("ab"), assignment()),),
+                      Cmp(rng.choice(("=", ">")), Attr(rng.choice("ab")),
+                          Const(rng.randrange(3))))
+           for _ in range(n)]
+    return reenact(ups, schema=("k", "a", "b"))
+
+
+def _random_tower(rng, depth):
+    """Projections (renaming, computing, identity, some fenced), selections
+    and duplicate eliminations over R(a, b, c); the top may share a lower
+    level with a second parent."""
+    attrs = ("a", "b", "c")
+    node: Node = Relation("R", attrs)
+    levels = [node]
+    for _ in range(depth):
+        roll = rng.random()
+        if roll < 0.45:
+            def target(name):
+                x, y = rng.choice(attrs), rng.choice(attrs)
+                return rng.choice((
+                    Attr(x), Arith("+", Attr(x), Const(1)), Arith("+", Attr(x), Attr(x)),
+                    Cond(Cmp("=", Attr(y), Const(rng.randrange(3))),
+                         Arith("+", Attr(x), Const(2)), Attr(x)),
+                ))
+            node = Project(tuple((target(a), a) for a in attrs), node,
+                           materialize=rng.random() < 0.1)
+        elif roll < 0.65:
+            node = Project(identity_targets(attrs), node, materialize=rng.random() < 0.1)
+        elif roll < 0.9:
+            node = Select(Cmp(rng.choice(("<", "=")), Attr(rng.choice(attrs)),
+                              Const(rng.randrange(4))), node)
+        else:
+            node = DupElim(node)
+        levels.append(node)
+    shared = rng.choice(levels[:-1])
+    roll = rng.random()
+    if roll < 0.3:
+        return Union(node, shared)
+    if roll < 0.5:
+        return Join((("a", "b"),), node, shared)
+    return node
+
+
+def _corpus():
+    rng = random.Random(6061)
+    for _ in range(60):
+        q, _state = random_query(rng, max_ops=8)
+        yield q
+        yield share_subtree(rng, q)
+    for i in range(60):
+        q, _state = (random_spju_query(rng) if i % 2
+                     else random_agg_query(rng, rng.randint(1, 2)))
+        yield instrument_query(q, agg_method=rng.choice(("join", "window")))
+    for _ in range(40):
+        stack = _update_stack(rng, rng.randint(1, 12))
+        yield stack
+        mid = rng.choice([n for n in all_nodes(stack) if isinstance(n, Project)])
+        yield Union(stack, mid)
+    for _ in range(150):
+        yield _random_tower(rng, rng.randint(1, 14))
+
+
+CORPUS = list(_corpus())
+
+
+@pytest.mark.parametrize("rule", PAIRS)
+def test_single_pass_matches_rescanning_loop(rule):
+    new, old = PAIRS[rule]
+    unchanged = 0
+    for i, q in enumerate(CORPUS):
+        for g in (q, factor_attributes(q)):
+            want = old(g)
+            got = new(g)
+            assert structurally_equal(got, want), (rule, i)
+            if want is g:
+                unchanged += 1
+                assert got is g, (rule, i)
+    assert 0 < unchanged < 2 * len(CORPUS)
+
+
+def test_corpus_has_fences_shared_inputs_and_merges():
+    # the comparison above means something only if the corpus exercises
+    # each branch of the merge rule
+    fenced = shared = merged = 0
+    for q in CORPUS:
+        parents = parent_map(q)
+        shared += any(len(parents[n.child]) > 1 for n in parents
+                      if isinstance(n, Project) and isinstance(n.child, Project))
+        out = merge_projections(q)
+        fenced += any(isinstance(n, Project) and n.materialize for n in all_nodes(out))
+        merged += len(all_nodes(out)) < len(all_nodes(q))
+    assert min(fenced, shared, merged) >= 10
+
+
+def test_naive_merge_matches_rescanning_loop():
+    cfg = RewriteConfig(unsafe_naive_merge=True)
+    rng = random.Random(5)
+    for _ in range(20):
+        q = _update_stack(rng, rng.randint(1, 6))
+        assert structurally_equal(merge_projections(q, cfg), old_merge_projections(q, cfg))
+
+
+# ---------------------------------------------------------------------------
+# linear work and depth
+
+
+def _renaming_chain(n):
+    node: Node = Relation("R", ("a", "b"))
+    for _ in range(n):
+        node = Project(((Attr("b"), "a"), (Attr("a"), "b")), node)
+    return node
+
+
+def test_merge_builds_linearly_many_projections(monkeypatch):
+    # the rescanning loop rebuilt every ancestor after each merge: about
+    # n * n / 2 projections for an n-deep stack
+    built = [0]
+    init = Project.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    for n in (100, 400):
+        q = _renaming_chain(n)
+        built[0] = 0
+        monkeypatch.setattr(Project, "__init__", counting_init)
+        out = merge_projections(q)
+        monkeypatch.setattr(Project, "__init__", init)
+        assert isinstance(out, Project) and isinstance(out.child, Relation)
+        assert built[0] <= 3 * n, (n, built[0])
+
+
+DEEP = 5000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    # the chains below are deeper than the limit, so a recursive walk fails
+    assert sys.getrecursionlimit() < DEEP
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepChains:
+    def test_select_chain_merges(self):
+        r = Relation("R", ("a", "b"))
+        node: Node = r
+        for i in range(DEEP):
+            node = Select(Cmp("<", Attr("a"), Const(i)), node)
+        out = merge_selections(node)
+        assert isinstance(out, Select) and out.child is r
+        cond, depth = out.cond, 0
+        while isinstance(cond, BoolOp):
+            cond, depth = cond.args[1], depth + 1
+        assert depth == DEEP - 1
+
+    def test_renaming_chain_merges(self):
+        out = merge_projections(_renaming_chain(DEEP))
+        assert isinstance(out, Project) and isinstance(out.child, Relation)
+        assert out.targets == ((Attr("a"), "a"), (Attr("b"), "b"))  # DEEP is even
+
+    def test_identity_chain_removed(self):
+        r = Relation("R", ("a", "b"))
+        node: Node = r
+        for _ in range(DEEP):
+            node = Project(identity_targets(("a", "b")), node)
+        assert remove_redundant_projection(node) is r
+
+    def test_dupelim_chain_substitutes(self):
+        r, s = Relation("R", ("a",)), Relation("S", ("a",))
+        node: Node = r
+        for _ in range(DEEP):
+            node = DupElim(node)
+        out = substitute(node, r, s)
+        parents = parent_map(out)
+        assert len(parents) == DEEP + 1 and len(parents[s]) == 1
+        assert r not in parents
+        assert all_nodes(out)[0] is s
