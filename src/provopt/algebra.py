@@ -426,9 +426,19 @@ def replace_children(node: Node, kids: tuple[Node, ...]) -> Node:
 def schema_of(node: Node) -> tuple[str, ...]:
     """Output schema of an operator, cached on the node.
 
-    Raises SchemaError on unresolved attribute references or duplicate
-    output names.
+    On a first read the uncached descendants are computed children first,
+    so a graph of any depth is read at any recursion limit. Raises
+    SchemaError on unresolved attribute references or duplicate output
+    names.
     """
+    if "schema" not in node.__dict__:  # the walk of all_nodes, pruned at cached nodes
+        path = [(node, iter(node.children))]
+        while path:
+            kid = next((c for c in path[-1][1] if "schema" not in c.__dict__), None)
+            if kid is None:
+                path.pop()[0].schema
+            else:
+                path.append((kid, iter(kid.children)))
     return node.schema
 
 

@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from . import algebra, datafiles, instrument as instr, optimizer, plantext, rewrites, sqlgen
-from .executor import BagRelation, TableStats, cost, evaluate
+from .executor import BagRelation, EvalError, TableStats, cost, evaluate
 from .properties import format_properties, infer_all
 
 
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     except plantext.PlanSyntaxError as exc:
         print(f"plan syntax error: {exc}", file=sys.stderr)
         return 2
-    except (algebra.AlgebraError, datafiles.DataError, instr.InstrumentError,
+    except (algebra.AlgebraError, datafiles.DataError, EvalError, instr.InstrumentError,
             instr.UpdateSyntaxError, optimizer.EnumerationError,
             sqlgen.SqlGenError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -162,7 +162,10 @@ def _parse_stop(spec: str):
     if spec == "adaptive":
         return "adaptive", None
     if spec.startswith("max-iters="):
-        return "none", int(spec.split("=", 1)[1])
+        n = int(spec.split("=", 1)[1])
+        if n < 1:
+            raise ValueError(f"stop rule max-iters needs N >= 1, got {n}")
+        return "none", n
     raise ValueError(f"unknown stop rule {spec!r} (use none, adaptive, or max-iters=N)")
 
 

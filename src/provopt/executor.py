@@ -21,6 +21,11 @@ operator into functions of a row tuple (:func:`compile_expr`), with
 attributes resolved to column indexes and every type check kept, made
 lazily at evaluation time.
 
+Evaluation, annotated evaluation and costing are each one loop over
+:func:`~provopt.algebra.all_nodes`, children before parents: a node's
+result goes into a dict that its parents read, so shared nodes run once
+and a plan of any depth runs at the default recursion limit.
+
 The cost model is a deterministic textbook estimator; it exists to give the
 cost-based optimizer a total order over plans, not to predict real runtimes.
 """
@@ -36,7 +41,7 @@ from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Join, Node, Project, Relation,
     Select, Union, Window, Value,
-    concat_qualified, schema_of,
+    all_nodes, concat_qualified, schema_of,
 )
 
 
@@ -375,13 +380,6 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
     """Evaluate a graph over named base relations; shared nodes run once."""
     memo: dict[Node, BagRelation] = {}
 
-    def rec(n: Node) -> BagRelation:
-        if n in memo:
-            return memo[n]
-        out = compute(n)
-        memo[n] = out
-        return out
-
     def compute(n: Node) -> BagRelation:
         sch = schema_of(n)
         if isinstance(n, Relation):
@@ -392,7 +390,7 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
                 raise EvalError(f"relation {n.name!r} bound with wrong arity")
             return rel.renamed(n.attrs)
         if isinstance(n, Select):
-            child = rec(n.child)
+            child = memo[n.child]
             keep = compile_predicate(n.cond, child.schema)
             out = BagRelation(sch)
             for t, m in child.rows():
@@ -400,14 +398,14 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
                     out.add(t, m)
             return out
         if isinstance(n, Project):
-            child = rec(n.child)
+            child = memo[n.child]
             row = compile_row((e for e, _ in n.targets), child.schema)
             out = BagRelation(sch)
             for t, m in child.rows():
                 out.add(row(t), m)
             return out
         if isinstance(n, Join):
-            left, right = rec(n.left), rec(n.right)
+            left, right = memo[n.left], memo[n.right]
             li = [left.schema.index(a) for a, _ in n.pairs]
             ri = [right.schema.index(b) for _, b in n.pairs]
             out = BagRelation(sch)
@@ -415,14 +413,14 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
                 out.add(lt + rt, lm * rm)
             return out
         if isinstance(n, Cross):
-            left, right = rec(n.left), rec(n.right)
+            left, right = memo[n.left], memo[n.right]
             out = BagRelation(sch)
             for lt, lm in left.rows():
                 for rt, rm in right.rows():
                     out.add(lt + rt, lm * rm)
             return out
         if isinstance(n, Union):
-            left, right = rec(n.left), rec(n.right)
+            left, right = memo[n.left], memo[n.right]
             out = BagRelation(sch)
             for t, m in left.rows():
                 out.add(t, m)
@@ -430,7 +428,7 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
                 out.add(t, m)
             return out
         if isinstance(n, Intersect):
-            left, right = rec(n.left), rec(n.right)
+            left, right = memo[n.left], memo[n.right]
             out = BagRelation(sch)
             for t, m in left.rows():
                 other = right.tuples.get(t, 0)
@@ -438,7 +436,7 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
                     out.add(t, min(m, other))
             return out
         if isinstance(n, Diff):
-            left, right = rec(n.left), rec(n.right)
+            left, right = memo[n.left], memo[n.right]
             out = BagRelation(sch)
             for t, m in left.rows():
                 rest = m - right.tuples.get(t, 0)
@@ -446,7 +444,7 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
                     out.add(t, rest)
             return out
         if isinstance(n, Agg):
-            child = rec(n.child)
+            child = memo[n.child]
             gi = [child.schema.index(a) for a in n.group_by]
             args = [child.schema.index(a) for _, a, _ in n.aggs]
             groups: dict[tuple, list[tuple[tuple, int]]] = {}
@@ -461,16 +459,18 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
                 out.add(key + vals, 1)
             return out
         if isinstance(n, DupElim):
-            child = rec(n.child)
+            child = memo[n.child]
             out = BagRelation(sch)
             for t in child.tuples:
                 out.add(t, 1)
             return out
         if isinstance(n, Window):
-            return _window(n, rec(n.child), sch)
+            return _window(n, memo[n.child], sch)
         raise EvalError(f"unknown operator {type(n).__name__}")
 
-    return rec(root)
+    for n in all_nodes(root):
+        memo[n] = compute(n)
+    return memo[root]
 
 
 def _window(n: Window, child: BagRelation, sch) -> BagRelation:
@@ -605,9 +605,6 @@ class AnnotatedRelation:
         return out
 
 
-_ANNOTATED = (Relation, Select, Project, Join, Cross, Union, Agg, DupElim)
-
-
 def evaluate_annotated(root: Node, adb: AnnotatedDb) -> AnnotatedRelation:
     """Propagate provenance polynomials through the supported fragment."""
     sources: list[str] = []
@@ -620,15 +617,6 @@ def evaluate_annotated(root: Node, adb: AnnotatedDb) -> AnnotatedRelation:
 
     memo: dict[Node, list[tuple[tuple, Poly]]] = {}
 
-    def rec(n: Node) -> list[tuple[tuple, Poly]]:
-        if n in memo:
-            return memo[n]
-        if not isinstance(n, _ANNOTATED):
-            raise EvalError(f"operator {type(n).__name__} outside the annotated fragment")
-        out = compute(n)
-        memo[n] = out
-        return out
-
     def compute(n: Node) -> list[tuple[tuple, Poly]]:
         sch = schema_of(n)
         if isinstance(n, Relation):
@@ -639,12 +627,12 @@ def evaluate_annotated(root: Node, adb: AnnotatedDb) -> AnnotatedRelation:
             return merge(sch, ((t, {(var,): 1}) for t, var in adb.tables[n.name]))
         if isinstance(n, Select):
             keep = compile_predicate(n.cond, schema_of(n.child))
-            return [(t, p) for t, p in rec(n.child) if keep(t)]
+            return [(t, p) for t, p in memo[n.child] if keep(t)]
         if isinstance(n, Project):
             row = compile_row((e for e, _ in n.targets), schema_of(n.child))
-            return merge(sch, ((row(t), p) for t, p in rec(n.child)))
+            return merge(sch, ((row(t), p) for t, p in memo[n.child]))
         if isinstance(n, (Join, Cross)):
-            left, right = rec(n.left), rec(n.right)
+            left, right = memo[n.left], memo[n.right]
             if isinstance(n, Join):
                 ls, rs = schema_of(n.left), schema_of(n.right)
                 li = [ls.index(a) for a, _ in n.pairs]
@@ -655,9 +643,9 @@ def evaluate_annotated(root: Node, adb: AnnotatedDb) -> AnnotatedRelation:
             return merge(sch, ((lt + rt, poly_product(lp, rp))
                                for (lt, lp), (rt, rp) in matches))
         if isinstance(n, Union):
-            return merge(sch, rec(n.left) + rec(n.right))
+            return merge(sch, memo[n.left] + memo[n.right])
         if isinstance(n, Agg):
-            child = rec(n.child)
+            child = memo[n.child]
             csch = schema_of(n.child)
             gi = [csch.index(a) for a in n.group_by]
             args = [csch.index(a) for _, a, _ in n.aggs]
@@ -677,11 +665,13 @@ def evaluate_annotated(root: Node, adb: AnnotatedDb) -> AnnotatedRelation:
             return merge(sch, pairs)
         if isinstance(n, DupElim):
             # rows are merged by tuple already; alternatives stay summed
-            return rec(n.child)
+            return memo[n.child]
         raise EvalError(f"operator {type(n).__name__} outside the annotated fragment")
 
-    rows = rec(root)
-    return AnnotatedRelation(schema_of(root), rows, tuple(sources), adb.var_rows, adb.schemas)
+    for n in all_nodes(root):
+        memo[n] = compute(n)
+    return AnnotatedRelation(schema_of(root), memo[root], tuple(sources), adb.var_rows,
+                             adb.schemas)
 
 
 def prov_attr_name(rel: str, occurrence: int, attr: str) -> str:
@@ -784,14 +774,6 @@ def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
             return 1.0
         return RANGE_SELECTIVITY
 
-    def rec(n: Node) -> tuple[float, dict[str, float]]:
-        if n in info:
-            return info[n]
-        est, d, own = compute(n)
-        info[n] = (est, d)
-        per_node[n] = (est, own)
-        return info[n]
-
     def cap(d: Mapping[str, float], rows: float) -> dict[str, float]:
         return {a: max(1.0, min(v, rows)) for a, v in d.items()}
 
@@ -804,18 +786,18 @@ def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
             d = {a: st.distinct.get(a, st.rows) for a in n.attrs}
             return st.rows, cap(d, st.rows), CPU_WEIGHT * st.rows
         if isinstance(n, Select):
-            in_rows, d = rec(n.child)
+            in_rows, d = info[n.child]
             est = in_rows * selectivity(n.cond, d, in_rows)
             return est, cap(d, est), CPU_WEIGHT * in_rows + BUILD_WEIGHT * est
         if isinstance(n, Project):
-            in_rows, d = rec(n.child)
+            in_rows, d = info[n.child]
             out = {}
             for e, name in n.targets:
                 out[name] = d.get(e.name, in_rows) if isinstance(e, Attr) else in_rows
             return in_rows, cap(out, in_rows), CPU_WEIGHT * in_rows + BUILD_WEIGHT * in_rows
         if isinstance(n, (Join, Cross)):
-            lr, ld = rec(n.left)
-            rr, rd = rec(n.right)
+            lr, ld = info[n.left]
+            rr, rd = info[n.right]
             _, right_names = concat_qualified(schema_of(n.left), schema_of(n.right))
             d = dict(ld)
             for orig, out_name in zip(schema_of(n.right), right_names):
@@ -826,24 +808,24 @@ def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
                     est /= max(distinct_of(ld, a, lr), distinct_of(rd, b, rr))
             return est, cap(d, est), CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est
         if isinstance(n, Union):
-            lr, ld = rec(n.left)
-            rr, rd = rec(n.right)
+            lr, ld = info[n.left]
+            rr, rd = info[n.right]
             est = lr + rr
             d = {a: ld.get(a, lr) + rd.get(b, rr)
                  for a, b in zip(schema_of(n.left), schema_of(n.right))}
             return est, cap(d, est), CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est
         if isinstance(n, Intersect):
-            lr, ld = rec(n.left)
-            rr, _ = rec(n.right)
+            lr, ld = info[n.left]
+            rr, _ = info[n.right]
             est = min(lr, rr)
             return est, cap(ld, est), CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est
         if isinstance(n, Diff):
-            lr, ld = rec(n.left)
-            rr, _ = rec(n.right)
+            lr, ld = info[n.left]
+            rr, _ = info[n.right]
             est = lr
             return est, cap(ld, est), CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est
         if isinstance(n, Agg):
-            in_rows, d = rec(n.child)
+            in_rows, d = info[n.child]
             groups = 1.0
             for a in n.group_by:
                 groups *= distinct_of(d, a, in_rows)
@@ -854,20 +836,23 @@ def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
             own = CPU_WEIGHT * in_rows + BUILD_WEIGHT * est + _sort_term(in_rows)
             return est, cap(out, est), own
         if isinstance(n, DupElim):
-            in_rows, d = rec(n.child)
+            in_rows, d = info[n.child]
             groups = 1.0
             for a in schema_of(n.child):
                 groups *= distinct_of(d, a, in_rows)
             est = min(in_rows, groups)
             return est, cap(d, est), CPU_WEIGHT * in_rows + BUILD_WEIGHT * est
         if isinstance(n, Window):
-            in_rows, d = rec(n.child)
+            in_rows, d = info[n.child]
             out = dict(d)
             out[n.out] = in_rows
             own = CPU_WEIGHT * in_rows + BUILD_WEIGHT * in_rows + _sort_term(in_rows)
             return in_rows, cap(out, in_rows), own
         raise EvalError(f"unknown operator {type(n).__name__}")
 
-    rec(root)
+    for n in all_nodes(root):
+        est, d, own = compute(n)
+        info[n] = (est, d)
+        per_node[n] = (est, own)
     total = sum(c for _, c in per_node.values())
     return CostEstimate(total, per_node)

@@ -6,14 +6,17 @@ followed by one block of duplicated witness columns per base-relation
 occurrence. Aggregations can be instrumented two equivalent ways (joining
 the aggregate back to the witness rows, or recomputing it as a window over
 them); the choice goes through a callback so a cost-based optimizer can
-drive it.
+drive it. Operators are rewritten children first, in one loop over
+:func:`~provopt.algebra.all_nodes`, which is the order of the choices; an
+operator outside the fragment is rejected before the first choice.
 
 ``reenact`` compiles a sequence of updates against one relation into a
 stack of conditional projections over the pre-state, and
 ``scope_to_updated`` narrows a reenactment to the tuples the transaction
 actually touched, either by filtering on the disjunction of the updates'
 conditions or by joining against the post-commit version from a
-:class:`VersionedStore`.
+:class:`VersionedStore`; either narrowed input takes the base's place
+through :func:`~provopt.algebra.substitute`.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ from typing import Callable, Iterable, Optional
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, DupElim, Expr, Join,
     Node, Project, Relation, Select, Union, Window,
-    FRAME_PARTITION, disjunction, expr_attrs, fresh_name, identity_targets,
-    schema_of, substitute_attrs,
+    FRAME_PARTITION, all_nodes, disjunction, expr_attrs, fresh_name, identity_targets,
+    schema_of, substitute, substitute_attrs,
 )
 from .executor import BagRelation, EvalError, compile_predicate, compile_row, prov_attr_name
 
@@ -64,15 +67,13 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
     else:
         decide = choice if choice is not None else (lambda n: AGG_WINDOW)
 
+    nodes = all_nodes(root)
+    for n in nodes:  # before the first choice is made
+        if not isinstance(n, (Relation, Select, Project, Join, Cross, Union, Agg, DupElim)):
+            raise InstrumentError(
+                f"operator {type(n).__name__} is outside the instrumentable fragment")
     occurrences: dict[str, int] = {}
     memo: dict[Node, _Instrumented] = {}
-
-    def rec(n: Node) -> _Instrumented:
-        if n in memo:
-            return memo[n]
-        out = rewrite(n)
-        memo[n] = out
-        return out
 
     def rewrite(n: Node) -> _Instrumented:
         if isinstance(n, Relation):
@@ -83,14 +84,14 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
                 (Attr(a), p) for a, p in zip(n.attrs, prov))
             return _Instrumented(Project(targets, n), prov)
         if isinstance(n, Select):
-            child = rec(n.child)
+            child = memo[n.child]
             return _Instrumented(Select(n.cond, child.node), child.prov_attrs)
         if isinstance(n, Project):
-            child = rec(n.child)
+            child = memo[n.child]
             targets = n.targets + identity_targets(child.prov_attrs)
             return _Instrumented(Project(targets, child.node), child.prov_attrs)
         if isinstance(n, (Join, Cross)):
-            left, right = rec(n.left), rec(n.right)
+            left, right = memo[n.left], memo[n.right]
             overlap = set(left.prov_attrs) & set(right.prov_attrs)
             if overlap:
                 raise InstrumentError(
@@ -102,7 +103,7 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
                 node = Cross(left.node, right.node)
             return _Instrumented(node, left.prov_attrs + right.prov_attrs)
         if isinstance(n, Union):
-            left, right = rec(n.left), rec(n.right)
+            left, right = memo[n.left], memo[n.right]
             orig_left = schema_of(n.left)
             orig_right = schema_of(n.right)
             prov = left.prov_attrs + right.prov_attrs
@@ -114,20 +115,19 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
             node = Union(Project(lt, left.node), Project(rt, right.node))
             return _Instrumented(node, prov)
         if isinstance(n, Agg):
-            child = rec(n.child)
+            child = memo[n.child]
             if decide(2) == AGG_WINDOW:
                 node = instrument_agg_window(n, child.node, child.prov_attrs)
             else:
                 node = instrument_agg_join(n, child.node, child.prov_attrs)
             return _Instrumented(node, child.prov_attrs)
-        if isinstance(n, DupElim):
-            # provenance rows are per-witness; eliminating duplicates would
-            # collapse distinct witnesses, so the operator is dropped here
-            return rec(n.child)
-        raise InstrumentError(
-            f"operator {type(n).__name__} is outside the instrumentable fragment")
+        # DupElim: provenance rows are per-witness; eliminating duplicates
+        # would collapse distinct witnesses, so the operator is dropped here
+        return memo[n.child]
 
-    inst = rec(root)
+    for n in nodes:
+        memo[n] = rewrite(n)
+    inst = memo[root]
     want = schema_of(root) + inst.prov_attrs
     if schema_of(inst.node) == want:
         return inst.node
@@ -361,12 +361,16 @@ def scope_to_updated(reenact_root: Node, updates: list[UpdateStmt],
     evaluating it (the history join materializes the updated key set from
     the store).
     """
-    base = _reenact_base(reenact_root)
+    base = reenact_root
+    while isinstance(base, Project):
+        base = base.child
     schema = schema_of(base)
     if method == FILTER_UPDATED:
         cond = disjunction(conditions_over_prestate(updates, schema))
+        # unchecked: the condition's schema check walks it as a tree, which
+        # can be exponentially larger than its DAG
         filtered = Select(cond, base)
-        return _swap_base(reenact_root, base, filtered), {}
+        return substitute(reenact_root, base, filtered, check_schema=False), {}
     if method == HIST_JOIN:
         if store is None or txn_id is None:
             raise InstrumentError("history join needs a store and transaction id")
@@ -385,24 +389,8 @@ def scope_to_updated(reenact_root: Node, updates: list[UpdateStmt],
             Relation(keys_rel_name, tuple(key)))
         joined = Join(tuple(zip(key, fresh)), base, keys_node)
         narrowed = Project(identity_targets(schema), joined)
-        return _swap_base(reenact_root, base, narrowed), {keys_rel_name: keys}
+        return substitute(reenact_root, base, narrowed), {keys_rel_name: keys}
     raise InstrumentError(f"unknown scoping method {method!r}")
-
-
-def _reenact_base(root: Node) -> Node:
-    n = root
-    while isinstance(n, Project):
-        n = n.child
-    return n
-
-
-def _swap_base(root: Node, base: Node, replacement: Node) -> Node:
-    if root is base:
-        return replacement
-    if isinstance(root, Project):
-        return Project(root.targets, _swap_base(root.child, base, replacement),
-                       root.materialize)
-    raise InstrumentError("reenactment graph must be a projection stack")
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,14 @@ plan parses back without a catalog and round-trips losslessly.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import Mapping, Optional
 
 from .algebra import (
     AGG_FNS, FRAME_PARTITION, FRAME_RUNNING,
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     Intersect, Join, Node, Project, Relation, Select, Union as UnionOp, Window,
+    all_nodes,
 )
 
 
@@ -334,11 +336,20 @@ def format_expr(e: Expr) -> str:
 
 def format_plan(node: Node, *, indent: bool = False) -> str:
     """Render a graph in the plan text format (shared nodes are inlined)."""
+    nodes = all_nodes(node)
+    uses = Counter(c for n in nodes for c in n.children)
+    text: dict[Node, str] = {}
 
     def names(seq) -> str:
         return " ".join(format_name(a) for a in seq)
 
     def fmt(n: Node) -> str:
+        # a child's text is dropped after its last use, so a deep chain
+        # holds one partial text at a time
+        uses[n] -= 1
+        return text[n] if uses[n] else text.pop(n)
+
+    def render(n: Node) -> str:
         if isinstance(n, Relation):
             return f"(rel {format_name(n.name)} (attrs {names(n.attrs)}))"
         if isinstance(n, Select):
@@ -372,10 +383,9 @@ def format_plan(node: Node, *, indent: bool = False) -> str:
                     f" (order {names(n.order_by)}){frame} {fmt(n.child)})")
         raise TypeError(f"unknown operator {type(n).__name__}")
 
-    text = fmt(node)
-    if not indent:
-        return text
-    return _indent_sexpr(text)
+    for n in nodes:
+        text[n] = render(n)
+    return _indent_sexpr(text[node]) if indent else text[node]
 
 
 def _indent_sexpr(text: str) -> str:

@@ -195,6 +195,27 @@ class TestOtherCommands:
                                "--data", str(data), "--stop", "sometimes")
         assert code == 1 and "stop rule" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_max_iters_below_one_rejected(self, capsys, fig_data, n):
+        data, plan = fig_data
+        code, out, err = run_cli(capsys, "run", "--prov-of", str(plan),
+                                 "--data", str(data), "--stop", f"max-iters={n}")
+        assert code == 1 and out == ""
+        assert err == f"error: stop rule max-iters needs N >= 1, got {n}\n"
+
+    @pytest.mark.parametrize("expr, row", [("(/ a b)", "1,0"), ("(= a \"x\")", "1,2")])
+    def test_evaluation_error_is_reported(self, capsys, tmp_path, expr, row):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "R.csv").write_text(f"a,b\n{row}\n")
+        (data / "R.schema").write_text("a:int\nb:int\n")
+        plan = tmp_path / "q.plan"
+        plan.write_text(f"(project ({expr} -> c) (rel R))")
+        code, out, err = run_cli(capsys, "run", "--plan", str(plan), "--data", str(data))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("division by zero" if "/" in expr else "cannot compare") in err
+
     def test_bench_agg_mode(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--mode", "agg", "--aggs", "2",
                                  "--rows", "50", "--fanin", "3")

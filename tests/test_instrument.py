@@ -13,7 +13,7 @@ from provopt.executor import (
     evaluate_annotated,
 )
 from provopt.instrument import (
-    FILTER_UPDATED, HIST_JOIN, InstrumentError, UpdateStmt, UpdateSyntaxError,
+    AGG_WINDOW, FILTER_UPDATED, HIST_JOIN, InstrumentError, UpdateStmt, UpdateSyntaxError,
     VersionedStore, conditions_over_prestate, instrument_query, parse_updates,
     reenact, replay, scope_to_updated,
 )
@@ -69,6 +69,20 @@ class TestInstrumentQuery:
         q = Diff(Relation("R", ("a",)), Relation("S", ("b",)))
         with pytest.raises(InstrumentError):
             instrument_query(q)
+
+    def test_unsupported_operator_raises_before_any_choice(self):
+        from provopt.algebra import Intersect
+        r = Relation("R", ("a", "b"))
+        q = Intersect(Agg(("a",), (("sum", "b", "s"),), r), Relation("S", ("c", "d")))
+        choices = []
+
+        def choice(n):
+            choices.append(n)
+            return AGG_WINDOW
+
+        with pytest.raises(InstrumentError, match="Intersect"):
+            instrument_query(q, choice=choice)
+        assert choices == []
 
     def test_union_pads_missing_side_with_nulls(self):
         q = Union(Relation("R", ("a",)), Relation("S", ("b",)))

@@ -20,7 +20,11 @@ from provopt.algebra import (
     identity_targets, parent_map, schema_of, structurally_equal, substitute,
     substitute_attrs,
 )
+from provopt.executor import (
+    BagRelation, TableStats, annotate, cost, evaluate, evaluate_annotated,
+)
 from provopt.instrument import UpdateStmt, instrument_query, reenact
+from provopt.plantext import format_plan
 from provopt.rewrites import (
     MERGE_GROWTH_FACTOR, MERGE_REF_LIMIT, RewriteConfig, _rewrite,
     count_attr_refs, factor_attributes, merge_projections, merge_selections,
@@ -247,6 +251,21 @@ def test_merge_builds_linearly_many_projections(monkeypatch):
 DEEP = 5000
 
 
+def _select_project_chain(n):
+    """n operators over R(a, b), alternating identity projection and a
+    selection every row passes."""
+    node: Node = Relation("R", ("a", "b"))
+    for i in range(n):
+        if i % 2:
+            node = Select(Cmp("<", Attr("a"), Const(i)), node)
+        else:
+            node = Project(identity_targets(("a", "b")), node)
+    return node
+
+
+DEEP_DB = {"R": BagRelation.from_rows(("a", "b"), [(0, 1), (0, 1), (-1, 2)])}
+
+
 @pytest.fixture
 def default_recursion_limit():
     # the chains below are deeper than the limit, so a recursive walk fails
@@ -289,3 +308,30 @@ class TestDeepChains:
         assert len(parents) == DEEP + 1 and len(parents[s]) == 1
         assert r not in parents
         assert all_nodes(out)[0] is s
+
+    def test_schema_of_reads_a_deep_chain(self):
+        assert schema_of(_select_project_chain(DEEP)) == ("a", "b")
+
+    def test_evaluate_runs_a_deep_chain(self):
+        out = evaluate(_select_project_chain(DEEP), DEEP_DB)
+        assert out.schema == ("a", "b") and out.tuples == DEEP_DB["R"].tuples
+
+    def test_evaluate_annotated_runs_a_deep_chain(self):
+        ann = evaluate_annotated(_select_project_chain(DEEP), annotate(DEEP_DB))
+        assert ann.sources == ("R",) and ann.as_bag().tuples == DEEP_DB["R"].tuples
+
+    def test_cost_estimates_a_deep_chain(self):
+        est = cost(_select_project_chain(DEEP), {"R": TableStats(3.0, {"a": 2.0, "b": 2.0})})
+        assert len(est.per_node) == DEEP + 1 and est.total > 0
+
+    def test_instrument_query_rewrites_a_deep_chain(self):
+        inst = instrument_query(_select_project_chain(DEEP))
+        out = evaluate(inst, DEEP_DB)
+        assert out.schema == ("a", "b", "prov_R_0_a", "prov_R_0_b")
+        assert out.tuples == {(0, 1, 0, 1): 2, (-1, 2, -1, 2): 1}
+
+    def test_format_plan_prints_a_deep_chain(self):
+        text = format_plan(_select_project_chain(DEEP))
+        assert text.startswith("(select (< a 4999) (project (a -> a) (b -> b) (select")
+        assert text.endswith("(rel R (attrs a b))" + ")" * DEEP)
+        assert text.count("(select ") == DEEP // 2
