@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from operator import is_
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
 class AlgebraError(Exception):
@@ -155,11 +155,35 @@ def expr_attrs(e: Expr) -> frozenset[str]:
     return frozenset(x.name for x in expr_nodes(e) if isinstance(x, Attr))
 
 
+def rebuild_expr(e: Expr, step: Callable[[Expr, tuple[Expr, ...]], Expr]) -> Expr:
+    """Rebuild an expression children first, each shared subexpression once:
+    ``step(x, kids)`` gets a subexpression and its rebuilt children and
+    returns what takes its place. Iterative, so any depth is rebuilt at any
+    recursion limit. Subexpressions are memoized by identity; the input
+    holds each of them alive, so an id cannot be reused during the call."""
+    done: dict[int, Expr] = {}
+    stack: list[tuple[Expr, Optional[tuple]]] = [(e, None)]  # (x, its children once expanded)
+    while stack:
+        x, kids = stack.pop()
+        if kids is None:
+            if id(x) in done:
+                continue
+            kids = expr_children(x)
+            if kids:
+                stack.append((x, kids))
+                stack += [(c, None) for c in kids]
+                continue
+        done[id(x)] = step(x, tuple([done[id(c)] for c in kids]))
+    return done[id(e)]
+
+
 def substitute_attrs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace attribute references by expressions, bottom-up."""
+    """Replace attribute references by expressions, bottom-up; the input
+    itself when no reference is replaced."""
     if isinstance(e, Attr):
         return mapping.get(e.name, e)
-    return expr_with_children(e, [substitute_attrs(c, mapping) for c in expr_children(e)])
+    return rebuild_expr(e, lambda x, kids: mapping.get(x.name, x) if isinstance(x, Attr)
+                        else expr_with_children(x, kids))
 
 
 def conjuncts(e: Expr) -> list[Expr]:
@@ -250,6 +274,26 @@ class Node:
     def children(self) -> tuple["Node", ...]:
         return tuple(getattr(self, name) for name in _field_names(type(self))[0])
 
+    @cached_property
+    def descendants(self) -> tuple["Node", ...]:
+        """Every node reachable from this one except itself, children before
+        parents; iterative, so a graph of any depth is walked at any
+        recursion limit. Read it through :func:`all_nodes`. The node itself
+        is left out so that the cached tuple makes no reference cycle, which
+        only the cyclic garbage collector could free."""
+        seen: dict[Node, None] = {}
+        nodes, kids = [self], [iter(self.children)]
+        while nodes:
+            for c in kids[-1]:
+                if c not in seen:
+                    nodes.append(c)
+                    kids.append(iter(c.children))
+                    break
+            else:
+                kids.pop()
+                seen[nodes.pop()] = None
+        return tuple(seen)[:-1]  # the node itself finishes last
+
     @property
     def schema(self) -> tuple[str, ...]:
         """Output schema; each operator computes it from its children's."""
@@ -309,12 +353,17 @@ class Join(Node):
     right: Node
 
     @cached_property
+    def qualified(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """:func:`concat_qualified` of the input schemas."""
+        return concat_qualified(self.left.schema, self.right.schema)
+
+    @cached_property
     def schema(self):
         ls, rs = self.left.schema, self.right.schema
         for a, b in self.pairs:
             _need((a,), ls, "join condition (left)")
             _need((b,), rs, "join condition (right)")
-        return concat_qualified(ls, rs)[0]
+        return self.qualified[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +372,13 @@ class Cross(Node):
     right: Node
 
     @cached_property
+    def qualified(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """:func:`concat_qualified` of the input schemas."""
+        return concat_qualified(self.left.schema, self.right.schema)
+
+    @cached_property
     def schema(self):
-        return concat_qualified(self.left.schema, self.right.schema)[0]
+        return self.qualified[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,7 +500,8 @@ def right_output_names(node: Node) -> tuple[str, ...]:
     """Output names of a join/cross right input, aligned with its schema."""
     if not isinstance(node, (Join, Cross)):
         raise GraphError("right_output_names applies to join/cross only")
-    return concat_qualified(schema_of(node.left), schema_of(node.right))[1]
+    schema_of(node.left), schema_of(node.right)  # warm deep inputs iteratively
+    return node.qualified[1]
 
 
 # ---------------------------------------------------------------------------
@@ -454,20 +509,10 @@ def right_output_names(node: Node) -> tuple[str, ...]:
 
 
 def all_nodes(root: Node) -> list[Node]:
-    """All nodes reachable from the root, children before parents; iterative,
-    so a graph of any depth is walked at any recursion limit."""
-    seen: dict[Node, None] = {}
-    nodes, kids = [root], [iter(root.children)]
-    while nodes:
-        for c in kids[-1]:
-            if c not in seen:
-                nodes.append(c)
-                kids.append(iter(c.children))
-                break
-        else:
-            kids.pop()
-            seen[nodes.pop()] = None
-    return list(seen)
+    """All nodes reachable from the root, children before parents. The order
+    is computed once per root and cached on it, like ``schema``; each call
+    returns a fresh list, which the caller may change."""
+    return [*root.descendants, root]
 
 
 def parent_map(root: Node) -> dict[Node, list[Node]]:
@@ -568,20 +613,19 @@ def structurally_equal(a: Node, b: Node) -> bool:
     """Compare two graphs by shape and fields, ignoring node identity.
 
     Each pair of nodes is compared once, so shared subgraphs cost linear
-    time.
+    time; iterative, so graphs of any depth compare at any recursion limit.
     """
-    memo: dict[tuple[int, int], bool] = {}
-
-    def eq(x: Node, y: Node) -> bool:
-        if x is y:
-            return True
-        key = (id(x), id(y))
-        if key not in memo:
-            memo[key] = (type(x) is type(y) and _own_fields(x) == _own_fields(y)
-                         and all(eq(cx, cy) for cx, cy in zip(x.children, y.children)))
-        return memo[key]
-
-    return eq(a, b)
+    compared: set[tuple[int, int]] = set()  # both graphs hold the nodes alive
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is y or (id(x), id(y)) in compared:
+            continue
+        compared.add((id(x), id(y)))
+        if type(x) is not type(y) or _own_fields(x) != _own_fields(y):
+            return False
+        pairs.extend(zip(x.children, y.children))
+    return True
 
 
 def _own_fields(n: Node) -> tuple:

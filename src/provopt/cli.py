@@ -270,12 +270,12 @@ def cmd_optimize(args) -> int:
     if args.dump_steps:
         lines = []
         current = plan
-        kept_dupelims: set = set()
+        memo = rewrites.PipelineMemo()
         for rnd in range(cfg.rounds):
             for name, rule in rewrites.RULES.items():
                 if not cfg.rule_enabled(name):
                     continue
-                current = rule(current, cfg, kept_dupelims)
+                current = rule(current, cfg, memo)
                 lines.append(f"; round {rnd + 1}, after {name}")
                 lines.append(plantext.format_plan(current))
         _emit(args, "\n".join(lines) + "\n")

@@ -41,7 +41,7 @@ from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Join, Node, Project, Relation,
     Select, Union, Window, Value,
-    all_nodes, concat_qualified, schema_of,
+    all_nodes, right_output_names, schema_of,
 )
 
 
@@ -798,9 +798,8 @@ def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
         if isinstance(n, (Join, Cross)):
             lr, ld = info[n.left]
             rr, rd = info[n.right]
-            _, right_names = concat_qualified(schema_of(n.left), schema_of(n.right))
             d = dict(ld)
-            for orig, out_name in zip(schema_of(n.right), right_names):
+            for orig, out_name in zip(schema_of(n.right), right_output_names(n)):
                 d[out_name] = rd.get(orig, rr)
             est = lr * rr
             if isinstance(n, Join):

@@ -17,6 +17,19 @@ instances are empty).
 operator: which output columns of a node are which columns of one input.
 Top-down equivalence classes, selection push-down and the test whether an
 ancestor selection already guards a node all read it.
+
+Keys and bottom-up equivalence classes depend only on a node's subgraph (and,
+for keys, on the declared base keys), so :func:`infer_keys` and
+:func:`infer_ec_bottom_up` take an optional ``memo``: a node -> value dict
+that already holds the values of nodes computed before and receives the new
+ones. A rewrite returns its unchanged subgraphs as the same objects, so the
+rewrite pipeline keeps one memo per property for one run
+(:func:`provopt.rewrites.apply_pats`), and a rescan computes only the rebuilt
+ancestors. The memo lives for that run, not on the nodes: plans the
+optimizer keeps would otherwise carry every property they ever had, and a
+keys memo is valid for one ``base_keys`` only. Needed columns and
+duplicate insensitivity are top-down (they depend on a node's ancestors) and
+are recomputed per call.
 """
 from __future__ import annotations
 
@@ -185,14 +198,19 @@ def _min_keys(keys: Iterable[frozenset]) -> frozenset[KeySet]:
     return frozenset(k for k in ks if not any(o < k for o in ks))
 
 
-def infer_keys(root: Node, base_keys: Optional[Mapping[str, Iterable[Iterable[str]]]] = None) -> dict[Node, frozenset[KeySet]]:
-    """Candidate keys per operator; sound, MIN-reduced, possibly incomplete."""
-    base_keys = base_keys or {}
-    out: dict[Node, frozenset[KeySet]] = {}
+def infer_keys(root: Node, base_keys: Optional[Mapping[str, Iterable[Iterable[str]]]] = None,
+               memo: Optional[dict[Node, frozenset[KeySet]]] = None) -> dict[Node, frozenset[KeySet]]:
+    """Candidate keys per operator; sound, MIN-reduced, possibly incomplete.
 
-    for n in all_nodes(root):
-        out[n] = _min_keys(_keys_of(n, out, base_keys))
-    return out
+    ``memo`` holds keys computed earlier under the same ``base_keys`` and
+    receives the new ones; the result has exactly the graph's nodes."""
+    base_keys = base_keys or {}
+    memo = {} if memo is None else memo
+    order = all_nodes(root)
+    for n in order:
+        if n not in memo:
+            memo[n] = _min_keys(_keys_of(n, memo, base_keys))
+    return {n: memo[n] for n in order}
 
 
 def _keys_of(n: Node, out, base_keys) -> frozenset[KeySet]:
@@ -357,13 +375,19 @@ def ec_transfer_down(parent: Node, child_idx: int,
     return frozenset(out)
 
 
-def infer_ec_bottom_up(root: Node) -> dict[Node, frozenset[EcClass]]:
+def infer_ec_bottom_up(root: Node, memo: Optional[dict[Node, frozenset[EcClass]]] = None
+                       ) -> dict[Node, frozenset[EcClass]]:
     """Equivalence classes from the bottom-up pass only (intrinsic to each
-    operator's output, independent of where it sits in the query)."""
-    up: dict[Node, frozenset[EcClass]] = {}
-    for n in all_nodes(root):
-        up[n] = ec_closure(_ec_up(n, up) | singletons(schema_of(n)))
-    return up
+    operator's output, independent of where it sits in the query).
+
+    ``memo`` holds classes computed earlier and receives the new ones; the
+    result has exactly the graph's nodes, children before parents."""
+    memo = {} if memo is None else memo
+    order = all_nodes(root)
+    for n in order:
+        if n not in memo:
+            memo[n] = ec_closure(_ec_up(n, memo) | singletons(schema_of(n)))
+    return {n: memo[n] for n in order}
 
 
 def _ec_up(n: Node, up) -> frozenset[EcClass]:

@@ -14,6 +14,15 @@ break (for example, a column drop under one input of a positional set
 operator). A rule that changes nothing returns its input object, so the
 pipeline detects its fixpoint by identity.
 
+A rule is a deterministic function of its input graph, so :func:`apply_pats`
+does not run a rule again on a root it left unchanged. The one rule with
+state, :func:`remove_dupelim_by_set`, would ask for no choice on such a re-run:
+a run that returns its root unchanged has kept, and recorded, every candidate
+it saw. One pipeline run also keeps the bottom-up properties
+(keys, bottom-up equivalence classes) of every node it has seen in a
+:class:`PipelineMemo`, so a rescan after a rewrite computes them only for the
+rebuilt ancestors.
+
 The projection-merge safety check is what keeps reenactment stacks from
 exploding: merging is rejected when a non-trivial inner definition is
 referenced more than once by the outer projection (each such merge can
@@ -33,9 +42,9 @@ from typing import Callable, Iterable, Mapping, Optional
 from .algebra import (
     Agg, Arith, Attr, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     Intersect, Join, Node, Project, Select, Union, Window,
-    all_nodes, conjuncts, conjunction, expr_attrs, expr_children, expr_nodes,
+    all_nodes, conjuncts, conjunction, expr_attrs, expr_nodes,
     expr_size, expr_with_children,
-    identity_targets, parent_map, rebuild_bottom_up, replace_children,
+    identity_targets, parent_map, rebuild_bottom_up, rebuild_expr, replace_children,
     schema_of, substitute as graph_substitute, substitute_attrs, SchemaError,
 )
 from .properties import (
@@ -129,18 +138,23 @@ _COMMUTES = ("+", "*")
 
 def factor_expression(e: Expr) -> Expr:
     """Rewrite ``if p then A(+)c else A`` into ``A (+) (if p then c else e)``
-    where e is the neutral element, recursively; the reverse branch order is
-    factored symmetrically."""
+    where e is the neutral element, children first; the reverse branch order
+    is factored symmetrically. Returns the input itself when nothing
+    factors."""
     if isinstance(e, (Attr, Const)):
         return e
-    kids = [factor_expression(c) for c in expr_children(e)]
-    if not isinstance(e, Cond):
-        return expr_with_children(e, kids)
-    pred, then, other = kids
-    factored = _factor_cond(pred, then, other, negate=False)
-    if factored is None:
-        factored = _factor_cond(pred, other, then, negate=True)
-    return factored if factored is not None else expr_with_children(e, kids)
+
+    def step(x: Expr, kids: tuple[Expr, ...]) -> Expr:
+        if isinstance(x, Cond):
+            pred, then, other = kids
+            factored = _factor_cond(pred, then, other, negate=False)
+            if factored is None:
+                factored = _factor_cond(pred, other, then, negate=True)
+            if factored is not None:
+                return factored
+        return expr_with_children(x, kids)
+
+    return rebuild_expr(e, step)
 
 
 def _factor_cond(pred: Expr, bigger: Expr, base: Expr, *, negate: bool) -> Optional[Expr]:
@@ -254,9 +268,11 @@ def remove_redundant_projection(root: Node) -> Node:
 # duplicate elimination removal
 
 
-def remove_dupelim_by_key(root: Node, base_keys=None) -> Node:
+def remove_dupelim_by_key(root: Node, base_keys=None, memo: Optional[dict] = None) -> Node:
+    """Drop duplicate eliminations over an input with a key; ``memo`` is an
+    :func:`infer_keys` memo for the same ``base_keys``."""
     def candidates(root: Node) -> Candidates:
-        keys = infer_keys(root, base_keys)
+        keys = infer_keys(root, base_keys, memo=memo)
         for n in all_nodes(root):
             if isinstance(n, DupElim) and keys[n.child]:
                 yield n, n.child
@@ -273,6 +289,12 @@ def remove_dupelim_by_set(root: Node, choice: Optional[ChoiceFn] = None,
     ``DupElim`` nodes across pipeline rounds so one operator is decided
     once. It holds the nodes, not their ids: a node it holds stays alive,
     so its id cannot be reused by a node built later.
+
+    A run that returns its input unchanged has kept every candidate it saw,
+    and recorded each in ``decided_keep``: a yielded candidate is always
+    absorbed, because a ``DupElim``'s child has the ``DupElim``'s schema.
+    A second run on the same root therefore calls ``choice`` zero times,
+    which is what lets :func:`apply_pats` skip it.
     """
     decided_keep = set() if decided_keep is None else decided_keep
 
@@ -416,12 +438,13 @@ def _own_used_attrs(n: Node) -> frozenset[str]:
 # selection move-around
 
 
-def selection_move_around(root: Node) -> Node:
+def selection_move_around(root: Node, ec_memo: Optional[dict] = None) -> Node:
     """Derive new selections from equivalence classes and push them toward
     the leaves: conditions guarding one join input transfer to the other
     input when the join pairs the attributes they mention, and attribute
-    pairs equated by ancestors are enforced early."""
-    return _enforce_ancestor_equalities(_transfer_join_conditions(root))
+    pairs equated by ancestors are enforced early. ``ec_memo`` is an
+    :func:`infer_ec_bottom_up` memo."""
+    return _enforce_ancestor_equalities(_transfer_join_conditions(root), ec_memo)
 
 
 def _chain_conjuncts(node: Node) -> list[Expr]:
@@ -486,9 +509,9 @@ def _place_pushed(cond: Expr, node: Node) -> tuple[Node, bool]:
     return (replace_children(node, tuple(kids)), True) if inserted else (node, False)
 
 
-def _enforce_ancestor_equalities(root: Node) -> Node:
+def _enforce_ancestor_equalities(root: Node, ec_memo: Optional[dict] = None) -> Node:
     def candidates(root: Node) -> Candidates:
-        up = infer_ec_bottom_up(root)
+        up = infer_ec_bottom_up(root, memo=ec_memo)
         down = ec_top_down(root, up)
         parents = parent_map(root)
         for n in all_nodes(root):
@@ -604,22 +627,35 @@ def _same_up_class(up_classes, m1, m2) -> bool:
 # pipeline
 
 
-#: The pipeline in order: rule name -> call on (root, config, the duplicate
-#: eliminations kept by choice, carried across rounds). Each entry
-#: looks its rule up as a module global when called, so a wrapper installed
-#: on ``rewrites.<rule>`` sees the pipeline's calls.
-RULES: dict[str, Callable[[Node, RewriteConfig, set], Node]] = {
-    "factor_attributes": lambda root, cfg, kept: factor_attributes(root),
-    "merge_projections": lambda root, cfg, kept: merge_projections(root, cfg),
-    "merge_selections": lambda root, cfg, kept: merge_selections(root),
-    "selection_move_around": lambda root, cfg, kept: selection_move_around(root),
-    "pull_up_prov_projection": lambda root, cfg, kept: pull_up_prov_projection(root),
-    "project_to_icols": lambda root, cfg, kept: project_to_icols(root),
-    "remove_window": lambda root, cfg, kept: remove_window(root),
-    "remove_dupelim_by_key": lambda root, cfg, kept: remove_dupelim_by_key(root, cfg.base_keys),
+@dataclass
+class PipelineMemo:
+    """What one run of the pipeline carries from rule to rule, for one
+    :class:`RewriteConfig` (keys depend on its ``base_keys``)."""
+
+    #: the duplicate eliminations kept by choice, so each is decided once
+    kept_dupelims: set = field(default_factory=set)
+    #: :func:`infer_keys` and :func:`infer_ec_bottom_up` values per node
+    keys: dict = field(default_factory=dict)
+    ecs: dict = field(default_factory=dict)
+
+
+#: The pipeline in order: rule name -> call on (root, config, the memo of
+#: the run). Each entry looks its rule up as a module global when called, so
+#: a wrapper installed on ``rewrites.<rule>`` sees the pipeline's calls.
+RULES: dict[str, Callable[[Node, RewriteConfig, PipelineMemo], Node]] = {
+    "factor_attributes": lambda root, cfg, memo: factor_attributes(root),
+    "merge_projections": lambda root, cfg, memo: merge_projections(root, cfg),
+    "merge_selections": lambda root, cfg, memo: merge_selections(root),
+    "selection_move_around": lambda root, cfg, memo: selection_move_around(root, memo.ecs),
+    "pull_up_prov_projection": lambda root, cfg, memo: pull_up_prov_projection(root),
+    "project_to_icols": lambda root, cfg, memo: project_to_icols(root),
+    "remove_window": lambda root, cfg, memo: remove_window(root),
+    "remove_dupelim_by_key":
+        lambda root, cfg, memo: remove_dupelim_by_key(root, cfg.base_keys, memo.keys),
     "remove_dupelim_by_set":
-        lambda root, cfg, kept: remove_dupelim_by_set(root, cfg.dupelim_set_choice, kept),
-    "remove_redundant_projection": lambda root, cfg, kept: remove_redundant_projection(root),
+        lambda root, cfg, memo: remove_dupelim_by_set(root, cfg.dupelim_set_choice,
+                                                      memo.kept_dupelims),
+    "remove_redundant_projection": lambda root, cfg, memo: remove_redundant_projection(root),
 }
 RULE_ORDER = tuple(RULES)
 
@@ -636,15 +672,25 @@ def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     work would loop, and is a defect of the rules. A late-created
     opportunity (say, a pruning projection inserted after the merge pass
     ran) is picked up by the next round.
+
+    A rule is not run again on a root it returned unchanged: rules are
+    deterministic functions of their input graph, and the stateful
+    :func:`remove_dupelim_by_set` would ask for no choice on that root
+    again. The run's :class:`PipelineMemo` keeps keys and bottom-up
+    equivalence classes of the nodes seen so far.
     """
     cfg = cfg or RewriteConfig()
     original_schema = schema_of(root)
-    kept_dupelims: set = set()
+    memo = PipelineMemo()
+    at_fixpoint: dict[str, Node] = {}  # rule -> the last root it left unchanged
     for rnd in count(1):
         before = root
         for name, rule in RULES.items():
-            if cfg.rule_enabled(name):
-                root = rule(root, cfg, kept_dupelims)
+            if cfg.rule_enabled(name) and at_fixpoint.get(name) is not root:
+                new_root = rule(root, cfg, memo)
+                if new_root is root:
+                    at_fixpoint[name] = root
+                root = new_root
         if rnd >= cfg.rounds and root is before:
             break
     if schema_of(root) != original_schema:

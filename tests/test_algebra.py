@@ -183,3 +183,36 @@ def test_structural_equality_ignores_identity():
     assert structurally_equal(q1, q2)
     q3 = Select(Cmp("<", Attr("a"), Const(4)), rel())
     assert not structurally_equal(q1, q3)
+
+
+class TestCachedStructure:
+    def test_all_nodes_returns_a_fresh_list_each_call(self):
+        r = rel()
+        q = Select(Cmp("<", Attr("a"), Const(5)), Union(r, r))
+        first = all_nodes(q)
+        assert first == [r, q.child, q]
+        first.clear()
+        assert all_nodes(q) == [r, q.child, q]
+
+    def test_cached_order_leaves_no_reference_cycle(self):
+        # a graph whose order is cached is freed by reference counting alone
+        import gc
+        import weakref
+        q = Project(((Attr("a"), "a"),), Select(Cmp("<", Attr("a"), Const(5)), rel()))
+        all_nodes(q)
+        alive = weakref.ref(q)
+        gc.disable()
+        try:
+            del q
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_right_output_names_reads_the_join_schema(self):
+        q = Join((("a", "a"),), rel("R", ("a", "b")), rel("S", ("a", "b")))
+        assert schema_of(q) == ("a", "b", "a'", "b'")
+        assert right_output_names(q) == ("a'", "b'")
+        # the names are derived from the inputs alone, even for a join
+        # whose condition does not resolve
+        bad = Cross(rel("R", ("a",)), rel("S", ("a",)))
+        assert right_output_names(Join((("x", "a"),), bad.left, bad.right)) == ("a'",)

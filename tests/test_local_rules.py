@@ -16,7 +16,7 @@ from randgen import random_agg_query, random_query, random_spju_query, share_sub
 
 from provopt.algebra import (
     Arith, Attr, BoolOp, Cmp, Cond, Const, DupElim, Join, Node, Project,
-    Relation, Select, Union, all_nodes, conjunction, expr_size,
+    Relation, Select, Union, all_nodes, conjunction, expr_attrs, expr_size,
     identity_targets, parent_map, schema_of, structurally_equal, substitute,
     substitute_attrs,
 )
@@ -27,8 +27,8 @@ from provopt.instrument import UpdateStmt, instrument_query, reenact
 from provopt.plantext import format_plan
 from provopt.rewrites import (
     MERGE_GROWTH_FACTOR, MERGE_REF_LIMIT, RewriteConfig, _rewrite,
-    count_attr_refs, factor_attributes, merge_projections, merge_selections,
-    remove_redundant_projection,
+    count_attr_refs, factor_attributes, factor_expression, merge_projections,
+    merge_selections, remove_redundant_projection,
 )
 
 # ---------------------------------------------------------------------------
@@ -335,3 +335,50 @@ class TestDeepChains:
         assert text.startswith("(select (< a 4999) (project (a -> a) (b -> b) (select")
         assert text.endswith("(rel R (attrs a b))" + ")" * DEEP)
         assert text.count("(select ") == DEEP // 2
+
+    def test_structurally_equal_compares_deep_chains(self):
+        a, b = _select_project_chain(DEEP), _select_project_chain(DEEP)
+        assert structurally_equal(a, b)
+        # a difference at the bottom is found too
+        c = _select_project_chain(DEEP)
+        leaf = all_nodes(c)[0]
+        assert not structurally_equal(a, substitute(c, leaf, Relation("S", ("a", "b"))))
+
+
+def _deep_reenacted_value(n):
+    """The value of ``a`` after n updates ``a = a + 1 where b = i % 3``: each
+    level is a conditional that shares the level below in both branches."""
+    e = Attr("a")
+    for i in range(n):
+        e = Cond(Cmp("=", Attr("b"), Const(i % 3)), Arith("+", e, Const(1)), e)
+    return e
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepExpressions:
+    def test_factor_expression_factors_a_deep_stack(self):
+        out = factor_expression(_deep_reenacted_value(DEEP))
+        # a + (if ... then 1 else 0) + ...: one reference to a, linear size
+        assert count_attr_refs(out, "a") == 1
+        assert expr_size(out) == 1 + DEEP * 7
+
+    def test_factor_expression_returns_an_unfactorable_input(self):
+        e = Attr("a")
+        for i in range(DEEP):
+            e = Arith("+", e, Const(i))
+        assert factor_expression(e) is e
+
+    def test_substitute_attrs_rewrites_a_deep_expression(self):
+        e = Attr("a")
+        for i in range(DEEP):
+            e = Arith("+", e, Attr("b") if i % 2 else Const(i))
+        out = substitute_attrs(e, {"a": Attr("x"), "b": Const(7)})
+        assert expr_attrs(out) == {"x"} and expr_size(out) == expr_size(e)
+        assert substitute_attrs(e, {"c": Attr("x")}) is e
+
+    def test_substitute_attrs_rewrites_a_shared_subexpression_once(self):
+        out = substitute_attrs(_deep_reenacted_value(DEEP), {"a": Attr("x")})
+        for _ in range(DEEP):
+            assert out.if_true.left is out.if_false
+            out = out.if_false
+        assert out == Attr("x")
