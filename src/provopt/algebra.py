@@ -5,6 +5,9 @@ root operator, and a node may be referenced by several parents (shared
 subexpression). Expressions are immutable trees with structural equality;
 operator nodes deliberately compare by identity so that two structurally
 identical subtrees can still be distinct (unshared) parts of one graph.
+Every walk that computes one value per subexpression (rewriting, compiling,
+printing, costing) is a :func:`fold_expr` step, so a subexpression shared
+within a DAG is visited once and any depth is walked at any recursion limit.
 
 Schemas are ordered tuples of attribute names, unique within one schema.
 Name collisions that would arise when concatenating the inputs of a join or
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from operator import is_
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 
 class AlgebraError(Exception):
@@ -106,6 +109,7 @@ class Cond:
 
 
 Expr = Union[Attr, Const, Arith, Cmp, BoolOp, Cond]
+T = TypeVar("T")
 
 
 def expr_children(e: Expr) -> tuple[Expr, ...]:
@@ -155,26 +159,33 @@ def expr_attrs(e: Expr) -> frozenset[str]:
     return frozenset(x.name for x in expr_nodes(e) if isinstance(x, Attr))
 
 
-def rebuild_expr(e: Expr, step: Callable[[Expr, tuple[Expr, ...]], Expr]) -> Expr:
-    """Rebuild an expression children first, each shared subexpression once:
-    ``step(x, kids)`` gets a subexpression and its rebuilt children and
-    returns what takes its place. Iterative, so any depth is rebuilt at any
-    recursion limit. Subexpressions are memoized by identity; the input
-    holds each of them alive, so an id cannot be reused during the call."""
-    done: dict[int, Expr] = {}
-    stack: list[tuple[Expr, Optional[tuple]]] = [(e, None)]  # (x, its children once expanded)
-    while stack:
-        x, kids = stack.pop()
-        if kids is None:
-            if id(x) in done:
-                continue
-            kids = expr_children(x)
-            if kids:
-                stack.append((x, kids))
-                stack += [(c, None) for c in kids]
-                continue
-        done[id(x)] = step(x, tuple([done[id(c)] for c in kids]))
-    return done[id(e)]
+def fold_expr(roots: Iterable[Expr], step: Callable[[Expr, tuple], T]) -> list[T]:
+    """Fold expressions children first: ``step(x, kid_values)`` gets a
+    subexpression and the values of its :func:`expr_children`, in that
+    order, and returns the subexpression's value; one value per root comes
+    back. A subexpression shared within or across the roots is folded once
+    (memoized by identity; the roots hold every subexpression alive, so an
+    id cannot be reused during the call). Iterative, so any depth is folded
+    at any recursion limit."""
+    roots = tuple(roots)
+    done: dict[int, T] = {}
+    for root in roots:
+        if id(root) in done:
+            continue
+        path = [(root, expr_children(root))]  # (subexpression, its children) from the root down
+        while path:
+            x, kids = path[-1]
+            for c in kids:
+                if id(c) not in done:
+                    grandkids = expr_children(c)
+                    if grandkids:
+                        path.append((c, grandkids))
+                        break
+                    done[id(c)] = step(c, ())  # a leaf folds in place
+            else:
+                path.pop()
+                done[id(x)] = step(x, tuple([done[id(c)] for c in kids]))
+    return [done[id(r)] for r in roots]
 
 
 def substitute_attrs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -182,18 +193,21 @@ def substitute_attrs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     itself when no reference is replaced."""
     if isinstance(e, Attr):
         return mapping.get(e.name, e)
-    return rebuild_expr(e, lambda x, kids: mapping.get(x.name, x) if isinstance(x, Attr)
-                        else expr_with_children(x, kids))
+    return fold_expr((e,), lambda x, kids: mapping.get(x.name, x) if isinstance(x, Attr)
+                     else expr_with_children(x, kids))[0]
 
 
 def conjuncts(e: Expr) -> list[Expr]:
-    """Flatten nested conjunctions into a list of conjuncts."""
-    if isinstance(e, BoolOp) and e.op == "and":
-        out: list[Expr] = []
-        for a in e.args:
-            out.extend(conjuncts(a))
-        return out
-    return [e]
+    """Flatten nested conjunctions into a list of conjuncts, left to right."""
+    out: list[Expr] = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, BoolOp) and x.op == "and":
+            stack += reversed(x.args)
+        else:
+            out.append(x)
+    return out
 
 
 def conjunction(parts: Iterable[Expr]) -> Expr:

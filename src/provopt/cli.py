@@ -43,6 +43,10 @@ def main(argv=None) -> int:
             sqlgen.SqlGenError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:
+        # evaluation, plan parsing and SQL generation still nest one call per level
+        print(f"error: input nested too deeply: {exc}", file=sys.stderr)
+        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

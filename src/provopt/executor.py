@@ -38,10 +38,10 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
-    Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
+    Agg, Arith, Attr, BoolOp, Cmp, Const, Cross, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Join, Node, Project, Relation,
     Select, Union, Window, Value,
-    all_nodes, right_output_names, schema_of,
+    all_nodes, fold_expr, right_output_names, schema_of,
 )
 
 
@@ -122,13 +122,14 @@ def reorder_columns(bag: BagRelation, schema: Iterable[str]) -> BagRelation:
 #
 # An expression is compiled once per operator into a function of a row
 # tuple: every attribute is resolved to its column index up front and the
-# per-row work is one closure call per expression node. Compilation walks
-# the expression as a DAG (memoized by node identity), so the shared
-# conditions reenactment builds compile in time linear in their DAG size.
-# Every check is still made at evaluation time, lazily: an unbound attribute
-# raises only when it is read, a conditional evaluates only the branch it
-# takes, and a boolean operator evaluates all of its arguments and then
-# type-checks each one.
+# per-row work is one closure call per expression node. Compiling is one
+# :func:`~provopt.algebra.fold_expr` over the operator's expressions, so a
+# shared subexpression compiles once and any depth compiles; a compiled
+# function still nests one Python call per level when it runs. Every check
+# but "not an expression" is made at evaluation time, lazily: an unbound
+# attribute raises only when it is read, a conditional evaluates only the
+# branch it takes, and a boolean operator evaluates all of its arguments and
+# then type-checks each one.
 
 
 RowFn = Callable[[tuple], Value]
@@ -161,48 +162,34 @@ def _check_comparable(lv: Value, rv: Value) -> None:
         raise EvalError(f"cannot compare {what} ({lv!r}, {rv!r})")
 
 
-def _compiler(schema: Sequence[str]) -> Callable[[Expr], RowFn]:
-    """A compile function over rows of ``schema``, sharing one memo.
+def _compile(exprs: Iterable[Expr], schema: Sequence[str]) -> list[RowFn]:
+    """The expressions as functions of one row of ``schema``, folded
+    children first so that shared subexpressions compile once.
 
     A repeated attribute name resolves to its last column, as a name ->
     value environment built from the row would."""
     index = {a: i for i, a in enumerate(schema)}
-    # keyed by identity; holding the expression keeps its id from being reused
-    memo: dict[int, tuple[Expr, RowFn]] = {}
 
-    def comp(e: Expr) -> RowFn:
-        if id(e) in memo:
-            return memo[id(e)][1]
-        if isinstance(e, Attr):
-            fn = itemgetter(index[e.name]) if e.name in index else _unbound(e.name)
-        elif isinstance(e, Const):
-            fn = _constant(e.value)
-        elif isinstance(e, Arith):
-            fn = _arith(e.op, comp(e.left), comp(e.right))
-        elif isinstance(e, Cmp):
-            fn = _cmp(e.op, comp(e.left), comp(e.right))
-        elif isinstance(e, BoolOp):
-            fn = _boolop(e.op, tuple(comp(a) for a in e.args))
-        elif isinstance(e, Cond):
-            fn = _cond(comp(e.pred), comp(e.if_true), comp(e.if_false))
-        else:
-            fn = _not_an_expression(e)
-        memo[id(e)] = (e, fn)
-        return fn
+    def step(x: Expr, kids: tuple[RowFn, ...]) -> RowFn:
+        if isinstance(x, Attr):
+            return itemgetter(index[x.name]) if x.name in index else _unbound(x.name)
+        if isinstance(x, Const):
+            return _constant(x.value)
+        if isinstance(x, Arith):
+            return _arith(x.op, *kids)
+        if isinstance(x, Cmp):
+            return _cmp(x.op, *kids)
+        if isinstance(x, BoolOp):
+            return _boolop(x.op, kids)
+        return _cond(*kids)  # fold_expr admits nothing else
 
-    return comp
+    return fold_expr(exprs, step)
 
 
 def _unbound(name: str) -> RowFn:
     def unbound(row):
         raise EvalError(f"unbound attribute {name!r}")
     return unbound
-
-
-def _not_an_expression(e) -> RowFn:
-    def bad(row):
-        raise EvalError(f"not an expression: {e!r}")
-    return bad
 
 
 def _constant(value: Value) -> RowFn:
@@ -267,14 +254,13 @@ def _cond(pred: RowFn, if_true: RowFn, if_false: RowFn) -> RowFn:
 
 def compile_expr(e: Expr, schema: Sequence[str]) -> RowFn:
     """The expression as a function of one row of ``schema``."""
-    return _compiler(schema)(e)
+    return _compile((e,), schema)[0]
 
 
 def compile_row(exprs: Iterable[Expr], schema: Sequence[str]) -> Callable[[tuple], tuple]:
     """A function from a row of ``schema`` to the tuple of the expressions'
     values; subexpressions shared between them compile once."""
-    comp = _compiler(schema)
-    fns = [comp(e) for e in exprs]
+    fns = _compile(exprs, schema)
     return lambda row: tuple([f(row) for f in fns])
 
 
@@ -750,29 +736,25 @@ def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
         return max(1.0, min(d.get(attr, rows), rows))
 
     def selectivity(cond: Expr, d: Mapping[str, float], rows: float) -> float:
-        if isinstance(cond, BoolOp):
-            if cond.op == "and":
-                s = 1.0
-                for c in cond.args:
-                    s *= selectivity(c, d, rows)
-                return s
-            if cond.op == "or":
-                s = 1.0
-                for c in cond.args:
-                    s *= 1.0 - selectivity(c, d, rows)
-                return 1.0 - s
-            return max(0.0, 1.0 - selectivity(cond.args[0], d, rows))
-        if isinstance(cond, Cmp) and cond.op == "=":
-            sides = [cond.left, cond.right]
-            attrs = [s.name for s in sides if isinstance(s, Attr)]
-            if len(attrs) == 2:
-                return 1.0 / max(distinct_of(d, attrs[0], rows), distinct_of(d, attrs[1], rows))
-            if len(attrs) == 1:
-                return 1.0 / distinct_of(d, attrs[0], rows)
+        def step(x: Expr, kids: tuple[float, ...]) -> float:
+            if isinstance(x, BoolOp):
+                if x.op == "and":
+                    return math.prod(kids)
+                if x.op == "or":
+                    return 1.0 - math.prod(1.0 - s for s in kids)
+                return max(0.0, 1.0 - kids[0])
+            if isinstance(x, Cmp) and x.op == "=":
+                attrs = [s.name for s in (x.left, x.right) if isinstance(s, Attr)]
+                if len(attrs) == 2:
+                    return 1.0 / max(distinct_of(d, attrs[0], rows), distinct_of(d, attrs[1], rows))
+                if len(attrs) == 1:
+                    return 1.0 / distinct_of(d, attrs[0], rows)
+                return RANGE_SELECTIVITY
+            if isinstance(x, Const) and x.value is True:
+                return 1.0
             return RANGE_SELECTIVITY
-        if isinstance(cond, Const) and cond.value is True:
-            return 1.0
-        return RANGE_SELECTIVITY
+
+        return fold_expr((cond,), step)[0]
 
     def cap(d: Mapping[str, float], rows: float) -> dict[str, float]:
         return {a: max(1.0, min(v, rows)) for a, v in d.items()}

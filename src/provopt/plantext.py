@@ -32,7 +32,7 @@ from .algebra import (
     AGG_FNS, FRAME_PARTITION, FRAME_RUNNING,
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     Intersect, Join, Node, Project, Relation, Select, Union as UnionOp, Window,
-    all_nodes,
+    all_nodes, fold_expr,
 )
 
 
@@ -318,20 +318,19 @@ def format_name(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _format_step(x: Expr, kids: tuple[str, ...]) -> str:
+    if isinstance(x, Attr):
+        if _BARE.match(x.name) and x.name not in ("true", "false", "null"):
+            return x.name
+        return f"(attr {format_name(x.name)})"
+    if isinstance(x, Const):
+        return _format_literal(x.value)
+    head = "if" if isinstance(x, Cond) else x.op
+    return "(" + head + "".join(" " + k for k in kids) + ")"
+
+
 def format_expr(e: Expr) -> str:
-    if isinstance(e, Attr):
-        if _BARE.match(e.name) and e.name not in ("true", "false", "null"):
-            return e.name
-        return f"(attr {format_name(e.name)})"
-    if isinstance(e, Const):
-        return _format_literal(e.value)
-    if isinstance(e, (Arith, Cmp)):
-        return f"({e.op} {format_expr(e.left)} {format_expr(e.right)})"
-    if isinstance(e, BoolOp):
-        return "(" + e.op + "".join(" " + format_expr(a) for a in e.args) + ")"
-    if isinstance(e, Cond):
-        return f"(if {format_expr(e.pred)} {format_expr(e.if_true)} {format_expr(e.if_false)})"
-    raise TypeError(f"not an expression: {e!r}")
+    return fold_expr((e,), _format_step)[0]
 
 
 def format_plan(node: Node, *, indent: bool = False) -> str:
@@ -355,8 +354,9 @@ def format_plan(node: Node, *, indent: bool = False) -> str:
         if isinstance(n, Select):
             return f"(select {format_expr(n.cond)} {fmt(n.child)})"
         if isinstance(n, Project):
-            targets = " ".join(f"({format_expr(e)} -> {format_name(name)})"
-                               for e, name in n.targets)
+            texts = fold_expr((e for e, _ in n.targets), _format_step)
+            targets = " ".join(f"({t} -> {format_name(name)})"
+                               for t, (_, name) in zip(texts, n.targets))
             return f"(project {targets} {fmt(n.child)})"
         if isinstance(n, Join):
             eqs = [f"(= {format_name(a)} {format_name(b)})" for a, b in n.pairs]

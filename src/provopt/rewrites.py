@@ -43,8 +43,8 @@ from .algebra import (
     Agg, Arith, Attr, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     Intersect, Join, Node, Project, Select, Union, Window,
     all_nodes, conjuncts, conjunction, expr_attrs, expr_nodes,
-    expr_size, expr_with_children,
-    identity_targets, parent_map, rebuild_bottom_up, rebuild_expr, replace_children,
+    expr_size, expr_with_children, fold_expr,
+    identity_targets, parent_map, rebuild_bottom_up, replace_children,
     schema_of, substitute as graph_substitute, substitute_attrs, SchemaError,
 )
 from .properties import (
@@ -154,7 +154,7 @@ def factor_expression(e: Expr) -> Expr:
                 return factored
         return expr_with_children(x, kids)
 
-    return rebuild_expr(e, step)
+    return fold_expr((e,), step)[0]
 
 
 def _factor_cond(pred: Expr, bigger: Expr, base: Expr, *, negate: bool) -> Optional[Expr]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Join, Node, Project, Relation, Select, Union,
-    Window, all_nodes, parent_map, right_output_names, schema_of,
+    Window, all_nodes, fold_expr, parent_map, right_output_names, schema_of,
 )
 
 
@@ -62,53 +62,46 @@ def render_value(v) -> str:
 
 
 _PRECEDENCE = {"*": 2, "/": 2, "+": 1, "-": 1}
+#: what a comparison asks of its sides: more than any arithmetic binds, so
+#: an arithmetic side of a comparison is always parenthesized
+_CMP_PRECEDENCE = 3
+
+
+def _binding(x: Expr) -> int:
+    """How tightly an operand of arithmetic or a comparison binds:
+    attributes, constants and CASE never need parentheses, comparisons and
+    boolean operators always do."""
+    if isinstance(x, Arith):
+        return _PRECEDENCE[x.op]
+    return 0 if isinstance(x, (Cmp, BoolOp)) else _CMP_PRECEDENCE + 1
+
+
+def _render_step(x: Expr, kids: tuple[str, ...]) -> str:
+    if isinstance(x, Attr):
+        return quote_ident(x.name)
+    if isinstance(x, Const):
+        return render_value(x.value)
+    if isinstance(x, BoolOp):
+        if x.op == "not":
+            return f"NOT ({kids[0]})"
+        return (" AND " if x.op == "and" else " OR ").join(
+            f"({k})" if isinstance(a, BoolOp) and a.op in ("and", "or") else k
+            for a, k in zip(x.args, kids))
+    if isinstance(x, Cond):
+        return "CASE WHEN {} THEN {} ELSE {} END".format(*kids)
+    # an Arith or Cmp: a side binding more loosely than the operator is
+    # parenthesized, and a right side binding equally too (a-(b-c))
+    prec = _PRECEDENCE[x.op] if isinstance(x, Arith) else _CMP_PRECEDENCE
+    left, right = kids
+    if _binding(x.left) < prec:
+        left = f"({left})"
+    if _binding(x.right) <= prec:
+        right = f"({right})"
+    return f"{left}{x.op}{right}"
 
 
 def render_expr(e: Expr) -> str:
-    if isinstance(e, Attr):
-        return quote_ident(e.name)
-    if isinstance(e, Const):
-        return render_value(e.value)
-    if isinstance(e, Arith):
-        return _render_arith(e)
-    if isinstance(e, Cmp):
-        return f"{_operand(e.left)}{e.op}{_operand(e.right)}"
-    if isinstance(e, BoolOp):
-        if e.op == "not":
-            return f"NOT ({render_expr(e.args[0])})"
-        joiner = " AND " if e.op == "and" else " OR "
-        return joiner.join(_bool_operand(a) for a in e.args)
-    if isinstance(e, Cond):
-        return (f"CASE WHEN {render_expr(e.pred)} THEN {render_expr(e.if_true)}"
-                f" ELSE {render_expr(e.if_false)} END")
-    raise SqlGenError(f"cannot render expression {e!r}")
-
-
-def _render_arith(e: Arith) -> str:
-    def side(x: Expr, parent_prec: int, right: bool) -> str:
-        if isinstance(x, Arith):
-            prec = _PRECEDENCE[x.op]
-            if prec < parent_prec or (right and prec == parent_prec):
-                return f"({_render_arith(x)})"
-            return _render_arith(x)
-        return _operand(x)
-
-    prec = _PRECEDENCE[e.op]
-    return f"{side(e.left, prec, False)}{e.op}{side(e.right, prec, True)}"
-
-
-def _operand(x: Expr) -> str:
-    if isinstance(x, (Attr, Const, Cond)):
-        return render_expr(x)
-    if isinstance(x, Arith):
-        return f"({_render_arith(x)})"
-    return f"({render_expr(x)})"
-
-
-def _bool_operand(x: Expr) -> str:
-    if isinstance(x, BoolOp) and x.op in ("and", "or"):
-        return f"({render_expr(x)})"
-    return render_expr(x)
+    return fold_expr((e,), _render_step)[0]
 
 
 def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
@@ -152,8 +145,8 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
                     f" WHERE {render_expr(n.cond)}")
         if isinstance(n, Project):
             cols = []
-            for e, name in n.targets:
-                rendered = render_expr(e)
+            texts = fold_expr((e for e, _ in n.targets), _render_step)
+            for (e, name), rendered in zip(n.targets, texts):
                 if isinstance(e, Attr) and e.name == name:
                     cols.append(rendered)
                 else:
