@@ -153,10 +153,24 @@ def expr_size(e: Expr) -> int:
 
 
 def expr_attrs(e: Expr) -> frozenset[str]:
-    """All attribute names referenced by an expression."""
+    """All attribute names referenced by an expression. Iterative, and a
+    shared subexpression is read once (keyed by id; the expression holds
+    every subexpression alive, so an id cannot be reused during the walk),
+    so a DAG costs its size, not its tree size."""
     if isinstance(e, Attr):
         return frozenset((e.name,))
-    return frozenset(x.name for x in expr_nodes(e) if isinstance(x, Attr))
+    names = set()
+    seen = {id(e)}
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Attr):
+            names.add(x.name)
+        for c in expr_children(x):
+            if id(c) not in seen:
+                seen.add(id(c))
+                stack.append(c)
+    return frozenset(names)
 
 
 def fold_expr(roots: Iterable[Expr], step: Callable[[Expr, tuple], T]) -> list[T]:

@@ -44,7 +44,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:
-        # evaluation, plan parsing and SQL generation still nest one call per level
+        # evaluation and plan parsing still nest one call per level
         print(f"error: input nested too deeply: {exc}", file=sys.stderr)
         return 1
 

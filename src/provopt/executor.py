@@ -536,14 +536,6 @@ def poly_weight(p: Poly) -> int:
     return sum(p.values())
 
 
-def format_poly(p: Poly) -> str:
-    terms = []
-    for m, c in sorted(p.items()):
-        body = "*".join(str(v) for v in m)
-        terms.append(body if c == 1 else f"{c}*{body}")
-    return " + ".join(terms) if terms else "0"
-
-
 @dataclass
 class AnnotatedDb:
     """Base relations where every tuple copy carries a distinct variable."""

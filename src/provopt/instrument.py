@@ -293,7 +293,6 @@ class VersionedStore:
     snapshots: dict[str, dict[int, BagRelation]] = field(default_factory=dict)
     keys: dict[str, tuple[str, ...]] = field(default_factory=dict)
     last_updater: dict[str, dict[tuple, int]] = field(default_factory=dict)
-    txn_versions: dict[int, tuple[str, int, int]] = field(default_factory=dict)
 
     def load(self, name: str, rel: BagRelation, key: Optional[Iterable[str]] = None) -> None:
         self.snapshots[name] = {0: rel}
@@ -307,9 +306,6 @@ class VersionedStore:
 
     def snapshot(self, name: str, version: int) -> BagRelation:
         return self.snapshots[name][version]
-
-    def start_version(self, txn_id: int) -> int:
-        return self.txn_versions[txn_id][1]
 
     def apply_transaction(self, txn_id: int, updates: list[UpdateStmt]) -> None:
         """Run the updates sequentially, snapshot the commit state, and mark
@@ -330,13 +326,11 @@ class VersionedStore:
         start = max(self.snapshots[name])
         touched: set[tuple] = set()
         on_match = (lambda env: touched.add(tuple(env[k] for k in key))) if key else None
-        commit = start + 1
-        self.snapshots[name][commit] = replay(updates, self.snapshots[name][start], on_match)
+        self.snapshots[name][start + 1] = replay(updates, self.snapshots[name][start], on_match)
         if key:
             marks = self.last_updater.setdefault(name, {})
             for kv in touched:
                 marks[kv] = txn_id
-        self.txn_versions[txn_id] = (name, start, commit)
 
     def updated_keys(self, txn_id: int, name: str) -> BagRelation:
         """Key values of tuples whose last updater is the transaction."""
@@ -367,10 +361,7 @@ def scope_to_updated(reenact_root: Node, updates: list[UpdateStmt],
     schema = schema_of(base)
     if method == FILTER_UPDATED:
         cond = disjunction(conditions_over_prestate(updates, schema))
-        # unchecked: the condition's schema check walks it as a tree, which
-        # can be exponentially larger than its DAG
-        filtered = Select(cond, base)
-        return substitute(reenact_root, base, filtered, check_schema=False), {}
+        return substitute(reenact_root, base, Select(cond, base)), {}
     if method == HIST_JOIN:
         if store is None or txn_id is None:
             raise InstrumentError("history join needs a store and transaction id")

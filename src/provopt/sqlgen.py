@@ -5,7 +5,10 @@ subqueries. Nodes referenced by more than one parent, and projections
 flagged as materialization fences, become named common table expressions
 emitted once in dependency order; a fence additionally carries a
 ``/*MATERIALIZE*/`` comment (and optionally the MATERIALIZED keyword,
-which some engines honor).
+which some engines honor). The inputs of joins, cross products and set
+operators are aliased ``t1``, ``t2``, ... in reading order: the CTE bodies
+in CTE order, then the main query, each input before the inputs nested in
+it.
 
 Identifiers are emitted bare when they are plain lowercase-safe names and
 double-quoted otherwise, so generated provenance columns read naturally
@@ -113,36 +116,40 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
                  or (isinstance(n, Project) and n.materialize and n is not root)]
     cte_names = {n: f"q{i}" for i, n in enumerate(cte_nodes)}
 
-    alias_counter = [0]
+    # the binary operators' input aliases, numbered in reading order: a
+    # stack walk through the CTE bodies and the main query, inputs first
+    aliases: dict[tuple[Node, int], str] = {}
+    stack = [(n, i) for n in reversed([*cte_nodes, root])
+             for i in reversed(range(len(n.children)))]
+    while stack:
+        n, i = stack.pop()
+        if len(n.children) == 2:
+            aliases[n, i] = f"t{len(aliases) + 1}"
+        c = n.children[i]
+        if c not in cte_names:
+            stack.extend((c, j) for j in reversed(range(len(c.children))))
 
-    def next_alias() -> str:
-        alias_counter[0] += 1
-        return f"t{alias_counter[0]}"
+    text: dict[Node, str] = {}
 
-    def from_clause(n: Node) -> tuple[str, str]:
-        """FROM-able rendering of an input: (sql fragment, alias)."""
-        alias = next_alias()
-        if n in cte_names:
-            return f"{cte_names[n]} AS {alias}", alias
-        if isinstance(n, Relation):
-            return f"{quote_ident(n.name)} AS {alias}", alias
-        return f"({render(n)}) AS {alias}", alias
-
-    def simple_from(n: Node) -> str:
-        """FROM rendering without alias, for single-input operators."""
-        if n in cte_names:
-            return cte_names[n]
-        if isinstance(n, Relation):
-            return quote_ident(n.name)
-        return f"({render(n)})"
+    def source(n: Node, i: int) -> str:
+        """FROM rendering of input i, aliased when n is binary. An inline
+        input has this one parent, so its text leaves the dict here."""
+        c = n.children[i]
+        if c in cte_names:
+            sql = cte_names[c]
+        elif isinstance(c, Relation):
+            sql = quote_ident(c.name)
+        else:
+            sql = f"({text.pop(c)})"
+        alias = aliases.get((n, i))
+        return f"{sql} AS {alias}" if alias else sql
 
     def render(n: Node) -> str:
         if isinstance(n, Relation):
             cols = ", ".join(quote_ident(a) for a in n.attrs)
             return f"SELECT {cols} FROM {quote_ident(n.name)}"
         if isinstance(n, Select):
-            return (f"SELECT * FROM {simple_from(n.child)}"
-                    f" WHERE {render_expr(n.cond)}")
+            return f"SELECT * FROM {source(n, 0)} WHERE {render_expr(n.cond)}"
         if isinstance(n, Project):
             cols = []
             texts = fold_expr((e for e, _ in n.targets), _render_step)
@@ -151,10 +158,9 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
                     cols.append(rendered)
                 else:
                     cols.append(f"{rendered} AS {quote_ident(name)}")
-            return f"SELECT {', '.join(cols)} FROM {simple_from(n.child)}"
+            return f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
         if isinstance(n, (Join, Cross)):
-            left_sql, la = from_clause(n.left)
-            right_sql, ra = from_clause(n.right)
+            la, ra = aliases[n, 0], aliases[n, 1]
             left_schema = schema_of(n.left)
             right_schema = schema_of(n.right)
             right_names = right_output_names(n)
@@ -165,27 +171,25 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
             if isinstance(n, Join):
                 on = " AND ".join(f"{la}.{quote_ident(a)}={ra}.{quote_ident(b)}"
                                   for a, b in n.pairs)
-                return (f"SELECT {', '.join(cols)} FROM {left_sql}"
-                        f" INNER JOIN {right_sql} ON {on}")
-            return (f"SELECT {', '.join(cols)} FROM {left_sql}"
-                    f" CROSS JOIN {right_sql}")
+                return (f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
+                        f" INNER JOIN {source(n, 1)} ON {on}")
+            return (f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
+                    f" CROSS JOIN {source(n, 1)}")
         if isinstance(n, (Union, Intersect, Diff)):
             op = {"Union": "UNION ALL", "Intersect": "INTERSECT ALL",
                   "Diff": "EXCEPT ALL"}[type(n).__name__]
-            left_sql, _ = from_clause(n.left)
-            right_sql, _ = from_clause(n.right)
-            return (f"SELECT * FROM {left_sql} {op} SELECT * FROM {right_sql}")
+            return f"SELECT * FROM {source(n, 0)} {op} SELECT * FROM {source(n, 1)}"
         if isinstance(n, Agg):
             cols = [quote_ident(a) for a in n.group_by]
             cols += [f"{fn}({quote_ident(arg)}) AS {quote_ident(out)}"
                      for fn, arg, out in n.aggs]
-            sql = f"SELECT {', '.join(cols)} FROM {simple_from(n.child)}"
+            sql = f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
             if n.group_by:
                 sql += " GROUP BY " + ", ".join(quote_ident(a) for a in n.group_by)
             return sql
         if isinstance(n, DupElim):
             cols = ", ".join(quote_ident(a) for a in schema_of(n))
-            return f"SELECT DISTINCT {cols} FROM {simple_from(n.child)}"
+            return f"SELECT DISTINCT {cols} FROM {source(n, 0)}"
         if isinstance(n, Window):
             over = []
             if n.partition_by:
@@ -199,28 +203,20 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
             window = f"{n.fn}({quote_ident(n.arg)}) OVER ({' '.join(over)})"
             cols = ", ".join(quote_ident(a) for a in schema_of(n.child))
             return (f"SELECT {cols}, {window} AS {quote_ident(n.out)}"
-                    f" FROM {simple_from(n.child)}")
+                    f" FROM {source(n, 0)}")
         raise SqlGenError(f"unknown operator {type(n).__name__}")
 
-    def render_input(n: Node) -> str:
-        if n in cte_names:
-            return f"SELECT * FROM {cte_names[n]}"
-        return render(n)
-
-    cte_defs = []
-    for n in cte_nodes:
-        body = render(n)
-        cte_defs.append((cte_names[n], body))
-
-    main = render_input(root) if root in cte_names else render(root)
-    if cte_defs:
-        parts = []
-        for (name, body), node in zip(cte_defs, cte_nodes):
-            fence = isinstance(node, Project) and node.materialize
-            hint = " /*MATERIALIZE*/" if fence else ""
-            keyword = " MATERIALIZED" if fence and materialized_keyword else ""
-            parts.append(f"{name} AS{keyword}{hint} (\n  {body}\n)")
-        text = "WITH " + ",\n".join(parts) + "\n" + main
-    else:
-        text = main
-    return SqlUnit(text + ";\n", tuple(cte_defs))
+    for n in order:
+        text[n] = render(n)
+    cte_defs = tuple((cte_names[n], text[n]) for n in cte_nodes)
+    # the root has no parent and is never a fence, so it is never a CTE
+    main = text[root] + ";\n"
+    if not cte_defs:
+        return SqlUnit(main)
+    parts = []
+    for (name, body), n in zip(cte_defs, cte_nodes):
+        fence = isinstance(n, Project) and n.materialize
+        hint = " /*MATERIALIZE*/" if fence else ""
+        keyword = " MATERIALIZED" if fence and materialized_keyword else ""
+        parts.append(f"{name} AS{keyword}{hint} (\n  {body}\n)")
+    return SqlUnit("WITH " + ",\n".join(parts) + "\n" + main, cte_defs)
