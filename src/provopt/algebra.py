@@ -9,9 +9,12 @@ Every walk that computes one value per subexpression (rewriting, compiling,
 printing, costing) is a :func:`fold_expr` step, so a subexpression shared
 within a DAG is visited once and any depth is walked at any recursion limit.
 
+A cross product is a join on no attribute pairs: both are :class:`Product`
+nodes, and a pass handles them as one operator that reads ``pairs``.
+
 Schemas are ordered tuples of attribute names, unique within one schema.
-Name collisions that would arise when concatenating the inputs of a join or
-cross product are resolved by suffixing the right-hand attribute with primes
+Name collisions that would arise when concatenating the inputs of a product
+are resolved by suffixing the right-hand attribute with primes
 (``b`` collides -> ``b'``); the mapping is derivable from the child schemas
 alone. Each node computes its schema from its children's on first use and
 caches it, so :func:`schema_of` is a field read after the first call.
@@ -373,12 +376,9 @@ class Project(Node):
 
 
 @dataclass(frozen=True, eq=False)
-class Join(Node):
-    """Equi-join on pairwise equal attributes (left attr, right attr)."""
-
-    pairs: tuple[tuple[str, str], ...]
-    left: Node
-    right: Node
+class Product(Node):
+    """Equi-join on pairwise equal attributes ``pairs`` (left attr, right
+    attr); on no pairs, the cross product. Subclasses declare the fields."""
 
     @cached_property
     def qualified(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -395,18 +395,19 @@ class Join(Node):
 
 
 @dataclass(frozen=True, eq=False)
-class Cross(Node):
+class Join(Product):
+    pairs: tuple[tuple[str, str], ...]
     left: Node
     right: Node
 
-    @cached_property
-    def qualified(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """:func:`concat_qualified` of the input schemas."""
-        return concat_qualified(self.left.schema, self.right.schema)
 
-    @cached_property
-    def schema(self):
-        return self.qualified[0]
+@dataclass(frozen=True, eq=False)
+class Cross(Product):
+    """Cross product: a join on no pairs."""
+
+    pairs = ()  # a class attribute, not a field
+    left: Node
+    right: Node
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,8 +526,8 @@ def schema_of(node: Node) -> tuple[str, ...]:
 
 
 def right_output_names(node: Node) -> tuple[str, ...]:
-    """Output names of a join/cross right input, aligned with its schema."""
-    if not isinstance(node, (Join, Cross)):
+    """Output names of a product's right input, aligned with its schema."""
+    if not isinstance(node, Product):
         raise GraphError("right_output_names applies to join/cross only")
     schema_of(node.left), schema_of(node.right)  # warm deep inputs iteratively
     return node.qualified[1]
@@ -583,53 +584,6 @@ def substitute(root: Node, target: Node, replacement: Node, *, check_schema: boo
         raise SchemaError("replacement schema differs from target schema "
                           f"({list(schema_of(replacement))} vs {list(schema_of(target))})")
     return rebuild_bottom_up(root, lambda n, rebuilt: replacement if n is target else rebuilt)
-
-
-NOT_ANCESTOR = "not_ancestor"
-ANCESTOR = "ancestor"
-ON_ALL_PATHS = "on_all_paths"
-
-
-def ancestry(root: Node, op1: Node, op2: Node) -> str:
-    """Relation of op2 to op1: downstream on some path, on all paths, or not.
-
-    op2 is an ancestor of op1 when some parent path from op1 toward the root
-    passes through op2; on_all_paths when every such path does. A node is on
-    all paths from itself.
-    """
-    nodes = set(all_nodes(root))
-    if op1 not in nodes or op2 not in nodes:
-        raise GraphError("node not in graph")
-    if op1 is op2:
-        return ON_ALL_PATHS
-    parents = parent_map(root)
-
-    reachable: set[Node] = set()
-    stack = [op1]
-    while stack:
-        n = stack.pop()
-        for p in parents[n]:
-            if p not in reachable:
-                reachable.add(p)
-                stack.append(p)
-    if op2 not in reachable:
-        return NOT_ANCESTOR
-
-    # op2 is on all paths iff the root cannot be reached while avoiding op2
-    if root is op2:
-        return ON_ALL_PATHS
-    seen = {op1}
-    stack = [op1]
-    while stack:
-        n = stack.pop()
-        for p in parents[n]:
-            if p is op2 or p in seen:
-                continue
-            if p is root:
-                return ANCESTOR
-            seen.add(p)
-            stack.append(p)
-    return ON_ALL_PATHS
 
 
 def identity_targets(attrs: Iterable[str]) -> tuple[tuple[Expr, str], ...]:

@@ -40,7 +40,7 @@ def main(argv=None) -> int:
         return 2
     except (algebra.AlgebraError, datafiles.DataError, EvalError, instr.InstrumentError,
             instr.UpdateSyntaxError, optimizer.EnumerationError,
-            sqlgen.SqlGenError, ValueError) as exc:
+            sqlgen.SqlGenError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:
@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(opt)
     opt.add_argument("--plan", type=Path, required=True)
     opt.add_argument("--rules", help="comma-separated rule names to enable")
-    opt.add_argument("--rounds", type=int, default=2)
+    opt.add_argument("--rounds", type=int, default=2,
+                     help="rounds that --dump-steps prints")
     opt.add_argument("--dump-steps", action="store_true",
                      help="print the plan after each rule pass")
     opt.set_defaults(func=cmd_optimize)
@@ -270,12 +271,12 @@ def cmd_optimize(args) -> int:
     _, base_keys, catalog, _ = _load_data(args)
     plan = plantext.parse_plan(args.plan.read_text(), catalog)
     enabled = frozenset(args.rules.split(",")) if args.rules else None
-    cfg = rewrites.RewriteConfig(rounds=args.rounds, enabled=enabled, base_keys=base_keys)
+    cfg = rewrites.RewriteConfig(enabled=enabled, base_keys=base_keys)
     if args.dump_steps:
         lines = []
         current = plan
         memo = rewrites.PipelineMemo()
-        for rnd in range(cfg.rounds):
+        for rnd in range(args.rounds):
             for name, rule in rewrites.RULES.items():
                 if not cfg.rule_enabled(name):
                     continue

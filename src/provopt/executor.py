@@ -19,7 +19,8 @@ key column whose non-null values on the two inputs span more than one kind
 empty. Selection conditions and projection targets are compiled once per
 operator into functions of a row tuple (:func:`compile_expr`), with
 attributes resolved to column indexes and every type check kept, made
-lazily at evaluation time.
+lazily at evaluation time. A cross product is the equi-join on no key
+columns.
 
 Evaluation, annotated evaluation and costing are each one loop over
 :func:`~provopt.algebra.all_nodes`, children before parents: a node's
@@ -38,8 +39,8 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
-    Agg, Arith, Attr, BoolOp, Cmp, Const, Cross, Diff, DupElim, Expr,
-    FRAME_PARTITION, Intersect, Join, Node, Project, Relation,
+    Agg, Arith, Attr, BoolOp, Cmp, Const, Diff, DupElim, Expr,
+    FRAME_PARTITION, Intersect, Node, Product, Project, Relation,
     Select, Union, Window, Value,
     all_nodes, fold_expr, right_output_names, schema_of,
 )
@@ -390,20 +391,13 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
             for t, m in child.rows():
                 out.add(row(t), m)
             return out
-        if isinstance(n, Join):
+        if isinstance(n, Product):
             left, right = memo[n.left], memo[n.right]
             li = [left.schema.index(a) for a, _ in n.pairs]
             ri = [right.schema.index(b) for _, b in n.pairs]
             out = BagRelation(sch)
             for (lt, lm), (rt, rm) in _equi_matches(left.rows(), right.rows(), li, ri):
                 out.add(lt + rt, lm * rm)
-            return out
-        if isinstance(n, Cross):
-            left, right = memo[n.left], memo[n.right]
-            out = BagRelation(sch)
-            for lt, lm in left.rows():
-                for rt, rm in right.rows():
-                    out.add(lt + rt, lm * rm)
             return out
         if isinstance(n, Union):
             left, right = memo[n.left], memo[n.right]
@@ -609,15 +603,11 @@ def evaluate_annotated(root: Node, adb: AnnotatedDb) -> AnnotatedRelation:
         if isinstance(n, Project):
             row = compile_row((e for e, _ in n.targets), schema_of(n.child))
             return merge(sch, ((row(t), p) for t, p in memo[n.child]))
-        if isinstance(n, (Join, Cross)):
-            left, right = memo[n.left], memo[n.right]
-            if isinstance(n, Join):
-                ls, rs = schema_of(n.left), schema_of(n.right)
-                li = [ls.index(a) for a, _ in n.pairs]
-                ri = [rs.index(b) for _, b in n.pairs]
-                matches = _equi_matches(left, right, li, ri)
-            else:
-                matches = ((lt, rt) for lt in left for rt in right)
+        if isinstance(n, Product):
+            ls, rs = schema_of(n.left), schema_of(n.right)
+            li = [ls.index(a) for a, _ in n.pairs]
+            ri = [rs.index(b) for _, b in n.pairs]
+            matches = _equi_matches(memo[n.left], memo[n.right], li, ri)
             return merge(sch, ((lt + rt, poly_product(lp, rp))
                                for (lt, lp), (rt, rp) in matches))
         if isinstance(n, Union):
@@ -769,16 +759,15 @@ def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
             for e, name in n.targets:
                 out[name] = d.get(e.name, in_rows) if isinstance(e, Attr) else in_rows
             return in_rows, cap(out, in_rows), CPU_WEIGHT * in_rows + BUILD_WEIGHT * in_rows
-        if isinstance(n, (Join, Cross)):
+        if isinstance(n, Product):
             lr, ld = info[n.left]
             rr, rd = info[n.right]
             d = dict(ld)
             for orig, out_name in zip(schema_of(n.right), right_output_names(n)):
                 d[out_name] = rd.get(orig, rr)
             est = lr * rr
-            if isinstance(n, Join):
-                for a, b in n.pairs:
-                    est /= max(distinct_of(ld, a, lr), distinct_of(rd, b, rr))
+            for a, b in n.pairs:
+                est /= max(distinct_of(ld, a, lr), distinct_of(rd, b, rr))
             return est, cap(d, est), CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est
         if isinstance(n, Union):
             lr, ld = info[n.left]

@@ -26,9 +26,9 @@ from typing import Callable, Iterable, Optional
 
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, DupElim, Expr, Join,
-    Node, Project, Relation, Select, Union, Window,
+    Node, Product, Project, Relation, Select, Union, Window,
     FRAME_PARTITION, all_nodes, disjunction, expr_attrs, fresh_name, identity_targets,
-    schema_of, substitute, substitute_attrs,
+    replace_children, schema_of, substitute, substitute_attrs,
 )
 from .executor import BagRelation, EvalError, compile_predicate, compile_row, prov_attr_name
 
@@ -69,7 +69,7 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
 
     nodes = all_nodes(root)
     for n in nodes:  # before the first choice is made
-        if not isinstance(n, (Relation, Select, Project, Join, Cross, Union, Agg, DupElim)):
+        if not isinstance(n, (Relation, Select, Project, Product, Union, Agg, DupElim)):
             raise InstrumentError(
                 f"operator {type(n).__name__} is outside the instrumentable fragment")
     occurrences: dict[str, int] = {}
@@ -90,18 +90,15 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
             child = memo[n.child]
             targets = n.targets + identity_targets(child.prov_attrs)
             return _Instrumented(Project(targets, child.node), child.prov_attrs)
-        if isinstance(n, (Join, Cross)):
+        if isinstance(n, Product):
             left, right = memo[n.left], memo[n.right]
             overlap = set(left.prov_attrs) & set(right.prov_attrs)
             if overlap:
                 raise InstrumentError(
                     f"provenance columns collide across join inputs: {sorted(overlap)}; "
                     "self-joins must use distinct relation occurrences")
-            if isinstance(n, Join):
-                node: Node = Join(n.pairs, left.node, right.node)
-            else:
-                node = Cross(left.node, right.node)
-            return _Instrumented(node, left.prov_attrs + right.prov_attrs)
+            return _Instrumented(replace_children(n, (left.node, right.node)),
+                                 left.prov_attrs + right.prov_attrs)
         if isinstance(n, Union):
             left, right = memo[n.left], memo[n.right]
             orig_left = schema_of(n.left)

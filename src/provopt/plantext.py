@@ -31,9 +31,13 @@ from typing import Mapping, Optional
 from .algebra import (
     AGG_FNS, FRAME_PARTITION, FRAME_RUNNING,
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
-    Intersect, Join, Node, Project, Relation, Select, Union as UnionOp, Window,
-    all_nodes, fold_expr,
+    Intersect, Join, Node, Product, Project, Relation, Select, SetOp, Union as UnionOp,
+    Window, all_nodes, fold_expr,
 )
+
+#: the binary operators written ``(NAME node node)``, by name and by class
+_BINARY = {"cross": Cross, "union": UnionOp, "intersect": Intersect, "diff": Diff}
+_BINARY_NAME = {cls: name for name, cls in _BINARY.items()}
 
 
 class PlanSyntaxError(Exception):
@@ -190,6 +194,8 @@ def _parse_join_cond(x) -> tuple[tuple[str, str], ...]:
             _err(x, "'=' takes two attribute names")
         return ((_name_text(items[1], "attribute"), _name_text(items[2], "attribute")),)
     if head == "and":
+        if len(items) < 2:
+            _err(x, "'and' needs at least one (= a b)")
         pairs = []
         for sub in items[1:]:
             pairs.extend(_parse_join_cond(sub))
@@ -232,11 +238,10 @@ def parse_node(x, catalog: Optional[Mapping[str, tuple[str, ...]]]) -> Node:
         if len(args) != 3:
             _err(x, "(join COND node node)")
         return Join(_parse_join_cond(args[0]), node_arg(args[1]), node_arg(args[2]))
-    if kind in ("cross", "union", "intersect", "diff"):
+    if kind in _BINARY:
         if len(args) != 2:
             _err(x, f"({kind} node node)")
-        cls = {"cross": Cross, "union": UnionOp, "intersect": Intersect, "diff": Diff}[kind]
-        return cls(node_arg(args[0]), node_arg(args[1]))
+        return _BINARY[kind](node_arg(args[0]), node_arg(args[1]))
     if kind == "agg":
         if len(args) != 3:
             _err(x, "(agg (groupby ...) (aggs ...) node)")
@@ -358,18 +363,14 @@ def format_plan(node: Node, *, indent: bool = False) -> str:
             targets = " ".join(f"({t} -> {format_name(name)})"
                                for t, (_, name) in zip(texts, n.targets))
             return f"(project {targets} {fmt(n.child)})"
-        if isinstance(n, Join):
+        if isinstance(n, Product) and n.pairs:
             eqs = [f"(= {format_name(a)} {format_name(b)})" for a, b in n.pairs]
             cond = eqs[0] if len(eqs) == 1 else "(and " + " ".join(eqs) + ")"
             return f"(join {cond} {fmt(n.left)} {fmt(n.right)})"
-        if isinstance(n, Cross):
-            return f"(cross {fmt(n.left)} {fmt(n.right)})"
-        if isinstance(n, UnionOp):
-            return f"(union {fmt(n.left)} {fmt(n.right)})"
-        if isinstance(n, Intersect):
-            return f"(intersect {fmt(n.left)} {fmt(n.right)})"
-        if isinstance(n, Diff):
-            return f"(diff {fmt(n.left)} {fmt(n.right)})"
+        if isinstance(n, (Product, SetOp)):
+            # a join on no pairs prints as the cross product it is
+            kind = "cross" if isinstance(n, Product) else _BINARY_NAME[type(n)]
+            return f"({kind} {fmt(n.left)} {fmt(n.right)})"
         if isinstance(n, Agg):
             aggs = " ".join(f"({fn} {format_name(arg)} -> {format_name(out)})"
                             for fn, arg, out in n.aggs)

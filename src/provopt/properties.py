@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .algebra import (
-    Agg, Attr, BoolOp, Cmp, Const, Cross, Diff, DupElim, Expr,
-    Intersect, Join, Node, Project, Relation, Select, SetOp, Union, Window,
+    Agg, Attr, BoolOp, Cmp, Const, Diff, DupElim, Expr,
+    Intersect, Node, Product, Project, Relation, Select, SetOp, Union, Window,
     all_nodes, expr_attrs, right_output_names, schema_of,
 )
 
@@ -236,7 +236,7 @@ def _keys_of(n: Node, out, base_keys) -> frozenset[KeySet]:
             if all(a in by_source for a in k):
                 keys.append(frozenset(by_source[a] for a in k))
         return frozenset(keys)
-    if isinstance(n, Join):
+    if isinstance(n, Product):
         left_keys, right_keys = out[n.left], out[n.right]
         right_map = dict(zip(schema_of(n.right), right_output_names(n)))
         la = frozenset(a for a, _ in n.pairs)
@@ -247,13 +247,6 @@ def _keys_of(n: Node, out, base_keys) -> frozenset[KeySet]:
                 k2m = frozenset(right_map[a] for a in k2)
                 keys.append((k1 | la) | (k2m - rb))
                 keys.append((k2m | rb) | (k1 - la))
-        return frozenset(keys)
-    if isinstance(n, Cross):
-        right_map = dict(zip(schema_of(n.right), right_output_names(n)))
-        keys = []
-        for k1 in out[n.left]:
-            for k2 in out[n.right]:
-                keys.append(k1 | frozenset(right_map[a] for a in k2))
         return frozenset(keys)
     if isinstance(n, Agg):
         outs = frozenset(name for _, _, name in n.aggs)
@@ -295,11 +288,11 @@ def filter_map(node: Node, child_idx: int) -> Optional[dict[str, str]]:
     other operator one input that takes it suffices.
     """
     if isinstance(node, (Select, DupElim)) or (
-            child_idx == 0 and isinstance(node, (Join, Cross, SetOp))):
+            child_idx == 0 and isinstance(node, (Product, SetOp))):
         return {a: a for a in schema_of(node.children[child_idx])}
     if isinstance(node, Project):
         return _pure_renames(node)
-    if isinstance(node, (Join, Cross)):
+    if isinstance(node, Product):
         return dict(zip(right_output_names(node), schema_of(node.right)))
     if isinstance(node, Agg):
         # filtering other child columns would change the groups' aggregates
@@ -404,14 +397,11 @@ def _ec_up(n: Node, up) -> frozenset[EcClass]:
             grouped.setdefault(class_of_attr[src], []).append(name)
         return frozenset(frozenset(names).union(m for m in c if not isinstance(m, str))
                          for c, names in grouped.items())
-    if isinstance(n, Join):
+    if isinstance(n, Product):
         right_map = dict(zip(schema_of(n.right), right_output_names(n)))
         right = _rename_classes(up[n.right], right_map)
         pairs = frozenset(frozenset((a, right_map[b])) for a, b in n.pairs)
         return up[n.left] | right | pairs
-    if isinstance(n, Cross):
-        right_map = dict(zip(schema_of(n.right), right_output_names(n)))
-        return up[n.left] | _rename_classes(up[n.right], right_map)
     if isinstance(n, Agg):
         group = frozenset(n.group_by)
         kept = frozenset(c & group for c in up[n.child] if c & group)
@@ -461,16 +451,15 @@ def _icols_down(n: Node, child_idx: int, need: frozenset[str]) -> set[str]:
             if name in need:
                 cols |= set(expr_attrs(e))
         return cols
-    if isinstance(n, (Join, Cross)):
+    if isinstance(n, Product):
         left_schema = schema_of(n.left)
         right_schema = schema_of(n.right)
         right_names = right_output_names(n)
+        right_map = dict(zip(right_schema, right_names))
         demanded = set(need)
-        if isinstance(n, Join):
-            right_map = dict(zip(right_schema, right_names))
-            for a, b in n.pairs:
-                demanded.add(a)
-                demanded.add(right_map[b])
+        for a, b in n.pairs:
+            demanded.add(a)
+            demanded.add(right_map[b])
         if child_idx == 0:
             return demanded & set(left_schema)
         back = dict(zip(right_names, right_schema))

@@ -36,12 +36,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import count
 from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
-    Agg, Arith, Attr, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
-    Intersect, Join, Node, Project, Select, Union, Window,
+    Agg, Arith, Attr, Cmp, Cond, Const, Diff, DupElim, Expr,
+    Intersect, Join, Node, Product, Project, Select, Union, Window,
     all_nodes, conjuncts, conjunction, expr_attrs, expr_nodes,
     expr_size, expr_with_children, fold_expr,
     identity_targets, parent_map, rebuild_bottom_up, replace_children,
@@ -65,7 +64,6 @@ MERGE_REF_LIMIT = 1
 
 @dataclass
 class RewriteConfig:
-    rounds: int = 2
     #: rule names to run; None enables the full pipeline
     enabled: Optional[frozenset] = None
     #: per-candidate callback for the set-based duplicate elimination removal
@@ -364,7 +362,7 @@ def remove_window(root: Node) -> Node:
 # provenance projection pull-up
 
 
-_PULL_THROUGH = (Select, Join, Cross, DupElim)
+_PULL_THROUGH = (Select, Product, DupElim)
 
 
 def pull_up_prov_projection(root: Node) -> Node:
@@ -664,14 +662,13 @@ def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     """Run the fixed-order rewrite pipeline, then restore the original root
     schema (rules may reorder columns).
 
-    The configured round count is a minimum: rounds repeat until one in
-    which no rule fired, so a rewritten plan is a fixpoint and a second
-    application is a no-op. A rule that fires returns a new root object and
-    one that does not returns its input, so "no rule fired" is ``root is
-    before``. There is no round cap: a rule pair that undid each other's
-    work would loop, and is a defect of the rules. A late-created
-    opportunity (say, a pruning projection inserted after the merge pass
-    ran) is picked up by the next round.
+    Rounds repeat until one in which no rule fired, so a rewritten plan is
+    a fixpoint and a second application is a no-op. A rule that fires
+    returns a new root object and one that does not returns its input, so
+    "no rule fired" is ``root is before``. There is no round cap: a rule
+    pair that undid each other's work would loop, and is a defect of the
+    rules. A late-created opportunity (say, a pruning projection inserted
+    after the merge pass ran) is picked up by the next round.
 
     A rule is not run again on a root it returned unchanged: rules are
     deterministic functions of their input graph, and the stateful
@@ -683,7 +680,8 @@ def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     original_schema = schema_of(root)
     memo = PipelineMemo()
     at_fixpoint: dict[str, Node] = {}  # rule -> the last root it left unchanged
-    for rnd in count(1):
+    before = None
+    while root is not before:
         before = root
         for name, rule in RULES.items():
             if cfg.rule_enabled(name) and at_fixpoint.get(name) is not root:
@@ -691,8 +689,6 @@ def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
                 if new_root is root:
                     at_fixpoint[name] = root
                 root = new_root
-        if rnd >= cfg.rounds and root is before:
-            break
     if schema_of(root) != original_schema:
         # rules may have reordered columns; restore and fold the fix-up
         # projection so reapplying the pipeline starts from a fixpoint

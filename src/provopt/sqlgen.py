@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from .algebra import (
-    Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
-    FRAME_PARTITION, Intersect, Join, Node, Project, Relation, Select, Union,
+    Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
+    FRAME_PARTITION, Intersect, Node, Product, Project, Relation, Select, Union,
     Window, all_nodes, fold_expr, parent_map, right_output_names, schema_of,
 )
 
@@ -159,7 +159,7 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
                 else:
                     cols.append(f"{rendered} AS {quote_ident(name)}")
             return f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
-        if isinstance(n, (Join, Cross)):
+        if isinstance(n, Product):
             la, ra = aliases[n, 0], aliases[n, 1]
             left_schema = schema_of(n.left)
             right_schema = schema_of(n.right)
@@ -168,13 +168,11 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
             for src, out in zip(right_schema, right_names):
                 ref = f"{ra}.{quote_ident(src)}"
                 cols.append(ref if src == out else f"{ref} AS {quote_ident(out)}")
-            if isinstance(n, Join):
-                on = " AND ".join(f"{la}.{quote_ident(a)}={ra}.{quote_ident(b)}"
-                                  for a, b in n.pairs)
-                return (f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
-                        f" INNER JOIN {source(n, 1)} ON {on}")
-            return (f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
-                    f" CROSS JOIN {source(n, 1)}")
+            sql = f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
+            if not n.pairs:
+                return f"{sql} CROSS JOIN {source(n, 1)}"
+            on = " AND ".join(f"{la}.{quote_ident(a)}={ra}.{quote_ident(b)}" for a, b in n.pairs)
+            return f"{sql} INNER JOIN {source(n, 1)} ON {on}"
         if isinstance(n, (Union, Intersect, Diff)):
             op = {"Union": "UNION ALL", "Intersect": "INTERSECT ALL",
                   "Diff": "EXCEPT ALL"}[type(n).__name__]

@@ -1,12 +1,9 @@
-import random
-
 import pytest
 
 from provopt.algebra import (
-    ANCESTOR, NOT_ANCESTOR, ON_ALL_PATHS,
     Agg, Arith, Attr, Cmp, Const, Cross, DupElim, GraphError,
     Join, Project, Relation, SchemaError, Select, Union, Window,
-    all_nodes, ancestry, expr_attrs, expr_size, fresh_name, node_count,
+    all_nodes, expr_attrs, expr_size, fresh_name, node_count,
     parent_map, replace_children, right_output_names, schema_of,
     structurally_equal, substitute, substitute_attrs,
 )
@@ -113,44 +110,6 @@ class TestSubstitute:
         q = DupElim(rel())
         with pytest.raises(SchemaError):
             substitute(q, q.child, rel("S", ("x",)))
-
-
-class TestAncestry:
-    def test_linear_chain_on_all_paths(self):
-        leaf = rel()
-        mid = Select(Cmp("<", Attr("a"), Const(3)), leaf)
-        root = DupElim(mid)
-        assert ancestry(root, leaf, root) == ON_ALL_PATHS
-        assert ancestry(root, leaf, mid) == ON_ALL_PATHS
-
-    def test_diamond_one_branch_is_plain_ancestor(self):
-        leaf = rel()
-        branch = DupElim(leaf)
-        other = Select(Cmp(">", Attr("a"), Const(0)), leaf)
-        root = Union(branch, other)
-        assert ancestry(root, leaf, branch) == ANCESTOR
-
-    def test_root_has_no_ancestors(self):
-        leaf = rel()
-        root = DupElim(leaf)
-        assert ancestry(root, root, leaf) == NOT_ANCESTOR
-
-    def test_consistency_on_random_dags(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            leaf = rel()
-            nodes = [leaf]
-            for _ in range(rng.randint(1, 6)):
-                child = rng.choice(nodes)
-                nodes.append(DupElim(child))
-            root = nodes[-1]
-            for _ in range(len(nodes)):
-                a, b = rng.choice(nodes), rng.choice(nodes)
-                if a not in set(all_nodes(root)) or b not in set(all_nodes(root)):
-                    continue
-                res = ancestry(root, a, b)
-                if res == ON_ALL_PATHS:
-                    assert ancestry(root, a, b) != NOT_ANCESTOR
 
 
 class TestExprHelpers:

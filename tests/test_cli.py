@@ -236,3 +236,27 @@ class TestOtherCommands:
             sizes[name] = int(size)
         assert sizes["heuristic"] <= sizes["unoptimized"]
         assert sizes["naive_merge"] >= sizes["heuristic"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("sql", "--plan", "nope.plan"),
+    ("run", "--prov-of", "nope.plan", "--data", "fixtures"),
+    ("run", "--reenact", "nope.sql", "--data", "fixtures_txn"),
+])
+def test_missing_input_file_is_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No such file or directory" in err and "nope." in err
+
+
+def test_empty_join_condition_is_a_syntax_error(capsys, tmp_path):
+    plan = tmp_path / "q.plan"
+    plan.write_text("(join (and) (rel R (attrs a b)) (rel S (attrs c)))")
+    code, out, err = run_cli(capsys, "sql", "--plan", str(plan))
+    assert code == 2 and out == ""
+    assert err.startswith("plan syntax error: ") and "(line 1, column 7)" in err

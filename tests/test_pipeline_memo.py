@@ -55,7 +55,7 @@ def reference_apply_pats(root: Node, cfg: RewriteConfig) -> Node:
         for name, rule in REFERENCE_RULES.items():
             if cfg.rule_enabled(name):
                 root = rule(root, cfg, kept)
-        if rnd >= cfg.rounds and root is before:
+        if rnd >= 2 and root is before:
             break
     if schema_of(root) != original_schema:
         root = Project(identity_targets(original_schema), root)
@@ -143,11 +143,11 @@ def _count_rule_calls(monkeypatch):
 
 
 def test_rule_not_rerun_on_a_root_it_left_unchanged(monkeypatch):
-    # nothing fires on this plan: round 1 runs every rule once, and the
-    # second round (the configured minimum) runs none of them again
+    # nothing fires on this plan: round 1 runs every rule once, and no
+    # rule runs again
     q = Select(Cmp("=", Attr("a"), Const(1)), Relation("R", ("a", "b")))
     calls = _count_rule_calls(monkeypatch)
-    assert apply_pats(q, RewriteConfig(rounds=2)) is q
+    assert apply_pats(q, RewriteConfig()) is q
     assert calls == list(RULE_ORDER)
 
 
@@ -157,7 +157,7 @@ def test_rule_runs_again_once_another_rule_changed_the_root(monkeypatch):
     q = Project(identity_targets(("a", "b")),
                 Select(Cmp("=", Attr("a"), Const(1)), Relation("R", ("a", "b"))))
     calls = _count_rule_calls(monkeypatch)
-    out = apply_pats(q, RewriteConfig(rounds=1))
+    out = apply_pats(q, RewriteConfig())
     assert isinstance(out, Select)
     assert calls == list(RULE_ORDER) * 2
 

@@ -1,7 +1,7 @@
 import pytest
 
 from provopt.algebra import (
-    Agg, Arith, Attr, Cmp, Cond, Const, Join, Project, Relation, Select,
+    Agg, Arith, Attr, Cmp, Cond, Const, Cross, Join, Project, Relation, Select,
     Union, Window, structurally_equal,
 )
 from provopt.plantext import PlanSyntaxError, format_plan, parse_plan
@@ -84,3 +84,18 @@ def test_multi_pair_join_condition():
     q = parse_plan(text)
     assert q.pairs == (("a", "c"), ("b", "d"))
     roundtrip(q)
+
+
+@pytest.mark.parametrize("cond, col", [("(and)", 7), ("(and (= a c) (and))", 20)])
+def test_join_condition_needs_a_pair(cond, col):
+    with pytest.raises(PlanSyntaxError) as err:
+        parse_plan(f"(join {cond} (rel R (attrs a b)) (rel S (attrs c d)))")
+    assert (err.value.line, err.value.col) == (1, col)
+    assert "'and' needs at least one (= a b)" in str(err.value)
+
+
+def test_join_on_no_pairs_prints_as_cross():
+    r, s = Relation("R", ("a", "b")), Relation("S", ("a", "c"))
+    text = format_plan(Join((), r, s))
+    assert text == "(cross (rel R (attrs a b)) (rel S (attrs a c)))"
+    assert structurally_equal(parse_plan(text), Cross(r, s))
