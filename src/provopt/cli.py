@@ -44,7 +44,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:
-        # evaluation and plan parsing still nest one call per level
+        # running a compiled expression still nests one call per level
         print(f"error: input nested too deeply: {exc}", file=sys.stderr)
         return 1
 

@@ -1,28 +1,24 @@
-"""Bag-semantics evaluator, annotated evaluator, and cost model.
+"""Bag-semantics evaluator and cost model.
 
-The plain evaluator is the correctness oracle for the rest of the package:
-each operator implements its multiset definition directly. The annotated
-evaluator propagates provenance polynomials (sums of products of tuple
-variables) over the fragment where that semantics is defined, and
-:func:`encode_provenance` flattens those polynomials into the relational
-encoding (one output row per monomial, witness values in duplicated
-columns).
+The evaluator is the correctness oracle for the rest of the package: each
+operator implements its multiset definition directly, and it is the one
+evaluator in the package (provenance comes from evaluating an instrumented
+query, not from a second engine).
 
-Both evaluators touch each input row a constant number of times per
-operator. An equi-join builds a dict on the right input's key values and
-probes it with the left rows in order, so matches come out in nested-loop
-order (left rows in order, their right matches in right order) and bags,
-float sums above the join and printed output do not depend on the join
-algorithm. A key with a null never matches, ``1`` matches ``1.0``, and a
-key column whose non-null values on the two inputs span more than one kind
-(boolean, numeric, other) raises :class:`EvalError` unless an input is
-empty. Selection conditions and projection targets are compiled once per
-operator into functions of a row tuple (:func:`compile_expr`), with
-attributes resolved to column indexes and every type check kept, made
-lazily at evaluation time. A cross product is the equi-join on no key
-columns.
+Each operator touches each input row a constant number of times. An
+equi-join builds a dict on the right input's key values and probes it with
+the left rows in order, so matches come out in nested-loop order (left rows
+in order, their right matches in right order) and bags, float sums above
+the join and printed output do not depend on the join algorithm. A key with
+a null never matches, ``1`` matches ``1.0``, and a key column whose non-null
+values on the two inputs span more than one kind (boolean, numeric, other)
+raises :class:`EvalError` unless an input is empty. Selection conditions and
+projection targets are compiled once per operator into functions of a row
+tuple (:func:`compile_expr`), with attributes resolved to column indexes and
+every type check kept, made lazily at evaluation time. A cross product is
+the equi-join on no key columns.
 
-Evaluation, annotated evaluation and costing are each one loop over
+Evaluation and costing are each one loop over
 :func:`~provopt.algebra.all_nodes`, children before parents: a node's
 result goes into a dict that its parents read, so shared nodes run once
 and a plan of any depth runs at the default recursion limit.
@@ -82,9 +78,6 @@ class BagRelation:
     @property
     def total(self) -> int:
         return sum(self.tuples.values())
-
-    def support(self) -> frozenset[tuple]:
-        return frozenset(self.tuples)
 
     def renamed(self, schema: Iterable[str]) -> "BagRelation":
         schema = tuple(schema)
@@ -488,197 +481,6 @@ def _order_key(t: tuple, oi: list[int]) -> tuple:
         if v is None:
             raise EvalError("null in window ordering")
     return key
-
-
-# ---------------------------------------------------------------------------
-# annotated evaluation
-
-
-@dataclass(frozen=True, order=True)
-class TupleVar:
-    """One variable per base tuple copy, named after its source relation."""
-
-    rel: str
-    idx: int
-
-    def __str__(self):
-        return f"{self.rel}{self.idx}"
-
-
-Monomial = tuple[TupleVar, ...]  # sorted variables, repetition allowed
-Poly = dict[Monomial, int]  # monomial -> coefficient >= 1
-
-
-def poly_product(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(sorted(ma + mb))
-            out[m] = out.get(m, 0) + ca * cb
-    return out
-
-
-def poly_sum(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, 0) + c
-    return out
-
-
-def poly_weight(p: Poly) -> int:
-    """Evaluate the polynomial with every variable set to 1."""
-    return sum(p.values())
-
-
-@dataclass
-class AnnotatedDb:
-    """Base relations where every tuple copy carries a distinct variable."""
-
-    tables: dict[str, list[tuple[tuple, TupleVar]]]
-    schemas: dict[str, tuple[str, ...]]
-    var_rows: dict[TupleVar, tuple]
-
-
-def annotate(db: Mapping[str, BagRelation]) -> AnnotatedDb:
-    tables: dict[str, list[tuple[tuple, TupleVar]]] = {}
-    schemas: dict[str, tuple[str, ...]] = {}
-    var_rows: dict[TupleVar, tuple] = {}
-    for name in sorted(db):
-        rel = db[name]
-        rows = []
-        idx = 1
-        for t in sorted(rel.tuples, key=repr):
-            for _ in range(rel.tuples[t]):
-                var = TupleVar(name, idx)
-                idx += 1
-                rows.append((t, var))
-                var_rows[var] = t
-        tables[name] = rows
-        schemas[name] = rel.schema
-    return AnnotatedDb(tables, schemas, var_rows)
-
-
-@dataclass
-class AnnotatedRelation:
-    """Rows paired with provenance polynomials; one row per distinct tuple."""
-
-    schema: tuple[str, ...]
-    rows: list[tuple[tuple, Poly]]
-    #: source relations in leaf order, for the relational encoding
-    sources: tuple[str, ...]
-    var_rows: Mapping[TupleVar, tuple]
-    source_schemas: Mapping[str, tuple[str, ...]]
-
-    def as_bag(self) -> BagRelation:
-        """Drop annotations, interpreting each polynomial's weight as a count."""
-        out = BagRelation(self.schema)
-        for t, p in self.rows:
-            out.add(t, poly_weight(p))
-        return out
-
-
-def evaluate_annotated(root: Node, adb: AnnotatedDb) -> AnnotatedRelation:
-    """Propagate provenance polynomials through the supported fragment."""
-    sources: list[str] = []
-
-    def merge(schema, pairs: Iterable[tuple[tuple, Poly]]) -> list[tuple[tuple, Poly]]:
-        acc: dict[tuple, Poly] = {}
-        for t, p in pairs:
-            acc[t] = poly_sum(acc.get(t, {}), p)
-        return list(acc.items())
-
-    memo: dict[Node, list[tuple[tuple, Poly]]] = {}
-
-    def compute(n: Node) -> list[tuple[tuple, Poly]]:
-        sch = schema_of(n)
-        if isinstance(n, Relation):
-            if n.name not in adb.tables:
-                raise EvalError(f"unbound relation {n.name!r}")
-            if n.name not in sources:
-                sources.append(n.name)
-            return merge(sch, ((t, {(var,): 1}) for t, var in adb.tables[n.name]))
-        if isinstance(n, Select):
-            keep = compile_predicate(n.cond, schema_of(n.child))
-            return [(t, p) for t, p in memo[n.child] if keep(t)]
-        if isinstance(n, Project):
-            row = compile_row((e for e, _ in n.targets), schema_of(n.child))
-            return merge(sch, ((row(t), p) for t, p in memo[n.child]))
-        if isinstance(n, Product):
-            ls, rs = schema_of(n.left), schema_of(n.right)
-            li = [ls.index(a) for a, _ in n.pairs]
-            ri = [rs.index(b) for _, b in n.pairs]
-            matches = _equi_matches(memo[n.left], memo[n.right], li, ri)
-            return merge(sch, ((lt + rt, poly_product(lp, rp))
-                               for (lt, lp), (rt, rp) in matches))
-        if isinstance(n, Union):
-            return merge(sch, memo[n.left] + memo[n.right])
-        if isinstance(n, Agg):
-            child = memo[n.child]
-            csch = schema_of(n.child)
-            gi = [csch.index(a) for a in n.group_by]
-            args = [csch.index(a) for _, a, _ in n.aggs]
-            groups: dict[tuple, list[tuple[tuple, Poly]]] = {}
-            for t, p in child:
-                groups.setdefault(tuple(t[i] for i in gi), []).append((t, p))
-            pairs = []
-            for key, members in groups.items():
-                vals = tuple(
-                    aggregate(fn, [(t[ai], poly_weight(p)) for t, p in members])
-                    for (fn, _, _), ai in zip(n.aggs, args)
-                )
-                poly: Poly = {}
-                for _, p in members:
-                    poly = poly_sum(poly, p)
-                pairs.append((key + vals, poly))
-            return merge(sch, pairs)
-        if isinstance(n, DupElim):
-            # rows are merged by tuple already; alternatives stay summed
-            return memo[n.child]
-        raise EvalError(f"operator {type(n).__name__} outside the annotated fragment")
-
-    for n in all_nodes(root):
-        memo[n] = compute(n)
-    return AnnotatedRelation(schema_of(root), memo[root], tuple(sources), adb.var_rows,
-                             adb.schemas)
-
-
-def prov_attr_name(rel: str, occurrence: int, attr: str) -> str:
-    """SQL-safe name for a duplicated provenance column."""
-    return f"prov_{rel}_{occurrence}_{attr}"
-
-
-def encode_provenance(ann: AnnotatedRelation) -> BagRelation:
-    """Flatten polynomials into the relational provenance encoding.
-
-    One output row per (tuple, monomial); the original attributes are
-    followed by one block of witness columns per source relation. A
-    monomial drawing two tuples from the same relation cannot be widened
-    into that layout and raises.
-    """
-    schema = list(ann.schema)
-    blocks: list[tuple[str, tuple[str, ...]]] = []
-    for rel in ann.sources:
-        attrs = ann.source_schemas[rel]
-        blocks.append((rel, attrs))
-        schema.extend(prov_attr_name(rel, 0, a) for a in attrs)
-    out = BagRelation(tuple(schema))
-    for t, poly in ann.rows:
-        for mono, coeff in poly.items():
-            by_rel: dict[str, TupleVar] = {}
-            for var in mono:
-                if var.rel in by_rel and by_rel[var.rel] != var:
-                    raise EvalError(
-                        f"monomial uses two tuples of relation {var.rel!r}; "
-                        "self-joins need occurrence disambiguation before encoding")
-                by_rel[var.rel] = var
-            row = list(t)
-            for rel, attrs in blocks:
-                if rel in by_rel:
-                    row.extend(ann.var_rows[by_rel[rel]])
-                else:
-                    row.extend([None] * len(attrs))
-            out.add(tuple(row), coeff)
-    return out
 
 
 # ---------------------------------------------------------------------------

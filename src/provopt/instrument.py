@@ -30,7 +30,7 @@ from .algebra import (
     FRAME_PARTITION, all_nodes, disjunction, expr_attrs, fresh_name, identity_targets,
     replace_children, schema_of, substitute, substitute_attrs,
 )
-from .executor import BagRelation, EvalError, compile_predicate, compile_row, prov_attr_name
+from .executor import BagRelation, EvalError, compile_predicate, compile_row
 
 
 class InstrumentError(Exception):
@@ -41,6 +41,11 @@ AGG_WINDOW = 0
 AGG_JOIN = 1
 
 ChoiceFn = Callable[[int], int]
+
+
+def prov_attr_name(rel: str, occurrence: int, attr: str) -> str:
+    """SQL-safe name for a duplicated provenance column."""
+    return f"prov_{rel}_{occurrence}_{attr}"
 
 
 @dataclass
@@ -296,13 +301,6 @@ class VersionedStore:
         if key:
             self.keys[name] = tuple(key)
         self.last_updater.setdefault(name, {})
-
-    def current(self, name: str) -> BagRelation:
-        versions = self.snapshots[name]
-        return versions[max(versions)]
-
-    def snapshot(self, name: str, version: int) -> BagRelation:
-        return self.snapshots[name][version]
 
     def apply_transaction(self, txn_id: int, updates: list[UpdateStmt]) -> None:
         """Run the updates sequentially, snapshot the commit state, and mark

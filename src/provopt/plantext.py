@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .algebra import (
     AGG_FNS, FRAME_PARTITION, FRAME_RUNNING,
@@ -71,24 +71,28 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 def _read(toks: list[_Tok], pos: int):
-    """Read one s-expression; returns (tree, next position)."""
+    """Read one s-expression; returns (tree, next position). A list is
+    (opening token, items); the lists still open are a stack, so any depth
+    is read at any recursion limit."""
     if pos >= len(toks):
         last = toks[-1] if toks else _Tok("", 1, 1)
         raise PlanSyntaxError("unexpected end of input", last.line, last.col)
-    t = toks[pos]
-    if t.text == "(":
-        items = []
+    open_lists: list[tuple[_Tok, list]] = []
+    while True:
+        t = toks[pos]
         pos += 1
-        while True:
-            if pos >= len(toks):
-                raise PlanSyntaxError("missing closing parenthesis", t.line, t.col)
-            if toks[pos].text == ")":
-                return (t, items), pos + 1
-            item, pos = _read(toks, pos)
-            items.append(item)
-    if t.text == ")":
-        raise PlanSyntaxError("unexpected ')'", t.line, t.col)
-    return t, pos + 1
+        if t.text == "(":
+            open_lists.append((t, []))
+        elif t.text == ")" and not open_lists:
+            raise PlanSyntaxError("unexpected ')'", t.line, t.col)
+        else:
+            tree = open_lists.pop() if t.text == ")" else t
+            if not open_lists:
+                return tree, pos
+            open_lists[-1][1].append(tree)
+        if pos >= len(toks):
+            opened = open_lists[-1][0]
+            raise PlanSyntaxError("missing closing parenthesis", opened.line, opened.col)
 
 
 def _is_atom(x) -> bool:
@@ -131,7 +135,25 @@ def _parse_literal(text: str):
 _EXPR_OPS = {"+", "-", "*", "/", "=", "<>", "<", "<=", ">", ">="}
 
 
-def parse_expr(x) -> Expr:
+def _parse_all(parser):
+    """Run a parser generator to its result. A parser yields the parser of
+    each child s-expression and is sent back that child's result, so this
+    one loop parses every level and any depth runs at any recursion limit."""
+    stack, result = [parser], None
+    while stack:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(child)
+            result = None
+    return result
+
+
+def parse_expr(x) -> Iterator:
+    """The expression parser of an s-expression (see :func:`_parse_all`)."""
     if _is_atom(x):
         text = x.text
         if text.startswith('"') or _NUMBER.match(text) or text in ("true", "false", "null"):
@@ -151,26 +173,30 @@ def parse_expr(x) -> Expr:
     if op in ("+", "-", "*", "/"):
         if len(args) != 2:
             _err(x, f"'{op}' takes two operands")
-        return Arith(op, parse_expr(args[0]), parse_expr(args[1]))
+        return Arith(op, (yield parse_expr(args[0])), (yield parse_expr(args[1])))
     if op in ("=", "<>", "<", "<=", ">", ">="):
         if len(args) != 2:
             _err(x, f"'{op}' takes two operands")
-        return Cmp(op, parse_expr(args[0]), parse_expr(args[1]))
+        return Cmp(op, (yield parse_expr(args[0])), (yield parse_expr(args[1])))
     if op in ("and", "or"):
-        return BoolOp(op, tuple(parse_expr(a) for a in args))
+        operands = []
+        for a in args:
+            operands.append((yield parse_expr(a)))
+        return BoolOp(op, tuple(operands))
     if op == "not":
-        return BoolOp("not", (parse_expr(args[0]),))
+        return BoolOp("not", ((yield parse_expr(args[0])),))
     if op == "if":
         if len(args) != 3:
             _err(x, "'if' takes condition, then, else")
-        return Cond(parse_expr(args[0]), parse_expr(args[1]), parse_expr(args[2]))
+        return Cond((yield parse_expr(args[0])), (yield parse_expr(args[1])),
+                    (yield parse_expr(args[2])))
     _err(x, f"unknown expression operator {op!r}")
 
 
-def _parse_target(x) -> tuple[Expr, str]:
+def _parse_target(x) -> Iterator:
     if _is_atom(x) or len(x[1]) != 3 or _atom_text(x[1][1], "'->'") != "->":
         _err(x, "projection target must look like (EXPR -> NAME)")
-    expr = parse_expr(x[1][0])
+    expr = yield parse_expr(x[1][0])
     name = _name_text(x[1][2], "output name")
     return expr, name
 
@@ -203,7 +229,8 @@ def _parse_join_cond(x) -> tuple[tuple[str, str], ...]:
     _err(x, "join condition must be (= a b) or (and (= a b) ...)")
 
 
-def parse_node(x, catalog: Optional[Mapping[str, tuple[str, ...]]]) -> Node:
+def parse_node(x, catalog: Optional[Mapping[str, tuple[str, ...]]]) -> Iterator:
+    """The operator parser of an s-expression (see :func:`_parse_all`)."""
     if _is_atom(x):
         _err(x, "expected an operator list")
     head_tok, items = x
@@ -228,20 +255,23 @@ def parse_node(x, catalog: Optional[Mapping[str, tuple[str, ...]]]) -> Node:
     if kind == "select":
         if len(args) != 2:
             _err(x, "(select EXPR node)")
-        return Select(parse_expr(args[0]), node_arg(args[1]))
+        return Select((yield parse_expr(args[0])), (yield node_arg(args[1])))
     if kind == "project":
         if len(args) < 2:
             _err(x, "(project TARGET+ node)")
-        targets = tuple(_parse_target(a) for a in args[:-1])
-        return Project(targets, node_arg(args[-1]))
+        targets = []
+        for a in args[:-1]:
+            targets.append((yield _parse_target(a)))
+        return Project(tuple(targets), (yield node_arg(args[-1])))
     if kind == "join":
         if len(args) != 3:
             _err(x, "(join COND node node)")
-        return Join(_parse_join_cond(args[0]), node_arg(args[1]), node_arg(args[2]))
+        return Join(_parse_join_cond(args[0]), (yield node_arg(args[1])),
+                    (yield node_arg(args[2])))
     if kind in _BINARY:
         if len(args) != 2:
             _err(x, f"({kind} node node)")
-        return _BINARY[kind](node_arg(args[0]), node_arg(args[1]))
+        return _BINARY[kind]((yield node_arg(args[0])), (yield node_arg(args[1])))
     if kind == "agg":
         if len(args) != 3:
             _err(x, "(agg (groupby ...) (aggs ...) node)")
@@ -259,11 +289,11 @@ def parse_node(x, catalog: Optional[Mapping[str, tuple[str, ...]]]) -> Node:
             if fn not in AGG_FNS:
                 _err(spec, f"unknown aggregation function {fn!r}")
             aggs.append((fn, _name_text(spec[1][1], "attribute"), _name_text(spec[1][3], "output name")))
-        return Agg(group_by, tuple(aggs), node_arg(args[2]))
+        return Agg(group_by, tuple(aggs), (yield node_arg(args[2])))
     if kind == "dupelim":
         if len(args) != 1:
             _err(x, "(dupelim node)")
-        return DupElim(node_arg(args[0]))
+        return DupElim((yield node_arg(args[0])))
     if kind == "window":
         # (window FN attr -> out (partition ...) (order ...) [(frame ...)] node)
         if len(args) < 6:
@@ -285,7 +315,7 @@ def parse_node(x, catalog: Optional[Mapping[str, tuple[str, ...]]]) -> Node:
             rest = rest[1:]
         if len(rest) != 1:
             _err(x, "window takes exactly one input")
-        return Window(fn, arg_attr, out, partition, order, node_arg(rest[0]), frame)
+        return Window(fn, arg_attr, out, partition, order, (yield node_arg(rest[0])), frame)
     _err(x, f"unknown operator {kind!r}")
 
 
@@ -298,7 +328,7 @@ def parse_plan(text: str, catalog: Optional[Mapping[str, tuple[str, ...]]] = Non
     if pos != len(toks):
         t = toks[pos]
         raise PlanSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
-    return parse_node(tree, catalog)
+    return _parse_all(parse_node(tree, catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +368,7 @@ def format_expr(e: Expr) -> str:
     return fold_expr((e,), _format_step)[0]
 
 
-def format_plan(node: Node, *, indent: bool = False) -> str:
+def format_plan(node: Node) -> str:
     """Render a graph in the plan text format (shared nodes are inlined)."""
     nodes = all_nodes(node)
     uses = Counter(c for n in nodes for c in n.children)
@@ -386,24 +416,4 @@ def format_plan(node: Node, *, indent: bool = False) -> str:
 
     for n in nodes:
         text[n] = render(n)
-    return _indent_sexpr(text[node]) if indent else text[node]
-
-
-def _indent_sexpr(text: str) -> str:
-    out = []
-    depth = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            if out and out[-1] != "\n":
-                out.append("\n" + "  " * depth)
-            out.append(ch)
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            out.append(ch)
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out).lstrip("\n")
+    return text[node]

@@ -99,73 +99,23 @@ def _rename_classes(classes: Iterable[EcClass], mapping: Mapping[str, str]) -> f
 
 
 # ---------------------------------------------------------------------------
-# CNF normalization (equality harvesting only)
-
-
-#: ceiling on CNF expansion during equivalence-class seeding
-CNF_CAP = 64
-
-
-def to_cnf_conjuncts(e: Expr, cap: int = CNF_CAP) -> Optional[list[Expr]]:
-    """Conjuncts of the CNF of a condition, or None when it would blow up.
-
-    Only used to harvest equality conjuncts, so an opaque result merely
-    skips equivalence-class seeding for that selection.
-    """
-
-    def cnf(x: Expr, budget: list[int]) -> Optional[list[list[Expr]]]:
-        # a CNF is a list of clauses; a clause is a list of literals
-        budget[0] -= 1
-        if budget[0] < 0:
-            return None
-        if isinstance(x, BoolOp) and x.op == "and":
-            out: list[list[Expr]] = []
-            for a in x.args:
-                sub = cnf(a, budget)
-                if sub is None:
-                    return None
-                out.extend(sub)
-            return out
-        if isinstance(x, BoolOp) and x.op == "or":
-            parts = []
-            for a in x.args:
-                sub = cnf(a, budget)
-                if sub is None:
-                    return None
-                parts.append(sub)
-            out = [[]]
-            for sub in parts:
-                nxt = []
-                for clause in out:
-                    for other in sub:
-                        merged = clause + other
-                        nxt.append(merged)
-                        if len(nxt) > cap:
-                            return None
-                out = nxt
-            return out
-        return [[x]]
-
-    clauses = cnf(e, [cap * 4])
-    if clauses is None:
-        return None
-    out = []
-    for clause in clauses:
-        if len(clause) == 1:
-            out.append(clause[0])
-        else:
-            out.append(BoolOp("or", tuple(clause)))
-    return out
+# equality harvesting
 
 
 def equality_classes_from_condition(e: Expr) -> frozenset[EcClass]:
-    """{a,b} and {a,const} classes implied by a selection condition."""
-    cnf_parts = to_cnf_conjuncts(e)
-    if cnf_parts is None:
-        return frozenset()
+    """{a,b} and {a,const} classes implied by a selection condition.
+
+    Reads the equalities the condition asserts on its own: those reached
+    through ``and`` and single-argument ``or``. An equality inside an ``or``
+    of two or more arguments holds only on some rows and is skipped."""
     out = []
-    for part in cnf_parts:
-        if isinstance(part, Cmp) and part.op == "=":
+    stack = [e]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, BoolOp) and part.op in ("and", "or"):
+            if part.op == "and" or len(part.args) == 1:
+                stack.extend(part.args)
+        elif isinstance(part, Cmp) and part.op == "=":
             left, right = part.left, part.right
             if isinstance(left, Attr) and isinstance(right, Attr):
                 out.append(frozenset((left.name, right.name)))

@@ -487,24 +487,43 @@ def _place_pushed(cond: Expr, node: Node) -> tuple[Node, bool]:
     """Insert a selection as deep as it can legally travel.
 
     Returns the rewritten subtree and False when an identical conjunct
-    already guards the path (nothing to do)."""
-    if isinstance(node, Select) and any(cond == c for c in conjuncts(node.cond)):
-        return node, False
-    attrs = expr_attrs(cond)
-    kids = list(node.children)
-    entered = inserted = False
-    for idx, child in enumerate(node.children):
-        fmap = filter_map(node, idx)
-        if fmap is None or not attrs <= fmap.keys():
+    already guards the path (nothing to do). The descent is a list of
+    visits, each a node and the condition renamed into its columns, and
+    the rebuild runs over it backwards, so any depth runs at any
+    recursion limit."""
+    visits = [(node, cond)]
+    #: per visit, the (child index, visit) pairs it moves into; None when guarded
+    moves: list[Optional[list[tuple[int, int]]]] = []
+    for n, c in visits:  # grows as the descent goes
+        if isinstance(n, Select) and any(c == x for x in conjuncts(n.cond)):
+            moves.append(None)
             continue
-        renamed = substitute_attrs(cond, {a: Attr(fmap[a]) for a in attrs})
-        kids[idx], placed = _place_pushed(renamed, child)
-        entered, inserted = True, inserted or placed
-        if not isinstance(node, Union):  # a filter over a union reaches every input
-            break
-    if not entered:
-        return Select(cond, node), True
-    return (replace_children(node, tuple(kids)), True) if inserted else (node, False)
+        attrs = expr_attrs(c)
+        into = []
+        for idx, child in enumerate(n.children):
+            fmap = filter_map(n, idx)
+            if fmap is None or not attrs <= fmap.keys():
+                continue
+            into.append((idx, len(visits)))
+            visits.append((child, substitute_attrs(c, {a: Attr(fmap[a]) for a in attrs})))
+            if not isinstance(n, Union):  # a filter over a union reaches every input
+                break
+        moves.append(into)
+    placed: list[tuple[Node, bool]] = [None] * len(visits)
+    for v in reversed(range(len(visits))):  # children after their parent in visits
+        n, c = visits[v]
+        if moves[v] is None:
+            placed[v] = n, False
+        elif not moves[v]:
+            placed[v] = Select(c, n), True
+        else:
+            kids = list(n.children)
+            inserted = False
+            for idx, w in moves[v]:
+                kids[idx], below = placed[w]
+                inserted = inserted or below
+            placed[v] = (replace_children(n, tuple(kids)), True) if inserted else (n, False)
+    return placed[0]
 
 
 def _enforce_ancestor_equalities(root: Node, ec_memo: Optional[dict] = None) -> Node:
@@ -538,7 +557,7 @@ def _new_equality(n: Node, down, up_classes, parents) -> Optional[Expr]:
                     continue
                 if _licensed_below(n, down, m1, m2):
                     continue
-                if _pair_guarded_above(n, parents, m1, m2, {}):
+                if _pair_guarded_above(n, parents, m1, m2):
                     continue
                 return Cmp("=", _member_expr(m1), _member_expr(m2))
     return None
@@ -560,31 +579,32 @@ def _licensed_below(n: Node, down, m1, m2) -> bool:
     return False
 
 
-def _pair_guarded_above(n: Node, parents, m1, m2, memo) -> bool:
+def _pair_guarded_above(n: Node, parents, m1, m2) -> bool:
     """True when every path to the root already filters on this equality
     through operators the filter commutes with, making a new selection at
-    this node a no-op."""
-    key = (id(n), m1, m2)
-    if key in memo:
-        return memo[key]
-    memo[key] = False  # cycles are impossible; this breaks re-entry cheaply
-    result = bool(parents.get(n))
-    for p in parents.get(n, ()):
-        mapped = _map_members_up(p, n, (m1, m2))
-        if mapped is None:
-            result = False
-            break
-        pm1, pm2 = mapped
-        if isinstance(p, Select) and any(
-                c == Cmp("=", _member_expr(pm1), _member_expr(pm2))
-                or c == Cmp("=", _member_expr(pm2), _member_expr(pm1))
-                for c in conjuncts(p.cond)):
-            continue
-        if not _pair_guarded_above(p, parents, pm1, pm2, memo):
-            result = False
-            break
-    memo[key] = result
-    return result
+    this node a no-op. The paths are walked up with a work list of (node,
+    members in its columns), each pair once, so any depth runs at any
+    recursion limit."""
+    todo = [(n, m1, m2)]
+    seen = set(todo)
+    while todo:
+        n, m1, m2 = todo.pop()
+        if not parents.get(n):
+            return False  # the root, reached unguarded
+        for p in parents[n]:
+            mapped = _map_members_up(p, n, (m1, m2))
+            if mapped is None:
+                return False
+            pm1, pm2 = mapped
+            if isinstance(p, Select) and any(
+                    c == Cmp("=", _member_expr(pm1), _member_expr(pm2))
+                    or c == Cmp("=", _member_expr(pm2), _member_expr(pm1))
+                    for c in conjuncts(p.cond)):
+                continue
+            if (p, pm1, pm2) not in seen:
+                seen.add((p, pm1, pm2))
+                todo.append((p, pm1, pm2))
+    return True
 
 
 def _map_members_up(parent: Node, child: Node, members):

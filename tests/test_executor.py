@@ -4,6 +4,7 @@ import time
 import pytest
 
 import oracles
+from annotated import annotate, encode_provenance, evaluate_annotated, poly_weight
 from randgen import random_instance, random_spju_query
 
 from provopt.algebra import (
@@ -11,8 +12,7 @@ from provopt.algebra import (
     Join, Project, Relation, Select, Union, Window, FRAME_PARTITION,
 )
 from provopt.executor import (
-    BagRelation, EvalError, annotate, bags_equal, compile_expr, compile_row, cost,
-    encode_provenance, eval_expr, evaluate, evaluate_annotated, poly_weight,
+    BagRelation, EvalError, bags_equal, compile_expr, compile_row, cost, eval_expr, evaluate,
     reorder_columns, TableStats,
 )
 from provopt.instrument import instrument_query

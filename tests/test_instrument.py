@@ -2,16 +2,14 @@ import random
 
 import pytest
 
+from annotated import annotate, encode_provenance, evaluate_annotated
 from randgen import random_agg_query, random_instance, random_spju_query
 
 from provopt.algebra import (
     Agg, Arith, Attr, Cmp, Cond, Const, DupElim, Project,
     Relation, Union, schema_of,
 )
-from provopt.executor import (
-    BagRelation, annotate, bags_equal, encode_provenance, evaluate,
-    evaluate_annotated,
-)
+from provopt.executor import BagRelation, bags_equal, evaluate
 from provopt.instrument import (
     AGG_WINDOW, FILTER_UPDATED, HIST_JOIN, InstrumentError, UpdateStmt, UpdateSyntaxError,
     VersionedStore, conditions_over_prestate, instrument_query, parse_updates,

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from annotated import annotate, evaluate_annotated
 from randgen import random_agg_query, random_query, random_spju_query, share_subtree
 
 from provopt.algebra import (
@@ -20,9 +21,7 @@ from provopt.algebra import (
     identity_targets, parent_map, schema_of, structurally_equal, substitute,
     substitute_attrs,
 )
-from provopt.executor import (
-    BagRelation, TableStats, annotate, cost, evaluate, evaluate_annotated,
-)
+from provopt.executor import BagRelation, TableStats, cost, evaluate
 from provopt.instrument import UpdateStmt, instrument_query, reenact
 from provopt.plantext import format_plan
 from provopt.rewrites import (

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 from provopt.algebra import (
-    Agg, Arith, Attr, Cmp, Cond, Const, Cross, Join, Project, Relation, Select,
+    Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Join, Project, Relation, Select,
     Union, Window, structurally_equal,
 )
 from provopt.plantext import PlanSyntaxError, format_plan, parse_plan
@@ -99,3 +101,30 @@ def test_join_on_no_pairs_prints_as_cross():
     text = format_plan(Join((), r, s))
     assert text == "(cross (rel R (attrs a b)) (rel S (attrs a c)))"
     assert structurally_equal(parse_plan(text), Cross(r, s))
+
+
+# ---------------------------------------------------------------------------
+# parsing at any depth
+
+DEEP = 5000
+
+
+def test_roundtrip_at_5000_levels_of_nodes():
+    assert sys.getrecursionlimit() < DEEP
+    node = Relation("R", ("a", "b"))
+    for i in range(DEEP // 2):
+        node = Project(((Attr("a"), "a"), (Attr("b"), "b")),
+                       Select(Cmp("<", Attr("a"), Const(i)), node))
+    roundtrip(node)
+    with pytest.raises(PlanSyntaxError, match=r"missing closing parenthesis \(line 1, column 1\)"):
+        parse_plan(format_plan(node)[:-1])
+
+
+def test_roundtrip_at_5000_levels_of_expressions():
+    e = Attr("a")
+    for i in range(DEEP):
+        e = [Arith("+", e, Const(i)), Cmp("<", Const(i), e), BoolOp("and", (e, Attr("b"))),
+             BoolOp("not", (e,)), Cond(Attr("b"), Const(None), e)][i % 5]
+    text = format_plan(Project(((e, "x"),), Relation("R", ("a", "b"))))
+    # compared as text, since comparing the expressions would recurse per level
+    assert format_plan(parse_plan(text)) == text

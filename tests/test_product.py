@@ -10,12 +10,13 @@ from dataclasses import fields
 
 import pytest
 
+from annotated import annotate, evaluate_annotated
 from randgen import random_agg_query, random_instance, random_query, random_spju_query
 
 from provopt.algebra import (
     Cross, Join, Node, Product, Relation, all_nodes, rebuild_bottom_up, right_output_names,
 )
-from provopt.executor import TableStats, annotate, cost, evaluate, evaluate_annotated
+from provopt.executor import TableStats, cost, evaluate
 from provopt.instrument import instrument_query
 from provopt.plantext import format_plan
 from provopt.properties import format_properties, infer_all

@@ -12,7 +12,7 @@ from provopt.algebra import (
 from provopt.executor import evaluate
 from provopt.properties import (
     EcConst, ec_closure, equality_classes_from_condition, filter_map,
-    infer_ec, infer_icols, infer_keys, infer_set, to_cnf_conjuncts,
+    infer_ec, infer_icols, infer_keys, infer_set,
 )
 
 
@@ -62,25 +62,92 @@ class TestEcClosure:
         assert got == frozenset(frozenset(c) for c in components.values())
 
 
+# ---------------------------------------------------------------------------
+# the CNF-based harvest, kept as the reference for the equality walk
+
+
+def _old_cnf_conjuncts(e, cap=64):
+    def cnf(x, budget):
+        budget[0] -= 1
+        if budget[0] < 0:
+            return None
+        if isinstance(x, BoolOp) and x.op == "and":
+            out = []
+            for a in x.args:
+                sub = cnf(a, budget)
+                if sub is None:
+                    return None
+                out.extend(sub)
+            return out
+        if isinstance(x, BoolOp) and x.op == "or":
+            parts = []
+            for a in x.args:
+                sub = cnf(a, budget)
+                if sub is None:
+                    return None
+                parts.append(sub)
+            out = [[]]
+            for sub in parts:
+                nxt = []
+                for clause in out:
+                    for other in sub:
+                        nxt.append(clause + other)
+                        if len(nxt) > cap:
+                            return None
+                out = nxt
+            return out
+        return [[x]]
+
+    clauses = cnf(e, [cap * 4])
+    if clauses is None:
+        return None
+    return [c[0] if len(c) == 1 else BoolOp("or", tuple(c)) for c in clauses]
+
+
+def _old_equality_classes(e):
+    parts = _old_cnf_conjuncts(e)
+    out = []
+    for part in parts or ():
+        if isinstance(part, Cmp) and part.op == "=":
+            left, right = part.left, part.right
+            if isinstance(left, Attr) and isinstance(right, Attr):
+                out.append(frozenset((left.name, right.name)))
+            elif isinstance(left, Attr) and isinstance(right, Const):
+                out.append(frozenset((left.name, EcConst(right.value))))
+            elif isinstance(left, Const) and isinstance(right, Attr):
+                out.append(frozenset((right.name, EcConst(left.value))))
+    return frozenset(out)
+
+
+def _random_boolean(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        left = Attr(rng.choice("abcd"))
+        right = Attr(rng.choice("abcd")) if rng.random() < 0.5 else Const(rng.randrange(3))
+        if rng.random() < 0.3:
+            left, right = right, left
+        return Cmp(rng.choice(("=", "=", "<")), left, right)
+    op = rng.choice(("and", "and", "or", "not"))
+    count = 1 if op == "not" else rng.randint(1, 3)
+    return BoolOp(op, tuple(_random_boolean(rng, depth - 1) for _ in range(count)))
+
+
 class TestCnf:
-    def test_conjunction_splits(self):
-        e = BoolOp("and", (Cmp("=", Attr("a"), Attr("b")),
-                           Cmp("<", Attr("c"), Const(9))))
-        assert len(to_cnf_conjuncts(e)) == 2
+    def test_harvest_matches_the_cnf_reference(self):
+        rng = random.Random(7)
+        compared = 0
+        for _ in range(3000):
+            e = _random_boolean(rng, rng.randint(1, 5))
+            if _old_cnf_conjuncts(e) is None:
+                continue
+            assert equality_classes_from_condition(e) == _old_equality_classes(e), e
+            compared += 1
+        assert compared > 2500
 
-    def test_distributes_or_over_and(self):
-        e = BoolOp("or", (BoolOp("and", (Cmp("=", Attr("a"), Const(1)),
-                                         Cmp("=", Attr("b"), Const(1)))),
-                          Cmp("=", Attr("c"), Const(1))))
-        parts = to_cnf_conjuncts(e)
-        assert len(parts) == 2
-
-    def test_cap_returns_none(self):
-        e = Cmp("=", Attr("a"), Const(1))
-        for _ in range(10):
-            e = BoolOp("or", (e, BoolOp("and", (Cmp("=", Attr("a"), Const(1)),
-                                                Cmp("=", Attr("b"), Const(2))))))
-        assert to_cnf_conjuncts(e, cap=16) is None
+    def test_harvest_reads_past_the_old_cnf_cap(self):
+        e = BoolOp("and", tuple(Cmp("=", Attr(f"a{i}"), Const(i)) for i in range(300)))
+        assert _old_cnf_conjuncts(e) is None
+        assert equality_classes_from_condition(e) == frozenset(
+            frozenset((f"a{i}", EcConst(i))) for i in range(300))
 
     def test_equality_with_constant(self):
         got = equality_classes_from_condition(Cmp("=", Attr("a"), Const(5)))
