@@ -21,10 +21,10 @@ caches it, so :func:`schema_of` is a field read after the first call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property
 from operator import is_
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 
 class AlgebraError(Exception):
@@ -571,19 +571,30 @@ def rebuild_bottom_up(root: Node, step: Callable[[Node, Node], Node]) -> Node:
     return new.get(root, root)
 
 
-def substitute(root: Node, target: Node, replacement: Node, *, check_schema: bool = True) -> Node:
+def substitute(root: Node, target: Node, replacement: Node, *, check_schema: bool = True,
+               copies: Optional[dict[Node, Node]] = None) -> Node:
     """Return the graph with one node replaced, preserving sharing.
 
     Every parent of the target ends up referencing the replacement; nodes not
     on a path to the target are reused as-is. The replacement may itself
-    contain the target (wrapping a subgraph is the common case).
+    contain the target (wrapping a subgraph is the common case). ``copies``
+    receives what takes each changed node's place: the replacement for the
+    target, and for each of its ancestors the copy over the new children.
     """
     if target not in set(all_nodes(root)):
         raise GraphError("substitution target is not part of the graph")
     if check_schema and schema_of(target) != schema_of(replacement):
         raise SchemaError("replacement schema differs from target schema "
                           f"({list(schema_of(replacement))} vs {list(schema_of(target))})")
-    return rebuild_bottom_up(root, lambda n, rebuilt: replacement if n is target else rebuilt)
+    copies = {} if copies is None else copies
+
+    def step(n: Node, rebuilt: Node) -> Node:
+        out = replacement if n is target else rebuilt
+        if out is not n:
+            copies[n] = out
+        return out
+
+    return rebuild_bottom_up(root, step)
 
 
 def identity_targets(attrs: Iterable[str]) -> tuple[tuple[Expr, str], ...]:
@@ -594,21 +605,33 @@ def identity_targets(attrs: Iterable[str]) -> tuple[tuple[Expr, str], ...]:
 def structurally_equal(a: Node, b: Node) -> bool:
     """Compare two graphs by shape and fields, ignoring node identity.
 
-    Each pair of nodes is compared once, so shared subgraphs cost linear
-    time; iterative, so graphs of any depth compare at any recursion limit.
+    One work list holds pairs of nodes, of expressions and of the tuples
+    and values in their fields, and each pair is compared once, so shared
+    subgraphs and subexpressions cost linear time; iterative, so graphs
+    and expressions of any depth compare at any recursion limit. Values
+    that are neither compare with ``==``, as the dataclasses' own ``==``
+    does.
     """
-    compared: set[tuple[int, int]] = set()  # both graphs hold the nodes alive
+    compared: set[tuple[int, int]] = set()  # both graphs hold every pair alive
     pairs = [(a, b)]
     while pairs:
         x, y = pairs.pop()
         if x is y or (id(x), id(y)) in compared:
             continue
         compared.add((id(x), id(y)))
-        if type(x) is not type(y) or _own_fields(x) != _own_fields(y):
+        if is_dataclass(x):  # a node or an expression
+            if type(x) is not type(y):
+                return False
+            pairs.extend(zip(_field_values(x), _field_values(y)))
+        elif isinstance(x, tuple) and isinstance(y, tuple):
+            if len(x) != len(y):
+                return False
+            pairs.extend(zip(x, y))
+        elif x != y:
             return False
-        pairs.extend(zip(x.children, y.children))
     return True
 
 
-def _own_fields(n: Node) -> tuple:
-    return tuple(getattr(n, name) for name in _field_names(type(n))[1])
+def _field_values(x) -> tuple:
+    """Every dataclass field of a node or expression, children first."""
+    return tuple(getattr(x, name) for part in _field_names(type(x)) for name in part)

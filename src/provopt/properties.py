@@ -11,7 +11,16 @@ from every parent.
 Equivalence classes are frozensets whose members are attribute names (str)
 or ``EcConst`` wrappers; a class holds at most one constant in practice but
 nothing breaks if contradictory selections put two there (the corresponding
-instances are empty).
+instances are empty). The passes the rewrites read
+(:func:`infer_ec_bottom_up`, :func:`ec_top_down`, :func:`ec_transfer_down`)
+are sparse: they keep only classes of two or more members, and a column in
+no class is alone in its class. Each step intersects, renames or merges
+classes, which turns no one-member class into a larger one, so dropping
+them loses nothing; the one step that makes a class of a lone column, a
+projection exporting it under two names, groups those names itself.
+:func:`infer_ec`, and through it :func:`infer_all` and
+``explain-properties``, still reports every output column, adding a
+one-member class for each column in no larger class.
 
 :func:`filter_map` is the one place that says how a filter crosses an
 operator: which output columns of a node are which columns of one input.
@@ -29,7 +38,8 @@ ancestors. The memo lives for that run, not on the nodes: plans the
 optimizer keeps would otherwise carry every property they ever had, and a
 keys memo is valid for one ``base_keys`` only. Needed columns and
 duplicate insensitivity are top-down (they depend on a node's ancestors) and
-are recomputed per call.
+are recomputed per call; the pipeline keeps the needed columns of the last
+root it scanned for them.
 """
 from __future__ import annotations
 
@@ -259,21 +269,27 @@ def filter_map(node: Node, child_idx: int) -> Optional[dict[str, str]]:
 
 
 def infer_ec(root: Node) -> dict[Node, frozenset[EcClass]]:
-    """Equivalence classes per operator.
+    """Equivalence classes per operator, every output column in one class.
 
     Bottom-up pass seeds classes from conditions and merges across
     operators; the top-down pass then pushes ancestor-derived classes back
-    into the inputs.
+    into the inputs. Both are sparse; a column in no class of two or more
+    members is reported alone in its class. A constant alone in its class,
+    which says nothing about any column, is not reported.
     """
-    return ec_top_down(root, infer_ec_bottom_up(root))
+    out = {}
+    for n, classes in ec_top_down(root, infer_ec_bottom_up(root)).items():
+        covered = {m for c in classes for m in c}
+        out[n] = classes | singletons(a for a in schema_of(n) if a not in covered)
+    return out
 
 
 def ec_top_down(root: Node, up: Mapping[Node, frozenset[EcClass]]) -> dict[Node, frozenset[EcClass]]:
     """The top-down pass of :func:`infer_ec` over the bottom-up classes
     ``up`` (keyed children before parents, as :func:`infer_ec_bottom_up`
-    returns them). A node with several parents only keeps what every parent
-    path supports (pairwise intersection of the contributions), so the
-    combination stays sound on DAGs."""
+    returns them); sparse, like ``up``. A node with several parents only
+    keeps what every parent path supports (pairwise intersection of the
+    contributions), so the combination stays sound on DAGs."""
     order = list(up)
     slots: dict[Node, list[tuple[Node, int]]] = {n: [] for n in order}
     for n in order:
@@ -293,11 +309,12 @@ def ec_top_down(root: Node, up: Mapping[Node, frozenset[EcClass]]) -> dict[Node,
 
 
 def _intersect_class_sets(a: Iterable[EcClass], b: Iterable[EcClass]) -> frozenset[EcClass]:
+    """The pairwise intersections of two or more members."""
     out = []
     for c1 in a:
         for c2 in b:
             inter = c1 & c2
-            if inter:
+            if len(inter) > 1:
                 out.append(inter)
     return frozenset(out)
 
@@ -306,7 +323,7 @@ def ec_transfer_down(parent: Node, child_idx: int,
                      classes: frozenset) -> frozenset[EcClass]:
     """Map equivalence classes from a parent's output into one child's
     naming through :func:`filter_map`. A class keeps its constants when one
-    of its attributes crosses; empty when nothing crosses."""
+    of its attributes crosses; a mapped class of one member is dropped."""
     fmap = filter_map(parent, child_idx)
     if fmap is None:
         return frozenset()
@@ -314,14 +331,16 @@ def ec_transfer_down(parent: Node, child_idx: int,
     for c in classes:
         named = {fmap[m] for m in c if isinstance(m, str) and m in fmap}
         if named:
-            out.append(frozenset(named).union(m for m in c if not isinstance(m, str)))
+            mapped = frozenset(named).union(m for m in c if not isinstance(m, str))
+            if len(mapped) > 1:
+                out.append(mapped)
     return frozenset(out)
 
 
 def infer_ec_bottom_up(root: Node, memo: Optional[dict[Node, frozenset[EcClass]]] = None
                        ) -> dict[Node, frozenset[EcClass]]:
     """Equivalence classes from the bottom-up pass only (intrinsic to each
-    operator's output, independent of where it sits in the query).
+    operator's output, independent of where it sits in the query); sparse.
 
     ``memo`` holds classes computed earlier and receives the new ones; the
     result has exactly the graph's nodes, children before parents."""
@@ -329,22 +348,25 @@ def infer_ec_bottom_up(root: Node, memo: Optional[dict[Node, frozenset[EcClass]]
     order = all_nodes(root)
     for n in order:
         if n not in memo:
-            memo[n] = ec_closure(_ec_up(n, memo) | singletons(schema_of(n)))
+            # a selection `a = a`, or an aggregation or projection keeping
+            # one member of a class, leaves a class of one member
+            memo[n] = frozenset(c for c in ec_closure(_ec_up(n, memo)) if len(c) > 1)
     return {n: memo[n] for n in order}
 
 
 def _ec_up(n: Node, up) -> frozenset[EcClass]:
     if isinstance(n, Relation):
-        return singletons(n.attrs)
+        return frozenset()
     if isinstance(n, Select):
         return up[n.child] | equality_classes_from_condition(n.cond)
     if isinstance(n, Project):
         # output names renaming members of one child class form a class,
-        # together with that class's constants
+        # together with that class's constants; a source column in no
+        # class groups its names alone
         class_of_attr = {m: c for c in up[n.child] for m in c if isinstance(m, str)}
         grouped: dict[EcClass, list[str]] = {}
         for name, src in _pure_renames(n).items():
-            grouped.setdefault(class_of_attr[src], []).append(name)
+            grouped.setdefault(class_of_attr.get(src) or frozenset((src,)), []).append(name)
         return frozenset(frozenset(names).union(m for m in c if not isinstance(m, str))
                          for c, names in grouped.items())
     if isinstance(n, Product):
@@ -354,8 +376,7 @@ def _ec_up(n: Node, up) -> frozenset[EcClass]:
         return up[n.left] | right | pairs
     if isinstance(n, Agg):
         group = frozenset(n.group_by)
-        kept = frozenset(c & group for c in up[n.child] if c & group)
-        return kept | singletons(name for _, _, name in n.aggs)
+        return frozenset(c & group for c in up[n.child])
     if isinstance(n, DupElim):
         return up[n.child]
     if isinstance(n, Union):
@@ -368,7 +389,7 @@ def _ec_up(n: Node, up) -> frozenset[EcClass]:
     if isinstance(n, Diff):
         return up[n.left]
     if isinstance(n, Window):
-        return up[n.child] | frozenset((frozenset((n.out,)),))
+        return up[n.child]
     raise TypeError(f"unknown operator {type(n).__name__}")
 
 

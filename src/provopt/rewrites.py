@@ -21,7 +21,8 @@ a run that returns its root unchanged has kept, and recorded, every candidate
 it saw. One pipeline run also keeps the bottom-up properties
 (keys, bottom-up equivalence classes) of every node it has seen in a
 :class:`PipelineMemo`, so a rescan after a rewrite computes them only for the
-rebuilt ancestors.
+rebuilt ancestors, and the needed columns of the last root the pruning rules
+scanned, so a rule that scans the root another left unchanged reuses them.
 
 The projection-merge safety check is what keeps reenactment stacks from
 exploding: merging is rejected when a non-trivial inner definition is
@@ -36,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
+from operator import is_
 from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
@@ -44,7 +46,7 @@ from .algebra import (
     all_nodes, conjuncts, conjunction, expr_attrs, expr_nodes,
     expr_size, expr_with_children, fold_expr,
     identity_targets, parent_map, rebuild_bottom_up, replace_children,
-    schema_of, substitute as graph_substitute, substitute_attrs, SchemaError,
+    right_output_names, schema_of, substitute as graph_substitute, substitute_attrs, SchemaError,
 )
 from .properties import (
     EcConst, ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up,
@@ -84,13 +86,17 @@ class RewriteConfig:
         return self.enabled is None or name in self.enabled
 
 
-def _absorb(root: Node, target: Node, replacement: Node) -> Optional[Node]:
+def _absorb(root: Node, target: Node, replacement: Node,
+            copies: Optional[dict[Node, Node]] = None) -> Optional[Node]:
     """Substitute; None when the replacement or its ancestors are malformed.
+    ``copies`` receives the substitution's copies (see
+    :func:`provopt.algebra.substitute`).
 
     Only a replacement with a different schema can break an ancestor, so
     only then is the rebuilt graph validated."""
     try:
-        new_root = graph_substitute(root, target, replacement, check_schema=False)
+        new_root = graph_substitute(root, target, replacement, check_schema=False,
+                                    copies=copies)
         if schema_of(replacement) != schema_of(target):
             schema_of(new_root)
         return new_root
@@ -98,13 +104,19 @@ def _absorb(root: Node, target: Node, replacement: Node) -> Optional[Node]:
         return None
 
 
-def _rewrite(root: Node, candidates: Callable[[Node], Candidates]) -> Node:
+def _rewrite(root: Node, candidates: Callable[[Node], Candidates],
+             accept: Optional[Callable[[Node, Node, Node, dict], bool]] = None) -> Node:
     """Apply the first candidate the graph absorbs and rescan, until a scan
-    applies none; returns the input object when nothing applied."""
+    applies none; returns the input object when nothing applied. A rule
+    may pass ``accept(root, target, new_root, copies)``, called once the
+    graph absorbed a candidate (``copies`` as :func:`_absorb` fills it);
+    False skips the candidate."""
     while True:
         for target, replacement in candidates(root):
-            new_root = _absorb(root, target, replacement)
-            if new_root is not None:
+            copies: dict[Node, Node] = {}
+            new_root = _absorb(root, target, replacement, copies)
+            if new_root is not None and (accept is None
+                                         or accept(root, target, new_root, copies)):
                 root = new_root
                 break
         else:
@@ -327,10 +339,43 @@ def _positional_descendants(root: Node) -> set[Node]:
     return out
 
 
-def project_to_icols(root: Node) -> Node:
-    """Insert pruning projections above operators producing unneeded columns."""
+def _needed_columns(root: Node, memo: dict) -> dict[Node, frozenset[str]]:
+    """:func:`infer_icols` of a root. ``memo`` holds the value for the last
+    root it was asked about, and receives this one's: needed columns are
+    top-down, so a value is good for the one root it was computed on."""
+    if root not in memo:
+        memo.clear()
+        memo[root] = infer_icols(root)
+    return memo[root]
+
+
+def project_to_icols(root: Node, icols_memo: Optional[dict] = None) -> Node:
+    """Insert pruning projections above operators producing unneeded columns.
+    ``icols_memo`` is a :func:`_needed_columns` memo.
+
+    Pruning one input of a join can rename the other input's columns: a
+    primed name loses its prime once the column it collided with is gone.
+    A pruning that renames a needed column is skipped, since a reference to
+    the old name would read another column. One that renames no column
+    changes no node's needed columns, so they carry over to the new root,
+    each copied ancestor's from the node it copies, and the rescan does not
+    compute them again."""
+    memo = {} if icols_memo is None else icols_memo
+
+    def accept(root: Node, target: Node, new_root: Node, copies: dict) -> bool:
+        icols = memo[root]  # the scan that proposed the pruning computed them
+        renamed = list(_renamed_columns(copies))
+        if any(name in icols[product] for product, name in renamed):
+            return False
+        if not renamed:
+            carried = {copies.get(n, n): cols for n, cols in icols.items()}
+            carried[target] = icols[target]
+            memo.clear()
+            memo[new_root] = carried
+        return True
+
     def candidates(root: Node) -> Candidates:
-        icols = infer_icols(root)
+        icols = _needed_columns(root, memo)
         parents = parent_map(root)
         for n in all_nodes(root):
             if n is root:
@@ -345,12 +390,28 @@ def project_to_icols(root: Node) -> Node:
             if keep:
                 yield n, Project(identity_targets(keep), n)
 
-    return _rewrite(root, candidates)
+    return _rewrite(root, candidates, accept)
 
 
-def remove_window(root: Node) -> Node:
+def _renamed_columns(copies: Mapping[Node, Node]) -> Iterable[tuple[Node, str]]:
+    """(product, output name) for each right-input column of a product that
+    a substitution copied, when the copy gives the column another name.
+    Products are the one operator naming columns after its inputs' names."""
+    for node, copy in copies.items():
+        if isinstance(node, Product) and isinstance(copy, Product):
+            before = dict(zip(schema_of(node.right), right_output_names(node)))
+            for a, name in zip(schema_of(copy.right), right_output_names(copy)):
+                if before.get(a) != name:
+                    yield node, before.get(a)
+
+
+def remove_window(root: Node, icols_memo: Optional[dict] = None) -> Node:
+    """Drop windows whose output no ancestor needs. ``icols_memo`` is a
+    :func:`_needed_columns` memo."""
+    memo = {} if icols_memo is None else icols_memo
+
     def candidates(root: Node) -> Candidates:
-        icols = infer_icols(root)
+        icols = _needed_columns(root, memo)
         for n in all_nodes(root):
             if isinstance(n, Window) and n.out not in icols[n]:
                 yield n, n.child
@@ -459,28 +520,94 @@ def _chain_conjuncts(node: Node) -> list[Expr]:
 def _transfer_join_conditions(root: Node) -> Node:
     def candidates(root: Node) -> Candidates:
         for j in all_nodes(root):
-            if not isinstance(j, Join):
-                continue
-            left_map = {a: b for a, b in j.pairs}
-            right_map = {b: a for a, b in j.pairs}
-            for src_idx, mapping in ((0, left_map), (1, right_map)):
-                src = j.children[src_idx]
-                dst = j.children[1 - src_idx]
-                existing = _chain_conjuncts(dst)
-                for cond in _chain_conjuncts(src):
-                    attrs = expr_attrs(cond)
-                    if not attrs or not attrs <= set(mapping):
-                        continue
-                    transferred = substitute_attrs(cond, {a: Attr(b) for a, b in mapping.items()})
-                    if any(transferred == e for e in existing):
-                        continue
-                    placed, inserted = _place_pushed(transferred, dst)
-                    if inserted:
-                        kids = list(j.children)
-                        kids[1 - src_idx] = placed
-                        yield j, replace_children(j, tuple(kids))
+            if isinstance(j, Join):
+                moved = _transfer_at(j)
+                if moved is not j:
+                    yield j, moved
 
     return _rewrite(root, candidates)
+
+
+def _transfer_at(j: Join) -> Join:
+    """The join with conditions guarding one input placed in the other,
+    where the join pairs carry every attribute they read and no identical
+    conjunct guards the path yet; the join itself when there are none.
+
+    The rule places one condition per rescan of the whole graph: the first
+    one, left input's chain before the right's. When the pairs are
+    injective and the receiving input holds no join, a rescan would find
+    the next candidate at this join again, so all of one input's
+    conditions are placed at once, with the same result: placing them
+    changes no other join, and a condition carried back through injective
+    pairs is the one it came from. Otherwise only the first is placed."""
+    injective = len(dict(j.pairs)) == len({b for _, b in j.pairs}) == len(j.pairs)
+    kids = list(j.children)
+    for src_idx, mapping in ((0, dict(j.pairs)), (1, {b: a for a, b in j.pairs})):
+        dst_idx = 1 - src_idx
+        existing = _chain_conjuncts(kids[dst_idx])
+        landed = []
+        for cond in _chain_conjuncts(kids[src_idx]):
+            attrs = expr_attrs(cond)
+            if not attrs or not attrs <= mapping.keys():
+                continue
+            transferred = substitute_attrs(cond, {a: Attr(mapping[a]) for a in attrs})
+            if any(transferred == e for e in existing):
+                continue
+            placed, inserted = _place_pushed(transferred, kids[dst_idx])
+            if inserted:
+                if not landed:
+                    takes_all = injective and not any(
+                        isinstance(n, Join) for n in all_nodes(kids[dst_idx]))
+                landed.append(placed)
+                if not takes_all:
+                    break
+        if landed:
+            kids[dst_idx] = _merge_placements(kids[dst_idx], landed)
+            if not takes_all:
+                break
+    return j if all(map(is_, kids, j.children)) else replace_children(j, tuple(kids))
+
+
+def _merge_placements(node: Node, placed: list[Node]) -> Node:
+    """``node`` with the selections of several :func:`_place_pushed`
+    results, each computed on ``node`` itself, as placing the conditions one
+    after another would leave it.
+
+    A selection placed earlier lets every later condition through, so each
+    condition lands where it would alone: below those landed at the same
+    spot before it, and not at all when an identical one landed there
+    first. The walk goes down the paths the results rebuilt, as a list of
+    visits (a node and its copies that differ from it), and the rebuild
+    runs over it backwards, so any depth runs at any recursion limit."""
+    if len(placed) == 1:
+        return placed[0]
+    visits = [(node, placed)]
+    #: per visit, the (child index, visit) pairs below it
+    below: list[list[tuple[int, int]]] = []
+    for n, copies in visits:  # grows as the walk goes
+        rebuilt = [c for c in copies if not (isinstance(c, Select) and c.child is n)]
+        into = []
+        for idx, child in enumerate(n.children):
+            changed = [c.children[idx] for c in rebuilt if c.children[idx] is not child]
+            if changed:
+                into.append((idx, len(visits)))
+                visits.append((child, changed))
+        below.append(into)
+    out: list[Node] = [None] * len(visits)
+    for v in reversed(range(len(visits))):  # children after their parent in visits
+        n, copies = visits[v]
+        kids = list(n.children)
+        for idx, w in below[v]:
+            kids[idx] = out[w]
+        merged = replace_children(n, tuple(kids)) if below[v] else n
+        wrapping: list[Expr] = []
+        for c in copies:
+            if isinstance(c, Select) and c.child is n and not any(c.cond == w for w in wrapping):
+                wrapping.append(c.cond)
+        for cond in reversed(wrapping):
+            merged = Select(cond, merged)
+        out[v] = merged
+    return out[0]
 
 
 def _place_pushed(cond: Expr, node: Node) -> tuple[Node, bool]:
@@ -546,8 +673,6 @@ def _new_equality(n: Node, down, up_classes, parents) -> Optional[Expr]:
     intrinsic here, nor enforceable deeper down, nor already filtered by an
     ancestor selection the new filter would merely duplicate."""
     for cls in sorted(down[n], key=_class_sort_key):
-        if len(cls) < 2:
-            continue
         members = sorted(cls, key=_member_sort_key)
         for i, m1 in enumerate(members):
             for m2 in members[i + 1:]:
@@ -567,12 +692,7 @@ def _licensed_below(n: Node, down, m1, m2) -> bool:
     """True when the equality can be enforced at one of the node's inputs
     instead (insertion happens at the deepest licensed position only)."""
     for idx, child in enumerate(n.children):
-        mapped = ec_transfer_down(n, idx, frozenset((frozenset((m1, m2)),)))
-        if not mapped:
-            continue
-        for cls in mapped:
-            if len(cls) < 2:
-                continue
+        for cls in ec_transfer_down(n, idx, frozenset((frozenset((m1, m2)),))):
             for dcls in down[child]:
                 if cls <= dcls:
                     return True
@@ -655,6 +775,8 @@ class PipelineMemo:
     #: :func:`infer_keys` and :func:`infer_ec_bottom_up` values per node
     keys: dict = field(default_factory=dict)
     ecs: dict = field(default_factory=dict)
+    #: :func:`infer_icols` of the last root a pruning rule scanned
+    icols: dict = field(default_factory=dict)
 
 
 #: The pipeline in order: rule name -> call on (root, config, the memo of
@@ -666,8 +788,8 @@ RULES: dict[str, Callable[[Node, RewriteConfig, PipelineMemo], Node]] = {
     "merge_selections": lambda root, cfg, memo: merge_selections(root),
     "selection_move_around": lambda root, cfg, memo: selection_move_around(root, memo.ecs),
     "pull_up_prov_projection": lambda root, cfg, memo: pull_up_prov_projection(root),
-    "project_to_icols": lambda root, cfg, memo: project_to_icols(root),
-    "remove_window": lambda root, cfg, memo: remove_window(root),
+    "project_to_icols": lambda root, cfg, memo: project_to_icols(root, memo.icols),
+    "remove_window": lambda root, cfg, memo: remove_window(root, memo.icols),
     "remove_dupelim_by_key":
         lambda root, cfg, memo: remove_dupelim_by_key(root, cfg.base_keys, memo.keys),
     "remove_dupelim_by_set":
@@ -694,7 +816,8 @@ def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     deterministic functions of their input graph, and the stateful
     :func:`remove_dupelim_by_set` would ask for no choice on that root
     again. The run's :class:`PipelineMemo` keeps keys and bottom-up
-    equivalence classes of the nodes seen so far.
+    equivalence classes of the nodes seen so far, and the needed columns of
+    the last root scanned for them.
     """
     cfg = cfg or RewriteConfig()
     original_schema = schema_of(root)

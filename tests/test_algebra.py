@@ -144,6 +144,47 @@ def test_structural_equality_ignores_identity():
     assert not structurally_equal(q1, q3)
 
 
+def _merged_selection(n, changed_at=None):
+    """One selection of n conjuncts nested one level each, as merging an
+    n-level selection chain builds it; conjunct ``changed_at`` compares
+    with -1 instead of its index."""
+    from provopt.rewrites import merge_selections
+    q = rel()
+    for i in range(n):
+        q = Select(Cmp("<>", Attr("a"), Const(-1 if i == changed_at else i)), q)
+    return merge_selections(q)
+
+
+def test_structural_equality_of_deep_conditions():
+    # the expressions are compared with a work list, not the dataclasses'
+    # recursive ==, which gives up at about 300 levels
+    plan = _merged_selection(5000)
+    assert isinstance(plan, Select) and isinstance(plan.child, Relation)
+    assert structurally_equal(plan, _merged_selection(5000))
+    assert not structurally_equal(plan, _merged_selection(5000, changed_at=2500))
+    assert not structurally_equal(_merged_selection(5000, changed_at=2500), plan)
+
+
+def test_structural_equality_compares_fields_as_eq_does():
+    # values that are neither nodes nor expressions compare with ==
+    assert structurally_equal(Select(Cmp("=", Attr("a"), Const(1)), rel()),
+                              Select(Cmp("=", Attr("a"), Const(1.0)), rel()))
+    assert not structurally_equal(Select(Cmp("=", Attr("a"), Const(1)), rel()),
+                                  Select(Cmp("=", Attr("a"), Const("1")), rel()))
+    assert not structurally_equal(Select(Cmp("=", Attr("a"), Attr("b")), rel()),
+                                  Select(Cmp("=", Attr("a"), Const("b")), rel()))
+    assert not structurally_equal(Project(((Attr("a"), "a"),), rel()),
+                                  Project(((Attr("a"), "a"), (Attr("b"), "b")), rel()))
+    assert not structurally_equal(Project(((Attr("a"), "a"),), rel()),
+                                  Project(((Attr("a"), "a"),), rel(), materialize=True))
+    # shared subexpressions are compared once per pair: 24 levels, each
+    # using the one below twice, is a tree of 2**25 - 1 nodes
+    e1 = e2 = Attr("a")
+    for _ in range(24):
+        e1, e2 = Arith("+", e1, e1), Arith("+", e2, e2)
+    assert structurally_equal(Project(((e1, "x"),), rel()), Project(((e2, "x"),), rel()))
+
+
 class TestCachedStructure:
     def test_all_nodes_returns_a_fresh_list_each_call(self):
         r = rel()

@@ -1,8 +1,8 @@
 """The rewrite pipeline skips work whose inputs did not change.
 
 ``apply_pats`` does not run a rule again on a root that rule left unchanged,
-and one run keeps keys and bottom-up equivalence classes per node in a
-``PipelineMemo``. The reference below is the pipeline without either: every
+and one run keeps keys and bottom-up equivalence classes per node, and the
+needed columns of the last root scanned for them, in a ``PipelineMemo``. The reference below is the pipeline without either: every
 enabled rule in every round, each property computed from scratch. Both must
 build structurally equal plans and ask the same duplicate-elimination
 choices in the same order.
@@ -221,3 +221,42 @@ def test_one_graph_under_two_base_key_maps():
             assert isinstance(out, DupElim) is (base_keys is not keyed), order
     assert infer_keys(q, keyed, memo={})[join] == infer_keys(q, keyed)[join] != frozenset()
     assert infer_keys(q, {}, memo={})[join] == infer_keys(q, {})[join] == frozenset()
+
+
+def test_needed_columns_computed_once_per_root(monkeypatch):
+    # project_to_icols leaves its last root unchanged, and remove_window
+    # scans that same root next: one infer_icols serves both
+    roots = []
+    infer = rewrites.infer_icols
+    monkeypatch.setattr(rewrites, "infer_icols", lambda root: roots.append(root) or infer(root))
+    runs = calls = 0
+    for i, (q, base_keys) in enumerate(CORPUS):
+        roots.clear()
+        apply_pats(q, RewriteConfig(base_keys=base_keys))
+        assert len({id(r) for r in roots}) == len(roots), i  # roots holds them alive
+        assert roots, i
+        runs += 1
+        calls += len(roots)
+    # pruning projections went in: scans saw more than one root per run
+    assert calls > 1.5 * runs
+
+
+def test_carried_needed_columns_equal_recomputation(monkeypatch):
+    # after a pruning that renames no column, project_to_icols scans the
+    # new root with the needed columns carried over from the old one
+    from provopt.properties import infer_icols
+    seen = []
+    needed = rewrites._needed_columns
+    monkeypatch.setattr(rewrites, "_needed_columns",
+                        lambda root, memo: seen.append((root, needed(root, memo))) or seen[-1][1])
+    carried = 0
+    for i, (q, _) in enumerate(CORPUS):
+        seen.clear()
+        computed = []
+        with monkeypatch.context() as m:
+            m.setattr(rewrites, "infer_icols", lambda root: computed.append(root) or infer_icols(root))
+            project_to_icols(q, {})
+        for root, icols in seen:
+            assert icols == infer_icols(root), i
+        carried += len({id(r) for r, _ in seen}) - len(computed)
+    assert carried > 100

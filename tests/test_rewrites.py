@@ -203,6 +203,21 @@ class TestSimpleRules:
         q = DupElim(r)
         assert project_to_icols(q) is q
 
+    def test_project_to_icols_keeps_needed_column_names(self):
+        # y reads S.x, output as x' because R has an x; pruning R's unneeded
+        # x would hand x' to S.x' and make y read that column instead
+        q = Project(((Attr("x'"), "y"), (Attr("a"), "a")),
+                    Join((("a", "b"),), Relation("R", ("a", "x")),
+                         Relation("S", ("b", "x", "x'"))))
+        db = {"R": bag(("a", "x"), [(1, 10)]), "S": bag(("b", "x", "x'"), [(1, 20, 30)])}
+        assert evaluate(q, db).tuples == {(20, 1): 1}
+        for rewrite in (project_to_icols, apply_pats):
+            assert evaluate(rewrite(q), db).tuples == {(20, 1): 1}, rewrite.__name__
+        # the join's right input is still pruned
+        pruned = project_to_icols(q)
+        assert schema_of(pruned.child.right) == ("b", "x")
+        assert schema_of(pruned.child.left) == ("a", "x")
+
 
 class TestPullUp:
     def test_worked_example(self):
