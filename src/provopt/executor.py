@@ -5,18 +5,26 @@ operator implements its multiset definition directly, and it is the one
 evaluator in the package (provenance comes from evaluating an instrumented
 query, not from a second engine).
 
-Each operator touches each input row a constant number of times. An
-equi-join builds a dict on the right input's key values and probes it with
-the left rows in order, so matches come out in nested-loop order (left rows
-in order, their right matches in right order) and bags, float sums above
-the join and printed output do not depend on the join algorithm. A key with
-a null never matches, ``1`` matches ``1.0``, and a key column whose non-null
-values on the two inputs span more than one kind (boolean, numeric, other)
-raises :class:`EvalError` unless an input is empty. Selection conditions and
-projection targets are compiled once per operator into functions of a row
-tuple (:func:`compile_expr`), with attributes resolved to column indexes and
-every type check kept, made lazily at evaluation time. A cross product is
-the equi-join on no key columns.
+Each operator touches each input row a constant number of times and fills
+its output row -> count dict directly, with no per-row bookkeeping: only a
+projection and a union can produce one row twice and merge counts. Row
+widths and counts are checked where rows enter the evaluator
+(:meth:`BagRelation.add`, :meth:`BagRelation.from_rows`), not again by
+every operator. An equi-join builds a dict on the right input's key values
+and probes it with the left rows in order, so matches come out in
+nested-loop order (left rows in order, their right matches in right order)
+and bags, float sums above the join and printed output do not depend on the
+join algorithm. A key with a null never matches, ``1`` matches ``1.0``, and
+a key column whose non-null values on the two inputs span more than one
+kind (boolean, numeric, other) raises :class:`EvalError` unless an input is
+empty; the per-row null/NaN test runs only when a key column holds a value
+of a type other than int, bool or str. Selection conditions and projection
+targets are compiled once per operator into functions of a row tuple
+(:func:`compile_expr`), with attributes resolved to column indexes and
+every type check kept, made lazily at evaluation time. A projection of
+attributes only, a join key and a grouping key are each one
+``itemgetter`` call per row. A cross product is the equi-join on no key
+columns.
 
 Evaluation and costing are each one loop over
 :func:`~provopt.algebra.all_nodes`, children before parents: a node's
@@ -32,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Const, Diff, DupElim, Expr,
@@ -104,11 +112,18 @@ def reorder_columns(bag: BagRelation, schema: Iterable[str]) -> BagRelation:
     schema = tuple(schema)
     if set(schema) != set(bag.schema) or len(schema) != len(bag.schema):
         raise EvalError("reorder_columns needs a permutation of the schema")
-    idx = [bag.schema.index(col) for col in schema]
-    out = BagRelation(schema)
-    for t, m in bag.rows():
-        out.add(tuple(t[i] for i in idx), m)
-    return out
+    row = _columns([bag.schema.index(col) for col in schema])
+    return BagRelation(schema, dict(zip(map(row, bag.tuples), bag.tuples.values())))
+
+
+def _columns(idx: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A function from a row to the tuple of its columns ``idx``: one
+    ``itemgetter`` call, which also gives a 1-tuple for one column."""
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    if idx:
+        return itemgetter(*idx)
+    return lambda row: ()
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +268,15 @@ def compile_expr(e: Expr, schema: Sequence[str]) -> RowFn:
 
 def compile_row(exprs: Iterable[Expr], schema: Sequence[str]) -> Callable[[tuple], tuple]:
     """A function from a row of ``schema`` to the tuple of the expressions'
-    values; subexpressions shared between them compile once."""
+    values; subexpressions shared between them compile once.
+
+    When every expression is an attribute bound in ``schema`` the function
+    is one ``itemgetter`` call; any other list keeps the per-expression
+    functions, so an unbound attribute still raises only when a row is read."""
+    exprs = list(exprs)
+    index = {a: i for i, a in enumerate(schema)}
+    if exprs and all(isinstance(e, Attr) and e.name in index for e in exprs):
+        return _columns([index[e.name] for e in exprs])
     fns = _compile(exprs, schema)
     return lambda row: tuple([f(row) for f in fns])
 
@@ -311,8 +334,14 @@ def aggregate(fn: str, values: list[tuple[Value, int]]) -> Value:
 # equi-join
 
 
+#: the row of a (row, payload) item
+_ROW = itemgetter(0)
+#: types whose every value equals itself, so a key of them needs no null/NaN test
+_REFLEXIVE = frozenset((int, bool, str))
+
+
 def _equi_matches(left: Collection[tuple[tuple, object]], right: Collection[tuple[tuple, object]],
-                  li: Sequence[int], ri: Sequence[int]) -> Iterator[tuple]:
+                  li: Sequence[int], ri: Sequence[int]) -> Iterable[tuple]:
     """The (left item, right item) pairs whose rows agree on the key columns.
 
     Items are (row, payload) pairs; column ``li[k]`` of a left row is
@@ -326,25 +355,32 @@ def _equi_matches(left: Collection[tuple[tuple, object]], right: Collection[tupl
     the first column; for later columns it is stricter, since a pairwise
     comparison reaches them only after the earlier columns matched. An
     empty input never raises.
+
+    Keys are read with one ``itemgetter`` call per row. The per-row
+    null/NaN test runs only when the per-column type scan finds a value
+    whose type is not one that always equals itself (int, bool, str): a
+    null, a float or anything else.
     """
     if not left or not right:
-        return
+        return ()
+    screen = False
     for i, j in zip(li, ri):
-        lt = {type(t[i]) for t, _ in left} - {type(None)}
-        rt = {type(t[j]) for t, _ in right} - {type(None)}
+        lt = set(map(type, map(itemgetter(i), map(_ROW, left))))
+        rt = set(map(type, map(itemgetter(j), map(_ROW, right))))
+        screen = screen or not (lt | rt) <= _REFLEXIVE
+        lt.discard(type(None))
+        rt.discard(type(None))
         if lt and rt and len({_kind(tp) for tp in lt | rt}) > 1:
             raise EvalError("cannot compare join key values of different kinds: "
                             + ", ".join(sorted(tp.__name__ for tp in lt | rt)))
+    lkey, rkey = _columns(li), _columns(ri)
+    if screen:
+        left = [item for item in left if _matchable(lkey(item[0]))]
+        right = [item for item in right if _matchable(rkey(item[0]))]
     table: dict[tuple, list] = {}
     for item in right:
-        k = tuple([item[0][j] for j in ri])
-        if _matchable(k):
-            table.setdefault(k, []).append(item)
-    for item in left:
-        k = tuple([item[0][i] for i in li])
-        if _matchable(k):
-            for other in table.get(k, ()):
-                yield item, other
+        table.setdefault(rkey(item[0]), []).append(item)
+    return [(item, other) for item in left for other in table.get(lkey(item[0]), ())]
 
 
 def _matchable(key: tuple) -> bool:
@@ -357,96 +393,79 @@ def _matchable(key: tuple) -> bool:
 
 
 def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
-    """Evaluate a graph over named base relations; shared nodes run once."""
+    """Evaluate a graph over named base relations; shared nodes run once.
+
+    Each operator builds its output row -> count dict directly and wraps it
+    once; only Project and Union can produce one row twice and merge
+    counts. Rows enter through :class:`BagRelation` (``from_rows``,
+    ``add``), which checks their width and counts, so no operator checks
+    them again."""
     memo: dict[Node, BagRelation] = {}
 
-    def compute(n: Node) -> BagRelation:
-        sch = schema_of(n)
+    def compute(n: Node) -> dict[tuple, int]:
         if isinstance(n, Relation):
             if n.name not in db:
                 raise EvalError(f"unbound relation {n.name!r}")
             rel = db[n.name]
             if len(rel.schema) != len(n.attrs):
                 raise EvalError(f"relation {n.name!r} bound with wrong arity")
-            return rel.renamed(n.attrs)
+            return dict(rel.tuples)
         if isinstance(n, Select):
             child = memo[n.child]
             keep = compile_predicate(n.cond, child.schema)
-            out = BagRelation(sch)
-            for t, m in child.rows():
-                if keep(t):
-                    out.add(t, m)
-            return out
+            return {t: m for t, m in child.tuples.items() if keep(t)}
         if isinstance(n, Project):
             child = memo[n.child]
             row = compile_row((e for e, _ in n.targets), child.schema)
-            out = BagRelation(sch)
-            for t, m in child.rows():
-                out.add(row(t), m)
-            return out
+            rows = list(zip(map(row, child.tuples), child.tuples.values()))
+            out = dict(rows)
+            # a projection that keeps a key of its input merges no rows
+            return out if len(out) == len(rows) else _merged(rows, {})
         if isinstance(n, Product):
             left, right = memo[n.left], memo[n.right]
             li = [left.schema.index(a) for a, _ in n.pairs]
             ri = [right.schema.index(b) for _, b in n.pairs]
-            out = BagRelation(sch)
-            for (lt, lm), (rt, rm) in _equi_matches(left.rows(), right.rows(), li, ri):
-                out.add(lt + rt, lm * rm)
-            return out
+            return {lt + rt: lm * rm
+                    for (lt, lm), (rt, rm) in _equi_matches(left.rows(), right.rows(), li, ri)}
         if isinstance(n, Union):
-            left, right = memo[n.left], memo[n.right]
-            out = BagRelation(sch)
-            for t, m in left.rows():
-                out.add(t, m)
-            for t, m in right.rows():
-                out.add(t, m)
-            return out
+            return _merged(memo[n.right].tuples.items(), dict(memo[n.left].tuples))
         if isinstance(n, Intersect):
-            left, right = memo[n.left], memo[n.right]
-            out = BagRelation(sch)
-            for t, m in left.rows():
-                other = right.tuples.get(t, 0)
-                if other:
-                    out.add(t, min(m, other))
-            return out
+            other = memo[n.right].tuples
+            return {t: min(m, other[t]) for t, m in memo[n.left].tuples.items() if t in other}
         if isinstance(n, Diff):
-            left, right = memo[n.left], memo[n.right]
-            out = BagRelation(sch)
-            for t, m in left.rows():
-                rest = m - right.tuples.get(t, 0)
-                if rest > 0:
-                    out.add(t, rest)
-            return out
+            other = memo[n.right].tuples.get
+            return {t: rest for t, m in memo[n.left].tuples.items()
+                    if (rest := m - other(t, 0)) > 0}
         if isinstance(n, Agg):
             child = memo[n.child]
-            gi = [child.schema.index(a) for a in n.group_by]
+            key = _columns([child.schema.index(a) for a in n.group_by])
             args = [child.schema.index(a) for _, a, _ in n.aggs]
             groups: dict[tuple, list[tuple[tuple, int]]] = {}
-            for t, m in child.rows():
-                groups.setdefault(tuple(t[i] for i in gi), []).append((t, m))
-            out = BagRelation(sch)
-            for key, members in groups.items():
-                vals = tuple(
-                    aggregate(fn, [(t[ai], m) for t, m in members])
-                    for (fn, _, _), ai in zip(n.aggs, args)
-                )
-                out.add(key + vals, 1)
-            return out
+            for item in child.tuples.items():
+                groups.setdefault(key(item[0]), []).append(item)
+            return {k + tuple(aggregate(fn, [(t[ai], m) for t, m in members])
+                              for (fn, _, _), ai in zip(n.aggs, args)): 1
+                    for k, members in groups.items()}
         if isinstance(n, DupElim):
-            child = memo[n.child]
-            out = BagRelation(sch)
-            for t in child.tuples:
-                out.add(t, 1)
-            return out
+            return dict.fromkeys(memo[n.child].tuples, 1)
         if isinstance(n, Window):
-            return _window(n, memo[n.child], sch)
+            return _window(n, memo[n.child])
         raise EvalError(f"unknown operator {type(n).__name__}")
 
     for n in all_nodes(root):
-        memo[n] = compute(n)
+        memo[n] = BagRelation(schema_of(n), compute(n))
     return memo[root]
 
 
-def _window(n: Window, child: BagRelation, sch) -> BagRelation:
+def _merged(items: Iterable[tuple[tuple, int]], out: dict[tuple, int]) -> dict[tuple, int]:
+    """``out`` with each (row, count) added to it."""
+    get = out.get
+    for t, m in items:
+        out[t] = get(t, 0) + m
+    return out
+
+
+def _window(n: Window, child: BagRelation) -> dict[tuple, int]:
     """Window aggregate over each row's frame within its partition.
 
     The whole-partition frame is aggregated once per partition. The running
@@ -455,13 +474,13 @@ def _window(n: Window, child: BagRelation, sch) -> BagRelation:
     would add floats in another order than the per-row sum, and the
     evaluator, being the oracle, must stay exact.
     """
-    pi = [child.schema.index(a) for a in n.partition_by]
+    part = _columns([child.schema.index(a) for a in n.partition_by])
     oi = [child.schema.index(a) for a in n.order_by]
     ai = child.schema.index(n.arg)
     parts: dict[tuple, list[tuple[tuple, int]]] = {}
-    for t, m in child.rows():
-        parts.setdefault(tuple(t[i] for i in pi), []).append((t, m))
-    out = BagRelation(sch)
+    for item in child.tuples.items():
+        parts.setdefault(part(item[0]), []).append(item)
+    out: dict[tuple, int] = {}
     whole = n.frame == FRAME_PARTITION or not oi
     for members in parts.values():
         if whole:
@@ -471,7 +490,7 @@ def _window(n: Window, child: BagRelation, sch) -> BagRelation:
                 key = _order_key(t, oi)
                 window = [(u, um) for u, um in members if _order_key(u, oi) <= key]
                 val = aggregate(n.fn, [(u[ai], um) for u, um in window])
-            out.add(t + (val,), m)
+            out[t + (val,)] = m
     return out
 
 

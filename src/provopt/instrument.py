@@ -237,24 +237,30 @@ def replay(updates: list[UpdateStmt], state: BagRelation,
     """Imperative update application; oracle for the reenactment compiler.
 
     ``on_match`` is called with the attribute -> value environment of every
-    tuple an update's condition matches, before the update changes it."""
-    current = state
+    tuple an update's condition matches, before the update changes it.
+
+    ``state`` is copied once and left unchanged. Each update scans the copy,
+    computing a matched row's new value right after its condition, so the
+    first error raised is the first row's in scan order; then it removes the
+    matched rows and adds their new values, so only those rows are
+    rewritten."""
+    schema = state.schema
+    tuples = dict(state.tuples)
     for u in updates:
-        out = BagRelation(current.schema)
         assigned = dict(u.set_clauses)
-        matches = compile_predicate(u.where, current.schema)
-        updated = compile_row((assigned.get(a, Attr(a)) for a in current.schema),
-                              current.schema)
-        for t, m in current.rows():
+        matches = compile_predicate(u.where, schema)
+        updated = compile_row((assigned.get(a, Attr(a)) for a in schema), schema)
+        moved = []
+        for t, m in tuples.items():
             if matches(t):
-                row = updated(t)
+                moved.append((t, updated(t), m))
                 if on_match is not None:
-                    on_match(dict(zip(current.schema, t)))
-            else:
-                row = t
-            out.add(row, m)
-        current = out
-    return current
+                    on_match(dict(zip(schema, t)))
+        for t, _, _ in moved:
+            del tuples[t]
+        for _, row, m in moved:
+            tuples[row] = tuples.get(row, 0) + m
+    return BagRelation(schema, tuples)
 
 
 def conditions_over_prestate(updates: list[UpdateStmt], schema: tuple[str, ...]) -> list[Expr]:

@@ -483,3 +483,83 @@ def test_partition_frame_aggregates_once_per_partition(monkeypatch):
     assert out.tuples == {(1, 10, 60): 1, (1, 20, 60): 1, (1, 30, 60): 1,
                           (2, 5, 11): 1, (2, 6, 11): 1}
     assert calls == [3, 2]
+
+
+# ---------------------------------------------------------------------------
+# where rows are checked, attribute-only projections, and join keys that
+# need the null/NaN test
+
+
+class TestBagEdges:
+    @pytest.mark.parametrize("row", [(1,), (1, 2, 3)])
+    def test_add_rejects_a_row_of_the_wrong_width(self, row):
+        with pytest.raises(EvalError, match="row width"):
+            BagRelation(("a", "b")).add(row)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_add_rejects_a_count_that_is_not_positive(self, count):
+        with pytest.raises(EvalError, match="positive"):
+            BagRelation(("a",)).add((1,), count)
+
+    def test_from_rows_checks_every_row(self):
+        with pytest.raises(EvalError, match="row width"):
+            BagRelation.from_rows(("a", "b"), [(1, 2), (3,)])
+
+    def test_relation_bound_with_the_wrong_arity_raises(self):
+        with pytest.raises(EvalError, match="wrong arity"):
+            evaluate(Relation("R", ("a", "b")), {"R": bag(("a",), [(1,)])})
+
+    def test_evaluation_leaves_the_bound_bag_unchanged(self):
+        r = bag(("a",), [(1,), (2,)])
+        out = evaluate(Union(Relation("R", ("a",)), Relation("R", ("a",))), {"R": r})
+        assert out.tuples == {(1,): 2, (2,): 2}
+        assert r.tuples == {(1,): 1, (2,): 1}
+
+
+class TestAttributeProjection:
+    def test_one_target_gives_one_tuples(self):
+        row = compile_row([Attr("b")], ("a", "b"))
+        assert row((1, 2)) == (2,)
+        q = Project(((Attr("b"), "b"),), Relation("R", ("a", "b")))
+        assert evaluate(q, {"R": bag(("a", "b"), [(1, 2), (3, 2)])}).tuples == {(2,): 2}
+
+    def test_repeated_name_reads_the_last_column(self):
+        assert compile_row([Attr("a")], ("a", "b", "a"))((1, 2, 3)) == (3,)
+        assert compile_row([Attr("b"), Attr("a")], ("a", "b", "a"))((1, 2, 3)) == (2, 3)
+
+    def test_columns_in_any_order_and_repeated(self):
+        row = compile_row([Attr("c"), Attr("a"), Attr("c")], ("a", "b", "c"))
+        assert row((1, 2, 3)) == (3, 1, 3)
+
+    @pytest.mark.parametrize("targets", [["missing"], ["a", "missing"]])
+    def test_unbound_attribute_raises_only_when_a_row_is_read(self, targets):
+        row = compile_row([Attr(a) for a in targets], ("a",))
+        assert list(map(row, [])) == []
+        with pytest.raises(EvalError, match="unbound attribute 'missing'"):
+            row((1,))
+
+    def test_no_targets_give_the_empty_row(self):
+        q = Project((), Relation("R", ("a",)))
+        assert evaluate(q, {"R": bag(("a",), [(1,), (2,)])}).tuples == {(): 2}
+
+
+class TestJoinKeyScreen:
+    @pytest.mark.parametrize("bad", [None, float("nan")], ids=["null", "nan"])
+    @pytest.mark.parametrize("first", [1, "k"], ids=["int", "str"])
+    def test_clean_first_column_and_bad_later_column_never_match(self, bad, first):
+        db = {"L": bag(("a", "c"), [(first, bad), (first, 2.0)]),
+              "R": bag(("b", "d"), [(first, bad), (first, 2)])}
+        q = _join([("a", "b"), ("c", "d")], ("a", "c"), ("b", "d"))
+        assert evaluate(q, db).tuples == {(first, 2.0, first, 2): 1}
+
+    def test_bad_value_on_one_side_only(self):
+        nan = float("nan")
+        db = {"L": bag(("a", "c"), [(1, 5), (1, 6)]),
+              "R": bag(("b", "d"), [(1, nan), (1, 5), (1, None)])}
+        q = _join([("a", "b"), ("c", "d")], ("a", "c"), ("b", "d"))
+        assert evaluate(q, db).tuples == {(1, 5, 1, 5): 1}
+
+    def test_the_same_nan_object_never_matches_itself(self):
+        nan = float("nan")
+        db = {"L": bag(("a",), [(nan,)]), "R": bag(("b",), [(nan,)])}
+        assert evaluate(_join([("a", "b")], ("a",), ("b",)), db).tuples == {}

@@ -9,7 +9,7 @@ from provopt.algebra import (
     Agg, Arith, Attr, Cmp, Cond, Const, DupElim, Project,
     Relation, Union, schema_of,
 )
-from provopt.executor import BagRelation, bags_equal, evaluate
+from provopt.executor import BagRelation, EvalError, bags_equal, evaluate
 from provopt.instrument import (
     AGG_WINDOW, FILTER_UPDATED, HIST_JOIN, InstrumentError, UpdateStmt, UpdateSyntaxError,
     VersionedStore, conditions_over_prestate, instrument_query, parse_updates,
@@ -338,3 +338,50 @@ def test_replay_on_the_fixture_transaction():
     assert got.tuples == {(3, 1): 1, (-2, 2): 1, (-1, 2): 1}
     assert matched == [{"A": 3, "B": 2}, {"A": 4, "B": 2}, {"A": 2, "B": 1}]
     assert evaluate(reenact(ups, schema=db["R"].schema), db).tuples == got.tuples
+
+
+class TestReplay:
+    def test_a_set_error_on_an_earlier_row_wins_over_a_later_where_error(self):
+        # row 1 matches and its SET adds to a string; row 2's WHERE compares
+        # a string with a number
+        state = bag(("a", "b"), [("x", 1), (1, "s")])
+        before = dict(state.tuples)
+        up = UpdateStmt("R", (("a", Arith("+", Attr("a"), Const(1))),),
+                        Cmp("=", Attr("b"), Const(1)))
+        with pytest.raises(EvalError, match="arithmetic on non-numeric"):
+            replay([up], state)
+        assert state.tuples == before
+
+    def test_a_where_error_on_an_earlier_row_wins_over_a_later_set_error(self):
+        state = bag(("a", "b"), [(1, "s"), ("x", 1)])
+        up = UpdateStmt("R", (("a", Arith("+", Attr("a"), Const(1))),),
+                        Cmp("=", Attr("b"), Const(1)))
+        with pytest.raises(EvalError, match="different types"):
+            replay([up], state)
+
+    def test_the_input_bag_is_left_unchanged(self):
+        state = bag(("a",), [(1,), (2,), (3,)])
+        before = dict(state.tuples)
+        up = UpdateStmt("R", (("a", Arith("+", Attr("a"), Const(1))),),
+                        Cmp("<", Attr("a"), Const(3)))
+        got = replay([up, up], state)
+        assert got.tuples == {(3,): 3}
+        assert state.tuples == before
+
+    def test_new_values_merge_with_rows_matched_or_not(self):
+        # 1 -> 2 and 2 -> 3 in one update; 2 also meets an unmatched 2 later
+        state = BagRelation(("a", "b"))
+        state.add((1, 0), 2)
+        state.add((2, 0), 3)
+        state.add((3, 1), 1)
+        up = UpdateStmt("R", (("a", Arith("+", Attr("a"), Const(1))),),
+                        Cmp("=", Attr("b"), Const(0)))
+        assert replay([up], state).tuples == {(2, 0): 2, (3, 0): 3, (3, 1): 1}
+        back = UpdateStmt("R", (("b", Const(0)),), Cmp("=", Attr("b"), Const(1)))
+        assert replay([up, back], state).tuples == {(2, 0): 2, (3, 0): 4}
+
+    def test_an_unbound_set_attribute_over_an_empty_bag_does_not_raise(self):
+        up = UpdateStmt("R", (("a", Attr("missing")),), Const(True))
+        assert replay([up], BagRelation(("a",))).tuples == {}
+        with pytest.raises(EvalError, match="unbound attribute 'missing'"):
+            replay([up], bag(("a",), [(1,)]))
