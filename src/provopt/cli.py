@@ -19,6 +19,7 @@ overrides ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -44,12 +45,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:
-        # running a compiled expression still nests one call per level
+        # no pass recurses once per nesting level; kept as a guard
         print(f"error: input nested too deeply: {exc}", file=sys.stderr)
         return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     p = argparse.ArgumentParser(prog="provopt",
                                 description="provenance instrumentation and optimization")
     sub = p.add_subparsers(dest="command", required=True)

@@ -18,13 +18,17 @@ join algorithm. A key with a null never matches, ``1`` matches ``1.0``, and
 a key column whose non-null values on the two inputs span more than one
 kind (boolean, numeric, other) raises :class:`EvalError` unless an input is
 empty; the per-row null/NaN test runs only when a key column holds a value
-of a type other than int, bool or str. Selection conditions and projection
-targets are compiled once per operator into functions of a row tuple
-(:func:`compile_expr`), with attributes resolved to column indexes and
-every type check kept, made lazily at evaluation time. A projection of
-attributes only, a join key and a grouping key are each one
-``itemgetter`` call per row. A cross product is the equi-join on no key
-columns.
+of a type other than int, bool or str. A cross product is the equi-join on
+no key columns.
+
+Expressions run a column at a time (:func:`evaluate_exprs`): a selection,
+a projection and each replayed UPDATE evaluate their expressions once over
+the operator's whole input, computing every subexpression once as a list
+of values, one per row, and most of them as one ``map`` of an
+``operator`` function. Every type check of a row-at-a-time evaluation is
+kept, and so is its first error: a batch that raises is run again one row
+at a time. A projection of attributes only, a join key and a grouping key
+are each one ``itemgetter`` call per row.
 
 Evaluation and costing are each one loop over
 :func:`~provopt.algebra.all_nodes`, children before parents: a node's
@@ -39,14 +43,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .algebra import (
-    Agg, Arith, Attr, BoolOp, Cmp, Const, Diff, DupElim, Expr,
+    Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Node, Product, Project, Relation,
     Select, Union, Window, Value,
-    all_nodes, fold_expr, right_output_names, schema_of,
+    all_nodes, expr_children, fold_expr, right_output_names, schema_of,
 )
 
 
@@ -129,30 +134,46 @@ def _columns(idx: Sequence[int]) -> Callable[[tuple], tuple]:
 # ---------------------------------------------------------------------------
 # expression evaluation
 #
-# An expression is compiled once per operator into a function of a row
-# tuple: every attribute is resolved to its column index up front and the
-# per-row work is one closure call per expression node. Compiling is one
-# :func:`~provopt.algebra.fold_expr` over the operator's expressions, so a
-# shared subexpression compiles once and any depth compiles; a compiled
-# function still nests one Python call per level when it runs. Every check
-# but "not an expression" is made at evaluation time, lazily: an unbound
-# attribute raises only when it is read, a conditional evaluates only the
-# branch it takes, and a boolean operator evaluates all of its arguments and
-# then type-checks each one.
+# Expressions run a column at a time over a batch of rows: every
+# subexpression is computed once per batch, as the list of its values, one
+# per row. An attribute is a column of the rows, read when first needed;
+# arithmetic and a comparison are one ``map`` of the ``operator`` function
+# once a scan of both columns' types finds only types that need no per-value
+# check (numbers; for a comparison also one type throughout), and run value
+# by value with the checks otherwise. A conditional evaluates its test, then
+# each branch over the rows whose test chose it (a sub-batch), and merges
+# the two columns back in row order; a branch that cannot raise (a constant,
+# a bound attribute) runs over the whole batch instead. A subexpression
+# shared within a batch is computed once. The evaluator is a loop over an
+# explicit work list, so an expression of any depth runs at the default
+# recursion limit.
+#
+# Errors are the row-at-a-time evaluator's: when a batch raises anything,
+# it is run again one row at a time, in input order, on one-row batches, and
+# the first row's error is raised. On one row the work list runs the
+# subexpressions in the order a recursive evaluation would, so an unbound
+# attribute raises only when read, a conditional evaluates only the branch
+# it takes, and a boolean operator evaluates all of its arguments and then
+# type-checks each one.
 
 
 RowFn = Callable[[tuple], Value]
+T = TypeVar("T")
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-#: exact types :func:`_is_number` accepts, tested first as a fast path
+#: exact value types that arithmetic and comparison accept without a per-value check
 _NUMBER_TYPES = frozenset((int, float))
+_BOOL_TYPES = frozenset((bool,))
+_NONE_TYPE = type(None)
+#: value types whose comparison gives a boolean
+_BUILTIN_TYPES = frozenset((int, float, str, bool, _NONE_TYPE))
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _CMP = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -171,126 +192,307 @@ def _check_comparable(lv: Value, rv: Value) -> None:
         raise EvalError(f"cannot compare {what} ({lv!r}, {rv!r})")
 
 
-def _compile(exprs: Iterable[Expr], schema: Sequence[str]) -> list[RowFn]:
-    """The expressions as functions of one row of ``schema``, folded
-    children first so that shared subexpressions compile once.
-
-    A repeated attribute name resolves to its last column, as a name ->
-    value environment built from the row would."""
-    index = {a: i for i, a in enumerate(schema)}
-
-    def step(x: Expr, kids: tuple[RowFn, ...]) -> RowFn:
-        if isinstance(x, Attr):
-            return itemgetter(index[x.name]) if x.name in index else _unbound(x.name)
-        if isinstance(x, Const):
-            return _constant(x.value)
-        if isinstance(x, Arith):
-            return _arith(x.op, *kids)
-        if isinstance(x, Cmp):
-            return _cmp(x.op, *kids)
-        if isinstance(x, BoolOp):
-            return _boolop(x.op, kids)
-        return _cond(*kids)  # fold_expr admits nothing else
-
-    return fold_expr(exprs, step)
+def _overflow(exc: OverflowError) -> EvalError:
+    return EvalError(f"arithmetic overflow: {exc}")
 
 
-def _unbound(name: str) -> RowFn:
-    def unbound(row):
-        raise EvalError(f"unbound attribute {name!r}")
-    return unbound
+def _arith_value(op: str, lv: Value, rv: Value) -> Value:
+    if not (_is_number(lv) and _is_number(rv)):
+        raise EvalError(f"arithmetic on non-numeric values {lv!r}, {rv!r}")
+    if op == "/" and rv == 0:
+        raise EvalError("division by zero")
+    try:
+        return _ARITH[op](lv, rv)
+    except OverflowError as exc:
+        raise _overflow(exc) from None
 
 
-def _constant(value: Value) -> RowFn:
-    return lambda row: value
+def _arith_column(op: str, left: Sequence, right: Sequence,
+                  types: frozenset) -> tuple[list, Optional[frozenset]]:
+    if types <= _NUMBER_TYPES and (op != "/" or 0 not in right):
+        try:
+            return list(map(_ARITH[op], left, right)), _NUMBER_TYPES
+        except OverflowError as exc:
+            raise _overflow(exc) from None
+    return [_arith_value(op, lv, rv) for lv, rv in zip(left, right)], None
 
 
-def _arith(op: str, left: RowFn, right: RowFn) -> RowFn:
-    apply = _ARITH.get(op)
-
-    def arith(row):
-        lv, rv = left(row), right(row)
-        if not ((type(lv) in _NUMBER_TYPES or _is_number(lv))
-                and (type(rv) in _NUMBER_TYPES or _is_number(rv))):
-            raise EvalError(f"arithmetic on non-numeric values {lv!r}, {rv!r}")
-        if apply is not None:
-            return apply(lv, rv)
-        if rv == 0:
-            raise EvalError("division by zero")
-        return lv / rv
-    return arith
+def _cmp_value(op: str, lv: Value, rv: Value) -> bool:
+    if lv is None or rv is None:
+        return op == "<>"  # null compares unequal to everything, including null
+    if type(lv) is not type(rv):  # values of one type are always comparable
+        _check_comparable(lv, rv)
+    return _CMP[op](lv, rv)
 
 
-def _cmp(op: str, left: RowFn, right: RowFn) -> RowFn:
-    apply = _CMP[op]
-    # null compares unequal to everything, including null
-    on_null = op == "<>"
-
-    def cmp(row):
-        lv, rv = left(row), right(row)
-        if lv is None or rv is None:
-            return on_null
-        if type(lv) is not type(rv):  # values of one type are always comparable
-            _check_comparable(lv, rv)
-        return apply(lv, rv)
-    return cmp
+def _cmp_column(op: str, left: Sequence, right: Sequence,
+                types: frozenset) -> tuple[list, Optional[frozenset]]:
+    # a comparison of built-in values gives a boolean
+    out_types = _BOOL_TYPES if types <= _BUILTIN_TYPES else None
+    if types <= _NUMBER_TYPES or (len(types) == 1 and _NONE_TYPE not in types):
+        return list(map(_CMP[op], left, right)), out_types
+    return [_cmp_value(op, lv, rv) for lv, rv in zip(left, right)], out_types
 
 
-def _boolop(op: str, args: tuple[RowFn, ...]) -> RowFn:
-    def boolop(row):
-        vals = [a(row) for a in args]
-        for v in vals:
+def _check_booleans(column: Sequence, types: frozenset, message: str) -> None:
+    """Raise ``message`` with the first value of ``column`` that is not a
+    boolean; ``types`` holds the types of its values, perhaps more."""
+    if not types <= _BOOL_TYPES:
+        for v in column:
             if v is not True and v is not False:
-                raise EvalError(f"boolean operator over non-boolean value {v!r}")
-        if op == "and":
-            return all(vals)
-        if op == "or":
-            return any(vals)
-        return not vals[0]
-    return boolop
+                raise EvalError(f"{message} {v!r}")
 
 
-def _cond(pred: RowFn, if_true: RowFn, if_false: RowFn) -> RowFn:
-    def cond(row):
-        p = pred(row)
-        if p is True:
-            return if_true(row)
-        if p is False:
-            return if_false(row)
-        raise EvalError(f"conditional test is not boolean: {p!r}")
-    return cond
+class _Batch:
+    """Rows evaluated together: the value column of each subexpression
+    computed over them (by id) and the columns of the rows themselves, both
+    computed when first needed, and the types each column may hold (a
+    superset of its values' types)."""
+
+    __slots__ = ("rows", "columns", "values", "types")
+
+    def __init__(self, rows: list[tuple]):
+        self.rows = rows
+        self.columns: dict[int, Sequence] = {}
+        self.values: dict[int, Sequence] = {}
+        #: id(column) -> (column, types); holding the column keeps its id unique
+        self.types: dict[int, tuple[Sequence, frozenset]] = {}
+
+    def read_columns(self) -> None:
+        """Read every column of the rows in one transposition, which costs
+        less than reading most of them one at a time."""
+        self.columns.update(enumerate(zip(*self.rows)))
+
+    def column(self, i: int) -> Sequence:
+        col = self.columns.get(i)
+        if col is None:
+            col = self.columns[i] = list(map(itemgetter(i), self.rows))
+        return col
+
+    def types_of(self, column: Sequence) -> frozenset:
+        known = self.types.get(id(column))
+        if known is None:
+            known = self.types[id(column)] = (column, frozenset(map(type, column)))
+        return known[1]
+
+    def put(self, x: Expr, column: Sequence, types: Optional[frozenset] = None) -> None:
+        """Store ``x``'s column; ``types``, when given, holds its values' types."""
+        self.values[id(x)] = column
+        if types is not None:
+            self.types[id(column)] = (column, types)
+
+    def evaluate(self, exprs: Sequence[Expr], index: Mapping[str, int]) -> list[Sequence]:
+        """The value column of each expression over the rows, whose
+        attributes are at the columns ``index`` names; raises as soon as
+        any row fails.
+
+        One work list runs every batch: subexpressions are entered depth
+        first, children in order, and each is computed once per batch; a
+        conditional's test is computed before its branches are entered."""
+        todo = [(e, self, _ENTER, None) for e in reversed(exprs)]
+        while todo:
+            x, batch, stage, parts = todo.pop()
+            if stage == _ENTER:
+                if id(x) in batch.values:
+                    continue
+                if isinstance(x, Attr):
+                    if x.name in index:
+                        batch.put(x, batch.column(index[x.name]))
+                    elif batch.rows:
+                        raise EvalError(f"unbound attribute {x.name!r}")
+                    else:
+                        batch.put(x, [])
+                elif isinstance(x, Const):
+                    batch.put(x, [x.value] * len(batch.rows), frozenset((type(x.value),)))
+                elif isinstance(x, Cond):
+                    todo.append((x, batch, _SPLIT, None))
+                    todo.append((x.pred, batch, _ENTER, None))
+                else:
+                    kids = expr_children(x)  # raises on a non-expression
+                    todo.append((x, batch, _COMBINE, None))
+                    todo.extend([(k, batch, _ENTER, None) for k in reversed(kids)])
+            elif stage == _COMBINE:
+                batch.put(x, *batch._combine(x))
+            elif stage == _SPLIT:
+                test = batch.values[id(x.pred)]
+                _check_booleans(test, batch.types_of(test), "conditional test is not boolean:")
+                taken = test.count(True)
+                parts = (batch._branch(x.if_true, test, True, taken, index),
+                         batch._branch(x.if_false, test, False, len(test) - taken, index))
+                todo.append((x, batch, _MERGE, parts))
+                for branch, sub in ((x.if_false, parts[1]), (x.if_true, parts[0])):
+                    if sub is not None:
+                        todo.append((branch, sub, _ENTER, None))
+            else:
+                batch._merge(x, parts)
+        return [self.values[id(e)] for e in exprs]
+
+    def _combine(self, x: Expr) -> tuple[list, Optional[frozenset]]:
+        """An operator's column from its arguments' columns, and its types."""
+        if isinstance(x, BoolOp):
+            args = [self.values[id(a)] for a in x.args]
+            for column in args:
+                _check_booleans(column, self.types_of(column),
+                                "boolean operator over non-boolean value")
+            if x.op == "not":
+                return list(map(operator.not_, args[0])), _BOOL_TYPES
+            return list(map(all if x.op == "and" else any, zip(*args))), _BOOL_TYPES
+        left, right = self.values[id(x.left)], self.values[id(x.right)]
+        types = self.types_of(left) | self.types_of(right)
+        if isinstance(x, Arith):
+            return _arith_column(x.op, left, right, types)
+        return _cmp_column(x.op, left, right, types)
+
+    def _branch(self, branch: Expr, test: Sequence, side: bool, taken: int,
+                index: Mapping[str, int]) -> Optional["_Batch"]:
+        """The batch a conditional's branch runs over: this batch when every
+        row takes the branch (an empty batch takes both) or it cannot raise
+        (a constant or a bound attribute); none when no row takes it; else
+        a sub-batch of the rows that take it, which lives until the
+        conditional's column is merged, so memory stays bounded by the
+        conditionals being evaluated at once."""
+        if taken == len(test):
+            return self
+        if not taken:
+            return None
+        if isinstance(branch, Const) or (isinstance(branch, Attr) and branch.name in index):
+            return self
+        return _Batch(list(compress(self.rows, test if side else map(operator.not_, test))))
+
+    def _merge(self, x: Cond, parts: tuple) -> None:
+        """A conditional's column from its branches' columns, in row order."""
+        test = self.values[id(x.pred)]
+        on_true, on_false = parts
+        if on_false is None or on_true is None:
+            sub, branch = (on_true, x.if_true) if on_false is None else (on_false, x.if_false)
+            column = sub.values[id(branch)]
+            self.put(x, column, sub.types_of(column))
+            return
+        if_true, if_false = on_true.values[id(x.if_true)], on_false.values[id(x.if_false)]
+        types = on_true.types_of(if_true) | on_false.types_of(if_false)
+        if on_true is not self and on_false is not self:
+            picks = (iter(if_false), iter(if_true))
+            self.put(x, list(map(next, map(picks.__getitem__, test))), types)
+            return
+        # copy a branch computed over the whole batch, then write the rows
+        # the other branch took over it
+        if on_false is self:
+            out, other, sub, chosen = list(if_false), if_true, on_true, test
+        else:
+            out, other, sub = list(if_true), if_false, on_false
+            chosen = list(map(operator.not_, test))
+        if sub is self:
+            other = compress(other, chosen)
+        for i, v in zip(compress(range(len(out)), chosen), other):
+            out[i] = v
+        self.put(x, out, types)
+
+
+# work-list stages of a subexpression
+_ENTER, _COMBINE, _SPLIT, _MERGE = range(4)
+
+
+def _index(schema: Sequence[str]) -> dict[str, int]:
+    """Attribute name -> column; a repeated name resolves to its last
+    column, as a name -> value environment built from a row would."""
+    return {a: i for i, a in enumerate(schema)}
+
+
+def _mask(cond: Expr, index: Mapping[str, int], rows: list[tuple]) -> Sequence[bool]:
+    batch = _Batch(rows)
+    column = batch.evaluate((cond,), index)[0]
+    _check_booleans(column, batch.types_of(column), "selection condition evaluated to non-boolean")
+    return column
+
+
+def _projected(exprs: Sequence[Expr], index: Mapping[str, int],
+               rows: list[tuple]) -> list[tuple]:
+    """The tuple of the expressions' values for each row. A list of bound
+    attributes only is one ``itemgetter`` call per row."""
+    if exprs and all(isinstance(e, Attr) and e.name in index for e in exprs):
+        return list(map(_columns([index[e.name] for e in exprs]), rows))
+    batch = _Batch(rows)
+    batch.read_columns()
+    columns = batch.evaluate(exprs, index)
+    return list(zip(*columns)) if columns else [()] * len(rows)
+
+
+def _first_row_error(run: Callable[[list[tuple]], T], rows: list[tuple]) -> T:
+    """``run(rows)``; when that raises, the error ``run`` raises on the
+    first row, in order, that fails on its own."""
+    try:
+        return run(rows)
+    except Exception as exc:
+        if len(rows) <= 1:
+            raise
+        failure = exc
+    for row in rows:
+        run([row])
+    raise failure
+
+
+def evaluate_exprs(exprs: Sequence[Expr], schema: Sequence[str], rows: list[tuple]) -> list[list]:
+    """The value column of each expression over rows of ``schema``: one list
+    per expression, one value per row. Raises what evaluating the rows one
+    at a time, in order, would raise first."""
+    index = _index(schema)
+    return _first_row_error(lambda batch: _Batch(batch).evaluate(exprs, index), rows)
+
+
+def selection_mask(cond: Expr, schema: Sequence[str], rows: list[tuple]) -> Sequence[bool]:
+    """Whether each row of ``schema`` satisfies a selection condition; a
+    non-boolean value raises."""
+    index = _index(schema)
+    return _first_row_error(lambda batch: _mask(cond, index, batch), rows)
+
+
+def projected_rows(exprs: Sequence[Expr], schema: Sequence[str],
+                   rows: list[tuple]) -> list[tuple]:
+    """The tuple of the expressions' values for each row of ``schema``."""
+    index = _index(schema)
+    return _first_row_error(lambda batch: _projected(exprs, index, batch), rows)
+
+
+def updated_rows(cond: Expr, exprs: Sequence[Expr], schema: Sequence[str],
+                 rows: list[tuple]) -> tuple[list[tuple], list[tuple]]:
+    """The rows of ``schema`` that satisfy ``cond``, in order, and the tuple
+    of the expressions' values for each of them. Raises what evaluating the
+    rows one at a time, in order, would raise first: each row's condition,
+    then, if it holds, its expressions."""
+    index = _index(schema)
+
+    def run(batch):
+        matched = list(compress(batch, _mask(cond, index, batch)))
+        return matched, _projected(exprs, index, matched)
+    return _first_row_error(run, rows)
+
+
+def _check_exprs(exprs: Iterable[Expr]) -> None:
+    """Raise on a non-expression anywhere in ``exprs``, before any row is read."""
+    fold_expr(exprs, lambda x, kids: None)
 
 
 def compile_expr(e: Expr, schema: Sequence[str]) -> RowFn:
     """The expression as a function of one row of ``schema``."""
-    return _compile((e,), schema)[0]
+    _check_exprs((e,))
+    index = _index(schema)
+    return lambda row: _Batch([row]).evaluate((e,), index)[0][0]
 
 
 def compile_row(exprs: Iterable[Expr], schema: Sequence[str]) -> Callable[[tuple], tuple]:
     """A function from a row of ``schema`` to the tuple of the expressions'
-    values; subexpressions shared between them compile once.
-
-    When every expression is an attribute bound in ``schema`` the function
-    is one ``itemgetter`` call; any other list keeps the per-expression
-    functions, so an unbound attribute still raises only when a row is read."""
-    exprs = list(exprs)
-    index = {a: i for i, a in enumerate(schema)}
-    if exprs and all(isinstance(e, Attr) and e.name in index for e in exprs):
-        return _columns([index[e.name] for e in exprs])
-    fns = _compile(exprs, schema)
-    return lambda row: tuple([f(row) for f in fns])
+    values; subexpressions shared between them are computed once per row."""
+    exprs = tuple(exprs)
+    _check_exprs(exprs)
+    index = _index(schema)
+    return lambda row: _projected(exprs, index, [row])[0]
 
 
 def compile_predicate(cond: Expr, schema: Sequence[str]) -> Callable[[tuple], bool]:
     """A selection condition over rows of ``schema``; a non-boolean value raises."""
-    fn = compile_expr(cond, schema)
-
-    def predicate(row):
-        v = fn(row)
-        if v is not True and v is not False:
-            raise EvalError(f"selection condition evaluated to non-boolean {v!r}")
-        return v
-    return predicate
+    _check_exprs((cond,))
+    index = _index(schema)
+    return lambda row: _mask(cond, index, [row])[0]
 
 
 def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
@@ -314,15 +516,16 @@ def aggregate(fn: str, values: list[tuple[Value, int]]) -> Value:
         return n
     if n == 0:
         raise EvalError(f"{fn} over an empty group")
-    if fn == "sum":
+    if fn in ("sum", "avg"):
         total = 0
-        for v, m in values:
-            if not _is_number(v):
-                raise EvalError(f"sum over non-numeric value {v!r}")
-            total += v * m
-        return total
-    if fn == "avg":
-        return aggregate("sum", values) / n
+        try:
+            for v, m in values:
+                if not _is_number(v):
+                    raise EvalError(f"sum over non-numeric value {v!r}")
+                total += v * m
+            return total if fn == "sum" else total / n
+        except OverflowError as exc:
+            raise EvalError(f"{fn} overflow: {exc}") from None
     flat = [v for v, _ in values]
     try:
         return min(flat) if fn == "min" else max(flat)
@@ -412,12 +615,12 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
             return dict(rel.tuples)
         if isinstance(n, Select):
             child = memo[n.child]
-            keep = compile_predicate(n.cond, child.schema)
-            return {t: m for t, m in child.tuples.items() if keep(t)}
+            keep = selection_mask(n.cond, child.schema, list(child.tuples))
+            return dict(compress(child.tuples.items(), keep))
         if isinstance(n, Project):
             child = memo[n.child]
-            row = compile_row((e for e, _ in n.targets), child.schema)
-            rows = list(zip(map(row, child.tuples), child.tuples.values()))
+            new = projected_rows([e for e, _ in n.targets], child.schema, list(child.tuples))
+            rows = list(zip(new, child.tuples.values()))
             out = dict(rows)
             # a projection that keeps a key of its input merges no rows
             return out if len(out) == len(rows) else _merged(rows, {})

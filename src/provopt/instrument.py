@@ -30,7 +30,7 @@ from .algebra import (
     FRAME_PARTITION, all_nodes, disjunction, expr_attrs, fresh_name, identity_targets,
     replace_children, schema_of, substitute, substitute_attrs,
 )
-from .executor import BagRelation, EvalError, compile_predicate, compile_row
+from .executor import BagRelation, EvalError, updated_rows
 
 
 class InstrumentError(Exception):
@@ -237,28 +237,26 @@ def replay(updates: list[UpdateStmt], state: BagRelation,
     """Imperative update application; oracle for the reenactment compiler.
 
     ``on_match`` is called with the attribute -> value environment of every
-    tuple an update's condition matches, before the update changes it.
+    tuple an update's condition matches, in scan order, before the update
+    changes it.
 
-    ``state`` is copied once and left unchanged. Each update scans the copy,
-    computing a matched row's new value right after its condition, so the
-    first error raised is the first row's in scan order; then it removes the
-    matched rows and adds their new values, so only those rows are
-    rewritten."""
+    ``state`` is copied once and left unchanged. Each update evaluates its
+    condition over the whole copy as one batch, then its new values over the
+    matched rows as another (:func:`~provopt.executor.updated_rows`); an
+    error is the one a row-at-a-time scan would raise first, each row's
+    condition before its new values. Then it removes the matched rows and
+    adds their new values, so only those rows are rewritten."""
     schema = state.schema
     tuples = dict(state.tuples)
     for u in updates:
         assigned = dict(u.set_clauses)
-        matches = compile_predicate(u.where, schema)
-        updated = compile_row((assigned.get(a, Attr(a)) for a in schema), schema)
-        moved = []
-        for t, m in tuples.items():
-            if matches(t):
-                moved.append((t, updated(t), m))
-                if on_match is not None:
-                    on_match(dict(zip(schema, t)))
-        for t, _, _ in moved:
-            del tuples[t]
-        for _, row, m in moved:
+        matched, new = updated_rows(u.where, [assigned.get(a, Attr(a)) for a in schema],
+                                    schema, list(tuples))
+        if on_match is not None:
+            for t in matched:
+                on_match(dict(zip(schema, t)))
+        counts = [tuples.pop(t) for t in matched]
+        for row, m in zip(new, counts):
             tuples[row] = tuples.get(row, 0) + m
     return BagRelation(schema, tuples)
 

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -260,3 +261,39 @@ def test_empty_join_condition_is_a_syntax_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sql", "--plan", str(plan))
     assert code == 2 and out == ""
     assert err.startswith("plan syntax error: ") and "(line 1, column 7)" in err
+
+
+#: an int that no float can hold
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("plan_text, message", [
+    ("(project ((+ price 0.5) -> p) (rel item))", "arithmetic overflow"),
+    ("(agg (groupby) (aggs (avg price -> p)) (rel item))", "avg overflow"),
+])
+def test_arithmetic_overflow_is_one_error_line(capsys, tmp_path, plan_text, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "item.csv").write_text(f"id,price\nSteak,{HUGE}\nBread,25\n")
+    (data / "item.schema").write_text("id:str\nprice:int\n")
+    plan = tmp_path / "q.plan"
+    plan.write_text(plan_text)
+    code, out, err = run_cli(capsys, "run", "--plan", str(plan), "--data", str(data))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--prov-of", "fixtures/sales_per_shop.plan", "--data", "fixtures"),
+    ("run", "--reenact", "fixtures_txn/t1.sql", "--data", "fixtures_txn"),
+])
+def test_a_second_run_leaves_no_reference_cycles(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    assert run_cli(capsys, *argv)[0] == 0  # the first call builds the parser
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(capsys, *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

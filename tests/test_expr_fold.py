@@ -8,12 +8,21 @@ give the same text, the same numbers, the same lists and the same values or
 errors on every input, including deep
 expressions and DAGs with shared subexpressions. The fold versions must in
 addition run at any depth and leave no reference cycle behind.
+
+The row-closure compiler is also the reference for the batch evaluator,
+which runs expressions a column at a time: applied row by row, in order, it
+must give the same values, or the same first error, for projections,
+selections and replayed UPDATEs over many rows.
 """
+import collections
 import gc
 import itertools
+import operator
 import random
+import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -23,13 +32,13 @@ from provopt import cli
 from provopt.algebra import (
     ARITH_OPS, AlgebraError, Arith, Attr, BoolOp, CMP_OPS, Cmp, Cond, Const,
     Expr, Project, Relation, Select, all_nodes, conjunction, conjuncts,
-    expr_attrs, expr_children, expr_nodes, fold_expr, schema_of,
+    Value, expr_attrs, expr_children, expr_nodes, fold_expr, schema_of,
 )
 from provopt.executor import (
-    RANGE_SELECTIVITY, EvalError, TableStats, _arith, _boolop, _cmp, _cond,
-    _constant, _unbound, compile_expr, compile_predicate, compile_row, cost,
+    RANGE_SELECTIVITY, BagRelation, EvalError, TableStats, compile_expr, compile_predicate,
+    compile_row, cost, evaluate, evaluate_exprs,
 )
-from provopt.instrument import parse_updates, reenact
+from provopt.instrument import parse_updates, reenact, replay
 from provopt.plantext import _BARE, _format_literal, format_expr, format_name, format_plan
 from provopt.rewrites import RewriteConfig, apply_pats, merge_selections
 from provopt.sqlgen import quote_ident, render_expr, render_value
@@ -105,6 +114,106 @@ def _old_format_expr(e):
         return (f"(if {_old_format_expr(e.pred)} {_old_format_expr(e.if_true)}"
                 f" {_old_format_expr(e.if_false)})")
     raise AssertionError(e)
+
+
+# ---------------------------------------------------------------------------
+# the row-closure compiler, the reference for the batch evaluator
+
+
+RowFn = Callable[[tuple], Value]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: exact types :func:`_is_number` accepts, tested first as a fast path
+_NUMBER_TYPES = frozenset((int, float))
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_CMP = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _kind(tp: type) -> str:
+    """Values of different kinds (boolean, numeric, other) never compare."""
+    if issubclass(tp, bool):
+        return "boolean"
+    return "numeric" if issubclass(tp, (int, float)) else "other"
+
+
+def _check_comparable(lv: Value, rv: Value) -> None:
+    lk, rk = _kind(type(lv)), _kind(type(rv))
+    if lk != rk:
+        what = "boolean with non-boolean" if "boolean" in (lk, rk) else "values of different types"
+        raise EvalError(f"cannot compare {what} ({lv!r}, {rv!r})")
+
+
+def _unbound(name: str) -> RowFn:
+    def unbound(row):
+        raise EvalError(f"unbound attribute {name!r}")
+    return unbound
+
+
+def _constant(value: Value) -> RowFn:
+    return lambda row: value
+
+
+def _arith(op: str, left: RowFn, right: RowFn) -> RowFn:
+    apply = _ARITH.get(op)
+
+    def arith(row):
+        lv, rv = left(row), right(row)
+        if not ((type(lv) in _NUMBER_TYPES or _is_number(lv))
+                and (type(rv) in _NUMBER_TYPES or _is_number(rv))):
+            raise EvalError(f"arithmetic on non-numeric values {lv!r}, {rv!r}")
+        if apply is not None:
+            return apply(lv, rv)
+        if rv == 0:
+            raise EvalError("division by zero")
+        return lv / rv
+    return arith
+
+
+def _cmp(op: str, left: RowFn, right: RowFn) -> RowFn:
+    apply = _CMP[op]
+    # null compares unequal to everything, including null
+    on_null = op == "<>"
+
+    def cmp(row):
+        lv, rv = left(row), right(row)
+        if lv is None or rv is None:
+            return on_null
+        if type(lv) is not type(rv):  # values of one type are always comparable
+            _check_comparable(lv, rv)
+        return apply(lv, rv)
+    return cmp
+
+
+def _boolop(op: str, args: tuple[RowFn, ...]) -> RowFn:
+    def boolop(row):
+        vals = [a(row) for a in args]
+        for v in vals:
+            if v is not True and v is not False:
+                raise EvalError(f"boolean operator over non-boolean value {v!r}")
+        if op == "and":
+            return all(vals)
+        if op == "or":
+            return any(vals)
+        return not vals[0]
+    return boolop
+
+
+def _cond(pred: RowFn, if_true: RowFn, if_false: RowFn) -> RowFn:
+    def cond(row):
+        p = pred(row)
+        if p is True:
+            return if_true(row)
+        if p is False:
+            return if_false(row)
+        raise EvalError(f"conditional test is not boolean: {p!r}")
+    return cond
 
 
 def _old_compiler(schema):
@@ -386,6 +495,215 @@ def test_untaken_branch_and_division_errors_match():
 
 
 # ---------------------------------------------------------------------------
+# batch evaluation against the row-closure compiler, row by row
+
+
+def _old_predicate(fn):
+    """A selection condition as the row compiler checked it."""
+    def predicate(row):
+        v = fn(row)
+        if v is not True and v is not False:
+            raise EvalError(f"selection condition evaluated to non-boolean {v!r}")
+        return v
+    return predicate
+
+
+def _first_error_or(compute):
+    try:
+        return ("value", compute())
+    except EvalError as exc:
+        return ("error", str(exc))
+
+
+def _typed(items):
+    """(row, count) pairs with each value's type, in order."""
+    return [(tuple((type(v), repr(v)) for v in t), m) for t, m in items]
+
+
+#: ROWS, and the rows of it that hold numbers only, or numbers and nulls,
+#: on which more expressions evaluate without an error
+ROW_SETS = [ROWS, [r for r in ROWS if {type(v) for v in r} <= {int, float}],
+            [r for r in ROWS if {type(v) for v in r} <= {int, float, type(None)}]]
+#: the schema of the evaluated relation: SCHEMA and two more names the corpus reads
+WIDE = SCHEMA + ("b'", "select")
+
+
+def _reference_project(exprs, bag):
+    comp = _old_compiler(bag.schema)
+    fns = [comp(e) for e in exprs]
+    out = {}
+    for t, m in bag.tuples.items():
+        row = tuple([f(t) for f in fns])
+        out[row] = out.get(row, 0) + m
+    return _typed(out.items())
+
+
+def _reference_select(cond, bag):
+    keep = _old_predicate(_old_compiler(bag.schema)(cond))
+    return _typed((t, m) for t, m in bag.tuples.items() if keep(t))
+
+
+def test_rows_cover_every_value_kind():
+    kinds = {type(v) for r in ROWS for v in r}
+    assert kinds == {int, float, bool, str, type(None)}
+    assert all(any(r[1] == 0 for r in rows) for rows in ROW_SETS)  # a zero divisor
+
+
+def test_evaluate_exprs_matches_the_row_compiler_row_by_row():
+    outcomes = collections.Counter()
+    for rows, size in itertools.product(ROW_SETS, (1, 3)):
+        for i in range(0, len(CORPUS), size):
+            exprs = CORPUS[i:i + size]
+            comp = _old_compiler(SCHEMA)
+            fns = [comp(e) for e in exprs]
+            want = _first_error_or(lambda: _typed((tuple([f(r) for f in fns]), 1) for r in rows))
+            got = _first_error_or(lambda: _typed((row, 1) for row in
+                                                 zip(*evaluate_exprs(exprs, SCHEMA, rows))))
+            assert got == want, exprs
+            outcomes[want[0]] += 1
+    assert outcomes["value"] > 1000 and outcomes["error"] > 1000
+
+
+def test_evaluate_matches_the_row_compiler_on_projections_and_selections():
+    rel = Relation("R", WIDE)
+    outcomes = collections.Counter()
+    for rows in ROW_SETS:
+        bag = BagRelation.from_rows(WIDE, [r + (r[2], r[0]) for r in rows])
+        db = {"R": bag}
+        for i, e in enumerate(CORPUS):
+            if not expr_attrs(e) <= set(WIDE):
+                continue
+            exprs = [x for x in CORPUS[i:i + 3] if expr_attrs(x) <= set(WIDE)]
+            project = Project(tuple((x, f"t{k}") for k, x in enumerate(exprs)), rel)
+            want = _first_error_or(lambda: _reference_project(exprs, bag))
+            assert _first_error_or(lambda: _typed(evaluate(project, db).rows())) == want, exprs
+            outcomes[want[0]] += 1
+            want = _first_error_or(lambda: _reference_select(e, bag))
+            assert _first_error_or(lambda: _typed(evaluate(Select(e, rel), db).rows())) == want, e
+            outcomes["selected " + want[0]] += 1
+    assert min(outcomes.values()) > 300 and len(outcomes) == 4
+
+
+def _numeric_dag(rng: random.Random, size: int) -> Expr:
+    """A random expression over numbers that seldom raises: nested
+    conditionals whose branches are computed and share subexpressions, and
+    arithmetic that cannot grow without bound (a product has a constant
+    side)."""
+    pool = [Attr("a"), Attr("b"), Attr("c"), Const(0), Const(1), Const(2.5)]
+    for _ in range(size):
+        x, y, z, w = (pool[-rng.randint(1, min(len(pool), 6))] for _ in range(4))
+        kind = rng.randrange(3)
+        if kind == 0:
+            pool.append(Arith(rng.choice("+-"), x, y))
+        elif kind == 1:
+            pool.append(Arith(rng.choice("*/"), x, Const(rng.choice([2, -1, 0.5]))))
+        else:
+            pool.append(Cond(Cmp(rng.choice(CMP_OPS), x, y), z, w))
+    return pool[-1]
+
+
+def test_batch_conditionals_match_the_row_compiler_on_numbers():
+    rng = random.Random(3)
+    rows = [(rng.randint(-3, 3), rng.choice([0, 1, 2, 0.5, -2]), rng.randint(0, 2))
+            for _ in range(40)]
+    outcomes = collections.Counter()
+    for _ in range(300):
+        exprs = [_numeric_dag(rng, rng.randint(3, 25)) for _ in range(2)]
+        comp = _old_compiler(SCHEMA)
+        fns = [comp(e) for e in exprs]
+        want = _first_error_or(lambda: _typed((tuple([f(r) for f in fns]), 1) for r in rows))
+        got = _first_error_or(lambda: _typed((row, 1) for row in
+                                             zip(*evaluate_exprs(exprs, SCHEMA, rows))))
+        assert got == want, exprs
+        outcomes[want[0]] += 1
+    assert outcomes["value"] > 200
+
+
+def test_batch_takes_each_branch_only_on_its_rows():
+    e = Cond(Cmp("=", Attr("a"), Const(0)), Arith("/", Attr("b"), Attr("a")), Attr(UNBOUND))
+    with pytest.raises(EvalError, match="unbound attribute 'zz'"):
+        evaluate_exprs([e], SCHEMA, [(1, 1, 1), (0, 1, 1)])
+    with pytest.raises(EvalError, match="division by zero"):
+        evaluate_exprs([e], SCHEMA, [(0, 1, 1), (1, 1, 1)])
+    # every row takes the division branch: the unbound attribute is never read
+    e = Cond(Cmp("<>", Attr("a"), Const(0)), Arith("/", Attr("b"), Attr("a")), Attr(UNBOUND))
+    assert evaluate_exprs([e], SCHEMA, [(2, 1, 0), (4, 2, 0)]) == [[0.5, 0.5]]
+    # the untaken branch would divide by zero
+    e = Cond(Cmp("=", Attr("a"), Const(0)), Const(None), Arith("/", Attr("b"), Attr("a")))
+    assert evaluate_exprs([e], SCHEMA, [(0, 1, 0), (2, 1, 0), (0, 3, 0)]) == [[None, 0.5, None]]
+
+
+def test_batch_error_is_the_first_failing_rows():
+    # row 1 fails in the second target, row 2 in the first: row 1's error wins
+    exprs = [Arith("/", Const(1), Attr("a")), Arith("+", Attr("b"), Const(1))]
+    rows = [(1, 1, 0), (2, "s", 0), (0, 1, 0)]
+    with pytest.raises(EvalError, match="arithmetic on non-numeric values 's', 1"):
+        evaluate_exprs(exprs, SCHEMA, rows)
+    with pytest.raises(EvalError, match="division by zero"):
+        evaluate_exprs(exprs, SCHEMA, rows[:1] + rows[2:])
+
+
+def _reference_replay(updates, state):
+    """Replay with the row compiler, one row at a time: the new snapshot
+    and the environments of the matched rows in order."""
+    schema = state.schema
+    tuples = dict(state.tuples)
+    matched = []
+    comp = _old_compiler(schema)
+    for u in updates:
+        assigned = dict(u.set_clauses)
+        matches = _old_predicate(comp(u.where))
+        fns = [comp(assigned.get(a, Attr(a))) for a in schema]
+        moved = []
+        for t, m in tuples.items():
+            if matches(t):
+                moved.append((t, tuple([f(t) for f in fns]), m))
+                matched.append(dict(zip(schema, t)))
+        for t, _, _ in moved:
+            del tuples[t]
+        for _, row, m in moved:
+            tuples[row] = tuples.get(row, 0) + m
+    return _typed(tuples.items()), matched
+
+
+def _replay_outcome(updates, state):
+    matched = []
+    snapshot = replay(updates, state, matched.append)
+    return _typed(snapshot.rows()), matched
+
+
+def test_replay_matches_the_row_compiler_on_random_scripts():
+    rng = random.Random(15)
+    numbers = [(rng.randint(-2, 3), rng.randint(0, 3), rng.randint(0, 2)) for _ in range(30)]
+    states = [BagRelation.from_rows(SCHEMA, numbers), BagRelation.from_rows(SCHEMA, ROWS)]
+    outcomes = set()
+    for _ in range(150):
+        updates = parse_updates(_random_update_script(rng, rng.randint(1, 6)))
+        for state in states:
+            want = _first_error_or(lambda: _reference_replay(updates, state))
+            if want[0] == "error":
+                got = _first_error_or(lambda: _replay_outcome(updates, state))
+                assert got[0] == "error" and got[1] == want[1], updates
+            else:
+                assert _replay_outcome(updates, state) == want[1], updates
+            outcomes.add(want[0])
+    assert outcomes == {"value", "error"}
+
+
+def test_a_shared_strict_dag_evaluates_once_per_node():
+    x = Attr("a")
+    for _ in range(60):
+        x = Arith("+", x, x)  # unfolded, 2**60 leaves
+    rows = [(i,) for i in range(100)]
+    started = time.perf_counter()
+    assert evaluate_exprs([x], ("a",), rows) == [[i * 2 ** 60 for i in range(100)]]
+    bag = evaluate(Project(((x, "x"),), Relation("R", ("a",))),
+                   {"R": BagRelation.from_rows(("a",), rows)})
+    assert sorted(bag.tuples) == [(i * 2 ** 60,) for i in range(100)]
+    assert time.perf_counter() - started < 1
+
+
+# ---------------------------------------------------------------------------
 # fold_expr
 
 
@@ -492,8 +810,32 @@ def test_deep_chains_match_the_reference_below_the_recursion_limit():
         assert conjuncts(e) == _old_conjuncts(e)
 
 
+def _arith_chain_value(n, a):
+    x = a
+    for i in range(n):
+        x = _ARITH["+-*"[i % 3]](x, i) if i % 2 else i - x
+    return x
+
+
+def test_evaluate_runs_deep_expressions():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        rows = [(-1, 7), (0, 8), (3, 9), (DEEP - 1, 1), (DEEP + 5, 2)]
+        r = Relation("R", ("a", "b"))
+        db = {"R": BagRelation.from_rows(("a", "b"), rows)}
+        assert list(evaluate(Select(MERGED, r), db).tuples) == [(-1, 7)]
+        assert list(evaluate(Select(Cmp("<", COND, Const(5)), r), db).tuples) == [
+            (0, 8), (3, 9), (DEEP + 5, 2)]
+        bag = evaluate(Project(((ARITH, "x"), (COND, "y")), r), db)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert list(bag.tuples) == [(_arith_chain_value(DEEP, a), a if 0 <= a < DEEP else b)
+                                for a, b in rows]
+
+
 def test_compile_expr_compiles_deep_expressions():
-    # running them would nest one Python call per level, which stays bounded
+    # evaluating them at this depth is test_evaluate_runs_deep_expressions
     for e in (MERGED, ARITH, COND):
         assert callable(compile_expr(e, ("a", "b")))
         assert callable(compile_predicate(e, ("a", "b")))
@@ -550,12 +892,30 @@ def test_run_reenacts_800_stacked_updates(tmp_path, capsys):
     assert time.perf_counter() - started < 30
 
 
-def test_too_deep_reenactment_is_an_error_line(tmp_path, capsys):
+def test_run_reenacts_1200_stacked_updates(tmp_path, capsys):
     code = cli.main(["run", "--reenact", str(_updates(tmp_path, 1200)),
                      "--data", str(FIXTURES_TXN)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: input nested too deeply") and err.count("\n") == 1
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    # B = 1 and B = 2 each match 400 of the 1,200 statements
+    assert "402 | 1" in out.out and "403 | 2" in out.out and "404 | 2" in out.out
+
+
+def test_run_reenacts_2000_stacked_updates_at_the_default_recursion_limit(tmp_path, capsys):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        started = time.perf_counter()
+        code = cli.main(["run", "--reenact", str(_updates(tmp_path, 2000)),
+                         "--data", str(FIXTURES_TXN)])
+        elapsed = time.perf_counter() - started
+    finally:
+        sys.setrecursionlimit(limit)
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    # B = 1 matches 667 of the 2,000 statements, B = 2 matches 666
+    assert "669 | 1" in out.out and "669 | 2" in out.out and "670 | 2" in out.out
+    assert elapsed < 30
 
 
 def test_deep_plan_file_optimizes(tmp_path, capsys):
