@@ -553,10 +553,6 @@ def parent_map(root: Node) -> dict[Node, list[Node]]:
     return parents
 
 
-def node_count(root: Node) -> int:
-    return len(all_nodes(root))
-
-
 def rebuild_bottom_up(root: Node, step: Callable[[Node, Node], Node]) -> Node:
     """Rebuild a graph children first, in :func:`all_nodes` order, preserving
     sharing: ``step(original, rebuilt)`` gets each node and its copy over the

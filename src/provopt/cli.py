@@ -24,6 +24,7 @@ import os
 import random
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 from . import algebra, datafiles, instrument as instr, optimizer, plantext, rewrites, sqlgen
@@ -155,12 +156,34 @@ def _emit(args, text: str) -> None:
 
 
 def format_bag(bag: BagRelation) -> str:
+    """The result table: a header, one line per distinct row with its values
+    separated by `` | `` (``null`` for a missing value) and ``  (xN)`` after
+    a row that occurs N > 1 times, and a ``(N row(s))`` line. Rows come in
+    the order of the ``repr`` of their tuples.
+
+    A row is one ``%`` format of the whole tuple (``%s`` is ``str``); only a
+    row holding a null is joined value by value. When every value is an
+    ``int`` (not a ``bool``), the rows are sorted by their text, which gives
+    the ``repr`` order without calling ``repr``: the first field in which
+    two rows differ decides both orders, since the fields before it print
+    alike in both. An int's text is its ``repr``, made of ``-`` and digits.
+    If one of the two fields' texts is a proper prefix of the other's, the
+    longer one goes on with a digit, while the shorter one is followed by
+    ``,``, ``)``, `` `` or the end of the string, all of which sort below
+    ``0``; otherwise the first character in which the texts differ decides,
+    in both encodings alike.
+    """
     header = " | ".join(bag.schema)
+    fmt = " | ".join(["%s"] * len(bag.schema))
+    counts = bag.tuples
+    if set(map(type, chain.from_iterable(counts))) <= {int}:
+        rows = sorted([(fmt % t, m) for t, m in counts.items()])
+    else:
+        rows = [(fmt % t if None not in t else " | ".join(
+                    "null" if v is None else str(v) for v in t), counts[t])
+                for t in sorted(counts, key=repr)]
     lines = [header, "-" * len(header)]
-    for t in sorted(bag.tuples, key=repr):
-        m = bag.tuples[t]
-        row = " | ".join("null" if v is None else str(v) for v in t)
-        lines.append(row if m == 1 else f"{row}  (x{m})")
+    lines += [text if m == 1 else f"{text}  (x{m})" for text, m in rows]
     lines.append(f"({bag.total} row(s))")
     return "\n".join(lines)
 

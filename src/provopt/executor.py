@@ -103,24 +103,6 @@ class BagRelation:
         return all(self.tuples.get(t, 0) >= m for t, m in other.tuples.items())
 
 
-def bags_equal(a: BagRelation, b: BagRelation, *, by_name: bool = False) -> bool:
-    """Multiset equality; with by_name, reorder columns by attribute name."""
-    if by_name:
-        if set(a.schema) != set(b.schema) or len(a.schema) != len(b.schema):
-            return False
-        b = reorder_columns(b, a.schema)
-    return a.schema == b.schema and a.tuples == b.tuples
-
-
-def reorder_columns(bag: BagRelation, schema: Iterable[str]) -> BagRelation:
-    """Project a bag onto the same columns in a different order."""
-    schema = tuple(schema)
-    if set(schema) != set(bag.schema) or len(schema) != len(bag.schema):
-        raise EvalError("reorder_columns needs a permutation of the schema")
-    row = _columns([bag.schema.index(col) for col in schema])
-    return BagRelation(schema, dict(zip(map(row, bag.tuples), bag.tuples.values())))
-
-
 def _columns(idx: Sequence[int]) -> Callable[[tuple], tuple]:
     """A function from a row to the tuple of its columns ``idx``: one
     ``itemgetter`` call, which also gives a 1-tuple for one column."""
@@ -157,7 +139,6 @@ def _columns(idx: Sequence[int]) -> Callable[[tuple], tuple]:
 # type-checks each one.
 
 
-RowFn = Callable[[tuple], Value]
 T = TypeVar("T")
 
 
@@ -465,44 +446,6 @@ def updated_rows(cond: Expr, exprs: Sequence[Expr], schema: Sequence[str],
         matched = list(compress(batch, _mask(cond, index, batch)))
         return matched, _projected(exprs, index, matched)
     return _first_row_error(run, rows)
-
-
-def _check_exprs(exprs: Iterable[Expr]) -> None:
-    """Raise on a non-expression anywhere in ``exprs``, before any row is read."""
-    fold_expr(exprs, lambda x, kids: None)
-
-
-def compile_expr(e: Expr, schema: Sequence[str]) -> RowFn:
-    """The expression as a function of one row of ``schema``."""
-    _check_exprs((e,))
-    index = _index(schema)
-    return lambda row: _Batch([row]).evaluate((e,), index)[0][0]
-
-
-def compile_row(exprs: Iterable[Expr], schema: Sequence[str]) -> Callable[[tuple], tuple]:
-    """A function from a row of ``schema`` to the tuple of the expressions'
-    values; subexpressions shared between them are computed once per row."""
-    exprs = tuple(exprs)
-    _check_exprs(exprs)
-    index = _index(schema)
-    return lambda row: _projected(exprs, index, [row])[0]
-
-
-def compile_predicate(cond: Expr, schema: Sequence[str]) -> Callable[[tuple], bool]:
-    """A selection condition over rows of ``schema``; a non-boolean value raises."""
-    _check_exprs((cond,))
-    index = _index(schema)
-    return lambda row: _mask(cond, index, [row])[0]
-
-
-def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
-    """Evaluate one expression over an attribute -> value environment."""
-    return compile_expr(e, tuple(env))(tuple(env.values()))
-
-
-def _predicate(cond: Expr, env: Mapping[str, Value]) -> bool:
-    """Evaluate one selection condition over an environment."""
-    return compile_predicate(cond, tuple(env))(tuple(env.values()))
 
 
 def aggregate(fn: str, values: list[tuple[Value, int]]) -> Value:

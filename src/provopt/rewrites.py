@@ -123,10 +123,6 @@ def _rewrite(root: Node, candidates: Callable[[Node], Candidates],
             return root
 
 
-def count_attr_refs(e: Expr, name: str) -> int:
-    return sum(isinstance(x, Attr) and x.name == name for x in expr_nodes(e))
-
-
 def total_expression_size(root: Node) -> int:
     """Summed size of all projection/selection expressions in a graph."""
     total = 0

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from helpers import bags_equal, count_attr_refs
 from randgen import random_agg_query, random_instance, random_query
 from test_optimizer import structure
 
@@ -18,7 +19,7 @@ from provopt.algebra import (
     Select, all_nodes, identity_targets, schema_of, SchemaError, substitute,
 )
 from provopt.executor import (
-    BagRelation, TableStats, bags_equal, cost, evaluate,
+    BagRelation, TableStats, cost, evaluate,
 )
 from provopt.instrument import (
     FILTER_UPDATED, HIST_JOIN, UpdateStmt, VersionedStore, instrument_query,
@@ -27,7 +28,7 @@ from provopt.instrument import (
 from provopt.optimizer import optimize
 from provopt.properties import EcConst, infer_all, infer_ec
 from provopt.rewrites import (
-    RewriteConfig, apply_pats, count_attr_refs, factor_attributes,
+    RewriteConfig, apply_pats, factor_attributes,
     merge_projections, merge_selections, project_to_icols,
     pull_up_prov_projection, remove_dupelim_by_key, remove_dupelim_by_set,
     remove_redundant_projection, remove_window, selection_move_around,

@@ -1,9 +1,11 @@
 import pytest
 
+from helpers import node_count
+
 from provopt.algebra import (
     Agg, Arith, Attr, Cmp, Const, Cross, DupElim, GraphError,
     Join, Project, Relation, SchemaError, Select, Union, Window,
-    all_nodes, expr_attrs, expr_size, fresh_name, node_count,
+    all_nodes, expr_attrs, expr_size, fresh_name,
     parent_map, replace_children, right_output_names, schema_of,
     structurally_equal, substitute, substitute_attrs,
 )

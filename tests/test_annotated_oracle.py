@@ -5,9 +5,10 @@ from pathlib import Path
 
 import annotated
 from annotated import annotate, encode_provenance, evaluate_annotated
+from helpers import bags_equal
 
 from provopt import executor
-from provopt.executor import bags_equal, evaluate
+from provopt.executor import evaluate
 from provopt.instrument import instrument_query
 
 #: what the oracle may import from the package: module -> names (None: any)

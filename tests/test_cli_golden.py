@@ -56,6 +56,8 @@ COMMANDS = {
                            "--data", "fixtures"),
     "sql": ("sql", "--plan", "fixtures/pricey_shops.plan", "--data", "fixtures"),
     "bench_reenact": ("bench", "--mode", "reenact", "--updates", "12"),
+    "txn_union_run_plan": ("run", "--plan", f"{G}/txn_union.plan", "--data", "fixtures_txn"),
+    "txn_union_run": ("run", "--prov-of", f"{G}/txn_union.plan", "--data", "fixtures_txn"),
 }
 for _plan in ("cross_agg", "cross_dupelim"):
     _p = f"{G}/{_plan}.plan"

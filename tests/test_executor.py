@@ -5,16 +5,14 @@ import pytest
 
 import oracles
 from annotated import annotate, encode_provenance, evaluate_annotated, poly_weight
+from helpers import bags_equal, compile_expr, compile_row, eval_expr, reorder_columns
 from randgen import random_instance, random_spju_query
 
 from provopt.algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Intersect,
     Join, Project, Relation, Select, Union, Window, FRAME_PARTITION,
 )
-from provopt.executor import (
-    BagRelation, EvalError, bags_equal, compile_expr, compile_row, cost, eval_expr, evaluate,
-    reorder_columns, TableStats,
-)
+from provopt.executor import BagRelation, EvalError, cost, evaluate, TableStats
 from provopt.instrument import instrument_query
 
 

@@ -26,6 +26,7 @@ from typing import Callable
 
 import pytest
 
+from helpers import compile_expr, compile_predicate, compile_row
 from randgen import random_condition, random_query
 
 from provopt import cli
@@ -35,8 +36,7 @@ from provopt.algebra import (
     Value, expr_attrs, expr_children, expr_nodes, fold_expr, schema_of,
 )
 from provopt.executor import (
-    RANGE_SELECTIVITY, BagRelation, EvalError, TableStats, compile_expr, compile_predicate,
-    compile_row, cost, evaluate, evaluate_exprs,
+    RANGE_SELECTIVITY, BagRelation, EvalError, TableStats, cost, evaluate, evaluate_exprs,
 )
 from provopt.instrument import parse_updates, reenact, replay
 from provopt.plantext import _BARE, _format_literal, format_expr, format_name, format_plan

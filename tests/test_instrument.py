@@ -3,13 +3,14 @@ import random
 import pytest
 
 from annotated import annotate, encode_provenance, evaluate_annotated
+from helpers import _predicate, bags_equal, eval_expr
 from randgen import random_agg_query, random_instance, random_spju_query
 
 from provopt.algebra import (
     Agg, Arith, Attr, Cmp, Cond, Const, DupElim, Project,
     Relation, Union, schema_of,
 )
-from provopt.executor import BagRelation, EvalError, bags_equal, evaluate
+from provopt.executor import BagRelation, EvalError, evaluate
 from provopt.instrument import (
     AGG_WINDOW, FILTER_UPDATED, HIST_JOIN, InstrumentError, UpdateStmt, UpdateSyntaxError,
     VersionedStore, conditions_over_prestate, instrument_query, parse_updates,
@@ -256,7 +257,6 @@ class TestScoping:
                 out = BagRelation(state.schema)
                 for t, m in state.rows():
                     env = dict(zip(state.schema, t))
-                    from provopt.executor import _predicate, eval_expr
                     if _predicate(u.where, env):
                         touched.add(env["k"])
                         row = tuple(eval_expr(assigned[a], env) if a in assigned else env[a]

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from annotated import annotate, evaluate_annotated
+from helpers import count_attr_refs
 from randgen import random_agg_query, random_query, random_spju_query, share_subtree
 
 from provopt.algebra import (
@@ -26,7 +27,7 @@ from provopt.instrument import UpdateStmt, instrument_query, reenact
 from provopt.plantext import format_plan
 from provopt.rewrites import (
     MERGE_GROWTH_FACTOR, MERGE_REF_LIMIT, RewriteConfig, _rewrite,
-    count_attr_refs, factor_attributes, factor_expression, merge_projections,
+    factor_attributes, factor_expression, merge_projections,
     merge_selections, remove_redundant_projection,
 )
 

@@ -3,6 +3,7 @@ import zlib
 
 import pytest
 
+from helpers import bags_equal, count_attr_refs, eval_expr
 from randgen import random_instance, random_query
 
 from provopt.algebra import (
@@ -10,10 +11,10 @@ from provopt.algebra import (
     Relation, Select, Union, Window, all_nodes, identity_targets,
     schema_of, structurally_equal,
 )
-from provopt.executor import BagRelation, bags_equal, eval_expr, evaluate
+from provopt.executor import BagRelation, evaluate
 from provopt.instrument import UpdateStmt, instrument_query, reenact
 from provopt.rewrites import (
-    RewriteConfig, apply_pats, count_attr_refs, factor_attributes,
+    RewriteConfig, apply_pats, factor_attributes,
     factor_expression, merge_projections, merge_selections,
     project_to_icols, pull_up_prov_projection, remove_dupelim_by_key,
     remove_dupelim_by_set, remove_redundant_projection, selection_move_around,
