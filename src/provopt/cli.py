@@ -161,10 +161,11 @@ def format_bag(bag: BagRelation) -> str:
     a row that occurs N > 1 times, and a ``(N row(s))`` line. Rows come in
     the order of the ``repr`` of their tuples.
 
-    A row is one ``%`` format of the whole tuple (``%s`` is ``str``); only a
-    row holding a null is joined value by value. When every value is an
-    ``int`` (not a ``bool``), the rows are sorted by their text, which gives
-    the ``repr`` order without calling ``repr``: the first field in which
+    When every value is an ``int`` (not a ``bool``), a row is one ``%``
+    format of the whole tuple (``%s`` is ``str``), and the rows are sorted by
+    their text, which gives the ``repr`` order without calling ``repr``; any
+    other bag joins each row value by value and sorts by ``repr``. The text
+    order is the ``repr`` order for ints because the first field in which
     two rows differ decides both orders, since the fields before it print
     alike in both. An int's text is its ``repr``, made of ``-`` and digits.
     If one of the two fields' texts is a proper prefix of the other's, the
@@ -174,13 +175,12 @@ def format_bag(bag: BagRelation) -> str:
     in both encodings alike.
     """
     header = " | ".join(bag.schema)
-    fmt = " | ".join(["%s"] * len(bag.schema))
     counts = bag.tuples
     if set(map(type, chain.from_iterable(counts))) <= {int}:
+        fmt = " | ".join(["%s"] * len(bag.schema))
         rows = sorted([(fmt % t, m) for t, m in counts.items()])
     else:
-        rows = [(fmt % t if None not in t else " | ".join(
-                    "null" if v is None else str(v) for v in t), counts[t])
+        rows = [(" | ".join("null" if v is None else str(v) for v in t), counts[t])
                 for t in sorted(counts, key=repr)]
     lines = [header, "-" * len(header)]
     lines += [text if m == 1 else f"{text}  (x{m})" for text, m in rows]

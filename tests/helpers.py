@@ -6,7 +6,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from provopt.algebra import Attr, Expr, Node, Value, all_nodes, expr_nodes, fold_expr
-from provopt.executor import BagRelation, EvalError, _Batch, _index, _mask, _projected
+from provopt.executor import (BagRelation, EvalError, evaluate_exprs, projected_rows,
+                              selection_mask)
 
 
 def bags_equal(a: BagRelation, b: BagRelation, *, by_name: bool = False) -> bool:
@@ -35,8 +36,7 @@ def _check_exprs(exprs: Iterable[Expr]) -> None:
 def compile_expr(e: Expr, schema: Sequence[str]) -> Callable[[tuple], Value]:
     """The expression as a function of one row of ``schema``."""
     _check_exprs((e,))
-    index = _index(schema)
-    return lambda row: _Batch([row]).evaluate((e,), index)[0][0]
+    return lambda row: evaluate_exprs((e,), schema, [row])[0][0]
 
 
 def compile_row(exprs: Iterable[Expr], schema: Sequence[str]) -> Callable[[tuple], tuple]:
@@ -44,15 +44,13 @@ def compile_row(exprs: Iterable[Expr], schema: Sequence[str]) -> Callable[[tuple
     values; subexpressions shared between them are computed once per row."""
     exprs = tuple(exprs)
     _check_exprs(exprs)
-    index = _index(schema)
-    return lambda row: _projected(exprs, index, [row])[0]
+    return lambda row: projected_rows(exprs, schema, [row])[0]
 
 
 def compile_predicate(cond: Expr, schema: Sequence[str]) -> Callable[[tuple], bool]:
     """A selection condition over rows of ``schema``; a non-boolean value raises."""
     _check_exprs((cond,))
-    index = _index(schema)
-    return lambda row: _mask(cond, index, [row])[0]
+    return lambda row: selection_mask(cond, schema, [row])[0]
 
 
 def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
