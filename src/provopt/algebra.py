@@ -261,9 +261,9 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
 # what dictionaries keyed by graph node need. Structure comes from the
 # dataclass fields: the fields annotated ``Node`` are the children, in
 # declaration order, and every other field is the operator's own data.
-# ``children`` and ``schema`` are computed on first use and cached on the
-# node, which immutability makes sound. Building a malformed node succeeds;
-# its SchemaError surfaces when its schema is first read.
+# ``children``, ``schema`` and ``lineage`` are cached on first use (or
+# declared on the class), which immutability makes sound. A malformed node
+# builds; its SchemaError surfaces when its schema is first read.
 
 
 def _need(attrs: Iterable[str], sch: tuple[str, ...], what: str) -> None:
@@ -330,11 +330,19 @@ class Node:
         """Output schema; each operator computes it from its children's."""
         raise SchemaError(f"unknown operator {type(self).__name__}")
 
+    @property
+    def lineage(self) -> tuple[Optional[dict[str, str]], ...]:
+        """Column lineage, per input: the output columns passing its columns
+        through unchanged. None is all of them under their own names, else
+        a dict maps output column to input column (shared: do not change)."""
+        raise TypeError(f"operator {type(self).__name__} declares no column lineage")
+
 
 @dataclass(frozen=True, eq=False)
 class Relation(Node):
     name: str
     attrs: tuple[str, ...]
+    lineage = ()  # a class attribute, not a field
 
     @cached_property
     def schema(self):
@@ -347,6 +355,7 @@ class Relation(Node):
 class Select(Node):
     cond: Expr
     child: Node
+    lineage = (None,)  # a class attribute, not a field
 
     @cached_property
     def schema(self):
@@ -374,6 +383,10 @@ class Project(Node):
             out.append(name)
         return tuple(out)
 
+    @cached_property
+    def lineage(self):
+        return ({name: e.name for e, name in self.targets if isinstance(e, Attr)},)
+
 
 @dataclass(frozen=True, eq=False)
 class Product(Node):
@@ -383,7 +396,7 @@ class Product(Node):
     @cached_property
     def qualified(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """:func:`concat_qualified` of the input schemas."""
-        return concat_qualified(self.left.schema, self.right.schema)
+        return concat_qualified(schema_of(self.left), schema_of(self.right))
 
     @cached_property
     def schema(self):
@@ -392,6 +405,11 @@ class Product(Node):
             _need((a,), ls, "join condition (left)")
             _need((b,), rs, "join condition (right)")
         return self.qualified[0]
+
+    @cached_property
+    def lineage(self):
+        # the right input's columns, primed where they collide
+        return None, dict(zip(self.qualified[1], self.right.schema))
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,6 +442,11 @@ class SetOp(Node):
             raise SchemaError(f"{type(self).__name__.lower()}: inputs have different arity "
                               f"({len(ls)} vs {len(rs)})")
         return ls
+
+    @cached_property
+    def lineage(self):
+        # positional: the right input's columns under the left input's names
+        return None, dict(zip(schema_of(self.left), schema_of(self.right)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,10 +485,15 @@ class Agg(Node):
             out.append(name)
         return tuple(out)
 
+    @cached_property
+    def lineage(self):
+        return ({a: a for a in self.group_by},)
+
 
 @dataclass(frozen=True, eq=False)
 class DupElim(Node):
     child: Node
+    lineage = (None,)  # a class attribute, not a field
 
     @cached_property
     def schema(self):
@@ -481,6 +509,7 @@ class Window(Node):
     order_by: tuple[str, ...]
     child: Node
     frame: str = FRAME_RUNNING
+    lineage = (None,)  # a class attribute, not a field
 
     @cached_property
     def schema(self):
@@ -529,7 +558,6 @@ def right_output_names(node: Node) -> tuple[str, ...]:
     """Output names of a product's right input, aligned with its schema."""
     if not isinstance(node, Product):
         raise GraphError("right_output_names applies to join/cross only")
-    schema_of(node.left), schema_of(node.right)  # warm deep inputs iteratively
     return node.qualified[1]
 
 

@@ -51,7 +51,7 @@ from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Node, Product, Project, Relation,
     Select, Union, Window, Value,
-    all_nodes, expr_children, fold_expr, right_output_names, schema_of,
+    all_nodes, expr_children, fold_expr, schema_of,
 )
 
 
@@ -708,80 +708,72 @@ def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
     def cap(d: Mapping[str, float], rows: float) -> dict[str, float]:
         return {a: max(1.0, min(v, rows)) for a, v in d.items()}
 
-    def compute(n: Node) -> tuple[float, dict[str, float], float]:
-        sch = schema_of(n)
+    def passed(n: Node, est: float) -> dict[str, float]:
+        """Capped distinct counts: a column passing an input through keeps
+        the first such input's count, any other gets the output estimate."""
+        d: Mapping[str, float] = {}
+        for child, lineage in zip(n.children, n.lineage):
+            cd = info[child][1]
+            if lineage is not None:
+                cd = {a: cd[src] for a, src in lineage.items()}
+            d = {**cd, **d} if d else cd
+        return {a: max(1.0, min(d.get(a, est), est)) for a in schema_of(n)}
+
+    def compute(n: Node) -> tuple[float, float, Optional[dict[str, float]]]:
+        """(estimated rows, own cost, distinct counts unless they pass
+        through the lineage)."""
         if isinstance(n, Relation):
             if n.name not in stats:
                 raise EvalError(f"missing statistics for relation {n.name!r}")
             st = stats[n.name]
-            d = {a: st.distinct.get(a, st.rows) for a in n.attrs}
-            return st.rows, cap(d, st.rows), CPU_WEIGHT * st.rows
+            return st.rows, CPU_WEIGHT * st.rows, {a: st.distinct.get(a, st.rows) for a in n.attrs}
         if isinstance(n, Select):
             in_rows, d = info[n.child]
             est = in_rows * selectivity(n.cond, d, in_rows)
-            return est, cap(d, est), CPU_WEIGHT * in_rows + BUILD_WEIGHT * est
+            return est, CPU_WEIGHT * in_rows + BUILD_WEIGHT * est, None
         if isinstance(n, Project):
-            in_rows, d = info[n.child]
-            out = {}
-            for e, name in n.targets:
-                out[name] = d.get(e.name, in_rows) if isinstance(e, Attr) else in_rows
-            return in_rows, cap(out, in_rows), CPU_WEIGHT * in_rows + BUILD_WEIGHT * in_rows
+            in_rows = info[n.child][0]
+            return in_rows, CPU_WEIGHT * in_rows + BUILD_WEIGHT * in_rows, None
         if isinstance(n, Product):
             lr, ld = info[n.left]
             rr, rd = info[n.right]
-            d = dict(ld)
-            for orig, out_name in zip(schema_of(n.right), right_output_names(n)):
-                d[out_name] = rd.get(orig, rr)
             est = lr * rr
             for a, b in n.pairs:
                 est /= max(distinct_of(ld, a, lr), distinct_of(rd, b, rr))
-            return est, cap(d, est), CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est
+            return est, CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est, None
         if isinstance(n, Union):
             lr, ld = info[n.left]
             rr, rd = info[n.right]
             est = lr + rr
-            d = {a: ld.get(a, lr) + rd.get(b, rr)
-                 for a, b in zip(schema_of(n.left), schema_of(n.right))}
-            return est, cap(d, est), CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est
-        if isinstance(n, Intersect):
-            lr, ld = info[n.left]
-            rr, _ = info[n.right]
-            est = min(lr, rr)
-            return est, cap(ld, est), CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est
-        if isinstance(n, Diff):
-            lr, ld = info[n.left]
-            rr, _ = info[n.right]
-            est = lr
-            return est, cap(ld, est), CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est
+            d = {a: ld.get(a, lr) + rd.get(b, rr) for a, b in n.lineage[1].items()}
+            return est, CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est, d
+        if isinstance(n, (Intersect, Diff)):
+            lr, rr = info[n.left][0], info[n.right][0]
+            est = min(lr, rr) if isinstance(n, Intersect) else lr
+            return est, CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est, None
         if isinstance(n, Agg):
             in_rows, d = info[n.child]
             groups = 1.0
             for a in n.group_by:
                 groups *= distinct_of(d, a, in_rows)
             est = min(in_rows, groups) if n.group_by else min(in_rows, 1.0)
-            out = {a: distinct_of(d, a, est) for a in n.group_by}
-            for _, _, name in n.aggs:
-                out[name] = est
-            own = CPU_WEIGHT * in_rows + BUILD_WEIGHT * est + _sort_term(in_rows)
-            return est, cap(out, est), own
+            return est, CPU_WEIGHT * in_rows + BUILD_WEIGHT * est + _sort_term(in_rows), None
         if isinstance(n, DupElim):
             in_rows, d = info[n.child]
             groups = 1.0
             for a in schema_of(n.child):
                 groups *= distinct_of(d, a, in_rows)
             est = min(in_rows, groups)
-            return est, cap(d, est), CPU_WEIGHT * in_rows + BUILD_WEIGHT * est
+            return est, CPU_WEIGHT * in_rows + BUILD_WEIGHT * est, None
         if isinstance(n, Window):
-            in_rows, d = info[n.child]
-            out = dict(d)
-            out[n.out] = in_rows
+            in_rows = info[n.child][0]
             own = CPU_WEIGHT * in_rows + BUILD_WEIGHT * in_rows + _sort_term(in_rows)
-            return in_rows, cap(out, in_rows), own
+            return in_rows, own, None
         raise EvalError(f"unknown operator {type(n).__name__}")
 
     for n in all_nodes(root):
-        est, d, own = compute(n)
-        info[n] = (est, d)
+        est, own, d = compute(n)
+        info[n] = (est, passed(n, est) if d is None else cap(d, est))
         per_node[n] = (est, own)
     total = sum(c for _, c in per_node.values())
     return CostEstimate(total, per_node)

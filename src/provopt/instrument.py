@@ -95,27 +95,23 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
             child = memo[n.child]
             targets = n.targets + identity_targets(child.prov_attrs)
             return _Instrumented(Project(targets, child.node), child.prov_attrs)
-        if isinstance(n, Product):
+        if isinstance(n, (Product, Union)):
             left, right = memo[n.left], memo[n.right]
             overlap = set(left.prov_attrs) & set(right.prov_attrs)
             if overlap:
                 raise InstrumentError(
-                    f"provenance columns collide across join inputs: {sorted(overlap)}; "
-                    "self-joins must use distinct relation occurrences")
-            return _Instrumented(replace_children(n, (left.node, right.node)),
-                                 left.prov_attrs + right.prov_attrs)
-        if isinstance(n, Union):
-            left, right = memo[n.left], memo[n.right]
-            orig_left = schema_of(n.left)
-            orig_right = schema_of(n.right)
+                    f"provenance columns collide across {type(n).__name__.lower()} inputs: "
+                    f"{sorted(overlap)}; a relation read by both inputs must be two "
+                    "distinct relation occurrences")
             prov = left.prov_attrs + right.prov_attrs
-            lt = identity_targets(orig_left + left.prov_attrs) + tuple(
+            if isinstance(n, Product):
+                return _Instrumented(replace_children(n, (left.node, right.node)), prov)
+            lt = identity_targets(schema_of(n.left) + left.prov_attrs) + tuple(
                 (Const(None), p) for p in right.prov_attrs)
-            rt = (tuple((Attr(b), a) for b, a in zip(orig_right, orig_left))
+            rt = (tuple((Attr(b), a) for a, b in n.lineage[1].items())
                   + tuple((Const(None), p) for p in left.prov_attrs)
                   + identity_targets(right.prov_attrs))
-            node = Union(Project(lt, left.node), Project(rt, right.node))
-            return _Instrumented(node, prov)
+            return _Instrumented(Union(Project(lt, left.node), Project(rt, right.node)), prov)
         if isinstance(n, Agg):
             child = memo[n.child]
             if decide(2) == AGG_WINDOW:

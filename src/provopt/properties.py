@@ -22,10 +22,13 @@ projection exporting it under two names, groups those names itself.
 ``explain-properties``, still reports every output column, adding a
 one-member class for each column in no larger class.
 
-:func:`filter_map` is the one place that says how a filter crosses an
-operator: which output columns of a node are which columns of one input.
-Top-down equivalence classes, selection push-down and the test whether an
-ancestor selection already guards a node all read it.
+Each operator declares its column lineage (``Node.lineage``): which output
+columns pass which input columns through unchanged. Keys and bottom-up
+classes come from the inputs whose rows the output holds, renamed through
+it, and needed columns map down through it plus what the operator reads.
+:func:`filter_map` is the lineage narrowed to the columns a filter may
+cross; top-down equivalence classes, selection push-down and the test
+whether an ancestor selection already guards a node read it.
 
 Keys and bottom-up equivalence classes depend only on a node's subgraph (and,
 for keys, on the declared base keys), so :func:`infer_keys` and
@@ -48,8 +51,8 @@ from typing import Iterable, Mapping, Optional
 
 from .algebra import (
     Agg, Attr, BoolOp, Cmp, Const, Diff, DupElim, Expr,
-    Intersect, Node, Product, Project, Relation, Select, SetOp, Union, Window,
-    all_nodes, expr_attrs, right_output_names, schema_of,
+    Node, Product, Project, Relation, Select, Union, Window,
+    all_nodes, expr_attrs, schema_of,
 )
 
 
@@ -101,13 +104,6 @@ def singletons(attrs: Iterable[str]) -> frozenset[EcClass]:
     return frozenset(frozenset((a,)) for a in attrs)
 
 
-def _rename_classes(classes: Iterable[EcClass], mapping: Mapping[str, str]) -> frozenset[EcClass]:
-    out = []
-    for c in classes:
-        out.append(frozenset(mapping.get(m, m) if isinstance(m, str) else m for m in c))
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # equality harvesting
 
@@ -137,20 +133,16 @@ def equality_classes_from_condition(e: Expr) -> frozenset[EcClass]:
 
 
 # ---------------------------------------------------------------------------
-# traversal helpers
-
-
-def _positional_rename(src: tuple[str, ...], dst: tuple[str, ...]) -> dict[str, str]:
-    return dict(zip(src, dst))
-
-
-def _pure_renames(node: Project) -> dict[str, str]:
-    """output name -> source attr, for plain attribute targets only."""
-    return {name: e.name for e, name in node.targets if isinstance(e, Attr)}
-
-
-# ---------------------------------------------------------------------------
 # keys (bottom-up)
+
+
+def source_names(lineage: Mapping[str, str]) -> dict[str, str]:
+    """Input column -> output column, for a lineage dict; a column exported
+    under several names maps to the first."""
+    out: dict[str, str] = {}
+    for name, src in lineage.items():
+        out.setdefault(src, name)
+    return out
 
 
 def _min_keys(keys: Iterable[frozenset]) -> frozenset[KeySet]:
@@ -173,99 +165,74 @@ def infer_keys(root: Node, base_keys: Optional[Mapping[str, Iterable[Iterable[st
     return {n: memo[n] for n in order}
 
 
+def _from_row_inputs(through, n: Node, values) -> frozenset:
+    """The union of ``through(n, idx, values)`` over the inputs whose rows
+    the output rows hold: every input but a difference's right one."""
+    if isinstance(n, Diff) or len(n.children) == 1:
+        return through(n, 0, values)
+    return frozenset().union(*[through(n, idx, values) for idx in range(len(n.children))])
+
+
+def _keys_through(n: Node, idx: int, keys) -> frozenset[KeySet]:
+    """The keys of input ``idx`` whose columns all pass, in output names."""
+    lineage = n.lineage[idx]
+    child = keys[n.children[idx]]
+    if lineage is None:
+        return child
+    names = source_names(lineage)
+    return frozenset(frozenset(names[a] for a in k) for k in child if all(a in names for a in k))
+
+
 def _keys_of(n: Node, out, base_keys) -> frozenset[KeySet]:
     if isinstance(n, Relation):
-        declared = base_keys.get(n.name, ())
         sch = set(n.attrs)
-        keys = []
-        for k in declared:
-            k = frozenset(k)
-            if k and k <= sch:
-                keys.append(k)
-        return frozenset(keys)
-    if isinstance(n, Select):
-        return out[n.child]
-    if isinstance(n, Project):
-        renames = _pure_renames(n)
-        # a source attr may be exported under several names; any one works
-        by_source: dict[str, str] = {}
-        for name, src in renames.items():
-            by_source.setdefault(src, name)
-        keys = []
-        for k in out[n.child]:
-            if all(a in by_source for a in k):
-                keys.append(frozenset(by_source[a] for a in k))
-        return frozenset(keys)
+        return frozenset(k for k in map(frozenset, base_keys.get(n.name, ())) if k and k <= sch)
     if isinstance(n, Product):
-        left_keys, right_keys = out[n.left], out[n.right]
-        right_map = dict(zip(schema_of(n.right), right_output_names(n)))
+        rb = frozenset(source_names(n.lineage[1])[b] for _, b in n.pairs)
         la = frozenset(a for a, _ in n.pairs)
-        rb = frozenset(right_map[b] for _, b in n.pairs)
+        right_keys = _keys_through(n, 1, out)
         keys = []
-        for k1 in left_keys:
+        for k1 in out[n.left]:
             for k2 in right_keys:
-                k2m = frozenset(right_map[a] for a in k2)
-                keys.append((k1 | la) | (k2m - rb))
-                keys.append((k2m | rb) | (k1 - la))
+                keys.append((k1 | la) | (k2 - rb))
+                keys.append((k2 | rb) | (k1 - la))
         return frozenset(keys)
     if isinstance(n, Agg):
-        outs = frozenset(name for _, _, name in n.aggs)
         if not n.group_by:
-            return frozenset(frozenset((o,)) for o in outs)
+            return frozenset(frozenset((name,)) for _, _, name in n.aggs)
         group = frozenset(n.group_by)
-        contained = [k for k in out[n.child] if k <= group]
-        if contained:
-            return frozenset(contained)
-        return frozenset((group,))
-    if isinstance(n, DupElim):
-        child = out[n.child]
-        if child:
-            return child
-        return frozenset((frozenset(schema_of(n)),))
+        return frozenset([k for k in out[n.child] if k <= group] or (group,))
     if isinstance(n, Union):
         return frozenset()
-    if isinstance(n, Intersect):
-        rename = _positional_rename(schema_of(n.right), schema_of(n.left))
-        renamed = frozenset(frozenset(rename[a] for a in k) for k in out[n.right])
-        return out[n.left] | renamed
-    if isinstance(n, Diff):
-        return out[n.left]
-    if isinstance(n, Window):
-        return out[n.child]
-    raise TypeError(f"unknown operator {type(n).__name__}")
+    keys = _from_row_inputs(_keys_through, n, out)
+    if isinstance(n, DupElim) and not keys:
+        return frozenset((frozenset(schema_of(n)),))
+    return keys
 
 
 # ---------------------------------------------------------------------------
 # equivalence classes (bottom-up, then top-down)
 
 
-def filter_map(node: Node, child_idx: int) -> Optional[dict[str, str]]:
+def filter_map(node: Node, child_idx: int) -> Optional[Mapping[str, str]]:
     """Output attribute -> attribute of input ``child_idx``, for the columns
     across which a filter on the node's output can move into that input
     without changing the result; None when no filter can.
 
-    A filter on a union's output must move into every input; for every
-    other operator one input that takes it suffices.
+    This is the node's lineage, with two exceptions. A window keeps its
+    partition attributes only: they play the group-by's role, while order
+    attributes are not safe (a running frame aggregates over rows a filter
+    removes). A difference's right input takes no filter: removing
+    subtrahend rows would add result rows. A filter on a union's output
+    must move into every input; for every other operator one input that
+    takes it suffices.
     """
-    if isinstance(node, (Select, DupElim)) or (
-            child_idx == 0 and isinstance(node, (Product, SetOp))):
-        return {a: a for a in schema_of(node.children[child_idx])}
-    if isinstance(node, Project):
-        return _pure_renames(node)
-    if isinstance(node, Product):
-        return dict(zip(right_output_names(node), schema_of(node.right)))
-    if isinstance(node, Agg):
-        # filtering other child columns would change the groups' aggregates
-        return {a: a for a in node.group_by}
     if isinstance(node, Window):
-        # partition attributes play the group-by's role; order attributes
-        # are not safe: a running frame aggregates over rows a filter removes
         return {a: a for a in node.partition_by}
-    if isinstance(node, (Union, Intersect)):
-        return _positional_rename(schema_of(node.left), schema_of(node.right))
-    if isinstance(node, Diff):
-        return None  # removing subtrahend rows would add result rows
-    raise TypeError(f"unknown operator {type(node).__name__}")
+    if child_idx == 1 and isinstance(node, Diff):
+        return None
+    lineage = node.lineage[child_idx]
+    return {a: a for a in schema_of(node.children[child_idx])} if lineage is None else lineage
 
 
 def infer_ec(root: Node) -> dict[Node, frozenset[EcClass]]:
@@ -354,43 +321,40 @@ def infer_ec_bottom_up(root: Node, memo: Optional[dict[Node, frozenset[EcClass]]
     return {n: memo[n] for n in order}
 
 
+def _classes_through(n: Node, idx: int, up) -> frozenset[EcClass]:
+    """The classes of input ``idx`` renamed into output names. Output names
+    passing members of one input class form a class, together with that
+    class's constants; names passing one column in no class group alone. A
+    class left with one member is dropped."""
+    lineage = n.lineage[idx]
+    child = up[n.children[idx]]
+    if lineage is None:
+        return child
+    class_of_attr = {m: c for c in child for m in c if isinstance(m, str)}
+    grouped: dict = {}  # input class, or a column in none -> output names
+    for name, src in lineage.items():
+        grouped.setdefault(class_of_attr.get(src, src), []).append(name)
+    out = []
+    for c, names in grouped.items():
+        consts = () if isinstance(c, str) else [m for m in c if not isinstance(m, str)]
+        if len(names) + len(consts) > 1:
+            out.append(frozenset(names).union(consts))
+    return frozenset(out)
+
+
 def _ec_up(n: Node, up) -> frozenset[EcClass]:
-    if isinstance(n, Relation):
-        return frozenset()
-    if isinstance(n, Select):
-        return up[n.child] | equality_classes_from_condition(n.cond)
-    if isinstance(n, Project):
-        # output names renaming members of one child class form a class,
-        # together with that class's constants; a source column in no
-        # class groups its names alone
-        class_of_attr = {m: c for c in up[n.child] for m in c if isinstance(m, str)}
-        grouped: dict[EcClass, list[str]] = {}
-        for name, src in _pure_renames(n).items():
-            grouped.setdefault(class_of_attr.get(src) or frozenset((src,)), []).append(name)
-        return frozenset(frozenset(names).union(m for m in c if not isinstance(m, str))
-                         for c, names in grouped.items())
-    if isinstance(n, Product):
-        right_map = dict(zip(schema_of(n.right), right_output_names(n)))
-        right = _rename_classes(up[n.right], right_map)
-        pairs = frozenset(frozenset((a, right_map[b])) for a, b in n.pairs)
-        return up[n.left] | right | pairs
     if isinstance(n, Agg):
         group = frozenset(n.group_by)
         return frozenset(c & group for c in up[n.child])
-    if isinstance(n, DupElim):
-        return up[n.child]
     if isinstance(n, Union):
-        rename = _positional_rename(schema_of(n.right), schema_of(n.left))
-        right = _rename_classes(up[n.right], rename)
-        return _intersect_class_sets(up[n.left], right)
-    if isinstance(n, Intersect):
-        rename = _positional_rename(schema_of(n.right), schema_of(n.left))
-        return up[n.left] | _rename_classes(up[n.right], rename)
-    if isinstance(n, Diff):
-        return up[n.left]
-    if isinstance(n, Window):
-        return up[n.child]
-    raise TypeError(f"unknown operator {type(n).__name__}")
+        return _intersect_class_sets(up[n.left], _classes_through(n, 1, up))
+    classes = _from_row_inputs(_classes_through, n, up)
+    if isinstance(n, Select):
+        classes |= equality_classes_from_condition(n.cond)
+    elif isinstance(n, Product):
+        right = source_names(n.lineage[1])
+        classes |= frozenset(frozenset((a, right[b])) for a, b in n.pairs)
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -414,42 +378,30 @@ def infer_icols(root: Node) -> dict[Node, frozenset[str]]:
 
 
 def _icols_down(n: Node, child_idx: int, need: frozenset[str]) -> set[str]:
+    """The needed columns mapped down through the lineage, plus the input
+    columns the operator itself reads."""
+    lineage = n.lineage[child_idx]
+    child = schema_of(n.children[child_idx])
+    if lineage is None:  # a product's or a window's output has columns the input lacks
+        down = set(need) if len(child) == len(schema_of(n)) else set(child).intersection(need)
+    else:
+        down = {lineage[a] for a in need if a in lineage}
     if isinstance(n, Select):
-        return set(need) | set(expr_attrs(n.cond))
+        return down | expr_attrs(n.cond)
     if isinstance(n, Project):
-        cols: set[str] = set()
         for e, name in n.targets:
-            if name in need:
-                cols |= set(expr_attrs(e))
-        return cols
+            if name in need and not isinstance(e, Attr):
+                down |= expr_attrs(e)
+        return down
     if isinstance(n, Product):
-        left_schema = schema_of(n.left)
-        right_schema = schema_of(n.right)
-        right_names = right_output_names(n)
-        right_map = dict(zip(right_schema, right_names))
-        demanded = set(need)
-        for a, b in n.pairs:
-            demanded.add(a)
-            demanded.add(right_map[b])
-        if child_idx == 0:
-            return demanded & set(left_schema)
-        back = dict(zip(right_names, right_schema))
-        return {back[a] for a in demanded if a in back}
+        return down | {pair[child_idx] for pair in n.pairs}
     if isinstance(n, Agg):
-        return set(n.group_by) | {arg for _, arg, _ in n.aggs}
-    if isinstance(n, DupElim):
-        return set(schema_of(n.child))
-    if isinstance(n, Union):
-        if child_idx == 0:
-            return set(need)
-        rename = _positional_rename(schema_of(n.left), schema_of(n.right))
-        return {rename[a] for a in need}
-    if isinstance(n, (Intersect, Diff)):
-        return set(schema_of(n.children[child_idx]))
+        return down | set(n.group_by) | {arg for _, arg, _ in n.aggs}
     if isinstance(n, Window):
-        return ((set(need) - {n.out}) | {n.arg}
-                | set(n.partition_by) | set(n.order_by))
-    raise TypeError(f"unknown operator {type(n).__name__}")
+        return down | {n.arg} | set(n.partition_by) | set(n.order_by)
+    if isinstance(n, Union):
+        return down
+    return down | set(child)  # compares whole rows
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +416,13 @@ def infer_set(root: Node) -> dict[Node, bool]:
     value: dict[Node, Optional[bool]] = {n: None for n in order}
     value[root] = False
     for n in reversed(order):
-        own = value[n]
+        if isinstance(n, DupElim):
+            contrib = True
+        elif isinstance(n, (Agg, Window, Diff)):
+            contrib = False
+        else:
+            contrib = bool(value[n])
         for child in n.children:
-            if isinstance(n, DupElim):
-                contrib = True
-            elif isinstance(n, (Agg, Window, Diff)):
-                contrib = False
-            else:
-                contrib = bool(own)
             prev = value[child]
             value[child] = contrib if prev is None else (prev and contrib)
     return {n: bool(v) for n, v in value.items()}

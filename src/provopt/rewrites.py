@@ -41,16 +41,16 @@ from operator import is_
 from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
-    Agg, Arith, Attr, Cmp, Cond, Const, Diff, DupElim, Expr,
+    Arith, Attr, Cmp, Cond, Const, Diff, DupElim, Expr,
     Intersect, Join, Node, Product, Project, Select, Union, Window,
     all_nodes, conjuncts, conjunction, expr_attrs, expr_nodes,
     expr_size, expr_with_children, fold_expr,
     identity_targets, parent_map, rebuild_bottom_up, replace_children,
-    right_output_names, schema_of, substitute as graph_substitute, substitute_attrs, SchemaError,
+    schema_of, substitute as graph_substitute, substitute_attrs, SchemaError,
 )
 from .properties import (
     EcConst, ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up,
-    infer_icols, infer_keys, infer_set,
+    infer_icols, infer_keys, infer_set, source_names,
 )
 
 ChoiceFn = Callable[[int], int]
@@ -395,8 +395,8 @@ def _renamed_columns(copies: Mapping[Node, Node]) -> Iterable[tuple[Node, str]]:
     Products are the one operator naming columns after its inputs' names."""
     for node, copy in copies.items():
         if isinstance(node, Product) and isinstance(copy, Product):
-            before = dict(zip(schema_of(node.right), right_output_names(node)))
-            for a, name in zip(schema_of(copy.right), right_output_names(copy)):
+            before = source_names(node.lineage[1])
+            for name, a in copy.lineage[1].items():
                 if before.get(a) != name:
                     yield node, before.get(a)
 
@@ -444,48 +444,37 @@ def pull_up_prov_projection(root: Node) -> Node:
             if parent in positional or proj in positional:
                 continue
             used = _own_used_attrs(parent)
-            exported = {name for e, name in proj.targets if isinstance(e, Attr) and e.name == name}
-            pulled = []
-            kept = []
-            for e, name in proj.targets:
-                if (isinstance(e, Attr) and name != e.name and name not in used
-                        and e.name in exported):
-                    pulled.append((e.name, name))
-                else:
-                    kept.append((e, name))
+            renames = proj.lineage[0]
+            # copies of a column the projection also passes under its own name
+            pulled = {name: src for name, src in renames.items()
+                      if name != src and name not in used and renames.get(src) == src}
+            kept = tuple(t for t in proj.targets if t[1] not in pulled)
             if not pulled or not kept:
                 continue
-            reduced = Project(tuple(kept), proj.child, proj.materialize)
+            reduced = Project(kept, proj.child, proj.materialize)
             new_parent = replace_children(
                 parent, tuple(reduced if c is proj else c for c in parent.children))
             try:
                 parent_schema = schema_of(new_parent)
             except SchemaError:
                 continue
-            if any(src not in parent_schema for src, _ in pulled):
+            if any(src not in parent_schema for src in pulled.values()):
                 continue
             yield parent, Project(identity_targets(parent_schema)
-                                  + tuple((Attr(src), name) for src, name in pulled),
+                                  + tuple((Attr(src), name) for name, src in pulled.items()),
                                   new_parent)
 
     return _rewrite(root, candidates)
 
 
 def _own_used_attrs(n: Node) -> frozenset[str]:
-    """Attributes an operator itself consumes from its inputs."""
+    """Attributes a :data:`_PULL_THROUGH` operator itself consumes from its
+    inputs; none for a duplicate elimination, which a pulled duplicate
+    column crosses unchanged."""
     if isinstance(n, Select):
-        return frozenset(expr_attrs(n.cond))
-    if isinstance(n, Join):
+        return expr_attrs(n.cond)
+    if isinstance(n, Product):
         return frozenset(a for pair in n.pairs for a in pair)
-    if isinstance(n, Agg):
-        return frozenset(n.group_by) | frozenset(a for _, a, _ in n.aggs)
-    if isinstance(n, Window):
-        return frozenset((n.arg,)) | frozenset(n.partition_by) | frozenset(n.order_by)
-    if isinstance(n, Project):
-        out: frozenset[str] = frozenset()
-        for e, _ in n.targets:
-            out |= expr_attrs(e)
-        return out
     return frozenset()
 
 
@@ -731,9 +720,7 @@ def _map_members_up(parent: Node, child: Node, members):
     fmap = filter_map(parent, next(i for i, c in enumerate(parent.children) if c is child))
     if fmap is None:
         return None
-    up: dict[str, str] = {}
-    for name, src in fmap.items():
-        up.setdefault(src, name)
+    up = source_names(fmap)
     out = tuple(m if isinstance(m, EcConst) else up.get(m) for m in members)
     return None if None in out else out
 

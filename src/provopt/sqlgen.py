@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Node, Product, Project, Relation, Select, Union,
-    Window, all_nodes, fold_expr, parent_map, right_output_names, schema_of,
+    Window, all_nodes, fold_expr, parent_map, schema_of,
 )
 
 
@@ -151,21 +151,15 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
         if isinstance(n, Select):
             return f"SELECT * FROM {source(n, 0)} WHERE {render_expr(n.cond)}"
         if isinstance(n, Project):
-            cols = []
             texts = fold_expr((e for e, _ in n.targets), _render_step)
-            for (e, name), rendered in zip(n.targets, texts):
-                if isinstance(e, Attr) and e.name == name:
-                    cols.append(rendered)
-                else:
-                    cols.append(f"{rendered} AS {quote_ident(name)}")
+            passed = n.lineage[0]  # a column under its own name prints bare
+            cols = [text if passed.get(name) == name else f"{text} AS {quote_ident(name)}"
+                    for (_, name), text in zip(n.targets, texts)]
             return f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
         if isinstance(n, Product):
             la, ra = aliases[n, 0], aliases[n, 1]
-            left_schema = schema_of(n.left)
-            right_schema = schema_of(n.right)
-            right_names = right_output_names(n)
-            cols = [f"{la}.{quote_ident(a)}" for a in left_schema]
-            for src, out in zip(right_schema, right_names):
+            cols = [f"{la}.{quote_ident(a)}" for a in schema_of(n.left)]
+            for out, src in n.lineage[1].items():
                 ref = f"{ra}.{quote_ident(src)}"
                 cols.append(ref if src == out else f"{ref} AS {quote_ident(out)}")
             sql = f"SELECT {', '.join(cols)} FROM {source(n, 0)}"

@@ -385,3 +385,23 @@ class TestReplay:
         assert replay([up], BagRelation(("a",))).tuples == {}
         with pytest.raises(EvalError, match="unbound attribute 'missing'"):
             replay([up], bag(("a",), [(1,)]))
+
+
+class TestSharedRelation:
+    """One Relation object read by both inputs of a binary operator gives
+    both inputs the same provenance columns; instrumenting refuses it."""
+
+    @pytest.mark.parametrize("kind", ["union", "join", "cross"])
+    def test_collision_raises_instrument_error(self, kind):
+        from provopt.algebra import Cross, Join, Select
+        r = Relation("R", ("a",))
+        left = Select(Cmp("=", Attr("a"), Const(1)), r)
+        q = {"union": lambda: Union(left, r), "join": lambda: Join((("a", "a"),), left, r),
+             "cross": lambda: Cross(left, r)}[kind]()
+        with pytest.raises(InstrumentError, match=rf"collide across {kind} inputs.*prov_R_0_a"):
+            instrument_query(q)
+
+    def test_two_occurrences_of_one_relation_instrument(self):
+        q = Union(Relation("R", ("a",)), Relation("R", ("a",)))
+        inst = instrument_query(q)
+        assert schema_of(inst) == ("a", "prov_R_0_a", "prov_R_1_a")
