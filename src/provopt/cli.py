@@ -201,6 +201,14 @@ def _parse_stop(spec: str):
     raise ValueError(f"unknown stop rule {spec!r} (use none, adaptive, or max-iters=N)")
 
 
+def _check_counts(args, minimum: dict[str, int]) -> None:
+    """Raise on the first count option, in ``minimum``'s order, below its minimum."""
+    for option, low in minimum.items():
+        n = getattr(args, option)
+        if n < low:
+            raise ValueError(f"--{option} needs N >= {low}, got {n}")
+
+
 def cmd_run(args) -> int:
     db, base_keys, catalog, stats = _load_data(args)
     rng = random.Random(_seed(args))
@@ -295,6 +303,7 @@ def cmd_instrument(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _check_counts(args, {"rounds": 1})
     _, base_keys, catalog, _ = _load_data(args)
     plan = plantext.parse_plan(args.plan.read_text(), catalog)
     enabled = frozenset(args.rules.split(",")) if args.rules else None
@@ -361,6 +370,7 @@ def stacked_agg_workload(levels: int, rows: int, fanin: int, rng: random.Random)
 
 
 def cmd_bench(args) -> int:
+    _check_counts(args, {"aggs": 0, "rows": 0, "fanin": 1, "updates": 1})
     rng = random.Random(_seed(args))
     lines = []
     if args.mode == "agg":

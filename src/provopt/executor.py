@@ -22,13 +22,15 @@ of a type other than int, bool or str. A cross product is the equi-join on
 no key columns.
 
 Expressions run a column at a time (:func:`evaluate_exprs`): a selection,
-a projection and each replayed UPDATE evaluate their expressions once over
-the operator's whole input, computing every subexpression once as a list
-of values, one per row, and most of them as one ``map`` of an
-``operator`` function. Every type check of a row-at-a-time evaluation is
-kept, and so is its first error: a batch that raises is run again one row
-at a time. A projection of attributes only, a join key and a grouping key
-are each one ``itemgetter`` call per row.
+a projection and each replayed UPDATE evaluate their expressions in one
+pass over the operator's whole input, computing every subexpression once
+as a list of values, one per row, and most of them as one ``map`` of an
+``operator`` function. A conditional computes both of its branches over
+every row. Errors are values: a row that fails holds its error where its
+value would be, so every type check of a row-at-a-time evaluation is kept,
+and the first row's error, in row order, is the one raised. A projection
+of attributes only, a join key and a grouping key are each one
+``itemgetter`` call per row.
 
 Evaluation and costing are each one loop over
 :func:`~provopt.algebra.all_nodes`, children before parents: a node's
@@ -43,15 +45,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Node, Product, Project, Relation,
     Select, Union, Window, Value,
-    all_nodes, expr_children, fold_expr, schema_of,
+    all_nodes, fold_expr, schema_of,
 )
 
 
@@ -117,29 +119,26 @@ def _columns(idx: Sequence[int]) -> Callable[[tuple], tuple]:
 # expression evaluation
 #
 # Expressions run a column at a time over a batch of rows: every
-# subexpression is computed once per batch, as the list of its values, one
-# per row. An attribute is a column of the rows, read when first needed;
+# subexpression is computed once per batch, over every row, as the list of
+# its values, one per row. The batch is one :func:`~provopt.algebra.fold_expr`
+# over the expressions, so a subexpression shared within or across them is
+# computed once and an expression of any depth runs at the default recursion
+# limit. An attribute is a column of the rows, read when first needed;
 # arithmetic and a comparison are one ``map`` of the ``operator`` function
 # once a scan of both columns' types finds only types that need no per-value
-# check (numbers; for a comparison also one type throughout), and run value
-# by value with the checks otherwise. A conditional evaluates its test, then
-# each branch over the rows whose test chose it (a sub-batch), and merges
-# the two columns back in row order; a branch that cannot raise (a constant,
-# a bound attribute) runs over the whole batch instead. A subexpression
-# shared within a batch is computed once. The evaluator is a loop over an
-# explicit work list, so an expression of any depth runs at the default
-# recursion limit.
+# check (numbers; for a comparison also one type throughout, neither null nor
+# an error), and run value by value with the checks otherwise. A conditional
+# computes its test and both of its branches over every row, copies the
+# false branch's column and writes over it the rows whose test is true.
 #
-# Errors are the row-at-a-time evaluator's: when a batch raises anything,
-# it is run again one row at a time, in input order, on one-row batches, and
-# the first row's error is raised. On one row the work list runs the
-# subexpressions in the order a recursive evaluation would, so an unbound
-# attribute raises only when read, a conditional evaluates only the branch
-# it takes, and a boolean operator evaluates all of its arguments and then
-# type-checks each one.
-
-
-T = TypeVar("T")
+# Errors are values: a row that fails holds its :class:`EvalError` where its
+# value would be. Every operator passes on its first failing operand, in the
+# order a row-at-a-time evaluation computes them, so each row holds the error
+# that evaluation would raise first. An unbound attribute fails only the rows
+# that read it; a conditional fails a row only when its test fails, or is not
+# boolean, or the branch the row takes fails; a boolean operator passes on
+# an argument's error before it type-checks its arguments. The entry points
+# raise the error of the first row, in row order, that fails.
 
 
 def _is_number(v) -> bool:
@@ -150,6 +149,8 @@ def _is_number(v) -> bool:
 _NUMBER_TYPES = frozenset((int, float))
 _BOOL_TYPES = frozenset((bool,))
 _NONE_TYPE = type(None)
+#: the type of a failed row's value
+_ERROR_TYPES = frozenset((EvalError,))
 #: value types whose comparison gives a boolean
 _BUILTIN_TYPES = frozenset((int, float, str, bool, _NONE_TYPE))
 
@@ -166,76 +167,83 @@ def _kind(tp: type) -> str:
     return "numeric" if issubclass(tp, (int, float)) else "other"
 
 
-def _check_comparable(lv: Value, rv: Value) -> None:
-    lk, rk = _kind(type(lv)), _kind(type(rv))
-    if lk != rk:
-        what = "boolean with non-boolean" if "boolean" in (lk, rk) else "values of different types"
-        raise EvalError(f"cannot compare {what} ({lv!r}, {rv!r})")
+def _not_boolean(v, message: str) -> EvalError:
+    """The error of a value that should be a boolean: its own, if it is one."""
+    return v if type(v) is EvalError else EvalError(f"{message} {v!r}")
 
 
-def _overflow(exc: OverflowError) -> EvalError:
-    return EvalError(f"arithmetic overflow: {exc}")
-
-
-def _arith_value(op: str, lv: Value, rv: Value) -> Value:
+def _arith_value(op: str, lv, rv):
     if not (_is_number(lv) and _is_number(rv)):
-        raise EvalError(f"arithmetic on non-numeric values {lv!r}, {rv!r}")
+        for v in (lv, rv):
+            if type(v) is EvalError:
+                return v
+        return EvalError(f"arithmetic on non-numeric values {lv!r}, {rv!r}")
     if op == "/" and rv == 0:
-        raise EvalError("division by zero")
+        return EvalError("division by zero")
     try:
         return _ARITH[op](lv, rv)
     except OverflowError as exc:
-        raise _overflow(exc) from None
+        return EvalError(f"arithmetic overflow: {exc}")
 
 
 def _arith_column(op: str, left: Sequence, right: Sequence,
-                  types: frozenset) -> tuple[list, Optional[frozenset]]:
+                  types: frozenset) -> tuple[list, frozenset]:
     if types <= _NUMBER_TYPES and (op != "/" or 0 not in right):
         try:
             return list(map(_ARITH[op], left, right)), _NUMBER_TYPES
-        except OverflowError as exc:
-            raise _overflow(exc) from None
-    return [_arith_value(op, lv, rv) for lv, rv in zip(left, right)], None
+        except OverflowError:
+            pass  # the rows that overflow fail one by one below
+    out = [_arith_value(op, lv, rv) for lv, rv in zip(left, right)]
+    return out, frozenset(map(type, out))
 
 
-def _cmp_value(op: str, lv: Value, rv: Value) -> bool:
+def _cmp_value(op: str, lv, rv):
+    for v in (lv, rv):
+        if type(v) is EvalError:
+            return v
     if lv is None or rv is None:
         return op == "<>"  # null compares unequal to everything, including null
     if type(lv) is not type(rv):  # values of one type are always comparable
-        _check_comparable(lv, rv)
+        lk, rk = _kind(type(lv)), _kind(type(rv))
+        if lk != rk:
+            what = "boolean with non-boolean" if "boolean" in (lk, rk) else "values of different types"
+            return EvalError(f"cannot compare {what} ({lv!r}, {rv!r})")
     return _CMP[op](lv, rv)
 
 
 def _cmp_column(op: str, left: Sequence, right: Sequence,
-                types: frozenset) -> tuple[list, Optional[frozenset]]:
-    # a comparison of built-in values gives a boolean
-    out_types = _BOOL_TYPES if types <= _BUILTIN_TYPES else None
-    if types <= _NUMBER_TYPES or (len(types) == 1 and _NONE_TYPE not in types):
-        return list(map(_CMP[op], left, right)), out_types
-    return [_cmp_value(op, lv, rv) for lv, rv in zip(left, right)], out_types
+                types: frozenset) -> tuple[list, frozenset]:
+    if types <= _NUMBER_TYPES or (len(types) == 1 and types.isdisjoint((_NONE_TYPE, EvalError))):
+        out = list(map(_CMP[op], left, right))
+        # a comparison of built-in values gives a boolean
+        return out, _BOOL_TYPES if types <= _BUILTIN_TYPES else frozenset(map(type, out))
+    out = [_cmp_value(op, lv, rv) for lv, rv in zip(left, right)]
+    return out, frozenset(map(type, out))
 
 
-def _check_booleans(column: Sequence, types: frozenset, message: str) -> None:
-    """Raise ``message`` with the first value of ``column`` that is not a
-    boolean; ``types`` holds the types of its values, perhaps more."""
-    if not types <= _BOOL_TYPES:
-        for v in column:
-            if v is not True and v is not False:
-                raise EvalError(f"{message} {v!r}")
+def _bool_value(op: str, args: tuple):
+    for v in args:
+        if type(v) is EvalError:
+            return v
+    for v in args:
+        if v is not True and v is not False:
+            return EvalError(f"boolean operator over non-boolean value {v!r}")
+    if op == "not":
+        return not args[0]
+    return all(args) if op == "and" else any(args)
 
 
 class _Batch:
-    """Rows evaluated together: the value column of each subexpression
-    computed over them (by id) and the columns of the rows themselves, both
-    computed when first needed, and the types each column may hold (a
-    superset of its values' types)."""
+    """Rows evaluated together: their columns, read when first needed, and
+    the types each column may hold (a superset of its values' types),
+    recorded for every computed column and scanned for a column of the
+    rows when first needed. Only a computed column can hold an error."""
 
-    __slots__ = ("rows", "columns", "values", "types")
+    __slots__ = ("rows", "columns", "types")
 
     def __init__(self, rows: list[tuple]):
         self.rows = rows
         self.columns: dict[int, Sequence] = {}
-        self.values: dict[int, Sequence] = {}
         #: id(column) -> (column, types); holding the column keeps its id unique
         self.types: dict[int, tuple[Sequence, frozenset]] = {}
 
@@ -256,121 +264,80 @@ class _Batch:
             known = self.types[id(column)] = (column, frozenset(map(type, column)))
         return known[1]
 
-    def put(self, x: Expr, column: Sequence, types: Optional[frozenset] = None) -> None:
-        """Store ``x``'s column; ``types``, when given, holds its values' types."""
-        self.values[id(x)] = column
-        if types is not None:
-            self.types[id(column)] = (column, types)
-
     def evaluate(self, exprs: Sequence[Expr], index: Mapping[str, int]) -> list[Sequence]:
         """The value column of each expression over the rows, whose
-        attributes are at the columns ``index`` names; raises as soon as
-        any row fails.
+        attributes are at the columns ``index`` names."""
+        def step(x: Expr, kids: tuple) -> Sequence:
+            if isinstance(x, Attr) and x.name in index:
+                return self.column(index[x.name])
+            column, types = self._compute(x, kids)
+            self.types[id(column)] = (column, types)
+            return column
+        return fold_expr(exprs, step)
 
-        One work list runs every batch: subexpressions are entered depth
-        first, children in order, and each is computed once per batch; a
-        conditional's test is computed before its branches are entered."""
-        todo = [(e, self, _ENTER, None) for e in reversed(exprs)]
-        while todo:
-            x, batch, stage, parts = todo.pop()
-            if stage == _ENTER:
-                if id(x) in batch.values:
-                    continue
-                if isinstance(x, Attr):
-                    if x.name in index:
-                        batch.put(x, batch.column(index[x.name]))
-                    elif batch.rows:
-                        raise EvalError(f"unbound attribute {x.name!r}")
-                    else:
-                        batch.put(x, [])
-                elif isinstance(x, Const):
-                    batch.put(x, [x.value] * len(batch.rows), frozenset((type(x.value),)))
-                elif isinstance(x, Cond):
-                    todo.append((x, batch, _SPLIT, None))
-                    todo.append((x.pred, batch, _ENTER, None))
-                else:
-                    kids = expr_children(x)  # raises on a non-expression
-                    todo.append((x, batch, _COMBINE, None))
-                    todo.extend([(k, batch, _ENTER, None) for k in reversed(kids)])
-            elif stage == _COMBINE:
-                batch.put(x, *batch._combine(x))
-            elif stage == _SPLIT:
-                test = batch.values[id(x.pred)]
-                _check_booleans(test, batch.types_of(test), "conditional test is not boolean:")
-                taken = test.count(True)
-                parts = (batch._branch(x.if_true, test, True, taken, index),
-                         batch._branch(x.if_false, test, False, len(test) - taken, index))
-                todo.append((x, batch, _MERGE, parts))
-                for branch, sub in ((x.if_false, parts[1]), (x.if_true, parts[0])):
-                    if sub is not None:
-                        todo.append((branch, sub, _ENTER, None))
-            else:
-                batch._merge(x, parts)
-        return [self.values[id(e)] for e in exprs]
-
-    def _combine(self, x: Expr) -> tuple[list, Optional[frozenset]]:
-        """An operator's column from its arguments' columns, and its types."""
+    def _compute(self, x: Expr, kids: tuple) -> tuple[Sequence, frozenset]:
+        """A computed column from its arguments' columns, and its types."""
+        if isinstance(x, Attr):
+            return [EvalError(f"unbound attribute {x.name!r}")] * len(self.rows), _ERROR_TYPES
+        if isinstance(x, Const):
+            return [x.value] * len(self.rows), frozenset((type(x.value),))
+        if isinstance(x, Cond):
+            return self._cond(*kids)
         if isinstance(x, BoolOp):
-            args = [self.values[id(a)] for a in x.args]
-            for column in args:
-                _check_booleans(column, self.types_of(column),
-                                "boolean operator over non-boolean value")
-            if x.op == "not":
-                return list(map(operator.not_, args[0])), _BOOL_TYPES
-            return list(map(all if x.op == "and" else any, zip(*args))), _BOOL_TYPES
-        left, right = self.values[id(x.left)], self.values[id(x.right)]
+            if all(self.types_of(a) <= _BOOL_TYPES for a in kids):
+                if x.op == "not":
+                    return list(map(operator.not_, kids[0])), _BOOL_TYPES
+                return list(map(all if x.op == "and" else any, zip(*kids))), _BOOL_TYPES
+            out = [_bool_value(x.op, args) for args in zip(*kids)]
+            return out, frozenset(map(type, out))
+        left, right = kids
         types = self.types_of(left) | self.types_of(right)
         if isinstance(x, Arith):
             return _arith_column(x.op, left, right, types)
         return _cmp_column(x.op, left, right, types)
 
-    def _branch(self, branch: Expr, test: Sequence, side: bool, taken: int,
-                index: Mapping[str, int]) -> Optional["_Batch"]:
-        """The batch a conditional's branch runs over: this batch when every
-        row takes the branch (an empty batch takes both) or it cannot raise
-        (a constant or a bound attribute); none when no row takes it; else
-        a sub-batch of the rows that take it, which lives until the
-        conditional's column is merged, so memory stays bounded by the
-        conditionals being evaluated at once."""
-        if taken == len(test):
-            return self
-        if not taken:
-            return None
-        if isinstance(branch, Const) or (isinstance(branch, Attr) and branch.name in index):
-            return self
-        return _Batch(list(compress(self.rows, test if side else map(operator.not_, test))))
+    def _cond(self, test: Sequence, if_true: Sequence,
+              if_false: Sequence) -> tuple[Sequence, frozenset]:
+        """A conditional's column: each row's value from the branch its test
+        chose, or the test's error."""
+        boolean = self.types_of(test) <= _BOOL_TYPES
+        if boolean:
+            taken = test.count(True)
+            if taken == len(test):
+                return if_true, self.types_of(if_true)
+            if not taken:
+                return if_false, self.types_of(if_false)
+        types = self.types_of(if_true) | self.types_of(if_false)
+        out = list(if_false)
+        for i in compress(range(len(out)), test):
+            out[i] = if_true[i]
+        if not boolean:
+            for i in self.non_booleans(test):
+                out[i] = _not_boolean(test[i], "conditional test is not boolean:")
+            types |= _ERROR_TYPES
+        return out, types
 
-    def _merge(self, x: Cond, parts: tuple) -> None:
-        """A conditional's column from its branches' columns, in row order."""
-        test = self.values[id(x.pred)]
-        on_true, on_false = parts
-        if on_false is None or on_true is None:
-            sub, branch = (on_true, x.if_true) if on_false is None else (on_false, x.if_false)
-            column = sub.values[id(branch)]
-            self.put(x, column, sub.types_of(column))
-            return
-        if_true, if_false = on_true.values[id(x.if_true)], on_false.values[id(x.if_false)]
-        types = on_true.types_of(if_true) | on_false.types_of(if_false)
-        if on_true is not self and on_false is not self:
-            picks = (iter(if_false), iter(if_true))
-            self.put(x, list(map(next, map(picks.__getitem__, test))), types)
-            return
-        # copy a branch computed over the whole batch, then write the rows
-        # the other branch took over it
-        if on_false is self:
-            out, other, sub, chosen = list(if_false), if_true, on_true, test
-        else:
-            out, other, sub = list(if_true), if_false, on_false
-            chosen = list(map(operator.not_, test))
-        if sub is self:
-            other = compress(other, chosen)
-        for i, v in zip(compress(range(len(out)), chosen), other):
-            out[i] = v
-        self.put(x, out, types)
+    def non_booleans(self, column: Sequence) -> list[int]:
+        """The rows whose value in ``column`` is not a boolean (an error is not)."""
+        if self.types_of(column) <= _BOOL_TYPES:
+            return []
+        return [i for i, v in enumerate(column) if v is not True and v is not False]
 
-
-# work-list stages of a subexpression
-_ENTER, _COMBINE, _SPLIT, _MERGE = range(4)
+    def raise_first_error(self, columns: Sequence[Sequence]) -> None:
+        """Raise the error of the first row, in row order, that fails in any
+        of ``columns``: the one of the first column it fails in. Only the
+        columns whose recorded types hold an error are scanned."""
+        first, error = len(self.rows), None
+        for column in columns:
+            known = self.types.get(id(column))
+            if known is not None and EvalError in known[1]:
+                try:
+                    first = list(map(type, islice(column, first))).index(EvalError)
+                except ValueError:
+                    continue
+                error = column[first]
+        if error is not None:
+            raise error
 
 
 def _index(schema: Sequence[str]) -> dict[str, int]:
@@ -379,11 +346,17 @@ def _index(schema: Sequence[str]) -> dict[str, int]:
     return {a: i for i, a in enumerate(schema)}
 
 
-def _mask(cond: Expr, index: Mapping[str, int], rows: list[tuple]) -> Sequence[bool]:
+def _mask(cond: Expr, index: Mapping[str, int],
+          rows: list[tuple]) -> tuple[Sequence, int, Optional[EvalError]]:
+    """A selection condition's column over the rows, its first row whose
+    value is not a boolean (else the row count), and that row's error."""
     batch = _Batch(rows)
     column = batch.evaluate((cond,), index)[0]
-    _check_booleans(column, batch.types_of(column), "selection condition evaluated to non-boolean")
-    return column
+    bad = batch.non_booleans(column)
+    if not bad:
+        return column, len(rows), None
+    return column, bad[0], _not_boolean(column[bad[0]],
+                                        "selection condition evaluated to non-boolean")
 
 
 def _projected(exprs: Sequence[Expr], index: Mapping[str, int],
@@ -395,43 +368,33 @@ def _projected(exprs: Sequence[Expr], index: Mapping[str, int],
     batch = _Batch(rows)
     batch.read_columns()
     columns = batch.evaluate(exprs, index)
+    batch.raise_first_error(columns)
     return list(zip(*columns)) if columns else [()] * len(rows)
-
-
-def _first_row_error(run: Callable[[list[tuple]], T], rows: list[tuple]) -> T:
-    """``run(rows)``; when that raises, the error ``run`` raises on the
-    first row, in order, that fails on its own."""
-    try:
-        return run(rows)
-    except Exception as exc:
-        if len(rows) <= 1:
-            raise
-        failure = exc
-    for row in rows:
-        run([row])
-    raise failure
 
 
 def evaluate_exprs(exprs: Sequence[Expr], schema: Sequence[str], rows: list[tuple]) -> list[list]:
     """The value column of each expression over rows of ``schema``: one list
     per expression, one value per row. Raises what evaluating the rows one
     at a time, in order, would raise first."""
-    index = _index(schema)
-    return _first_row_error(lambda batch: _Batch(batch).evaluate(exprs, index), rows)
+    batch = _Batch(rows)
+    columns = batch.evaluate(exprs, _index(schema))
+    batch.raise_first_error(columns)
+    return columns
 
 
 def selection_mask(cond: Expr, schema: Sequence[str], rows: list[tuple]) -> Sequence[bool]:
     """Whether each row of ``schema`` satisfies a selection condition; a
     non-boolean value raises."""
-    index = _index(schema)
-    return _first_row_error(lambda batch: _mask(cond, index, batch), rows)
+    column, _, error = _mask(cond, _index(schema), rows)
+    if error is not None:
+        raise error
+    return column
 
 
 def projected_rows(exprs: Sequence[Expr], schema: Sequence[str],
                    rows: list[tuple]) -> list[tuple]:
     """The tuple of the expressions' values for each row of ``schema``."""
-    index = _index(schema)
-    return _first_row_error(lambda batch: _projected(exprs, index, batch), rows)
+    return _projected(exprs, _index(schema), rows)
 
 
 def updated_rows(cond: Expr, exprs: Sequence[Expr], schema: Sequence[str],
@@ -441,11 +404,13 @@ def updated_rows(cond: Expr, exprs: Sequence[Expr], schema: Sequence[str],
     rows one at a time, in order, would raise first: each row's condition,
     then, if it holds, its expressions."""
     index = _index(schema)
-
-    def run(batch):
-        matched = list(compress(batch, _mask(cond, index, batch)))
-        return matched, _projected(exprs, index, matched)
-    return _first_row_error(run, rows)
+    test, bad, error = _mask(cond, index, rows)
+    # the rows before the first failing condition are matched or not
+    matched = list(compress(rows, islice(test, bad)))
+    new = _projected(exprs, index, matched)
+    if error is not None:
+        raise error
+    return matched, new
 
 
 def aggregate(fn: str, values: list[tuple[Value, int]]) -> Value:

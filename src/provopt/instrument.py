@@ -387,8 +387,12 @@ class UpdateSyntaxError(Exception):
     pass
 
 
+#: a token (group 1), a character no token starts with (group 2) or the end
+#: of the text, after any blanks and ``--`` comments; a string is matched
+#: whole, so it may hold ``;`` and ``--``
 _UPD_TOKEN = re.compile(
-    r"\s*(<=|>=|<>|[-+*/=<>(),]|'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_]*|\d+\.\d+|\d+)")
+    r"(?:\s+|--[^\r\n]*)*(?:(<=|>=|<>|[-+*/=<>(),;]|'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_]*"
+    r"|\d+\.\d+|\d+)|(\S)|\Z)")
 
 
 def parse_updates(text: str) -> list[UpdateStmt]:
@@ -398,28 +402,25 @@ def parse_updates(text: str) -> list[UpdateStmt]:
 
     Expressions support comparisons, + - * /, AND/OR/NOT, parentheses,
     numbers, single-quoted strings, and TRUE/FALSE/NULL. ``--`` starts a
-    line comment; a missing WHERE clause means every tuple matches.
+    line comment; a missing WHERE clause means every tuple matches. The
+    text is read once, in order: a statement ends at a ``;`` token, so a
+    string may hold ``;`` and ``--``.
     """
-    statements = []
-    for raw in text.split(";"):
-        body = "\n".join(line.split("--", 1)[0] for line in raw.splitlines())
-        if body.strip():
-            statements.append(body.strip())
-    return [_parse_update(s) for s in statements]
-
-
-def _tokenize_update(text: str) -> list[str]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _UPD_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise UpdateSyntaxError(f"cannot read input at {text[pos:pos + 20]!r}")
-            break
-        toks.append(m.group(1))
-        pos = m.end()
-    return toks
+    statements, toks = [], []
+    for m in _UPD_TOKEN.finditer(text):
+        t = m.group(1)
+        if t is None:
+            if m.group(2) is None:
+                break
+            raise UpdateSyntaxError(f"cannot read input at {text[m.start(2):m.start(2) + 20]!r}")
+        if t != ";":
+            toks.append(t)
+        elif toks:
+            statements.append(_parse_update(toks))
+            toks = []
+    if toks:
+        statements.append(_parse_update(toks))
+    return statements
 
 
 class _UpdParser:
@@ -512,8 +513,8 @@ class _UpdParser:
         raise UpdateSyntaxError(f"cannot read expression at {t!r}")
 
 
-def _parse_update(stmt: str) -> UpdateStmt:
-    p = _UpdParser(_tokenize_update(stmt))
+def _parse_update(toks: list[str]) -> UpdateStmt:
+    p = _UpdParser(toks)
     p.expect("UPDATE")
     rel = p.next()
     p.expect("SET")

@@ -49,9 +49,12 @@ class PlanSyntaxError(Exception):
         self.col = col
 
 
-_TOKEN = re.compile(r"""\(|\)|"(?:[^"\\]|\\.)*"|[^\s()";]+""")
+#: a token, a ``;`` comment to the end of its line (group 1) or a quote that
+#: no closing quote ends (group 2); a string is matched whole first, so it
+#: may hold ``;`` and line breaks
+_TOKEN = re.compile(r"""(;[^\r\n]*)|\(|\)|"(?:[^"\\]|\\.)*"|[^\s()";]+|(")""", re.DOTALL)
 _NUMBER = re.compile(r"^-?\d+(\.\d+)?$")
-_BARE = re.compile(r"^[A-Za-z_][A-Za-z0-9_#'.]*$")
+_BARE = re.compile(r"^[A-Za-z_][A-Za-z0-9_#'.]*\Z")
 
 
 class _Tok:
@@ -62,11 +65,21 @@ class _Tok:
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    """The tokens of ``text`` in one pass, each with the line and column at
+    which it starts."""
     toks = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split(";", 1)[0]  # ; starts a comment
-        for m in _TOKEN.finditer(body):
-            toks.append(_Tok(m.group(0), lineno, m.start() + 1))
+    line, line_start, seen = 1, 0, 0  # the line breaks before ``seen`` are counted
+    for m in _TOKEN.finditer(text):
+        start = m.start()
+        breaks = text.count("\n", seen, start)
+        if breaks:
+            line += breaks
+            line_start = text.rfind("\n", seen, start) + 1
+        seen = start
+        if m.group(2) is not None:
+            raise PlanSyntaxError("unterminated string", line, start - line_start + 1)
+        if m.group(1) is None:
+            toks.append(_Tok(m.group(0), line, start - line_start + 1))
     return toks
 
 

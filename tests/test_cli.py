@@ -204,6 +204,27 @@ class TestOtherCommands:
         assert code == 1 and out == ""
         assert err == f"error: stop rule max-iters needs N >= 1, got {n}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("bench", "--mode", "agg", "--fanin", "0"), "--fanin needs N >= 1, got 0"),
+        (("bench", "--mode", "reenact", "--updates", "0"), "--updates needs N >= 1, got 0"),
+        (("bench", "--mode", "agg", "--rows", "-1"), "--rows needs N >= 0, got -1"),
+        (("bench", "--mode", "agg", "--aggs", "-1"), "--aggs needs N >= 0, got -1"),
+        (("optimize", "--plan", "ex1.plan", "--dump-steps", "--rounds", "-1"),
+         "--rounds needs N >= 1, got -1"),
+        (("optimize", "--plan", "ex1.plan", "--rounds", "0"), "--rounds needs N >= 1, got 0"),
+    ])
+    def test_counts_below_their_least_rejected(self, capsys, fig_data, argv, message):
+        _, plan = fig_data
+        argv = tuple(str(plan) if a == "ex1.plan" else a for a in argv)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_empty_counts_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--mode", "agg", "--aggs", "0", "--rows", "0")
+        assert code == 0, err
+        assert out.splitlines()[0] == "method,heuristics,plans,cost,eval_seconds"
+
     @pytest.mark.parametrize("expr, row", [("(/ a b)", "1,0"), ("(= a \"x\")", "1,2")])
     def test_evaluation_error_is_reported(self, capsys, tmp_path, expr, row):
         data = tmp_path / "data"

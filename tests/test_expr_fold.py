@@ -37,6 +37,7 @@ from provopt.algebra import (
 )
 from provopt.executor import (
     RANGE_SELECTIVITY, BagRelation, EvalError, TableStats, cost, evaluate, evaluate_exprs,
+    updated_rows,
 )
 from provopt.instrument import parse_updates, reenact, replay
 from provopt.plantext import _BARE, _format_literal, format_expr, format_name, format_plan
@@ -641,6 +642,25 @@ def test_batch_error_is_the_first_failing_rows():
         evaluate_exprs(exprs, SCHEMA, rows)
     with pytest.raises(EvalError, match="division by zero"):
         evaluate_exprs(exprs, SCHEMA, rows[:1] + rows[2:])
+
+
+def test_updated_rows_raises_the_first_rows_condition_or_new_value():
+    # each row's condition, then its new values: the earlier row's error wins
+    cond = Cmp(">", Attr("a"), Const(0))
+    exprs = [Arith("/", Attr("b"), Attr("c")), Attr("b")]
+    new_value_fails, cond_fails = (1, 1, 0), ("s", 1, 1)
+    with pytest.raises(EvalError, match="division by zero"):
+        updated_rows(cond, exprs, SCHEMA, [(0, 1, 0), new_value_fails, cond_fails])
+    with pytest.raises(EvalError, match="cannot compare values of different types"):
+        updated_rows(cond, exprs, SCHEMA, [(0, 1, 0), cond_fails, new_value_fails])
+    # a row the condition does not match never computes its new values
+    assert updated_rows(cond, exprs, SCHEMA, [(0, 1, 0), (2, 3, 1)]) == ([(2, 3, 1)], [(3.0, 3)])
+    # a non-boolean condition raises for its row, after the matched rows before it
+    cond = Attr("a")
+    with pytest.raises(EvalError, match="division by zero"):
+        updated_rows(cond, exprs, SCHEMA, [(True, 1, 0), (1, 1, 1)])
+    with pytest.raises(EvalError, match="selection condition evaluated to non-boolean 1"):
+        updated_rows(cond, exprs, SCHEMA, [(1, 1, 1), (True, 1, 0)])
 
 
 def _reference_replay(updates, state):

@@ -320,6 +320,13 @@ class TestUpdateParser:
         assert ups[0].set_clauses[0][1] == Const("o'clock")
         assert ups[0].where == Cmp("=", Attr("a"), Const(-4))
 
+    def test_string_holding_a_statement_end_or_a_comment(self):
+        ups = parse_updates("UPDATE r SET s = 'a;b' WHERE k = 1;\n"
+                            "UPDATE r SET s = 'a--b' -- a comment; not a statement end\n"
+                            "  WHERE k = 2;")
+        assert [u.set_clauses[0][1] for u in ups] == [Const("a;b"), Const("a--b")]
+        assert ups[1].where == Cmp("=", Attr("k"), Const(2))
+
     def test_syntax_error(self):
         with pytest.raises(UpdateSyntaxError):
             parse_updates("UPDATE R WHERE a = 1;")

@@ -63,12 +63,33 @@ def test_roundtrip_awkward_names():
     r = Relation("R", ("a", "b'"))
     roundtrip(Select(Cmp("=", Attr("b'"), Const('say "hi"')), r))
     roundtrip(Project(((Attr("a"), "select"),), r))
+    # a ; or a line break inside a string is not a comment or a line end
+    roundtrip(Select(Cmp("=", Attr("a"), Const("x;y")), Relation("R", ("a",))))
+    roundtrip(Select(Cmp("=", Attr("a"), Const("x\ny")), Relation("R", ("a",))))
+    roundtrip(Project(((Attr("a"), "a;b"),), r))
+    alphabet = '\\";\na'
+    texts = [""]
+    for _ in range(4):
+        texts += [t + c for t in texts if len(t) == len(texts[-1]) for c in alphabet]
+    for text in texts:
+        roundtrip(Select(Cmp("=", Attr(text or "a"), Const(text)), Relation("R", (text or "a",))))
+        roundtrip(Project(((Attr("a"), text or "a"),), r))
 
 
 def test_error_reports_position():
     with pytest.raises(PlanSyntaxError) as err:
         parse_plan("(select (= a 1)\n  (bogus x))")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ('(rel "R (attrs a))', 1, 6),
+    ('(select (= a\n  "x\\") (rel R (attrs a)))', 2, 3),
+])
+def test_unterminated_string_rejected(text, line, col):
+    with pytest.raises(PlanSyntaxError, match="unterminated string") as err:
+        parse_plan(text)
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_trailing_input_rejected():
