@@ -76,6 +76,13 @@ for _plan in ("cross_agg", "cross_dupelim"):
         f"{_plan}_explain_properties": ("explain-properties", "--plan", _p, "--data", "fixtures"),
         f"{_plan}_sql": ("sql", "--plan", _p, "--data", "fixtures"),
     })
+# the agg_deep benchmark shape: 16 plans whose traces and costs are pinned
+for _strategy, *_stop in (("seq",), ("bin",), ("sa", "--stop", "max-iters=40")):
+    COMMANDS[f"agg4_run_cbo_{_strategy}"] = (
+        "run", "--prov-of", f"{G}/agg4.plan", "--data", f"{G}/agg4", "--agg-method", "cbo",
+        "--strategy", _strategy, *_stop)
+COMMANDS["self_join_agg_run_cbo"] = ("run", "--prov-of", f"{G}/self_join_agg.plan",
+                                     "--data", "fixtures", "--agg-method", "cbo")
 
 
 def run_command(name: str) -> bytes:
