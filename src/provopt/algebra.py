@@ -21,6 +21,8 @@ caches it, so :func:`schema_of` is a field read after the first call.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property
 from operator import is_
@@ -527,12 +529,21 @@ class Window(Node):
 
 
 def replace_children(node: Node, kids: tuple[Node, ...]) -> Node:
-    """Copy a node with new children, preserving every other field."""
+    """Copy a node with new children, preserving every other field. Within
+    a :func:`sharing_subplans` scope one node over the same children is
+    copied once, so plans rebuilt alike share the copy."""
     names = _field_names(type(node))[0]
     if len(kids) != len(names):
         raise GraphError(f"{type(node).__name__.lower()} takes {len(names)} "
                          f"child(ren), got {len(kids)}")
-    return replace(node, **dict(zip(names, kids)))
+    tables = _SHARED.get()
+    if tables is None:
+        return replace(node, **dict(zip(names, kids)))
+    key = (node, kids)
+    copy = tables["copies"].get(key)
+    if copy is None:
+        copy = tables["copies"][key] = replace(node, **dict(zip(names, kids)))
+    return copy
 
 
 def schema_of(node: Node) -> tuple[str, ...]:
@@ -559,6 +570,50 @@ def right_output_names(node: Node) -> tuple[str, ...]:
     if not isinstance(node, Product):
         raise GraphError("right_output_names applies to join/cross only")
     return node.qualified[1]
+
+
+# ---------------------------------------------------------------------------
+# the memo that plans built one after another share
+
+
+#: the tables of the innermost :func:`sharing_subplans` scope, or None
+_SHARED: ContextVar[Optional[dict]] = ContextVar("provopt_shared_subplans", default=None)
+
+
+@contextmanager
+def sharing_subplans() -> Iterator[None]:
+    """A scope in which the plans built one after another share what they
+    have in common. Node copies, instrumented subtrees, nodes the rewrite
+    rules build over an existing node and bottom-up facts (keys,
+    equivalence classes, cost estimates) are kept in its tables, so a plan
+    that differs from an earlier one in one choice rebuilds and recomputes
+    only what that choice changed.
+
+    Every table is keyed by the identity of nodes it holds alive, never by
+    structure: two equal but distinct subtrees stay two nodes, so no plan's
+    DAG changes. The tables are dropped when the scope ends, also when it
+    raises; a nested scope starts empty and the outer one resumes after
+    it. :func:`provopt.optimizer.optimize` opens one per call."""
+    token = _SHARED.set({"copies": {}})  # replace_children's, read on every copy
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def shared_table(kind: str, owner: object = None) -> dict:
+    """The innermost :func:`sharing_subplans` scope's table ``kind`` for
+    ``owner``, created on first use; outside any scope, a fresh dict that
+    only its caller sees. The owner is told apart by identity and held
+    alive with its table; it is what the table's values depend on besides
+    the nodes that key them (the declared keys, the statistics)."""
+    tables = _SHARED.get()
+    if tables is None:
+        return {}
+    entry = tables.get((kind, id(owner)))
+    if entry is None:
+        entry = tables[(kind, id(owner))] = (owner, {})
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------

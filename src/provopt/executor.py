@@ -53,7 +53,7 @@ from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Node, Product, Project, Relation,
     Select, Union, Window, Value,
-    all_nodes, fold_expr, schema_of,
+    all_nodes, fold_expr, schema_of, shared_table,
 )
 
 
@@ -642,8 +642,14 @@ def _sort_term(rows: float) -> float:
 
 
 def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
-    """Deterministic bottom-up cost estimate; shared nodes are charged once."""
-    info: dict[Node, tuple[float, dict[str, float]]] = {}
+    """Deterministic bottom-up cost estimate; shared nodes are charged once.
+
+    A node's estimate depends on its subgraph and the statistics only, so
+    within a :func:`provopt.algebra.sharing_subplans` scope the estimates
+    under one ``stats`` object are kept for every later plan."""
+    #: node -> (estimated rows, distinct counts), and node -> own cost
+    info: dict[Node, tuple[float, dict[str, float]]] = shared_table("cost_rows", stats)
+    own_cost: dict[Node, float] = shared_table("cost_own", stats)
     per_node: dict[Node, tuple[float, float]] = {}
 
     def distinct_of(d: Mapping[str, float], attr: str, rows: float) -> float:
@@ -737,8 +743,10 @@ def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
         raise EvalError(f"unknown operator {type(n).__name__}")
 
     for n in all_nodes(root):
-        est, own, d = compute(n)
-        info[n] = (est, passed(n, est) if d is None else cap(d, est))
-        per_node[n] = (est, own)
+        if n not in info:
+            est, own, d = compute(n)
+            info[n] = (est, passed(n, est) if d is None else cap(d, est))
+            own_cost[n] = own
+        per_node[n] = (info[n][0], own_cost[n])
     total = sum(c for _, c in per_node.values())
     return CostEstimate(total, per_node)

@@ -8,7 +8,11 @@ the aggregate back to the witness rows, or recomputing it as a window over
 them); the choice goes through a callback so a cost-based optimizer can
 drive it. Operators are rewritten children first, in one loop over
 :func:`~provopt.algebra.all_nodes`, which is the order of the choices; an
-operator outside the fragment is rejected before the first choice.
+operator outside the fragment is rejected before the first choice. Within a
+:func:`~provopt.algebra.sharing_subplans` scope an operator rewritten over
+the same instrumented inputs, with the same occurrence number or method,
+is the same node, so the plans of one optimization share their unchanged
+subtrees.
 
 ``reenact`` compiles a sequence of updates against one relation into a
 stack of conditional projections over the pre-state, and
@@ -28,7 +32,7 @@ from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, DupElim, Expr, Join,
     Node, Product, Project, Relation, Select, Union, Window,
     FRAME_PARTITION, all_nodes, disjunction, expr_attrs, fresh_name, identity_targets,
-    replace_children, schema_of, substitute, substitute_attrs,
+    replace_children, schema_of, shared_table, substitute, substitute_attrs,
 )
 from .executor import BagRelation, EvalError, updated_rows
 
@@ -80,11 +84,10 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
     occurrences: dict[str, int] = {}
     memo: dict[Node, _Instrumented] = {}
 
-    def rewrite(n: Node) -> _Instrumented:
+    def rewrite(n: Node, arg: Optional[int]) -> _Instrumented:
+        """``arg`` is a relation's occurrence, an aggregation's method."""
         if isinstance(n, Relation):
-            occ = occurrences.get(n.name, 0)
-            occurrences[n.name] = occ + 1
-            prov = tuple(prov_attr_name(n.name, occ, a) for a in n.attrs)
+            prov = tuple(prov_attr_name(n.name, arg, a) for a in n.attrs)
             targets = identity_targets(n.attrs) + tuple(
                 (Attr(a), p) for a, p in zip(n.attrs, prov))
             return _Instrumented(Project(targets, n), prov)
@@ -114,7 +117,7 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
             return _Instrumented(Union(Project(lt, left.node), Project(rt, right.node)), prov)
         if isinstance(n, Agg):
             child = memo[n.child]
-            if decide(2) == AGG_WINDOW:
+            if arg == AGG_WINDOW:
                 node = instrument_agg_window(n, child.node, child.prov_attrs)
             else:
                 node = instrument_agg_join(n, child.node, child.prov_attrs)
@@ -123,15 +126,31 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
         # would collapse distinct witnesses, so the operator is dropped here
         return memo[n.child]
 
+    # an operator's instrumentation is a function of the operator, its
+    # instrumented inputs and its argument, so plans alike share it
+    shared = shared_table("instrumented")
     for n in nodes:
-        memo[n] = rewrite(n)
+        if isinstance(n, Relation):
+            arg = occurrences.get(n.name, 0)
+            occurrences[n.name] = arg + 1
+        else:
+            arg = decide(2) if isinstance(n, Agg) else None
+        key = (n, arg, *[memo[c].node for c in n.children])
+        inst = shared.get(key)
+        if inst is None:
+            inst = shared[key] = rewrite(n, arg)
+        memo[n] = inst
     inst = memo[root]
     want = schema_of(root) + inst.prov_attrs
     if schema_of(inst.node) == want:
         return inst.node
     # joins interleave the left input's provenance columns with the right
     # input's original ones; normalize to originals-then-provenance
-    return Project(identity_targets(want), inst.node)
+    normalized = shared_table("instrumented_roots")
+    key = (root, inst.node)
+    if key not in normalized:
+        normalized[key] = Project(identity_targets(want), inst.node)
+    return normalized[key]
 
 
 def instrument_agg_join(agg: Agg, instrumented_child: Node,

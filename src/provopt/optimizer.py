@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from .algebra import sharing_subplans
+
 Pipeline = Callable[[Callable[[int], int]], object]
 CostFn = Callable[[object], float]
 
@@ -173,6 +175,10 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
     pipeline or costing raises are recorded with infinite cost and skipped;
     when no plan is left, the error names the last such exception and
     chains it.
+
+    The search runs in one :func:`provopt.algebra.sharing_subplans` scope,
+    so the pipeline and ``cost_fn`` of one iteration reuse the subplans and
+    facts of earlier ones; it ends before this call returns or raises.
     """
     budget = OptimizerBudget(clock=clock or time.monotonic)
     log = ChoiceLog()
@@ -212,17 +218,18 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
             best = costed
         return costed
 
-    if strategy == "seq":
-        _search_sequential(attempt, log, budget, consider, should_continue)
-    elif strategy == "bin":
-        _search_binary(attempt, log, budget, consider, should_continue)
-    elif strategy == "sa":
-        if max_iters is None:
-            max_iters = 1 + _frozen_step(sa_temp, sa_cooling)  # the first plan, then one per step
-        _search_annealing(attempt, log, budget, consider, should_continue,
-                          rng or random.Random(0), sa_temp, sa_cooling)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    with sharing_subplans():
+        if strategy == "seq":
+            _search_sequential(attempt, log, budget, consider, should_continue)
+        elif strategy == "bin":
+            _search_binary(attempt, log, budget, consider, should_continue)
+        elif strategy == "sa":
+            if max_iters is None:
+                max_iters = 1 + _frozen_step(sa_temp, sa_cooling)  # the first plan, then one per step
+            _search_annealing(attempt, log, budget, consider, should_continue,
+                              rng or random.Random(0), sa_temp, sa_cooling)
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
 
     if best is None:
         if last_error is None:

@@ -37,9 +37,11 @@ that already holds the values of nodes computed before and receives the new
 ones. A rewrite returns its unchanged subgraphs as the same objects, so the
 rewrite pipeline keeps one memo per property for one run
 (:func:`provopt.rewrites.apply_pats`), and a rescan computes only the rebuilt
-ancestors. The memo lives for that run, not on the nodes: plans the
-optimizer keeps would otherwise carry every property they ever had, and a
-keys memo is valid for one ``base_keys`` only. Needed columns and
+ancestors; the runs of one optimization share it
+(:func:`provopt.algebra.sharing_subplans`). The memo lives for that run or
+optimization, not on the nodes: plans the optimizer keeps would otherwise
+carry every property they ever had, and a keys memo is valid for one
+``base_keys`` only. Needed columns and
 duplicate insensitivity are top-down (they depend on a node's ancestors) and
 are recomputed per call; the pipeline keeps the needed columns of the last
 root it scanned for them.

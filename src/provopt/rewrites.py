@@ -23,6 +23,10 @@ it saw. One pipeline run also keeps the bottom-up properties
 :class:`PipelineMemo`, so a rescan after a rewrite computes them only for the
 rebuilt ancestors, and the needed columns of the last root the pruning rules
 scanned, so a rule that scans the root another left unchanged reuses them.
+Within a :func:`provopt.algebra.sharing_subplans` scope (one per
+optimization) the runs share those keys and classes, the projection merges
+and the pruning projections, so plans that differ in one choice share the
+nodes and facts that choice did not change.
 
 The projection-merge safety check is what keeps reenactment stacks from
 exploding: merging is rejected when a non-trivial inner definition is
@@ -46,7 +50,7 @@ from .algebra import (
     all_nodes, conjuncts, conjunction, expr_attrs, expr_nodes,
     expr_size, expr_with_children, fold_expr,
     identity_targets, parent_map, rebuild_bottom_up, replace_children,
-    schema_of, substitute as graph_substitute, substitute_attrs, SchemaError,
+    schema_of, shared_table, substitute as graph_substitute, substitute_attrs, SchemaError,
 )
 from .properties import (
     EcConst, ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up,
@@ -228,19 +232,23 @@ def merge_projections(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     """
     cfg = cfg or RewriteConfig()
     parents = cache(lambda: parent_map(root))
-    sizes: dict[Project, tuple[int, ...]] = {}
+    sizes: dict[Project, tuple[int, ...]] = shared_table("merge_sizes")
+    results = shared_table("merges", cfg.unsafe_naive_merge)
 
     def step(n: Node, outer: Node) -> Node:
         if not (isinstance(outer, Project) and isinstance(outer.child, Project)
                 and not outer.child.materialize and len(parents()[n.child]) == 1):
             return outer
-        inner = outer.child
-        defs = {name: e for e, name in inner.targets}
-        merged = Project(tuple((substitute_attrs(e, defs), name) for e, name in outer.targets),
-                         inner.child, outer.materialize)
-        if _merge_safe(outer, inner, merged, cfg, sizes):
-            return merged
-        return replace_children(outer, (Project(inner.targets, inner.child, materialize=True),))
+        if outer not in results:
+            inner = outer.child
+            defs = {name: e for e, name in inner.targets}
+            merged = Project(tuple((substitute_attrs(e, defs), name) for e, name in outer.targets),
+                             inner.child, outer.materialize)
+            if not _merge_safe(outer, inner, merged, cfg, sizes):
+                merged = replace_children(
+                    outer, (Project(inner.targets, inner.child, materialize=True),))
+            results[outer] = merged
+        return results[outer]
 
     return rebuild_bottom_up(root, step)
 
@@ -357,6 +365,7 @@ def project_to_icols(root: Node, icols_memo: Optional[dict] = None) -> Node:
     each copied ancestor's from the node it copies, and the rescan does not
     compute them again."""
     memo = {} if icols_memo is None else icols_memo
+    pruned = shared_table("pruned")  # (node, kept columns) -> the projection
 
     def accept(root: Node, target: Node, new_root: Node, copies: dict) -> bool:
         icols = memo[root]  # the scan that proposed the pruning computed them
@@ -384,7 +393,9 @@ def project_to_icols(root: Node, icols_memo: Optional[dict] = None) -> Node:
                 continue  # demand is already expressed by projections
             keep = tuple(a for a in sch if a in need)
             if keep:
-                yield n, Project(identity_targets(keep), n)
+                if (n, keep) not in pruned:
+                    pruned[n, keep] = Project(identity_targets(keep), n)
+                yield n, pruned[n, keep]
 
     return _rewrite(root, candidates, accept)
 
@@ -751,7 +762,9 @@ def _same_up_class(up_classes, m1, m2) -> bool:
 @dataclass
 class PipelineMemo:
     """What one run of the pipeline carries from rule to rule, for one
-    :class:`RewriteConfig` (keys depend on its ``base_keys``)."""
+    :class:`RewriteConfig` (keys depend on its ``base_keys``). The chosen
+    duplicate eliminations and the needed columns are the run's own; the
+    per-node keys and classes may be shared with other runs."""
 
     #: the duplicate eliminations kept by choice, so each is decided once
     kept_dupelims: set = field(default_factory=set)
@@ -800,11 +813,15 @@ def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     :func:`remove_dupelim_by_set` would ask for no choice on that root
     again. The run's :class:`PipelineMemo` keeps keys and bottom-up
     equivalence classes of the nodes seen so far, and the needed columns of
-    the last root scanned for them.
+    the last root scanned for them. Within a
+    :func:`provopt.algebra.sharing_subplans` scope the keys and classes are
+    the scope's tables, which every run in it shares.
     """
     cfg = cfg or RewriteConfig()
     original_schema = schema_of(root)
-    memo = PipelineMemo()
+    # every empty key map declares the same keys
+    memo = PipelineMemo(keys=shared_table("keys", cfg.base_keys or None),
+                        ecs=shared_table("ecs"))
     at_fixpoint: dict[str, Node] = {}  # rule -> the last root it left unchanged
     before = None
     while root is not before:
