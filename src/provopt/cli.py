@@ -271,6 +271,8 @@ def _reenactment(args, db, base_keys, catalog):
     """The ``--reenact`` script compiled to a plan and narrowed per
     ``--scope``, plus the extra relations its evaluation needs."""
     updates = instr.parse_updates(args.reenact.read_text())
+    if not updates:
+        raise instr.InstrumentError(f"{args.reenact} holds no UPDATE statement to reenact")
     name = updates[0].relation
     schema = catalog.get(name) if catalog else None
     if schema is None:

@@ -7,7 +7,10 @@ query, not from a second engine).
 
 Each operator touches each input row a constant number of times and fills
 its output row -> count dict directly, with no per-row bookkeeping: only a
-projection and a union can produce one row twice and merge counts. Row
+projection and a union can produce one row twice and merge counts. The
+exception is a chain of projections: a projection whose one reader is a
+projection hands it its value columns and row counts, unmerged, and only the
+chain's top builds rows and merges counts (see :func:`evaluate`). Row
 widths and counts are checked where rows enter the evaluator
 (:meth:`BagRelation.add`, :meth:`BagRelation.from_rows`), not again by
 every operator. An equi-join builds a dict on the right input's key values
@@ -44,10 +47,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
@@ -153,6 +157,8 @@ _NONE_TYPE = type(None)
 _ERROR_TYPES = frozenset((EvalError,))
 #: value types whose comparison gives a boolean
 _BUILTIN_TYPES = frozenset((int, float, str, bool, _NONE_TYPE))
+#: value types whose values may equal another type's (``True == 1 == 1.0``)
+_CROSS_EQUAL_TYPES = frozenset((int, float, bool))
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -187,12 +193,17 @@ def _arith_value(op: str, lv, rv):
 
 
 def _arith_column(op: str, left: Sequence, right: Sequence,
-                  types: frozenset) -> tuple[list, frozenset]:
-    if types <= _NUMBER_TYPES and (op != "/" or 0 not in right):
+                  ltypes: frozenset, rtypes: frozenset) -> tuple[list, frozenset]:
+    if ltypes | rtypes <= _NUMBER_TYPES and (op != "/" or 0 not in right):
         try:
-            return list(map(_ARITH[op], left, right)), _NUMBER_TYPES
+            out = list(map(_ARITH[op], left, right))
         except OverflowError:
             pass  # the rows that overflow fail one by one below
+        else:
+            # two ints give an int but for a quotient; a float gives a float
+            ints = op != "/" and int in ltypes and int in rtypes
+            floats = op == "/" or float in ltypes or float in rtypes
+            return out, frozenset((int,) * ints + (float,) * floats)
     out = [_arith_value(op, lv, rv) for lv, rv in zip(left, right)]
     return out, frozenset(map(type, out))
 
@@ -237,15 +248,28 @@ class _Batch:
     """Rows evaluated together: their columns, read when first needed, and
     the types each column may hold (a superset of its values' types),
     recorded for every computed column and scanned for a column of the
-    rows when first needed. Only a computed column can hold an error."""
+    rows when first needed. Only a computed column can hold an error. A
+    batch may also be built from its columns alone (:meth:`of_columns`)."""
 
-    __slots__ = ("rows", "columns", "types")
+    __slots__ = ("rows", "size", "columns", "types")
 
     def __init__(self, rows: list[tuple]):
         self.rows = rows
+        self.size = len(rows)
         self.columns: dict[int, Sequence] = {}
         #: id(column) -> (column, types); holding the column keeps its id unique
         self.types: dict[int, tuple[Sequence, frozenset]] = {}
+
+    @classmethod
+    def of_columns(cls, columns: Sequence[Sequence],
+                   types: Mapping[int, tuple[Sequence, frozenset]], size: int) -> "_Batch":
+        """A batch of ``size`` rows given as every one of their columns, in
+        order, with the types ``types`` records for each of them."""
+        batch = cls([])
+        batch.size = size
+        batch.columns = dict(enumerate(columns))
+        batch.types = {id(c): types[id(c)] for c in columns}
+        return batch
 
     def read_columns(self) -> None:
         """Read every column of the rows in one transposition, which costs
@@ -278,9 +302,9 @@ class _Batch:
     def _compute(self, x: Expr, kids: tuple) -> tuple[Sequence, frozenset]:
         """A computed column from its arguments' columns, and its types."""
         if isinstance(x, Attr):
-            return [EvalError(f"unbound attribute {x.name!r}")] * len(self.rows), _ERROR_TYPES
+            return [EvalError(f"unbound attribute {x.name!r}")] * self.size, _ERROR_TYPES
         if isinstance(x, Const):
-            return [x.value] * len(self.rows), frozenset((type(x.value),))
+            return [x.value] * self.size, frozenset((type(x.value),))
         if isinstance(x, Cond):
             return self._cond(*kids)
         if isinstance(x, BoolOp):
@@ -291,10 +315,10 @@ class _Batch:
             out = [_bool_value(x.op, args) for args in zip(*kids)]
             return out, frozenset(map(type, out))
         left, right = kids
-        types = self.types_of(left) | self.types_of(right)
+        ltypes, rtypes = self.types_of(left), self.types_of(right)
         if isinstance(x, Arith):
-            return _arith_column(x.op, left, right, types)
-        return _cmp_column(x.op, left, right, types)
+            return _arith_column(x.op, left, right, ltypes, rtypes)
+        return _cmp_column(x.op, left, right, ltypes | rtypes)
 
     def _cond(self, test: Sequence, if_true: Sequence,
               if_false: Sequence) -> tuple[Sequence, frozenset]:
@@ -327,7 +351,7 @@ class _Batch:
         """Raise the error of the first row, in row order, that fails in any
         of ``columns``: the one of the first column it fails in. Only the
         columns whose recorded types hold an error are scanned."""
-        first, error = len(self.rows), None
+        first, error = self.size, None
         for column in columns:
             known = self.types.get(id(column))
             if known is not None and EvalError in known[1]:
@@ -338,6 +362,19 @@ class _Batch:
                 error = column[first]
         if error is not None:
             raise error
+
+    def interchangeable(self, columns: Sequence[Sequence]) -> bool:
+        """Whether rows equal in ``columns`` are equal in each value's type
+        too, and hold no NaN, so every expression computes the same value
+        or error from each of them: no column holds a NaN, a type that is
+        not built in, or two of bool, int and float (``True == 1 == 1.0``)."""
+        for column in columns:
+            types = self.types_of(column) - _ERROR_TYPES
+            if not types <= _BUILTIN_TYPES or len(types & _CROSS_EQUAL_TYPES) > 1:
+                return False
+            if float in types and any(map(operator.ne, column, column)):
+                return False
+        return True
 
 
 def _index(schema: Sequence[str]) -> dict[str, int]:
@@ -369,7 +406,12 @@ def _projected(exprs: Sequence[Expr], index: Mapping[str, int],
     batch.read_columns()
     columns = batch.evaluate(exprs, index)
     batch.raise_first_error(columns)
-    return list(zip(*columns)) if columns else [()] * len(rows)
+    return _rows(columns, len(rows))
+
+
+def _rows(columns: Sequence[Sequence], size: int) -> list[tuple]:
+    """The ``size`` rows of ``columns``."""
+    return list(zip(*columns)) if columns else [()] * size
 
 
 def evaluate_exprs(exprs: Sequence[Expr], schema: Sequence[str], rows: list[tuple]) -> list[list]:
@@ -510,10 +552,29 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
     once; only Project and Union can produce one row twice and merge
     counts. Rows enter through :class:`BagRelation` (``from_rows``,
     ``add``), which checks their width and counts, so no operator checks
-    them again."""
-    memo: dict[Node, BagRelation] = {}
+    them again.
 
-    def compute(n: Node) -> dict[tuple, int]:
+    A stack of projections runs column by column. A projection that is not
+    the root and whose one parent slot is a projection's passes that parent
+    its value columns, the types recorded for them and each row's count,
+    unmerged; the parent's batch is built from those columns, with no
+    transposition and no type scan. The chain's top (a projection read by
+    anything else, by two parent slots, or the root) builds rows and merges
+    equal rows' counts once. A chained projection whose output could hold
+    equal rows that expressions tell apart (``1`` and ``True``, or a NaN)
+    merges them itself, as the top does. A chained projection's output is
+    dropped once its parent has read it. Each node's schema is read before
+    the node runs, so a schema error comes before any evaluation error of
+    the node."""
+    nodes = all_nodes(root)
+    #: the projections whose one parent slot is a projection's
+    chained = {n.child for n in nodes if isinstance(n, Project) and isinstance(n.child, Project)}
+    if chained:
+        slots = Counter(c for n in nodes for c in n.children)
+        chained = {c for c in chained if slots[c] == 1}
+    memo: dict[Node, BagRelation | _Chained] = {}
+
+    def compute(n: Node) -> dict[tuple, int] | _Chained:
         if isinstance(n, Relation):
             if n.name not in db:
                 raise EvalError(f"unbound relation {n.name!r}")
@@ -526,12 +587,9 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
             keep = selection_mask(n.cond, child.schema, list(child.tuples))
             return dict(compress(child.tuples.items(), keep))
         if isinstance(n, Project):
-            child = memo[n.child]
-            new = projected_rows([e for e, _ in n.targets], child.schema, list(child.tuples))
-            rows = list(zip(new, child.tuples.values()))
-            out = dict(rows)
-            # a projection that keeps a key of its input merges no rows
-            return out if len(out) == len(rows) else _merged(rows, {})
+            # a chain entry is read once: dropping it frees its columns
+            child = memo.pop(n.child) if n.child in chained else memo[n.child]
+            return _project(n, child, n in chained)
         if isinstance(n, Product):
             left, right = memo[n.left], memo[n.right]
             li = [left.schema.index(a) for a, _ in n.pairs]
@@ -563,9 +621,52 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
             return _window(n, memo[n.child])
         raise EvalError(f"unknown operator {type(n).__name__}")
 
-    for n in all_nodes(root):
-        memo[n] = BagRelation(schema_of(n), compute(n))
+    for n in nodes:
+        schema = schema_of(n)  # a schema error is raised before the node runs
+        out = compute(n)
+        memo[n] = out if isinstance(out, _Chained) else BagRelation(schema, out)
     return memo[root]
+
+
+class _Chained(NamedTuple):
+    """A projection's output as the one projection that reads it gets it:
+    its rows unmerged, as a batch of their columns, and each row's count."""
+
+    batch: _Batch
+    counts: list[int]
+
+
+def _project(n: Project, child: BagRelation | _Chained,
+             chained: bool) -> dict[tuple, int] | _Chained:
+    """A projection's row -> count dict; or, when it is ``chained`` and
+    rows equal in its output are interchangeable, its :class:`_Chained`
+    output. Merging equal rows' counts waits for the top of the chain:
+    projection is additive on bags, and the first occurrences of equal rows
+    keep their order, so the top's dict and its first failing row are the
+    ones a merge at every level gives."""
+    exprs = [e for e, _ in n.targets]
+    index = _index(schema_of(n.child))
+    if isinstance(child, _Chained):
+        batch, counts = child
+    elif chained:
+        batch, counts = _Batch(list(child.tuples)), list(child.tuples.values())
+        batch.read_columns()
+    else:
+        new = _projected(exprs, index, list(child.tuples))
+        return _counted(new, child.tuples.values())
+    columns = batch.evaluate(exprs, index)
+    batch.raise_first_error(columns)
+    if chained and batch.interchangeable(columns):
+        return _Chained(_Batch.of_columns(columns, batch.types, batch.size), counts)
+    return _counted(_rows(columns, batch.size), counts)
+
+
+def _counted(rows: Iterable[tuple], counts: Iterable[int]) -> dict[tuple, int]:
+    """The row -> count dict of rows with their counts, equal rows merged."""
+    items = list(zip(rows, counts))
+    out = dict(items)
+    # a projection that keeps a key of its input merges no rows
+    return out if len(out) == len(items) else _merged(items, {})
 
 
 def _merged(items: Iterable[tuple[tuple, int]], out: dict[tuple, int]) -> dict[tuple, int]:

@@ -261,6 +261,35 @@ def test_criterion_07_cbo_optimality_at_desk_scale():
             assert res.best.cost == brute
 
 
+def test_criterion_13_dupelim_plan_space():
+    with criterion(13, "dupelim-plan-space"):
+        # two duplicate eliminations the outer one makes removable: each is
+        # a choice (0 removes, 1 keeps) in every plan, the inner one first
+        inner = DupElim(Project(((Attr("name"), "name"),), Relation("shop", ("name", "numEmpl"))))
+        middle = DupElim(Join((), inner, Relation("sale", ("shop", "item"))))
+        query = DupElim(Project(((Attr("name"), "name"), (Attr("item"), "item")), middle))
+        stats = {"shop": TableStats(2, {"name": 2, "numEmpl": 2}),
+                 "sale": TableStats(5, {"shop": 2, "item": 3})}
+        want = evaluate(query, ex1_db())
+
+        def pipeline(choose):
+            return apply_pats(query, RewriteConfig(dupelim_set_choice=choose))
+
+        for strategy, paths in (("seq", [(0, 0), (0, 1), (1, 0), (1, 1)]),
+                                ("bin", [(0, 0), (1, 1), (1, 0), (0, 1)])):
+            res = optimize(pipeline, lambda g: cost(g, stats).total, strategy=strategy)
+            assert [p.path for p in res.trace] == paths, strategy
+            for p in res.trace:
+                kept = [n for n in all_nodes(p.graph) if isinstance(n, DupElim)]
+                # the outer elimination stays; each choice keeps its own
+                assert len(kept) == 1 + sum(p.path), p.path
+                shop_kept = any(isinstance(n.child, Project)
+                                and isinstance(n.child.child, Relation) for n in kept)
+                assert shop_kept == (p.path[0] == 1), p.path
+                assert bags_equal(evaluate(p.graph, ex1_db()), want), p.path
+            assert res.best.path == (0, 0)
+
+
 def test_criterion_08_reenactment_exactness():
     with criterion(8, "reenactment-exactness"):
         ups = parse_updates("UPDATE R SET A = A - 5 WHERE B = 2;"

@@ -276,6 +276,17 @@ def test_missing_input_file_is_one_error_line(capsys, monkeypatch, argv):
     assert "No such file or directory" in err and "nope." in err
 
 
+@pytest.mark.parametrize("command", ["run", "instrument"])
+@pytest.mark.parametrize("script", ["", "-- nothing to do\n"])
+def test_a_script_without_updates_is_one_error_line(capsys, monkeypatch, tmp_path, command, script):
+    monkeypatch.chdir(ROOT)
+    empty = tmp_path / "EMPTY.sql"
+    empty.write_text(script)
+    code, out, err = run_cli(capsys, command, "--reenact", str(empty), "--data", "fixtures_txn")
+    assert code == 1 and out == ""
+    assert err == f"error: {empty} holds no UPDATE statement to reenact\n"
+
+
 def test_empty_join_condition_is_a_syntax_error(capsys, tmp_path):
     plan = tmp_path / "q.plan"
     plan.write_text("(join (and) (rel R (attrs a b)) (rel S (attrs c)))")
