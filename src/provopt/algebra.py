@@ -546,6 +546,11 @@ def replace_children(node: Node, kids: tuple[Node, ...]) -> Node:
     return copy
 
 
+def over_schemas(node: Node, schemas: Iterable[tuple[str, ...]]) -> Node:
+    """A copy of an operator over leaves of these schemas, to read its schema and lineage."""
+    return replace(node, **dict(zip(_field_names(type(node))[0], (Relation("", s) for s in schemas))))
+
+
 def schema_of(node: Node) -> tuple[str, ...]:
     """Output schema of an operator, cached on the node.
 
@@ -554,15 +559,23 @@ def schema_of(node: Node) -> tuple[str, ...]:
     SchemaError on unresolved attribute references or duplicate output
     names.
     """
-    if "schema" not in node.__dict__:  # the walk of all_nodes, pruned at cached nodes
-        path = [(node, iter(node.children))]
-        while path:
-            kid = next((c for c in path[-1][1] if "schema" not in c.__dict__), None)
-            if kid is None:
-                path.pop()[0].schema
-            else:
-                path.append((kid, iter(kid.children)))
+    if "schema" not in node.__dict__:
+        for n in uncached_nodes(node, lambda n: "schema" in n.__dict__):
+            n.schema
     return node.schema
+
+
+def uncached_nodes(node: Node, cached: Callable[[Node], bool]) -> Iterator[Node]:
+    """The nodes of a graph not ``cached``, children first: the walk of
+    :func:`all_nodes`, pruned at cached nodes, which the caller caches as
+    they come; iterative, so any depth is walked at any recursion limit."""
+    path = [] if cached(node) else [(node, iter(node.children))]
+    while path:
+        kid = next((c for c in path[-1][1] if not cached(c)), None)
+        if kid is None:
+            yield path.pop()[0]
+        else:
+            path.append((kid, iter(kid.children)))
 
 
 def right_output_names(node: Node) -> tuple[str, ...]:
@@ -643,37 +656,27 @@ def rebuild_bottom_up(root: Node, step: Callable[[Node, Node], Node]) -> Node:
     takes its place. Returns the root itself when no step changed anything."""
     new: dict[Node, Node] = {}  # the nodes that changed
     for n in all_nodes(root):
-        kids = tuple([new.get(c, c) for c in n.children]) if new else n.children
-        out = step(n, n if all(map(is_, kids, n.children)) else replace_children(n, kids))
+        kids = tuple([new.get(c, c) for c in n.children]) if new else None  # none changed yet
+        out = step(n, n if kids is None or all(map(is_, kids, n.children))
+                   else replace_children(n, kids))
         if out is not n:
             new[n] = out
     return new.get(root, root)
 
 
-def substitute(root: Node, target: Node, replacement: Node, *, check_schema: bool = True,
-               copies: Optional[dict[Node, Node]] = None) -> Node:
+def substitute(root: Node, target: Node, replacement: Node, *, check_schema: bool = True) -> Node:
     """Return the graph with one node replaced, preserving sharing.
 
     Every parent of the target ends up referencing the replacement; nodes not
     on a path to the target are reused as-is. The replacement may itself
-    contain the target (wrapping a subgraph is the common case). ``copies``
-    receives what takes each changed node's place: the replacement for the
-    target, and for each of its ancestors the copy over the new children.
+    contain the target (wrapping a subgraph is the common case).
     """
     if target not in set(all_nodes(root)):
         raise GraphError("substitution target is not part of the graph")
     if check_schema and schema_of(target) != schema_of(replacement):
         raise SchemaError("replacement schema differs from target schema "
                           f"({list(schema_of(replacement))} vs {list(schema_of(target))})")
-    copies = {} if copies is None else copies
-
-    def step(n: Node, rebuilt: Node) -> Node:
-        out = replacement if n is target else rebuilt
-        if out is not n:
-            copies[n] = out
-        return out
-
-    return rebuild_bottom_up(root, step)
+    return rebuild_bottom_up(root, lambda n, rebuilt: replacement if n is target else rebuilt)
 
 
 def identity_targets(attrs: Iterable[str]) -> tuple[tuple[Expr, str], ...]:

@@ -312,13 +312,10 @@ def cmd_optimize(args) -> int:
     cfg = rewrites.RewriteConfig(enabled=enabled, base_keys=base_keys)
     if args.dump_steps:
         lines = []
-        current = plan
-        memo = rewrites.PipelineMemo()
+        steps = rewrites.rewrite_steps(plan, cfg)
         for rnd in range(args.rounds):
-            for name, rule in rewrites.RULES.items():
-                if not cfg.rule_enabled(name):
-                    continue
-                current = rule(current, cfg, memo)
+            for _ in filter(cfg.rule_enabled, rewrites.RULES):
+                name, current = next(steps)
                 lines.append(f"; round {rnd + 1}, after {name}")
                 lines.append(plantext.format_plan(current))
         _emit(args, "\n".join(lines) + "\n")

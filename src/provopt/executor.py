@@ -433,12 +433,6 @@ def selection_mask(cond: Expr, schema: Sequence[str], rows: list[tuple]) -> Sequ
     return column
 
 
-def projected_rows(exprs: Sequence[Expr], schema: Sequence[str],
-                   rows: list[tuple]) -> list[tuple]:
-    """The tuple of the expressions' values for each row of ``schema``."""
-    return _projected(exprs, _index(schema), rows)
-
-
 def updated_rows(cond: Expr, exprs: Sequence[Expr], schema: Sequence[str],
                  rows: list[tuple]) -> tuple[list[tuple], list[tuple]]:
     """The rows of ``schema`` that satisfy ``cond``, in order, and the tuple

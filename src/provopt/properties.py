@@ -31,20 +31,14 @@ cross; top-down equivalence classes, selection push-down and the test
 whether an ancestor selection already guards a node read it.
 
 Keys and bottom-up equivalence classes depend only on a node's subgraph (and,
-for keys, on the declared base keys), so :func:`infer_keys` and
-:func:`infer_ec_bottom_up` take an optional ``memo``: a node -> value dict
-that already holds the values of nodes computed before and receives the new
-ones. A rewrite returns its unchanged subgraphs as the same objects, so the
-rewrite pipeline keeps one memo per property for one run
-(:func:`provopt.rewrites.apply_pats`), and a rescan computes only the rebuilt
-ancestors; the runs of one optimization share it
-(:func:`provopt.algebra.sharing_subplans`). The memo lives for that run or
-optimization, not on the nodes: plans the optimizer keeps would otherwise
-carry every property they ever had, and a keys memo is valid for one
-``base_keys`` only. Needed columns and
-duplicate insensitivity are top-down (they depend on a node's ancestors) and
-are recomputed per call; the pipeline keeps the needed columns of the last
-root it scanned for them.
+for keys, on the declared base keys), so :func:`infer_keys`, :func:`keys_of`
+and :func:`infer_ec_bottom_up` take a node -> value ``memo`` that holds the
+values computed before and receives the new ones: a rule computes them only
+for the nodes it rebuilt, and the runs of one pipeline or optimization
+(:func:`provopt.algebra.sharing_subplans`) share the memo. It is not kept on
+the nodes, which kept plans would carry, and a keys memo is valid for one
+``base_keys`` only. Needed columns and duplicate insensitivity are top-down
+(they depend on a node's ancestors); a rule reads them once, on its input.
 """
 from __future__ import annotations
 
@@ -54,7 +48,7 @@ from typing import Iterable, Mapping, Optional
 from .algebra import (
     Agg, Attr, BoolOp, Cmp, Const, Diff, DupElim, Expr,
     Node, Product, Project, Relation, Select, Union, Window,
-    all_nodes, expr_attrs, schema_of,
+    all_nodes, expr_attrs, schema_of, uncached_nodes,
 )
 
 
@@ -165,6 +159,14 @@ def infer_keys(root: Node, base_keys: Optional[Mapping[str, Iterable[Iterable[st
         if n not in memo:
             memo[n] = _min_keys(_keys_of(n, memo, base_keys))
     return {n: memo[n] for n in order}
+
+
+def keys_of(node: Node, base_keys: Optional[Mapping[str, Iterable[Iterable[str]]]],
+            memo: dict[Node, frozenset[KeySet]]) -> frozenset[KeySet]:
+    """:func:`infer_keys` of one node, computing only what ``memo`` lacks."""
+    for n in uncached_nodes(node, memo.__contains__):
+        memo[n] = _min_keys(_keys_of(n, memo, base_keys or {}))
+    return memo[node]
 
 
 def _from_row_inputs(through, n: Node, values) -> frozenset:
@@ -363,17 +365,21 @@ def _ec_up(n: Node, up) -> frozenset[EcClass]:
 # needed columns (top-down)
 
 
-def infer_icols(root: Node) -> dict[Node, frozenset[str]]:
+def infer_icols(root: Node, dropped=None) -> dict[Node, frozenset[str]]:
     """Minimal output attributes each operator must produce for its ancestors.
 
     The virtual root demands the full output schema; shared nodes take the
-    union of all parents' demands.
+    union of all parents' demands. A one-input node for which ``dropped(node,
+    need)`` (asked parents first) is true counts as removed from the graph.
     """
     order = all_nodes(root)
     icols: dict[Node, set[str]] = {n: set() for n in order}
     icols[root] = set(schema_of(root))
     for n in reversed(order):  # parents processed before their children
         need = frozenset(icols[n])
+        if dropped is not None and dropped(n, need):
+            icols[n.children[0]] |= need.intersection(schema_of(n.children[0]))
+            continue
         for child_idx, child in enumerate(n.children):
             icols[child] |= _icols_down(n, child_idx, need)
     return {n: frozenset(cols) for n, cols in icols.items()}

@@ -1,32 +1,19 @@
 """Equivalence-preserving rewrite rules and the fixed-order pipeline.
 
 Every rule maps a graph to an equivalent graph; preconditions come from the
-property inference in :mod:`provopt.properties`. The local rules (attribute
-factoring, projection and selection merging, redundant projection removal)
-look only at a node and its child; each is one children-first pass,
-:func:`provopt.algebra.rebuild_bottom_up`. The property-driven rules read
-whole-graph properties (keys, icols, equivalence classes, set-insensitivity,
-parents); each is a generator of (target, replacement) candidates run by
-:func:`_rewrite`, which applies the first candidate the graph absorbs and
-rescans until none applies. A replacement whose schema differs from its
-target's is validated against the ancestors and skipped when they would
-break (for example, a column drop under one input of a positional set
-operator). A rule that changes nothing returns its input object, so the
-pipeline detects its fixpoint by identity.
-
-A rule is a deterministic function of its input graph, so :func:`apply_pats`
-does not run a rule again on a root it left unchanged. The one rule with
-state, :func:`remove_dupelim_by_set`, would ask for no choice on such a re-run:
-a run that returns its root unchanged has kept, and recorded, every candidate
-it saw. One pipeline run also keeps the bottom-up properties
-(keys, bottom-up equivalence classes) of every node it has seen in a
-:class:`PipelineMemo`, so a rescan after a rewrite computes them only for the
-rebuilt ancestors, and the needed columns of the last root the pruning rules
-scanned, so a rule that scans the root another left unchanged reuses them.
-Within a :func:`provopt.algebra.sharing_subplans` scope (one per
-optimization) the runs share those keys and classes, the projection merges
-and the pruning projections, so plans that differ in one choice share the
-nodes and facts that choice did not change.
+property inference in :mod:`provopt.properties`. Each rule is one
+children-first pass, :func:`provopt.algebra.rebuild_bottom_up`, whose step
+gets a node and its copy over the rebuilt inputs. The local rules read only
+that copy and its input. The property-driven rules read top-down properties
+(needed columns, set-insensitivity, downward classes, parents) once, on the
+rule's input, keyed by the original node, and bottom-up ones (keys, upward
+classes) from the copy; each builds what rewriting one candidate at a time
+and rescanning the graph would. A rewrite that changes a node's schema is
+made only when the ancestors built so far still read it (:func:`_reshape`).
+A rule that changes nothing returns its input object, so the pipeline
+detects its fixpoint by identity. Within a
+:func:`provopt.algebra.sharing_subplans` scope (one per optimization) the
+runs share keys, classes, projection merges and pruning projections.
 
 The projection-merge safety check is what keeps reenactment stacks from
 exploding: merging is rejected when a non-trivial inner definition is
@@ -41,25 +28,26 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
+from heapq import heappop, heappush
 from operator import is_
-from typing import Callable, Iterable, Mapping, Optional
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
+from . import properties
 from .algebra import (
     Arith, Attr, Cmp, Cond, Const, Diff, DupElim, Expr,
     Intersect, Join, Node, Product, Project, Select, Union, Window,
     all_nodes, conjuncts, conjunction, expr_attrs, expr_nodes,
-    expr_size, expr_with_children, fold_expr,
-    identity_targets, parent_map, rebuild_bottom_up, replace_children,
-    schema_of, shared_table, substitute as graph_substitute, substitute_attrs, SchemaError,
+    expr_size, expr_with_children, fold_expr, identity_targets, over_schemas,
+    parent_map, rebuild_bottom_up, replace_children, schema_of, shared_table,
+    substitute_attrs, SchemaError,
 )
 from .properties import (
     EcConst, ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up,
-    infer_icols, infer_keys, infer_set, source_names,
+    infer_icols, infer_keys, infer_set, keys_of, source_names,
 )
 
 ChoiceFn = Callable[[int], int]
-#: (target node, replacement node) proposed by a rule
-Candidates = Iterable[tuple[Node, Node]]
 
 
 #: reject a merge when the result exceeds this multiple of the input sizes
@@ -88,43 +76,6 @@ class RewriteConfig:
 
     def rule_enabled(self, name: str) -> bool:
         return self.enabled is None or name in self.enabled
-
-
-def _absorb(root: Node, target: Node, replacement: Node,
-            copies: Optional[dict[Node, Node]] = None) -> Optional[Node]:
-    """Substitute; None when the replacement or its ancestors are malformed.
-    ``copies`` receives the substitution's copies (see
-    :func:`provopt.algebra.substitute`).
-
-    Only a replacement with a different schema can break an ancestor, so
-    only then is the rebuilt graph validated."""
-    try:
-        new_root = graph_substitute(root, target, replacement, check_schema=False,
-                                    copies=copies)
-        if schema_of(replacement) != schema_of(target):
-            schema_of(new_root)
-        return new_root
-    except SchemaError:
-        return None
-
-
-def _rewrite(root: Node, candidates: Callable[[Node], Candidates],
-             accept: Optional[Callable[[Node, Node, Node, dict], bool]] = None) -> Node:
-    """Apply the first candidate the graph absorbs and rescan, until a scan
-    applies none; returns the input object when nothing applied. A rule
-    may pass ``accept(root, target, new_root, copies)``, called once the
-    graph absorbed a candidate (``copies`` as :func:`_absorb` fills it);
-    False skips the candidate."""
-    while True:
-        for target, replacement in candidates(root):
-            copies: dict[Node, Node] = {}
-            new_root = _absorb(root, target, replacement, copies)
-            if new_root is not None and (accept is None
-                                         or accept(root, target, new_root, copies)):
-                root = new_root
-                break
-        else:
-            return root
 
 
 def total_expression_size(root: Node) -> int:
@@ -279,74 +230,101 @@ def remove_redundant_projection(root: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
+# the ancestors' schemas, when a rule changes a node's output
+
+
+def _reshape(n: Node, before: tuple[str, ...], after: tuple[str, ...], parents, order,
+             current: Callable[[Node], Node], gone=frozenset(), wrapped=frozenset()):
+    """The precondition of changing ``n``'s output from ``before`` to
+    ``after`` in the graph a pass has built so far (``current`` gives what
+    stands in a node's place, a node in ``gone`` passes its input's columns,
+    ``wrapped`` maps a node to the projections pulled above it, inner first):
+    each ancestor whose schema changes is re-derived over leaves of its
+    inputs' schemas. None when one is malformed (a union over inputs of
+    different arity, a projection reading a column that is gone); else
+    (product, old name) per right-input column a product renames."""
+    shapes = {n: (before, after)}
+    todo, renamed = [], []  # (order, ancestor) to re-derive; (product, old name)
+    node = n
+    while True:
+        old, new = shapes[node]
+        if old != new and node in wrapped:
+            if not all(expr_attrs(e) <= set(new) for e, _ in wrapped[node][0]):
+                return None
+        elif old != new:
+            for p in parents[node]:
+                if all(p is not q for _, q in todo):
+                    heappush(todo, (order[p], p))
+        if not todo:
+            return renamed
+        node = heappop(todo)[1]
+        if node in gone:
+            shapes[node] = shapes[node.children[0]]
+            continue
+        kids = [shapes.get(c) or (schema_of(current(c)),) * 2 for c in node.children]
+        try:
+            was, will = (over_schemas(node, [k[i] for k in kids]) for i in (0, 1))
+            shapes[node] = was.schema, will.schema
+        except SchemaError:
+            return None
+        if isinstance(node, Product):
+            names = source_names(was.lineage[1])
+            renamed += [(node, names[a]) for name, a in will.lineage[1].items() if names[a] != name]
+
+
+# ---------------------------------------------------------------------------
 # duplicate elimination removal
 
 
 def remove_dupelim_by_key(root: Node, base_keys=None, memo: Optional[dict] = None) -> Node:
     """Drop duplicate eliminations over an input with a key; ``memo`` is an
-    :func:`infer_keys` memo for the same ``base_keys``."""
-    def candidates(root: Node) -> Candidates:
-        keys = infer_keys(root, base_keys, memo=memo)
-        for n in all_nodes(root):
-            if isinstance(n, DupElim) and keys[n.child]:
-                yield n, n.child
+    :func:`infer_keys` memo for the same ``base_keys``, by default the
+    :func:`provopt.algebra.sharing_subplans` scope's."""
+    memo = shared_table("keys", base_keys or None) if memo is None else memo
+    infer_keys(root, base_keys, memo)  # every node's, once per node for the runs sharing memo
+    if not any(isinstance(n, DupElim) for n in all_nodes(root)):
+        return root
 
-    return _rewrite(root, candidates)
+    def step(n: Node, node: Node) -> Node:
+        if isinstance(node, DupElim) and keys_of(node.child, base_keys, memo):
+            return node.child
+        return node
+
+    return rebuild_bottom_up(root, step)
 
 
 def remove_dupelim_by_set(root: Node, choice: Optional[ChoiceFn] = None,
                           decided_keep: Optional[set] = None) -> Node:
     """Drop duplicate eliminations whose effect is absorbed downstream.
 
-    With a choice callback, each removable operator becomes a cost-based
-    decision (0 removes, 1 keeps); ``decided_keep`` holds the kept
-    ``DupElim`` nodes across pipeline rounds so one operator is decided
-    once. It holds the nodes, not their ids: a node it holds stays alive,
-    so its id cannot be reused by a node built later.
-
-    A run that returns its input unchanged has kept every candidate it saw,
-    and recorded each in ``decided_keep``: a yielded candidate is always
-    absorbed, because a ``DupElim``'s child has the ``DupElim``'s schema.
-    A second run on the same root therefore calls ``choice`` zero times,
-    which is what lets :func:`apply_pats` skip it.
-    """
+    With a choice callback, each removable operator is a cost-based decision
+    (0 removes, 1 keeps), asked children first; ``decided_keep`` holds the
+    kept ``DupElim`` nodes (alive, so no later node reuses an id) across
+    rounds, so one is decided once. Removing one leaves every other's
+    set-insensitivity as it was, so that is read once. A run that returns
+    its input kept every candidate, so a rerun asks nothing."""
     decided_keep = set() if decided_keep is None else decided_keep
+    if not any(isinstance(n, DupElim) for n in all_nodes(root)):
+        return root
+    dup = infer_set(root)
 
-    def candidates(root: Node) -> Candidates:
-        dup = infer_set(root)
-        for n in all_nodes(root):
-            if isinstance(n, DupElim) and dup[n] and n not in decided_keep:
-                if choice is not None and choice(2) == 1:
-                    decided_keep.add(n)
-                else:
-                    yield n, n.child
+    def step(n: Node, node: Node) -> Node:
+        if isinstance(node, DupElim) and dup[n] and node not in decided_keep:
+            if choice is None or choice(2) == 0:
+                return node.child
+            decided_keep.add(node)
+        return node
 
-    return _rewrite(root, candidates)
+    return rebuild_bottom_up(root, step)
 
 
 # ---------------------------------------------------------------------------
 # column pruning
 
 
-def _positional_descendants(root: Node) -> set[Node]:
-    """Nodes below a positional set operator (column order matters there)."""
-    out: set[Node] = set()
-    for n in all_nodes(root):
-        if isinstance(n, (Union, Intersect, Diff)):
-            stack = list(n.children)
-            while stack:
-                cur = stack.pop()
-                if cur in out:
-                    continue
-                out.add(cur)
-                stack.extend(cur.children)
-    return out
-
-
 def _needed_columns(root: Node, memo: dict) -> dict[Node, frozenset[str]]:
     """:func:`infer_icols` of a root. ``memo`` holds the value for the last
-    root it was asked about, and receives this one's: needed columns are
-    top-down, so a value is good for the one root it was computed on."""
+    root asked about, or carried to (needed columns are top-down)."""
     if root not in memo:
         memo.clear()
         memo[root] = infer_icols(root)
@@ -355,75 +333,67 @@ def _needed_columns(root: Node, memo: dict) -> dict[Node, frozenset[str]]:
 
 def project_to_icols(root: Node, icols_memo: Optional[dict] = None) -> Node:
     """Insert pruning projections above operators producing unneeded columns.
-    ``icols_memo`` is a :func:`_needed_columns` memo.
-
-    Pruning one input of a join can rename the other input's columns: a
-    primed name loses its prime once the column it collided with is gone.
-    A pruning that renames a needed column is skipped, since a reference to
-    the old name would read another column. One that renames no column
-    changes no node's needed columns, so they carry over to the new root,
-    each copied ancestor's from the node it copies, and the rescan does not
-    compute them again."""
+    ``icols_memo`` is a :func:`_needed_columns` memo. A pruning is skipped
+    when the ancestors built so far cannot read its output (:func:`_reshape`)
+    or when it renames a needed column, which a reference would then miss.
+    Pruning changes no node's needed columns, so they are read once, and
+    carried to the output for the next rule when no column was renamed."""
     memo = {} if icols_memo is None else icols_memo
+    icols = _needed_columns(root, memo)
+    parents = parent_map(root)
+    order = cache(lambda: {n: i for i, n in enumerate(parents)})
     pruned = shared_table("pruned")  # (node, kept columns) -> the projection
+    done: dict[Node, Node] = {}  # what stands in each changed node's place
+    under: dict[Node, frozenset[str]] = {}  # each node pruned, and its needed columns
+    renames = []
 
-    def accept(root: Node, target: Node, new_root: Node, copies: dict) -> bool:
-        icols = memo[root]  # the scan that proposed the pruning computed them
-        renamed = list(_renamed_columns(copies))
-        if any(name in icols[product] for product, name in renamed):
-            return False
-        if not renamed:
-            carried = {copies.get(n, n): cols for n, cols in icols.items()}
-            carried[target] = icols[target]
-            memo.clear()
-            memo[new_root] = carried
-        return True
+    def step(n: Node, node: Node) -> Node:
+        need = icols[n]
+        sch = schema_of(node)
+        # a node read by projections only has its demand expressed already
+        if (n is not root and set(sch) != need
+                and not (parents[n] and all(isinstance(p, Project) for p in parents[n]))
+                and (keep := tuple(a for a in sch if a in need))):
+            renamed = _reshape(n, sch, keep, parents, order(), lambda c: done.get(c, c))
+            if renamed is not None and not any(name in icols[p] for p, name in renamed):
+                renames.extend(renamed)
+                under[node] = need
+                if (node, keep) not in pruned:
+                    pruned[node, keep] = Project(identity_targets(keep), node)
+                node = pruned[node, keep]
+        if node is not n:
+            done[n] = node
+        return node
 
-    def candidates(root: Node) -> Candidates:
-        icols = _needed_columns(root, memo)
-        parents = parent_map(root)
-        for n in all_nodes(root):
-            if n is root:
-                continue
-            need = icols[n]
-            sch = schema_of(n)
-            if set(sch) == set(need):
-                continue
-            if parents[n] and all(isinstance(p, Project) for p in parents[n]):
-                continue  # demand is already expressed by projections
-            keep = tuple(a for a in sch if a in need)
-            if keep:
-                if (n, keep) not in pruned:
-                    pruned[n, keep] = Project(identity_targets(keep), n)
-                yield n, pruned[n, keep]
-
-    return _rewrite(root, candidates, accept)
-
-
-def _renamed_columns(copies: Mapping[Node, Node]) -> Iterable[tuple[Node, str]]:
-    """(product, output name) for each right-input column of a product that
-    a substitution copied, when the copy gives the column another name.
-    Products are the one operator naming columns after its inputs' names."""
-    for node, copy in copies.items():
-        if isinstance(node, Product) and isinstance(copy, Product):
-            before = source_names(node.lineage[1])
-            for name, a in copy.lineage[1].items():
-                if before.get(a) != name:
-                    yield node, before.get(a)
+    new_root = rebuild_bottom_up(root, step)
+    if new_root is not root:
+        memo.clear()
+        if not renames:
+            memo[new_root] = under | {done.get(n, n): need for n, need in icols.items()}
+    return new_root
 
 
 def remove_window(root: Node, icols_memo: Optional[dict] = None) -> Node:
     """Drop windows whose output no ancestor needs. ``icols_memo`` is a
-    :func:`_needed_columns` memo."""
-    memo = {} if icols_memo is None else icols_memo
+    :func:`_needed_columns` memo. Dropping one lowers the demand below it, so
+    windows are decided parents first, over what the dropped ones leave; one
+    whose removal the ancestors cannot read (:func:`_reshape`) stays."""
+    icols = _needed_columns(root, icols_memo if icols_memo is not None else {})
+    if not any(isinstance(n, Window) and n.out not in need for n, need in icols.items()):
+        return root
+    parents = parent_map(root)
+    order = {n: i for i, n in enumerate(parents)}
+    gone: set[Node] = set()
 
-    def candidates(root: Node) -> Candidates:
-        icols = _needed_columns(root, memo)
-        for n in all_nodes(root):
-            if isinstance(n, Window) and n.out not in icols[n]:
-                yield n, n.child
+    def dropped(n: Node, need: frozenset[str]) -> bool:
+        if (isinstance(n, Window) and n.out not in need
+                and _reshape(n, schema_of(n), schema_of(n.child), parents, order,
+                             lambda c: c, gone) is not None):
+            gone.add(n)
+        return n in gone
 
-    return _rewrite(root, candidates)
+    properties.infer_icols(root, dropped)  # another demand than the root's needed columns
+    return rebuild_bottom_up(root, lambda n, node: node.child if n in gone else node)
 
 
 # ---------------------------------------------------------------------------
@@ -435,58 +405,63 @@ _PULL_THROUGH = (Select, Product, DupElim)
 
 def pull_up_prov_projection(root: Node) -> Node:
     """Move pure attribute duplications above operators that neither use nor
-    drop them, so intermediate results stay narrow.
+    drop them, so intermediate results stay narrow: a projection whose
+    parent passes all child columns through loses the duplicates, and a new
+    projection above the parent, which can climb again, re-creates them. It
+    is pulled when the pass reaches it, into the parent as it stands then,
+    its later inputs not yet visited; a later projection pulled into one
+    parent goes directly above it, below the earlier ones."""
+    parents = parent_map(root)
+    # below a positional set operator, where column order matters
+    positional = {d for n in parents if isinstance(n, (Union, Intersect, Diff)) for d in n.descendants}
 
-    Applies to a projection whose parent passes all child columns through;
-    the duplicated column is re-created by a new projection above the
-    parent. Repeats until no more duplications can climb.
-    """
-    def candidates(root: Node) -> Candidates:
-        parents = parent_map(root)
-        positional = _positional_descendants(root)
-        for proj in all_nodes(root):
-            if not isinstance(proj, Project) or proj.materialize:
-                continue
-            if len(parents[proj]) != 1:
-                continue
-            parent = parents[proj][0]
-            if not isinstance(parent, _PULL_THROUGH):
-                continue
-            if parent in positional or proj in positional:
-                continue
-            used = _own_used_attrs(parent)
-            renames = proj.lineage[0]
-            # copies of a column the projection also passes under its own name
-            pulled = {name: src for name, src in renames.items()
-                      if name != src and name not in used and renames.get(src) == src}
-            kept = tuple(t for t in proj.targets if t[1] not in pulled)
-            if not pulled or not kept:
-                continue
-            reduced = Project(kept, proj.child, proj.materialize)
-            new_parent = replace_children(
-                parent, tuple(reduced if c is proj else c for c in parent.children))
-            try:
-                parent_schema = schema_of(new_parent)
-            except SchemaError:
-                continue
-            if any(src not in parent_schema for src in pulled.values()):
-                continue
-            yield parent, Project(identity_targets(parent_schema)
-                                  + tuple((Attr(src), name) for name, src in pulled.items()),
-                                  new_parent)
+    def pulled(n: Node, node: Node) -> dict[str, str]:
+        """What the projection ``node`` at ``n``'s place can pull above its parent:
+        copies of columns it also passes as themselves, unread by the parent."""
+        parent = parents[n][0] if len(parents[n]) == 1 else None
+        if (not isinstance(node, Project) or node.materialize or n in positional
+                or not isinstance(parent, _PULL_THROUGH) or parent in positional):
+            return {}
+        # a pulled column crosses a DupElim as it is
+        used = (expr_attrs(parent.cond) if isinstance(parent, Select) else frozenset(
+            a for pair in parent.pairs for a in pair) if isinstance(parent, Product) else ())
+        renames = node.lineage[0]
+        out = {name: src for name, src in renames.items()
+               if name != src and name not in used and renames.get(src) == src}
+        return out if len(out) < len(node.targets) else {}
 
-    return _rewrite(root, candidates)
+    if not any(pulled(n, n) for n in parents):
+        return root
+    order = cache(lambda: {n: i for i, n in enumerate(parents)})
+    done: dict[Node, Node] = {}  # what stands in each changed node's place
+    wrapped: dict[Node, list] = {}  # parent -> targets of the projections pulled above it
 
+    def step(n: Node, node: Node) -> Node:
+        for targets in wrapped.get(n, ()):
+            node = Project(targets, node)
+        if node is not n:
+            done[n] = node
+        pull = pulled(n, node)
+        if not pull:
+            return node
+        parent = parents[n][0]
+        kept = tuple(t for t in node.targets if t[1] not in pull)
+        reduced = Project(kept, node.child, node.materialize)
+        inputs = [schema_of(done.get(c, c)) for c in parent.children]
+        was = over_schemas(parent, inputs).schema
+        now = over_schemas(parent, [schema_of(reduced) if c is n else s
+                                    for c, s in zip(parent.children, inputs)]).schema
+        if any(src not in now or name in now for name, src in pull.items()):
+            return node
+        targets = identity_targets(now) + tuple((Attr(src), name) for name, src in pull.items())
+        if _reshape(parent, was, tuple(t[1] for t in targets), parents, order(),
+                    lambda c: done.get(c, c), wrapped=wrapped) is None:
+            return node
+        wrapped.setdefault(parent, []).insert(0, targets)
+        done[n] = reduced
+        return reduced
 
-def _own_used_attrs(n: Node) -> frozenset[str]:
-    """Attributes a :data:`_PULL_THROUGH` operator itself consumes from its
-    inputs; none for a duplicate elimination, which a pulled duplicate
-    column crosses unchanged."""
-    if isinstance(n, Select):
-        return expr_attrs(n.cond)
-    if isinstance(n, Product):
-        return frozenset(a for pair in n.pairs for a in pair)
-    return frozenset()
+    return rebuild_bottom_up(root, step)
 
 
 # ---------------------------------------------------------------------------
@@ -505,86 +480,99 @@ def selection_move_around(root: Node, ec_memo: Optional[dict] = None) -> Node:
 def _chain_conjuncts(node: Node) -> list[Expr]:
     """Conjuncts guaranteed on every tuple flowing out of a sigma/delta chain."""
     out: list[Expr] = []
-    cur = node
-    while isinstance(cur, (Select, DupElim)):
-        if isinstance(cur, Select):
-            out.extend(conjuncts(cur.cond))
-        cur = cur.child
+    while isinstance(node, (Select, DupElim)):
+        if isinstance(node, Select):
+            out.extend(conjuncts(node.cond))
+        node = node.child
     return out
 
 
 def _transfer_join_conditions(root: Node) -> Node:
-    def candidates(root: Node) -> Candidates:
-        for j in all_nodes(root):
-            if isinstance(j, Join):
-                moved = _transfer_at(j)
-                if moved is not j:
-                    yield j, moved
+    """Place the conditions across every join, children first, in the order
+    that placing the first candidate and rescanning the graph would: a
+    placement gives a condition only to the joins its descent crossed, which
+    are settled again first. A condition looked at stays settled (chains only
+    grow at their end, guards only multiply), so a join goes on from how many
+    of each input's chain conditions it, or the join it copies, looked at."""
+    looked: dict[Node, list[int]] = {}
+    return rebuild_bottom_up(root, lambda n, node: _settle(node, looked) if isinstance(node, Join)
+                             else node)
 
-    return _rewrite(root, candidates)
 
-
-def _transfer_at(j: Join) -> Join:
-    """The join with conditions guarding one input placed in the other,
-    where the join pairs carry every attribute they read and no identical
-    conjunct guards the path yet; the join itself when there are none.
-
-    The rule places one condition per rescan of the whole graph: the first
-    one, left input's chain before the right's. When the pairs are
-    injective and the receiving input holds no join, a rescan would find
-    the next candidate at this join again, so all of one input's
-    conditions are placed at once, with the same result: placing them
-    changes no other join, and a condition carried back through injective
-    pairs is the one it came from. Otherwise only the first is placed."""
-    injective = len(dict(j.pairs)) == len({b for _, b in j.pairs}) == len(j.pairs)
-    kids = list(j.children)
-    for src_idx, mapping in ((0, dict(j.pairs)), (1, {b: a for a, b in j.pairs})):
-        dst_idx = 1 - src_idx
-        existing = _chain_conjuncts(kids[dst_idx])
-        landed = []
-        for cond in _chain_conjuncts(kids[src_idx]):
-            attrs = expr_attrs(cond)
-            if not attrs or not attrs <= mapping.keys():
-                continue
-            transferred = substitute_attrs(cond, {a: Attr(mapping[a]) for a in attrs})
-            if any(transferred == e for e in existing):
-                continue
-            placed, inserted = _place_pushed(transferred, kids[dst_idx])
-            if inserted:
-                if not landed:
-                    takes_all = injective and not any(
-                        isinstance(n, Join) for n in all_nodes(kids[dst_idx]))
-                landed.append(placed)
+def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = None) -> Join:
+    """The join with every condition guarding one input placed in the other,
+    where the pairs carry every attribute it reads and no identical conjunct
+    guards the path yet, left input's chain first; ``looked`` holds each
+    join's counts. When this join's pairs and those of every join in the
+    receiving input are injective, the next conditions over the same
+    attributes (all, when it holds no join) are placed at once, as one after
+    another would be: they take one path, a crossed join passes each to its
+    other input, and carried back through injective pairs each is itself."""
+    seen = list(looked.get(j if copied is None else copied, (0, 0)))
+    chains = [_chain_conjuncts(kid) for kid in j.children]
+    while True:
+        kids = list(j.children)
+        for src_idx, mapping in ((0, dict(j.pairs)), (1, {b: a for a, b in j.pairs})):
+            dst_idx = 1 - src_idx
+            landed: list[Node] = []
+            for cond in chains[src_idx][seen[src_idx]:]:
+                attrs = expr_attrs(cond)
+                if attrs and attrs <= mapping.keys():
+                    transferred = substitute_attrs(cond, {a: Attr(mapping[a]) for a in attrs})
+                    if not any(transferred == e for e in chains[dst_idx]):
+                        placed, inserted = _place_pushed(transferred, kids[dst_idx])
+                        if inserted and not landed:
+                            joins = [n for n in all_nodes(kids[dst_idx]) if isinstance(n, Join)]
+                            takes_all = all(len(dict(x.pairs)) == len({b for _, b in x.pairs})
+                                            == len(x.pairs) for x in (j, *joins))
+                            along = attrs
+                        elif inserted and joins and attrs != along:
+                            takes_all = False  # another path: placed after these, first
+                            break
+                        if inserted:
+                            landed.append(placed)
+                seen[src_idx] += 1
+                if landed and not takes_all:
+                    break
+            if landed:
+                # the joins the placements crossed can take their conditions
+                kids[dst_idx] = (_rebuild_placed(kids[dst_idx], landed,
+                                                 lambda c, old: _settle(c, looked, old))
+                                 if joins else _merge_placements(kids[dst_idx], landed))
+                chains[dst_idx] = _chain_conjuncts(kids[dst_idx])
                 if not takes_all:
                     break
-        if landed:
-            kids[dst_idx] = _merge_placements(kids[dst_idx], landed)
-            if not takes_all:
-                break
-    return j if all(map(is_, kids, j.children)) else replace_children(j, tuple(kids))
+        if all(map(is_, kids, j.children)):
+            looked[j] = seen
+            return j
+        j = replace_children(j, tuple(kids))
 
 
 def _merge_placements(node: Node, placed: list[Node]) -> Node:
     """``node`` with the selections of several :func:`_place_pushed`
     results, each computed on ``node`` itself, as placing the conditions one
-    after another would leave it.
+    after another would leave it (:func:`_rebuild_placed`)."""
+    return placed[0] if len(placed) == 1 else _rebuild_placed(node, placed)
 
-    A selection placed earlier lets every later condition through, so each
-    condition lands where it would alone: below those landed at the same
-    spot before it, and not at all when an identical one landed there
-    first. The walk goes down the paths the results rebuilt, as a list of
-    visits (a node and its copies that differ from it), and the rebuild
-    runs over it backwards, so any depth runs at any recursion limit."""
-    if len(placed) == 1:
-        return placed[0]
+
+def _rebuild_placed(node: Node, placed: list[Node], settle=None) -> Node:
+    """``node`` with the selections of :func:`_place_pushed` results, each
+    computed on ``node`` itself, as placing the conditions one after another
+    would leave it; ``settle(join, the join it copies)``, when given, runs
+    on each join the placements crossed, children first. Each condition lands
+    where it would alone, below those landed at the same spot before it, and
+    not at all when an identical one landed there first. The walk goes down
+    the paths the results rebuilt, as a list of visits (a node and its copies
+    that differ from it), and the rebuild runs over it backwards."""
     visits = [(node, placed)]
     #: per visit, the (child index, visit) pairs below it
     below: list[list[tuple[int, int]]] = []
+    rebuilt: list[list[Node]] = []  # per visit, its copies that are not selections over it
     for n, copies in visits:  # grows as the walk goes
-        rebuilt = [c for c in copies if not (isinstance(c, Select) and c.child is n)]
+        rebuilt.append([c for c in copies if not (isinstance(c, Select) and c.child is n)])
         into = []
         for idx, child in enumerate(n.children):
-            changed = [c.children[idx] for c in rebuilt if c.children[idx] is not child]
+            changed = [c.children[idx] for c in rebuilt[-1] if c.children[idx] is not child]
             if changed:
                 into.append((idx, len(visits)))
                 visits.append((child, changed))
@@ -595,13 +583,17 @@ def _merge_placements(node: Node, placed: list[Node]) -> Node:
         kids = list(n.children)
         for idx, w in below[v]:
             kids[idx] = out[w]
-        merged = replace_children(n, tuple(kids)) if below[v] else n
-        wrapping: list[Expr] = []
+        merged = n if not below[v] else next(
+            (c for c in rebuilt[v] if all(map(is_, kids, c.children))), None
+        ) or replace_children(n, tuple(kids))
+        if settle is not None and below[v] and isinstance(merged, Join):
+            merged = settle(merged, n)
+        wrapping: list[Select] = []  # the selections landed over n, one per condition
         for c in copies:
-            if isinstance(c, Select) and c.child is n and not any(c.cond == w for w in wrapping):
-                wrapping.append(c.cond)
-        for cond in reversed(wrapping):
-            merged = Select(cond, merged)
+            if isinstance(c, Select) and c.child is n and not any(c.cond == w.cond for w in wrapping):
+                wrapping.append(c)
+        for w in reversed(wrapping):
+            merged = w if w.child is merged else Select(w.cond, merged)
         out[v] = merged
     return out[0]
 
@@ -614,27 +606,28 @@ def _place_pushed(cond: Expr, node: Node) -> tuple[Node, bool]:
     visits, each a node and the condition renamed into its columns, and
     the rebuild runs over it backwards, so any depth runs at any
     recursion limit."""
-    visits = [(node, cond)]
+    visits = [(node, cond, expr_attrs(cond))]
     #: per visit, the (child index, visit) pairs it moves into; None when guarded
     moves: list[Optional[list[tuple[int, int]]]] = []
-    for n, c in visits:  # grows as the descent goes
+    for n, c, attrs in visits:  # grows as the descent goes
         if isinstance(n, Select) and any(c == x for x in conjuncts(n.cond)):
             moves.append(None)
             continue
-        attrs = expr_attrs(c)
         into = []
         for idx, child in enumerate(n.children):
             fmap = filter_map(n, idx)
             if fmap is None or not attrs <= fmap.keys():
                 continue
             into.append((idx, len(visits)))
-            visits.append((child, substitute_attrs(c, {a: Attr(fmap[a]) for a in attrs})))
+            renamed = {a: Attr(fmap[a]) for a in attrs if fmap[a] != a}
+            visits.append((child, substitute_attrs(c, renamed) if renamed else c,
+                           frozenset(fmap[a] for a in attrs)))
             if not isinstance(n, Union):  # a filter over a union reaches every input
                 break
         moves.append(into)
     placed: list[tuple[Node, bool]] = [None] * len(visits)
     for v in reversed(range(len(visits))):  # children after their parent in visits
-        n, c = visits[v]
+        n, c, _ = visits[v]
         if moves[v] is None:
             placed[v] = n, False
         elif not moves[v]:
@@ -650,24 +643,37 @@ def _place_pushed(cond: Expr, node: Node) -> tuple[Node, bool]:
 
 
 def _enforce_ancestor_equalities(root: Node, ec_memo: Optional[dict] = None) -> Node:
-    def candidates(root: Node) -> Candidates:
-        up = infer_ec_bottom_up(root, memo=ec_memo)
-        down = ec_top_down(root, up)
-        parents = parent_map(root)
-        for n in all_nodes(root):
-            if n is root:
-                continue
-            cond = _new_equality(n, down, up[n], parents)
-            if cond is not None:
-                yield n, Select(cond, n)
+    """Put a selection above each node for each equality its ancestors
+    license there (:func:`_new_equality`), the first found outermost.
+    Enforcing an equality changes no top-down class, so those are read once;
+    the bottom-up classes are the rebuilt node's. ``ec_memo`` is an
+    :func:`infer_ec_bottom_up` memo, by default the
+    :func:`provopt.algebra.sharing_subplans` scope's."""
+    ecs = shared_table("ecs") if ec_memo is None else ec_memo
+    up = infer_ec_bottom_up(root, memo=ecs)
+    down = ec_top_down(root, up)
+    parents = parent_map(root)
 
-    return _rewrite(root, candidates)
+    def step(n: Node, node: Node) -> Node:
+        if n is root or not down[n]:
+            return node
+        classes = up[n] if node is n else infer_ec_bottom_up(node, memo=ecs)[node]
+        conds = []
+        while (pair := _new_equality(n, down, classes, parents)) is not None:
+            conds.append(Cmp("=", *map(_member_expr, pair)))
+            classes |= {frozenset(pair)}  # the selection above it guards the pair
+        for cond in reversed(conds):
+            node = Select(cond, node)
+        return node
+
+    return rebuild_bottom_up(root, step)
 
 
-def _new_equality(n: Node, down, up_classes, parents) -> Optional[Expr]:
-    """First equality licensed by ancestors at this node that is neither
-    intrinsic here, nor enforceable deeper down, nor already filtered by an
-    ancestor selection the new filter would merely duplicate."""
+def _new_equality(n: Node, down, up_classes, parents) -> Optional[tuple]:
+    """The members of the first equality licensed by ancestors at this node
+    that is neither intrinsic here (in ``up_classes``), nor enforceable
+    deeper down, nor already filtered by an ancestor selection the new
+    filter would merely duplicate."""
     for cls in sorted(down[n], key=_class_sort_key):
         members = sorted(cls, key=_member_sort_key)
         for i, m1 in enumerate(members):
@@ -680,7 +686,7 @@ def _new_equality(n: Node, down, up_classes, parents) -> Optional[Expr]:
                     continue
                 if _pair_guarded_above(n, parents, m1, m2):
                     continue
-                return Cmp("=", _member_expr(m1), _member_expr(m2))
+                return m1, m2
     return None
 
 
@@ -759,79 +765,63 @@ def _same_up_class(up_classes, m1, m2) -> bool:
 # pipeline
 
 
-@dataclass
-class PipelineMemo:
-    """What one run of the pipeline carries from rule to rule, for one
-    :class:`RewriteConfig` (keys depend on its ``base_keys``). The chosen
-    duplicate eliminations and the needed columns are the run's own; the
-    per-node keys and classes may be shared with other runs."""
-
-    #: the duplicate eliminations kept by choice, so each is decided once
-    kept_dupelims: set = field(default_factory=set)
-    #: :func:`infer_keys` and :func:`infer_ec_bottom_up` values per node
-    keys: dict = field(default_factory=dict)
-    ecs: dict = field(default_factory=dict)
-    #: :func:`infer_icols` of the last root a pruning rule scanned
-    icols: dict = field(default_factory=dict)
-
-
-#: The pipeline in order: rule name -> call on (root, config, the memo of
-#: the run). Each entry looks its rule up as a module global when called, so
-#: a wrapper installed on ``rewrites.<rule>`` sees the pipeline's calls.
-RULES: dict[str, Callable[[Node, RewriteConfig, PipelineMemo], Node]] = {
-    "factor_attributes": lambda root, cfg, memo: factor_attributes(root),
-    "merge_projections": lambda root, cfg, memo: merge_projections(root, cfg),
-    "merge_selections": lambda root, cfg, memo: merge_selections(root),
-    "selection_move_around": lambda root, cfg, memo: selection_move_around(root, memo.ecs),
-    "pull_up_prov_projection": lambda root, cfg, memo: pull_up_prov_projection(root),
-    "project_to_icols": lambda root, cfg, memo: project_to_icols(root, memo.icols),
-    "remove_window": lambda root, cfg, memo: remove_window(root, memo.icols),
+#: The pipeline in order: rule name -> call on (root, config, the run's state,
+#: see :func:`rewrite_steps`). Each entry looks its rule up as a module global
+#: when called, so a wrapper installed on ``rewrites.<rule>`` sees the calls.
+RULES: dict[str, Callable[[Node, RewriteConfig, SimpleNamespace], Node]] = {
+    "factor_attributes": lambda root, cfg, run: factor_attributes(root),
+    "merge_projections": lambda root, cfg, run: merge_projections(root, cfg),
+    "merge_selections": lambda root, cfg, run: merge_selections(root),
+    "selection_move_around": lambda root, cfg, run: selection_move_around(root, run.ecs),
+    "pull_up_prov_projection": lambda root, cfg, run: pull_up_prov_projection(root),
+    "project_to_icols": lambda root, cfg, run: project_to_icols(root, run.icols),
+    "remove_window": lambda root, cfg, run: remove_window(root, run.icols),
     "remove_dupelim_by_key":
-        lambda root, cfg, memo: remove_dupelim_by_key(root, cfg.base_keys, memo.keys),
+        lambda root, cfg, run: remove_dupelim_by_key(root, cfg.base_keys, run.keys),
     "remove_dupelim_by_set":
-        lambda root, cfg, memo: remove_dupelim_by_set(root, cfg.dupelim_set_choice,
-                                                      memo.kept_dupelims),
-    "remove_redundant_projection": lambda root, cfg, memo: remove_redundant_projection(root),
+        lambda root, cfg, run: remove_dupelim_by_set(root, cfg.dupelim_set_choice, run.kept),
+    "remove_redundant_projection": lambda root, cfg, run: remove_redundant_projection(root),
 }
 RULE_ORDER = tuple(RULES)
 
 
-def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
-    """Run the fixed-order rewrite pipeline, then restore the original root
-    schema (rules may reorder columns).
-
-    Rounds repeat until one in which no rule fired, so a rewritten plan is
-    a fixpoint and a second application is a no-op. A rule that fires
-    returns a new root object and one that does not returns its input, so
-    "no rule fired" is ``root is before``. There is no round cap: a rule
-    pair that undid each other's work would loop, and is a defect of the
-    rules. A late-created opportunity (say, a pruning projection inserted
-    after the merge pass ran) is picked up by the next round.
-
-    A rule is not run again on a root it returned unchanged: rules are
-    deterministic functions of their input graph, and the stateful
-    :func:`remove_dupelim_by_set` would ask for no choice on that root
-    again. The run's :class:`PipelineMemo` keeps keys and bottom-up
-    equivalence classes of the nodes seen so far, and the needed columns of
-    the last root scanned for them. Within a
-    :func:`provopt.algebra.sharing_subplans` scope the keys and classes are
-    the scope's tables, which every run in it shares.
-    """
-    cfg = cfg or RewriteConfig()
-    original_schema = schema_of(root)
-    # every empty key map declares the same keys
-    memo = PipelineMemo(keys=shared_table("keys", cfg.base_keys or None),
-                        ecs=shared_table("ecs"))
+def rewrite_steps(root: Node, cfg: RewriteConfig) -> Iterator[tuple[str, Node]]:
+    """The pipeline round after round, without end: (rule name, its output)
+    per enabled rule. A rule is not run again on a root it returned
+    unchanged: rules are deterministic, and :func:`remove_dupelim_by_set`
+    would ask nothing. The run keeps the eliminations kept by choice, the
+    needed columns of the last root read, and keys and bottom-up classes."""
+    run = SimpleNamespace(kept=set(), icols={}, ecs=shared_table("ecs"),
+                          keys=shared_table("keys", cfg.base_keys or None))  # {} keys none
     at_fixpoint: dict[str, Node] = {}  # rule -> the last root it left unchanged
-    before = None
-    while root is not before:
-        before = root
-        for name, rule in RULES.items():
-            if cfg.rule_enabled(name) and at_fixpoint.get(name) is not root:
-                new_root = rule(root, cfg, memo)
+    while True:
+        for name in filter(cfg.rule_enabled, RULES):
+            if at_fixpoint.get(name) is not root:
+                new_root = RULES[name](root, cfg, run)
                 if new_root is root:
                     at_fixpoint[name] = root
                 root = new_root
+            yield name, root
+
+
+def apply_pats(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
+    """Run the fixed-order rewrite pipeline (:func:`rewrite_steps`), then
+    restore the original root schema (rules may reorder columns).
+
+    Rounds repeat until one in which no rule fired (``root is before``), so
+    a rewritten plan is a fixpoint and a second application is a no-op; a
+    late-created opportunity is picked up by the next round. There is no
+    round cap: rules that undid each other's work would loop, a defect.
+    """
+    cfg = cfg or RewriteConfig()
+    original_schema = schema_of(root)
+    steps = rewrite_steps(root, cfg)
+    enabled = sum(map(cfg.rule_enabled, RULES))
+    before = None
+    while root is not before:
+        before = root
+        for _ in range(enabled):
+            _, root = next(steps)
     if schema_of(root) != original_schema:
         # rules may have reordered columns; restore and fold the fix-up
         # projection so reapplying the pipeline starts from a fixpoint

@@ -1,13 +1,12 @@
-"""Helpers that only tests use: one-row wrappers around the executor's
-column-at-a-time expression evaluation, bag equality up to column order,
-and counts over plans and expressions."""
+"""Helpers that only tests use: one-row and row-list wrappers around the
+executor's column-at-a-time expression evaluation, bag equality up to column
+order, and counts over plans and expressions."""
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
 from provopt.algebra import Attr, Expr, Node, Value, all_nodes, expr_nodes, fold_expr
-from provopt.executor import (BagRelation, EvalError, evaluate_exprs, projected_rows,
-                              selection_mask)
+from provopt.executor import BagRelation, EvalError, evaluate_exprs, selection_mask
 
 
 def bags_equal(a: BagRelation, b: BagRelation, *, by_name: bool = False) -> bool:
@@ -37,6 +36,13 @@ def compile_expr(e: Expr, schema: Sequence[str]) -> Callable[[tuple], Value]:
     """The expression as a function of one row of ``schema``."""
     _check_exprs((e,))
     return lambda row: evaluate_exprs((e,), schema, [row])[0][0]
+
+
+def projected_rows(exprs: Sequence[Expr], schema: Sequence[str],
+                   rows: list[tuple]) -> list[tuple]:
+    """The tuple of the expressions' values for each row of ``schema``."""
+    columns = evaluate_exprs(exprs, schema, rows)
+    return list(zip(*columns)) if columns else [()] * len(rows)
 
 
 def compile_row(exprs: Iterable[Expr], schema: Sequence[str]) -> Callable[[tuple], tuple]:

@@ -2,7 +2,7 @@
 projection removal) run as one bottom-up pass.
 
 The candidate generators below are the rules as they were written for the
-rescanning loop ``rewrites._rewrite``, which applies one candidate, rebuilds
+rescanning loop ``rescan_reference._rewrite``, which applies one candidate, rebuilds
 every ancestor and rescans the whole graph. They are kept as the reference:
 the single pass must build a structurally equal graph, and return its input
 object when nothing applies.
@@ -15,6 +15,7 @@ import pytest
 from annotated import annotate, evaluate_annotated
 from helpers import count_attr_refs
 from randgen import random_agg_query, random_query, random_spju_query, share_subtree
+from rescan_reference import _rewrite
 
 from provopt.algebra import (
     Arith, Attr, BoolOp, Cmp, Cond, Const, DupElim, Join, Node, Project,
@@ -26,7 +27,7 @@ from provopt.executor import BagRelation, TableStats, cost, evaluate
 from provopt.instrument import UpdateStmt, instrument_query, reenact
 from provopt.plantext import format_plan
 from provopt.rewrites import (
-    MERGE_GROWTH_FACTOR, MERGE_REF_LIMIT, RewriteConfig, _rewrite,
+    MERGE_GROWTH_FACTOR, MERGE_REF_LIMIT, RewriteConfig,
     factor_attributes, factor_expression, merge_projections,
     merge_selections, remove_redundant_projection,
 )

@@ -2,17 +2,19 @@
 
 ``apply_pats`` does not run a rule again on a root that rule left unchanged,
 and one run keeps keys and bottom-up equivalence classes per node, and the
-needed columns of the last root scanned for them, in a ``PipelineMemo``. The reference below is the pipeline without either: every
+needed columns of the last root read or carried, in its state. The reference below is the pipeline without either: every
 enabled rule in every round, each property computed from scratch. Both must
 build structurally equal plans and ask the same duplicate-elimination
 choices in the same order.
 """
 import random
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
 from randgen import random_agg_query, random_query, random_spju_query, share_subtree
+from rescan_reference import _absorb
 from test_local_rules import _update_stack
 
 from provopt.algebra import (
@@ -23,7 +25,7 @@ from provopt.instrument import instrument_query
 from provopt.properties import infer_ec_bottom_up, infer_keys
 from provopt import rewrites
 from provopt.rewrites import (
-    PipelineMemo, RULE_ORDER, RULES, RewriteConfig, _absorb, apply_pats,
+    RULE_ORDER, RULES, RewriteConfig, apply_pats,
     factor_attributes, merge_projections, merge_selections,
     project_to_icols, pull_up_prov_projection, remove_dupelim_by_key,
     remove_dupelim_by_set, remove_redundant_projection, remove_window,
@@ -198,7 +200,7 @@ def test_a_dupelim_removal_is_always_absorbed():
 def test_memoized_properties_equal_recomputation_after_every_rule():
     for i, (q, base_keys) in enumerate(CORPUS[::3]):
         cfg = RewriteConfig(base_keys=base_keys)
-        memo = PipelineMemo()
+        memo = SimpleNamespace(kept=set(), icols={}, keys={}, ecs={})
         root = q
         for _ in range(2):
             for name, rule in RULES.items():
@@ -242,8 +244,8 @@ def test_needed_columns_computed_once_per_root(monkeypatch):
 
 
 def test_carried_needed_columns_equal_recomputation(monkeypatch):
-    # after a pruning that renames no column, project_to_icols scans the
-    # new root with the needed columns carried over from the old one
+    # after a pruning that renames no column, remove_window reads the new
+    # root's needed columns, carried over by project_to_icols from the old one
     from provopt.properties import infer_icols
     seen = []
     needed = rewrites._needed_columns
@@ -255,7 +257,8 @@ def test_carried_needed_columns_equal_recomputation(monkeypatch):
         computed = []
         with monkeypatch.context() as m:
             m.setattr(rewrites, "infer_icols", lambda root: computed.append(root) or infer_icols(root))
-            project_to_icols(q, {})
+            memo = {}
+            remove_window(project_to_icols(q, memo), memo)
         for root, icols in seen:
             assert icols == infer_icols(root), i
         carried += len({id(r) for r, _ in seen}) - len(computed)

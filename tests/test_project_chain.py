@@ -8,13 +8,14 @@ import random
 import sys
 import tracemalloc
 
+from helpers import projected_rows
 from randgen import random_instance, random_query, share_subtree
 
 from provopt.algebra import (
     Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Join, Project, Relation,
     SchemaError, Select, Union, all_nodes, replace_children, schema_of,
 )
-from provopt.executor import BagRelation, EvalError, evaluate, projected_rows
+from provopt.executor import BagRelation, EvalError, evaluate
 from provopt.instrument import UpdateStmt, reenact
 
 
