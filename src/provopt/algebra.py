@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property
-from operator import is_
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 
@@ -117,16 +117,20 @@ Expr = Union[Attr, Const, Arith, Cmp, BoolOp, Cond]
 T = TypeVar("T")
 
 
-def expr_children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Attr, Const)):
-        return ()
-    if isinstance(e, (Arith, Cmp)):
-        return (e.left, e.right)
-    if isinstance(e, BoolOp):
-        return e.args
-    if isinstance(e, Cond):
-        return (e.pred, e.if_true, e.if_false)
+#: each expression type's children, in a fixed order, read by one lookup
+_EXPR_CHILDREN: dict[type, Callable[[Expr], tuple]] = {
+    Attr: lambda e: (), Const: lambda e: (),
+    Arith: attrgetter("left", "right"), Cmp: attrgetter("left", "right"),
+    BoolOp: attrgetter("args"), Cond: attrgetter("pred", "if_true", "if_false"),
+}
+
+
+def _not_an_expression(e) -> tuple:
     raise AlgebraError(f"not an expression: {e!r}")
+
+
+def expr_children(e: Expr) -> tuple[Expr, ...]:
+    return _EXPR_CHILDREN.get(type(e), _not_an_expression)(e)
 
 
 def expr_with_children(e: Expr, kids: Iterable[Expr]) -> Expr:
@@ -167,11 +171,12 @@ def expr_attrs(e: Expr) -> frozenset[str]:
     names = set()
     seen = {id(e)}
     stack = [e]
+    children = _EXPR_CHILDREN.get  # expr_children, inlined
     while stack:
         x = stack.pop()
         if isinstance(x, Attr):
             names.add(x.name)
-        for c in expr_children(x):
+        for c in children(type(x), _not_an_expression)(x):
             if id(c) not in seen:
                 seen.add(id(c))
                 stack.append(c)
@@ -188,6 +193,7 @@ def fold_expr(roots: Iterable[Expr], step: Callable[[Expr, tuple], T]) -> list[T
     at any recursion limit."""
     roots = tuple(roots)
     done: dict[int, T] = {}
+    children = _EXPR_CHILDREN.get  # expr_children, inlined
     for root in roots:
         if id(root) in done:
             continue
@@ -196,7 +202,7 @@ def fold_expr(roots: Iterable[Expr], step: Callable[[Expr, tuple], T]) -> list[T
             x, kids = path[-1]
             for c in kids:
                 if id(c) not in done:
-                    grandkids = expr_children(c)
+                    grandkids = children(type(c), _not_an_expression)(c)
                     if grandkids:
                         path.append((c, grandkids))
                         break

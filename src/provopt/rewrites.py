@@ -21,7 +21,9 @@ referenced more than once by the outer projection (each such merge can
 double the reference count, so chains of them grow exponentially), or when
 the merged expressions outgrow the inputs by more than a constant factor.
 A rejected pair marks the inner projection as a materialization fence for
-SQL generation.
+SQL generation. A merge step folds each computed outer target once (an
+attribute target is one lookup) and keeps target sizes per node, so it
+costs the outer projection, not the inner definitions it substitutes.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from . import properties
 from .algebra import (
     Arith, Attr, Cmp, Cond, Const, Diff, DupElim, Expr,
     Intersect, Join, Node, Product, Project, Select, Union, Window,
-    all_nodes, conjuncts, conjunction, expr_attrs, expr_nodes,
+    all_nodes, conjuncts, conjunction, expr_attrs,
     expr_size, expr_with_children, fold_expr, identity_targets, over_schemas,
     parent_map, rebuild_bottom_up, replace_children, schema_of, shared_table,
     substitute_attrs, SchemaError,
@@ -106,6 +108,8 @@ def factor_expression(e: Expr) -> Expr:
         return e
 
     def step(x: Expr, kids: tuple[Expr, ...]) -> Expr:
+        if not kids:
+            return x
         if isinstance(x, Cond):
             pred, then, other = kids
             factored = _factor_cond(pred, then, other, negate=False)
@@ -138,9 +142,10 @@ def factor_attributes(root: Node) -> Node:
     """Apply expression factoring inside every projection."""
     def step(n: Node, node: Node) -> Node:
         if isinstance(node, Project):
-            targets = tuple((factor_expression(e), name) for e, name in node.targets)
-            if targets != node.targets:
-                return Project(targets, node.child, node.materialize)
+            exprs = [e if isinstance(e, Attr) else factor_expression(e) for e, _ in node.targets]
+            if not all(map(is_, exprs, (e for e, _ in node.targets))):
+                return Project(tuple((e, name) for e, (_, name) in zip(exprs, node.targets)),
+                               node.child, node.materialize)
         return node
 
     return rebuild_bottom_up(root, step)
@@ -151,35 +156,44 @@ def factor_attributes(root: Node) -> Node:
 # a surviving node's parent count, so parents are counted once, when needed.
 
 
-def _merge_safe(outer: Project, inner: Project, merged: Project, cfg: RewriteConfig,
-                sizes: dict[Project, tuple[int, ...]]) -> bool:
-    """Whether merging is safe. ``sizes`` memoizes target sizes by node, not
-    by expression (expressions hash structurally, which is exponential on
-    shared conditions); a merged node's follow from its inputs' without
-    walking its expressions and serve the next merge up the stack."""
-    if cfg.unsafe_naive_merge:
-        return True
-    if inner not in sizes:
-        sizes[inner] = tuple(expr_size(e) for e, _ in inner.targets)
-    inner_size = {name: s for (_, name), s in zip(inner.targets, sizes[inner])}
-    refs = Counter(x.name for e, _ in outer.targets for x in expr_nodes(e) if isinstance(x, Attr))
-    if any(s > 1 and refs[name] > MERGE_REF_LIMIT for name, s in inner_size.items()):
-        return False
-    # an inner reference counts at the size of the definition replacing it
-    merged_sizes = tuple(sum(inner_size.get(x.name, 1) if isinstance(x, Attr) else 1
-                             for x in expr_nodes(e)) for e, _ in outer.targets)
-    outer_size = sum(expr_size(e) for e, _ in outer.targets)
-    if sum(merged_sizes) > MERGE_GROWTH_FACTOR * (outer_size + sum(sizes[inner])):
-        return False
-    sizes[merged] = merged_sizes
-    return True
+def _merge_walk(e: Expr, leaves: Mapping[str, tuple]) -> tuple:
+    """One outer target's walk: (``e`` with the inner definitions substituted,
+    its size, that with each inner reference at its definition's size, its
+    references to definitions over one node as nested tuples), per reference.
+    ``leaves`` holds the same per inner column."""
+    def step(x: Expr, kids: tuple[tuple, ...]) -> tuple:
+        if not kids:
+            return (leaves.get(x.name) if isinstance(x, Attr) else None) or (x, 1, 1, ())
+        size = grown = 1
+        refs = []
+        for _, s, g, r in kids:
+            size, grown = size + s, grown + g
+            if r:
+                refs.append(r)
+        return (expr_with_children(x, [k[0] for k in kids]), size, grown,
+                refs[0] if len(refs) == 1 else tuple(refs))
+
+    return fold_expr((e,), step)[0]
+
+
+def _most_refs(refs: tuple) -> int:
+    """The most references to one name in :func:`_merge_walk`'s nested names."""
+    names, todo = [], [r for r in refs if r]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            names.append(x)
+        else:
+            todo.extend(x)
+    return max(Counter(names).values()) if len(set(names)) < len(names) else min(len(names), 1)
 
 
 def merge_projections(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     """Collapse adjacent projections, substituting inner definitions.
 
     Pairs failing the safety check stay separate and the inner projection is
-    flagged as a materialization fence.
+    flagged as a materialization fence. Target sizes are kept per node, a
+    merged or fenced node's from its walk (:func:`_merge_walk`).
     """
     cfg = cfg or RewriteConfig()
     parents = cache(lambda: parent_map(root))
@@ -192,12 +206,24 @@ def merge_projections(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
             return outer
         if outer not in results:
             inner = outer.child
-            defs = {name: e for e, name in inner.targets}
-            merged = Project(tuple((substitute_attrs(e, defs), name) for e, name in outer.targets),
-                             inner.child, outer.materialize)
-            if not _merge_safe(outer, inner, merged, cfg, sizes):
+            if inner not in sizes:
+                sizes[inner] = tuple(_merge_walk(e, {})[1] for e, _ in inner.targets)
+            leaves = {name: (e, 1, size, name if size > 1 else ())
+                      for (e, name), size in zip(inner.targets, sizes[inner])}
+            walks = [isinstance(e, Attr) and leaves.get(e.name) or _merge_walk(e, leaves)
+                     for e, _ in outer.targets]
+            subs, own, grown, refs = zip(*walks) if walks else ((),) * 4
+            # a definition over one node referenced too often, or growth, compounds up a stack
+            if cfg.unsafe_naive_merge or not (
+                    _most_refs(refs) > MERGE_REF_LIMIT
+                    or sum(grown) > MERGE_GROWTH_FACTOR * (sum(own) + sum(sizes[inner]))):
+                merged = Project(tuple(zip(subs, (name for _, name in outer.targets))),
+                                 inner.child, outer.materialize)
+                sizes[merged] = grown
+            else:
                 merged = replace_children(
                     outer, (Project(inner.targets, inner.child, materialize=True),))
+                sizes[merged] = own
             results[outer] = merged
         return results[outer]
 
@@ -234,7 +260,8 @@ def remove_redundant_projection(root: Node) -> Node:
 
 
 def _reshape(n: Node, before: tuple[str, ...], after: tuple[str, ...], parents, order,
-             current: Callable[[Node], Node], gone=frozenset(), wrapped=frozenset()):
+             current: Callable[[Node], Node], gone=frozenset(), wrapped=frozenset(),
+             refused: Optional[set] = None):
     """The precondition of changing ``n``'s output from ``before`` to
     ``after`` in the graph a pass has built so far (``current`` gives what
     stands in a node's place, a node in ``gone`` passes its input's columns,
@@ -242,9 +269,12 @@ def _reshape(n: Node, before: tuple[str, ...], after: tuple[str, ...], parents, 
     each ancestor whose schema changes is re-derived over leaves of its
     inputs' schemas. None when one is malformed (a union over inputs of
     different arity, a projection reading a column that is gone); else
-    (product, old name) per right-input column a product renames."""
+    (product, old name) per right-input column a product renames.
+    ``refused`` holds the (ancestor, inputs' shapes) of refused walks up one
+    path while no stand-in changes; one arriving there so is refused at once."""
     shapes = {n: (before, after)}
     todo, renamed = [], []  # (order, ancestor) to re-derive; (product, old name)
+    path = [] if refused is not None else None  # the walk's keys while it is one path
     node = n
     while True:
         old, new = shapes[node]
@@ -261,11 +291,19 @@ def _reshape(n: Node, before: tuple[str, ...], after: tuple[str, ...], parents, 
         if node in gone:
             shapes[node] = shapes[node.children[0]]
             continue
-        kids = [shapes.get(c) or (schema_of(current(c)),) * 2 for c in node.children]
+        kids = tuple(shapes.get(c) or (schema_of(current(c)),) * 2 for c in node.children)
+        if todo:
+            path = None  # the walk has forked
+        elif path is not None:
+            path.append((node, kids))
         try:
+            if path and path[-1] in refused:
+                raise SchemaError("refused by an earlier walk")
             was, will = (over_schemas(node, [k[i] for k in kids]) for i in (0, 1))
             shapes[node] = was.schema, will.schema
         except SchemaError:
+            if path:
+                refused.update(path)
             return None
         if isinstance(node, Product):
             names = source_names(was.lineage[1])
@@ -345,7 +383,7 @@ def project_to_icols(root: Node, icols_memo: Optional[dict] = None) -> Node:
     pruned = shared_table("pruned")  # (node, kept columns) -> the projection
     done: dict[Node, Node] = {}  # what stands in each changed node's place
     under: dict[Node, frozenset[str]] = {}  # each node pruned, and its needed columns
-    renames = []
+    renames, refused = [], set()  # refused: _reshape's, while nothing stands in anew
 
     def step(n: Node, node: Node) -> Node:
         need = icols[n]
@@ -354,7 +392,8 @@ def project_to_icols(root: Node, icols_memo: Optional[dict] = None) -> Node:
         if (n is not root and set(sch) != need
                 and not (parents[n] and all(isinstance(p, Project) for p in parents[n]))
                 and (keep := tuple(a for a in sch if a in need))):
-            renamed = _reshape(n, sch, keep, parents, order(), lambda c: done.get(c, c))
+            renamed = _reshape(n, sch, keep, parents, order(), lambda c: done.get(c, c),
+                               refused=refused)
             if renamed is not None and not any(name in icols[p] for p, name in renamed):
                 renames.extend(renamed)
                 under[node] = need
@@ -363,6 +402,7 @@ def project_to_icols(root: Node, icols_memo: Optional[dict] = None) -> Node:
                 node = pruned[node, keep]
         if node is not n:
             done[n] = node
+            refused.clear()
         return node
 
     new_root = rebuild_bottom_up(root, step)

@@ -43,6 +43,11 @@ COMMANDS = {
                          "--scope", "histjoin"),
     "reenact_histjoin_no_key": ("run", "--reenact", "fixtures_txn/t1.sql",
                                 "--data", "fixtures_txn", "--scope", "histjoin"),
+    # 96 statements in the reenact_txn benchmark's shape: a stack of merges and fences
+    "reenact96_none": ("run", "--reenact", f"{G}/txn96.sql", "--data", f"{G}/txn96",
+                       "--scope", "none"),
+    "reenact96_histjoin": ("run", "--reenact", f"{G}/txn96.sql", "--data", f"{G}/txn96",
+                           "--scope", "histjoin"),
     "instrument_prov": ("instrument", "--prov-of", "fixtures/pricey_shops.plan",
                         "--data", "fixtures", "--agg-method", "window"),
     "instrument_reenact": ("instrument", "--reenact", "fixtures_txn/t1.sql",

@@ -9,6 +9,7 @@ object when nothing applies.
 """
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,18 +17,20 @@ from annotated import annotate, evaluate_annotated
 from helpers import count_attr_refs
 from randgen import random_agg_query, random_query, random_spju_query, share_subtree
 from rescan_reference import _rewrite
+from test_expr_fold import random_dag
 
 from provopt.algebra import (
     Arith, Attr, BoolOp, Cmp, Cond, Const, DupElim, Join, Node, Project,
     Relation, Select, Union, all_nodes, conjunction, expr_attrs, expr_size,
-    identity_targets, parent_map, schema_of, structurally_equal, substitute,
+    expr_with_children, fold_expr, identity_targets, parent_map,
+    rebuild_bottom_up, schema_of, structurally_equal, substitute,
     substitute_attrs,
 )
 from provopt.executor import BagRelation, TableStats, cost, evaluate
-from provopt.instrument import UpdateStmt, instrument_query, reenact
+from provopt.instrument import UpdateStmt, instrument_query, parse_updates, reenact
 from provopt.plantext import format_plan
 from provopt.rewrites import (
-    MERGE_GROWTH_FACTOR, MERGE_REF_LIMIT, RewriteConfig,
+    MERGE_GROWTH_FACTOR, MERGE_REF_LIMIT, RewriteConfig, _factor_cond,
     factor_attributes, factor_expression, merge_projections,
     merge_selections, remove_redundant_projection,
 )
@@ -68,6 +71,37 @@ def old_merge_projections(root, cfg=None):
                     yield inner, Project(inner.targets, inner.child, materialize=True)
 
     return _rewrite(root, candidates)
+
+
+def old_factor_expression(e):
+    """``factor_expression`` as it was before attribute targets were skipped."""
+    if isinstance(e, (Attr, Const)):
+        return e
+
+    def step(x, kids):
+        if isinstance(x, Cond):
+            pred, then, other = kids
+            factored = _factor_cond(pred, then, other, negate=False)
+            if factored is None:
+                factored = _factor_cond(pred, other, then, negate=True)
+            if factored is not None:
+                return factored
+        return expr_with_children(x, kids)
+
+    return fold_expr((e,), step)[0]
+
+
+def old_factor_attributes(root):
+    """``factor_attributes`` as it was: every target factored, a change
+    detected by comparing the targets structurally."""
+    def step(n, node):
+        if isinstance(node, Project):
+            targets = tuple((old_factor_expression(e), name) for e, name in node.targets)
+            if targets != node.targets:
+                return Project(targets, node.child, node.materialize)
+        return node
+
+    return rebuild_bottom_up(root, step)
 
 
 def old_merge_selections(root):
@@ -121,6 +155,17 @@ def _update_stack(rng, n):
                           Const(rng.randrange(3))))
            for _ in range(n)]
     return reenact(ups, schema=("k", "a", "b"))
+
+
+TXN96 = Path(__file__).resolve().parent / "golden" / "cli" / "txn96.sql"
+
+
+def reenact_txn_stack():
+    """The reenactment of ``tests/golden/cli/txn96.sql``: 96 statements
+    ``UPDATE r SET a_i = a_i + c WHERE a_j = v`` over ``r(id, a1..a8)``,
+    some with i = j, in the shape of the reenact_txn benchmark."""
+    cols = ("id",) + tuple(f"a{i}" for i in range(1, 9))
+    return reenact(parse_updates(TXN96.read_text()), schema=cols)
 
 
 def _random_tower(rng, depth):
@@ -216,6 +261,95 @@ def test_naive_merge_matches_rescanning_loop():
     for _ in range(20):
         q = _update_stack(rng, rng.randint(1, 6))
         assert structurally_equal(merge_projections(q, cfg), old_merge_projections(q, cfg))
+
+
+@pytest.mark.parametrize("factored", [False, True], ids=["raw", "factored"])
+@pytest.mark.parametrize("naive", [False, True], ids=["safe", "naive"])
+def test_wide_reenactment_merges_as_the_rescanning_loop(factored, naive):
+    cfg = RewriteConfig(unsafe_naive_merge=naive)
+    q = reenact_txn_stack()
+    if factored:
+        q = factor_attributes(q)
+    got = merge_projections(q, cfg)
+    # a named flag: pytest would print the plans, whose naive merge's
+    # expressions are exponential as trees
+    same = structurally_equal(got, old_merge_projections(q, cfg))
+    assert same
+    projections = [n for n in all_nodes(got) if isinstance(n, Project)]
+    # naive merging leaves one projection; the safety check fences some pairs
+    assert len(projections) == 1 if naive else 1 < len(projections) < 96
+
+
+def test_projections_without_targets_merge_as_the_rescanning_loop():
+    r = Relation("R", ("a", "b"))
+    plans = [Project((), Project(((Arith("+", Attr("a"), Attr("b")), "a"),), r)),
+             Project(((Const(1), "x"),), Project((), r)),
+             Project((), Project((), r))]
+    for q in plans:
+        for cfg in (RewriteConfig(), RewriteConfig(unsafe_naive_merge=True)):
+            got = merge_projections(q, cfg)
+            assert structurally_equal(got, old_merge_projections(q, cfg))
+            assert isinstance(got.child, Relation)
+
+
+# ---------------------------------------------------------------------------
+# attribute factoring, against the code before attribute targets were skipped
+
+
+def _random_factorable(rng, depth):
+    """Conditionals ``if p then A (+) d else A`` in either branch order and
+    either operand order, where the two A are one object or equal copies,
+    nested in each other and in other operators; some near misses have
+    different A."""
+    leaf = rng.choice((Attr("a"), Attr("b"), Const(rng.randrange(3))))
+    if depth == 0 or rng.random() < 0.15:
+        return leaf
+    sub = [_random_factorable(rng, depth - 1) for _ in range(3)]
+    roll = rng.random()
+    if roll < 0.2:
+        return Arith(rng.choice(("+", "*")), sub[0], sub[1])
+    if roll < 0.3:
+        return BoolOp("and", (Cmp("<", sub[0], sub[1]), Cmp("=", sub[2], leaf)))
+    base = sub[0]
+    same = base if rng.random() < 0.5 else substitute_attrs(base, {"a": Attr("a"), "b": Attr("b")})
+    if rng.random() < 0.15:
+        same = sub[2]  # most likely a near miss
+    op = rng.choice(("+", "-", "*", "/"))
+    bigger = Arith(op, same, sub[1]) if rng.random() < 0.6 else Arith(op, sub[1], same)
+    pred = Cmp(rng.choice(("=", "<")), sub[2], Const(rng.randrange(3)))
+    return Cond(pred, bigger, base) if rng.random() < 0.5 else Cond(pred, base, bigger)
+
+
+def _factor_corpus():
+    rng = random.Random(2207)
+    stacks = [_update_stack(rng, rng.randint(1, 12)) for _ in range(60)] + [reenact_txn_stack()]
+    exprs = [random_dag(rng, rng.randint(1, 40)) for _ in range(150)]
+    exprs += [_random_factorable(rng, rng.randint(1, 5)) for _ in range(300)]
+    exprs += [e for q in stacks for n in all_nodes(q) if isinstance(n, Project) for e, _ in n.targets]
+    return stacks, exprs
+
+
+FACTOR_STACKS, FACTOR_EXPRS = _factor_corpus()
+
+
+def test_factor_expression_matches_old_code():
+    factored = 0
+    for i, e in enumerate(FACTOR_EXPRS):
+        want, got = old_factor_expression(e), factor_expression(e)
+        assert structurally_equal(got, want), i
+        assert (got is e) == (want is e), i
+        factored += want is not e
+    assert 100 < factored < len(FACTOR_EXPRS) - 100
+
+
+def test_factor_attributes_matches_old_code():
+    unchanged = 0
+    for i, q in enumerate(FACTOR_STACKS + CORPUS):
+        want, got = old_factor_attributes(q), factor_attributes(q)
+        assert structurally_equal(got, want), i
+        assert (got is q) == (want is q), i
+        unchanged += want is q
+    assert 50 < unchanged < len(FACTOR_STACKS) + len(CORPUS) - 50
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 that rewriting one candidate at a time and rescanning the graph built.
 
 The rescanning rules are kept verbatim in ``rescan_reference``. On the
-pipeline corpus and on the random plans of the move-around tests, every
-rule must build a structurally equal plan, return its input object when
-the reference does, and ``remove_dupelim_by_set`` must ask the same choices
-in the same order.
+pipeline corpus, on the random plans of the move-around tests and on
+unions of selection chains, every rule must build a structurally equal
+plan, return its input object when the reference does, and
+``remove_dupelim_by_set`` must ask the same choices in the same order.
 """
 import random
 
@@ -17,17 +17,43 @@ from test_move_around import joins_of_chains
 from test_pipeline_memo import CORPUS, RecordingChoice
 
 from provopt import rewrites
-from provopt.algebra import structurally_equal
+from provopt.algebra import (
+    Attr, Cmp, Const, Project, Relation, Select, Union, identity_targets, structurally_equal,
+)
+
+
+def union_held_chains(rng, count):
+    """``project`` over a union of two selection chains over R(a, b[, c])
+    and S, the columns kept and read drawn at random. Half the unions read
+    their inputs through projections of the kept columns, so prunings in
+    the chains are taken; under the other half the union refuses them."""
+    for _ in range(count):
+        sch = ("a", "b", "c")[:rng.randint(2, 3)]
+        keep = tuple(a for a in sch if rng.random() < 0.5) or sch[:1]
+        topped = rng.random() < 0.5
+        inputs = []
+        for name in "RS":
+            node = Relation(name, sch)
+            for i in range(rng.randint(0, 12)):
+                node = Select(Cmp("<>", Attr(rng.choice(sch)), Const(i)), node)
+                if rng.random() < 0.1:
+                    node = Project(identity_targets(sch), node)
+            inputs.append(Project(identity_targets(keep), node) if topped else node)
+        out = keep if topped else sch
+        yield Project(identity_targets(tuple(a for a in out if rng.random() < 0.7) or out[:1]),
+                      Union(*inputs))
 
 
 def _plans():
     """(plan, base keys): the pipeline corpus, then the move-around tests'
-    random plans and joins of selection chains."""
+    random plans and joins of selection chains, then unions of chains."""
     yield from CORPUS
     rng = random.Random(12)
     for _ in range(300):
         yield random_query(rng, 6)[0], {}
     for q in joins_of_chains(rng, 600):
+        yield q, {}
+    for q in union_held_chains(rng, 300):
         yield q, {}
 
 
