@@ -5,6 +5,7 @@ Grammar (s-expressions; see README for the full reference)::
     node   := (rel NAME [(attrs NAME*)])
             | (select EXPR node)
             | (project TARGET+ node)          TARGET := (EXPR -> NAME)
+            | (fence TARGET+ node)            a projection materialized as written
             | (join COND node node)           COND   := (= NAME NAME) | (and (= NAME NAME)+)
             | (cross node node) | (union node node)
             | (intersect node node) | (diff node node)
@@ -269,13 +270,13 @@ def parse_node(x, catalog: Optional[Mapping[str, tuple[str, ...]]]) -> Iterator:
         if len(args) != 2:
             _err(x, "(select EXPR node)")
         return Select((yield parse_expr(args[0])), (yield node_arg(args[1])))
-    if kind == "project":
+    if kind in ("project", "fence"):
         if len(args) < 2:
-            _err(x, "(project TARGET+ node)")
+            _err(x, f"({kind} TARGET+ node)")
         targets = []
         for a in args[:-1]:
             targets.append((yield _parse_target(a)))
-        return Project(tuple(targets), (yield node_arg(args[-1])))
+        return Project(tuple(targets), (yield node_arg(args[-1])), materialize=kind == "fence")
     if kind == "join":
         if len(args) != 3:
             _err(x, "(join COND node node)")
@@ -405,7 +406,8 @@ def format_plan(node: Node) -> str:
             texts = fold_expr((e for e, _ in n.targets), _format_step)
             targets = " ".join(f"({t} -> {format_name(name)})"
                                for t, (_, name) in zip(texts, n.targets))
-            return f"(project {targets} {fmt(n.child)})"
+            kind = "fence" if n.materialize else "project"
+            return f"({kind} {targets} {fmt(n.child)})"
         if isinstance(n, Product) and n.pairs:
             eqs = [f"(= {format_name(a)} {format_name(b)})" for a, b in n.pairs]
             cond = eqs[0] if len(eqs) == 1 else "(and " + " ".join(eqs) + ")"

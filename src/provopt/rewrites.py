@@ -265,7 +265,7 @@ def _reshape(n: Node, before: tuple[str, ...], after: tuple[str, ...], parents, 
     """The precondition of changing ``n``'s output from ``before`` to
     ``after`` in the graph a pass has built so far (``current`` gives what
     stands in a node's place, a node in ``gone`` passes its input's columns,
-    ``wrapped`` maps a node to the projections pulled above it, inner first):
+    one in ``wrapped`` has projections pulled above it, which keep its output):
     each ancestor whose schema changes is re-derived over leaves of its
     inputs' schemas. None when one is malformed (a union over inputs of
     different arity, a projection reading a column that is gone); else
@@ -278,10 +278,7 @@ def _reshape(n: Node, before: tuple[str, ...], after: tuple[str, ...], parents, 
     node = n
     while True:
         old, new = shapes[node]
-        if old != new and node in wrapped:
-            if not all(expr_attrs(e) <= set(new) for e, _ in wrapped[node][0]):
-                return None
-        elif old != new:
+        if old != new and node not in wrapped:  # a projection pulled above it keeps its output
             for p in parents[node]:
                 if all(p is not q for _, q in todo):
                     heappush(todo, (order[p], p))
@@ -491,11 +488,12 @@ def pull_up_prov_projection(root: Node) -> Node:
         was = over_schemas(parent, inputs).schema
         now = over_schemas(parent, [schema_of(reduced) if c is n else s
                                     for c, s in zip(parent.children, inputs)]).schema
-        if any(src not in now or name in now for name, src in pull.items()):
+        if any(name in now for name in pull):
             return node
         targets = identity_targets(now) + tuple((Attr(src), name) for name, src in pull.items())
+        # an ancestor product that renames a column would read another column under its name
         if _reshape(parent, was, tuple(t[1] for t in targets), parents, order(),
-                    lambda c: done.get(c, c), wrapped=wrapped) is None:
+                    lambda c: done.get(c, c), wrapped=wrapped) != []:
             return node
         wrapped.setdefault(parent, []).insert(0, targets)
         done[n] = reduced
@@ -547,38 +545,38 @@ def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = Non
     receiving input are injective, the next conditions over the same
     attributes (all, when it holds no join) are placed at once, as one after
     another would be: they take one path, a crossed join passes each to its
-    other input, and carried back through injective pairs each is itself."""
+    other input, and carried back through injective pairs each is itself.
+    Each condition is one descent (:func:`_landings`), each batch one
+    rebuild (:func:`_place`)."""
     seen = list(looked.get(j if copied is None else copied, (0, 0)))
     chains = [_chain_conjuncts(kid) for kid in j.children]
     while True:
         kids = list(j.children)
         for src_idx, mapping in ((0, dict(j.pairs)), (1, {b: a for a, b in j.pairs})):
             dst_idx = 1 - src_idx
-            landed: list[Node] = []
+            landed: list[list] = []  # per condition placed, its landings
             for cond in chains[src_idx][seen[src_idx]:]:
                 attrs = expr_attrs(cond)
                 if attrs and attrs <= mapping.keys():
                     transferred = substitute_attrs(cond, {a: Attr(mapping[a]) for a in attrs})
                     if not any(transferred == e for e in chains[dst_idx]):
-                        placed, inserted = _place_pushed(transferred, kids[dst_idx])
-                        if inserted and not landed:
+                        spots = _landings(transferred, kids[dst_idx])
+                        if spots and not landed:
                             joins = [n for n in all_nodes(kids[dst_idx]) if isinstance(n, Join)]
                             takes_all = all(len(dict(x.pairs)) == len({b for _, b in x.pairs})
                                             == len(x.pairs) for x in (j, *joins))
                             along = attrs
-                        elif inserted and joins and attrs != along:
+                        elif spots and joins and attrs != along:
                             takes_all = False  # another path: placed after these, first
                             break
-                        if inserted:
-                            landed.append(placed)
+                        if spots:
+                            landed.append(spots)
                 seen[src_idx] += 1
                 if landed and not takes_all:
                     break
             if landed:
                 # the joins the placements crossed can take their conditions
-                kids[dst_idx] = (_rebuild_placed(kids[dst_idx], landed,
-                                                 lambda c, old: _settle(c, looked, old))
-                                 if joins else _merge_placements(kids[dst_idx], landed))
+                kids[dst_idx] = _place(kids[dst_idx], landed, lambda c, old: _settle(c, looked, old))
                 chains[dst_idx] = _chain_conjuncts(kids[dst_idx])
                 if not takes_all:
                     break
@@ -588,98 +586,75 @@ def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = Non
         j = replace_children(j, tuple(kids))
 
 
-def _merge_placements(node: Node, placed: list[Node]) -> Node:
-    """``node`` with the selections of several :func:`_place_pushed`
-    results, each computed on ``node`` itself, as placing the conditions one
-    after another would leave it (:func:`_rebuild_placed`)."""
-    return placed[0] if len(placed) == 1 else _rebuild_placed(node, placed)
-
-
-def _rebuild_placed(node: Node, placed: list[Node], settle=None) -> Node:
-    """``node`` with the selections of :func:`_place_pushed` results, each
-    computed on ``node`` itself, as placing the conditions one after another
-    would leave it; ``settle(join, the join it copies)``, when given, runs
-    on each join the placements crossed, children first. Each condition lands
-    where it would alone, below those landed at the same spot before it, and
-    not at all when an identical one landed there first. The walk goes down
-    the paths the results rebuilt, as a list of visits (a node and its copies
-    that differ from it), and the rebuild runs over it backwards."""
-    visits = [(node, placed)]
-    #: per visit, the (child index, visit) pairs below it
-    below: list[list[tuple[int, int]]] = []
-    rebuilt: list[list[Node]] = []  # per visit, its copies that are not selections over it
-    for n, copies in visits:  # grows as the walk goes
-        rebuilt.append([c for c in copies if not (isinstance(c, Select) and c.child is n)])
-        into = []
-        for idx, child in enumerate(n.children):
-            changed = [c.children[idx] for c in rebuilt[-1] if c.children[idx] is not child]
-            if changed:
-                into.append((idx, len(visits)))
-                visits.append((child, changed))
-        below.append(into)
-    out: list[Node] = [None] * len(visits)
-    for v in reversed(range(len(visits))):  # children after their parent in visits
-        n, copies = visits[v]
-        kids = list(n.children)
-        for idx, w in below[v]:
-            kids[idx] = out[w]
-        merged = n if not below[v] else next(
-            (c for c in rebuilt[v] if all(map(is_, kids, c.children))), None
-        ) or replace_children(n, tuple(kids))
-        if settle is not None and below[v] and isinstance(merged, Join):
-            merged = settle(merged, n)
-        wrapping: list[Select] = []  # the selections landed over n, one per condition
-        for c in copies:
-            if isinstance(c, Select) and c.child is n and not any(c.cond == w.cond for w in wrapping):
-                wrapping.append(c)
-        for w in reversed(wrapping):
-            merged = w if w.child is merged else Select(w.cond, merged)
-        out[v] = merged
-    return out[0]
-
-
-def _place_pushed(cond: Expr, node: Node) -> tuple[Node, bool]:
-    """Insert a selection as deep as it can legally travel.
-
-    Returns the rewritten subtree and False when an identical conjunct
-    already guards the path (nothing to do). The descent is a list of
-    visits, each a node and the condition renamed into its columns, and
-    the rebuild runs over it backwards, so any depth runs at any
+def _landings(cond: Expr, node: Node) -> list[tuple[tuple[int, ...], Expr]]:
+    """Where a selection on ``node`` lands when pushed as deep as it can
+    legally travel: per spot, the child indexes down to it and the condition
+    in its columns. Empty when an identical conjunct guards every path. The
+    descent is a list of visits, each a node, the condition renamed into its
+    columns and where it was entered from, so any depth runs at any
     recursion limit."""
-    visits = [(node, cond, expr_attrs(cond))]
-    #: per visit, the (child index, visit) pairs it moves into; None when guarded
-    moves: list[Optional[list[tuple[int, int]]]] = []
-    for n, c, attrs in visits:  # grows as the descent goes
+    visits = [(node, cond, expr_attrs(cond), None)]
+    spots = []
+    for v, (n, c, attrs, _) in enumerate(visits):  # grows as the descent goes
         if isinstance(n, Select) and any(c == x for x in conjuncts(n.cond)):
-            moves.append(None)
             continue
-        into = []
+        entered = False
         for idx, child in enumerate(n.children):
             fmap = filter_map(n, idx)
             if fmap is None or not attrs <= fmap.keys():
                 continue
-            into.append((idx, len(visits)))
             renamed = {a: Attr(fmap[a]) for a in attrs if fmap[a] != a}
             visits.append((child, substitute_attrs(c, renamed) if renamed else c,
-                           frozenset(fmap[a] for a in attrs)))
+                           frozenset(fmap[a] for a in attrs), (v, idx)))
+            entered = True
             if not isinstance(n, Union):  # a filter over a union reaches every input
                 break
-        moves.append(into)
-    placed: list[tuple[Node, bool]] = [None] * len(visits)
+        if not entered:
+            path, came = [], visits[v][3]
+            while came is not None:
+                path.append(came[1])
+                came = visits[came[0]][3]
+            spots.append((tuple(reversed(path)), c))
+    return spots
+
+
+def _place(node: Node, landed: list[list[tuple[tuple[int, ...], Expr]]], settle=None) -> Node:
+    """``node`` with each condition's :func:`_landings` on it selected, as
+    placing the conditions one after another would leave it: a condition
+    lands below those landed at the same spot before it, and not at all when
+    an identical one landed there first. ``settle(join, the join it copies)``,
+    when given, runs on each join whose inputs changed, children first. The
+    spots' paths make one list of visits, and the rebuild runs over it
+    backwards."""
+    visits = [node]
+    below: list[dict[int, int]] = [{}]  # per visit, child index -> the visit below
+    over: list[list[Expr]] = [[]]  # per visit, the conditions landed there, outermost first
+    for spots in landed:
+        for path, cond in spots:
+            v = 0
+            for idx in path:
+                if idx not in below[v]:
+                    below[v][idx] = len(visits)
+                    visits.append(visits[v].children[idx])
+                    below.append({})
+                    over.append([])
+                v = below[v][idx]
+            if not any(cond == c for c in over[v]):
+                over[v].append(cond)
+    out: list[Node] = [None] * len(visits)
     for v in reversed(range(len(visits))):  # children after their parent in visits
-        n, c, _ = visits[v]
-        if moves[v] is None:
-            placed[v] = n, False
-        elif not moves[v]:
-            placed[v] = Select(c, n), True
-        else:
+        n = visits[v]
+        if below[v]:
             kids = list(n.children)
-            inserted = False
-            for idx, w in moves[v]:
-                kids[idx], below = placed[w]
-                inserted = inserted or below
-            placed[v] = (replace_children(n, tuple(kids)), True) if inserted else (n, False)
-    return placed[0]
+            for idx, w in below[v].items():
+                kids[idx] = out[w]
+            n = replace_children(n, tuple(kids))
+            if settle is not None and isinstance(n, Join):
+                n = settle(n, visits[v])
+        for cond in reversed(over[v]):
+            n = Select(cond, n)
+        out[v] = n
+    return out[0]
 
 
 def _enforce_ancestor_equalities(root: Node, ec_memo: Optional[dict] = None) -> Node:

@@ -1,11 +1,15 @@
 """Helpers that only tests use: one-row and row-list wrappers around the
 executor's column-at-a-time expression evaluation, bag equality up to column
-order, and counts over plans and expressions."""
+order, plan comparison with a short failure report, and counts over plans
+and expressions."""
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from provopt.algebra import Attr, Expr, Node, Value, all_nodes, expr_nodes, fold_expr
+from provopt.algebra import (
+    Attr, Expr, Node, Value, all_nodes, expr_nodes, fold_expr, schema_of, structurally_equal,
+)
 from provopt.executor import BagRelation, EvalError, evaluate_exprs, selection_mask
 
 
@@ -67,6 +71,21 @@ def eval_expr(e: Expr, env: Mapping[str, Value]) -> Value:
 def _predicate(cond: Expr, env: Mapping[str, Value]) -> bool:
     """Evaluate one selection condition over an environment."""
     return compile_predicate(cond, tuple(env))(tuple(env.values()))
+
+
+def plan_summary(root: Node) -> str:
+    """A plan's node count per operator and its root schema: text that grows
+    with the graph, where the repr of a shared graph grows with its tree."""
+    counts = Counter(type(n).__name__ for n in all_nodes(root))
+    return f"{dict(sorted(counts.items()))} -> {schema_of(root)}"
+
+
+def assert_same_plan(got: Node, want: Node, note: object = "") -> None:
+    """Assert that two plans are structurally equal. A failure reports each
+    plan's :func:`plan_summary`, never the plans: pytest would print both
+    reprs, which on a merged reenactment stack are exponential."""
+    same = structurally_equal(got, want)
+    assert same, f"plans differ: got {plan_summary(got)}, want {plan_summary(want)} {note}"
 
 
 def node_count(root: Node) -> int:

@@ -2,10 +2,12 @@
 without recursing, so it runs on plans of any depth, and places all of one
 selection chain's conditions across a join in one rescan of the graph.
 
-The recursive helpers below are the ones the work lists replaced, kept as
-the reference: below the recursion limit, the rule must build the same
-plan with either. The transfer rule that placed one condition per rescan
-is kept the same way.
+The recursive helpers below, a recursive descent with the contract of
+``rewrites._landings`` and the recursive ``_pair_guarded_above`` that the
+work list replaced, are the reference: below the recursion limit, the rule
+must build the same plan with either. The transfer rule that placed one
+condition per rescan is kept the same way, and placing several conditions
+in one rebuild must build what placing them one after another builds.
 """
 import random
 import sys
@@ -13,6 +15,7 @@ import time
 
 import pytest
 
+from helpers import assert_same_plan
 from randgen import random_query, share_subtree
 from rescan_reference import _rewrite
 
@@ -49,6 +52,24 @@ def _old_place_pushed(cond, node):
     return (replace_children(node, tuple(kids)), True) if inserted else (node, False)
 
 
+def _recursive_landings(cond, node):
+    """:func:`rewrites._landings` as a recursive descent."""
+    if isinstance(node, Select) and any(cond == c for c in conjuncts(node.cond)):
+        return []
+    attrs = expr_attrs(cond)
+    spots, entered = [], False
+    for idx, child in enumerate(node.children):
+        fmap = filter_map(node, idx)
+        if fmap is None or not attrs <= fmap.keys():
+            continue
+        renamed = substitute_attrs(cond, {a: Attr(fmap[a]) for a in attrs})
+        spots += [((idx, *path), c) for path, c in _recursive_landings(renamed, child)]
+        entered = True
+        if not isinstance(node, Union):
+            break
+    return spots if entered else [((), cond)]
+
+
 def _old_pair_guarded_above(n, parents, m1, m2, memo):
     key = (id(n), m1, m2)
     if key in memo:
@@ -75,7 +96,7 @@ def _old_pair_guarded_above(n, parents, m1, m2, memo):
 
 def with_recursive_helpers(fn, plan):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rewrites, "_place_pushed", _old_place_pushed)
+        mp.setattr(rewrites, "_landings", _recursive_landings)
         mp.setattr(rewrites, "_pair_guarded_above",
                    lambda n, parents, m1, m2: _old_pair_guarded_above(n, parents, m1, m2, {}))
         return fn(plan)
@@ -234,10 +255,15 @@ def test_transfers_match_one_condition_per_rescan(make):
 
 
 def test_random_transfers_match_one_condition_per_rescan(monkeypatch):
-    merged = []
-    merge = rewrites._merge_placements
-    monkeypatch.setattr(rewrites, "_merge_placements",
-                        lambda node, placed: merged.append(len(placed)) or merge(node, placed))
+    merged = []  # conditions per batch placed in an input that holds no join
+    place = rewrites._place
+
+    def counted(node, landed, settle=None):
+        if not any(isinstance(n, Join) for n in all_nodes(node)):
+            merged.append(len(landed))
+        return place(node, landed, settle)
+
+    monkeypatch.setattr(rewrites, "_place", counted)
     rng = random.Random(12)
     plans = [q for q, _ in (random_query(rng, 6) for _ in range(300))]
     plans += list(joins_of_chains(rng, 1500))
@@ -295,3 +321,40 @@ def test_a_200_level_chain_into_a_join_moves_in_linear_renames(monkeypatch):
         assert right.cond == Cmp("<>", Attr("d"), Const(i))
         left, right = left.child, right.child
     assert left is plan.left.left and right is plan.left.right
+
+
+# ---------------------------------------------------------------------------
+# placing conditions: one descent each, one rebuild for several
+
+
+def test_conditions_at_one_spot_stack_in_order_and_once():
+    r = Relation("R", ("a", "b"))
+    plan = Project(((Attr("a"), "x"), (Attr("b"), "b")), r)
+    first, second = Cmp("=", Attr("x"), Const(1)), Cmp("<", Attr("b"), Const(2))
+    spots = [rewrites._landings(c, plan) for c in (first, second, first)]
+    assert spots[0] == [((0,), Cmp("=", Attr("a"), Const(1)))]
+    got = rewrites._place(plan, spots)
+    assert_same_plan(got, Project(plan.targets, Select(spots[0][0][1], Select(second, r))))
+    # an identical conjunct on the path guards it: no spot
+    assert rewrites._landings(first, Select(Cmp("=", Attr("x"), Const(1)), plan)) == []
+
+
+def test_placing_at_once_matches_placing_one_after_another():
+    rng = random.Random(23)
+    several = 0
+    for _ in range(400):
+        q, _ = random_query(rng, rng.randint(1, 6))
+        if rng.random() < 0.3:
+            q = share_subtree(rng, q)
+        sch = schema_of(q)
+        conds = [Cmp(rng.choice(("=", "<")), Attr(rng.choice(sch)), Const(rng.randrange(2)))
+                 for _ in range(rng.randint(1, 4))]
+        landed = [spots for spots in (rewrites._landings(c, q) for c in conds) if spots]
+        one_by_one = q
+        for c in conds:
+            spots = rewrites._landings(c, one_by_one)
+            if spots:
+                one_by_one = rewrites._place(one_by_one, [spots])
+        assert_same_plan(rewrites._place(q, landed) if landed else q, one_by_one)
+        several += len(landed) > 1
+    assert several > 100

@@ -12,14 +12,17 @@ import random
 import pytest
 
 import rescan_reference as reference
+from helpers import assert_same_plan, bags_equal
 from randgen import random_query
 from test_move_around import joins_of_chains
 from test_pipeline_memo import CORPUS, RecordingChoice
 
 from provopt import rewrites
 from provopt.algebra import (
-    Attr, Cmp, Const, Project, Relation, Select, Union, identity_targets, structurally_equal,
+    Attr, Cmp, Const, Cross, Diff, DupElim, Project, Relation, Select, Union, all_nodes,
+    identity_targets, structurally_equal,
 )
+from provopt.executor import BagRelation, evaluate
 
 
 def union_held_chains(rng, count):
@@ -110,3 +113,71 @@ def test_dupelim_by_set_asks_the_reference_choices(with_choice):
             asked += len(choice.calls)
     if with_choice:  # choices were asked, and some operators kept
         assert asked >= 300
+
+
+# ---------------------------------------------------------------------------
+# plans that reach the rules' rarer branches, which the corpora above miss
+
+
+def _copy_of_k(name):
+    """``T(k)`` under a projection passing ``k`` and a copy of it, ``name``."""
+    return Project(((Attr("k"), "k"), (Attr("k"), name)), Relation("T", ("k",)))
+
+
+def test_pull_up_refuses_a_copy_whose_name_the_parent_holds():
+    # the cross product already has a column k2: pulled above it, the copy
+    # would be a second one
+    q = Cross(Relation("S", ("k2",)), _copy_of_k("k2"))
+    assert rewrites.pull_up_prov_projection(q) is q
+    assert reference.pull_up_prov_projection(q) is q
+
+
+def test_pull_up_refuses_a_reordering_that_a_product_above_renames():
+    # pulled above the duplicate elimination, the copy m' moves behind m;
+    # the cross product over it then primes m to m' and m' to m'', so the
+    # selection would read m under m'. The rescanning reference makes that
+    # pull and changes the result.
+    copies = Project(((Attr("k"), "m'"), (Attr("m"), "m"), (Attr("k"), "k")),
+                     Relation("R", ("m", "k")))
+    q = Select(Cmp("=", Attr("m'"), Const(1)), Cross(Relation("X", ("m",)), DupElim(copies)))
+    db = {"R": BagRelation.from_rows(("m", "k"), [(1, 2), (2, 1)]),
+          "X": BagRelation.from_rows(("m",), [(7,)])}
+    assert rewrites.pull_up_prov_projection(q) is q
+    assert not bags_equal(evaluate(reference.pull_up_prov_projection(q), db), evaluate(q, db))
+
+
+def test_pull_up_pulls_twice_into_one_parent():
+    # the second pull reorders the cross product's columns under the
+    # projection the first pull put above it, which keeps its output
+    q = Cross(_copy_of_k("k2"), Project(((Attr("b"), "b2"), (Attr("b"), "b")),
+                                        Relation("S", ("b",))))
+    got = rewrites.pull_up_prov_projection(q)
+    assert_same_plan(got, reference.pull_up_prov_projection(q))
+    assert isinstance(got.child, Project) and isinstance(got.child.child, Cross)
+
+
+@pytest.mark.parametrize("second", ["select", "union"])
+def test_pruning_walks_up_two_parents(second):
+    # pruning R under the shared selection re-derives both of its parents;
+    # a union, which would get inputs of different arity, refuses it
+    n = Select(Cmp("=", Attr("a"), Const(1)), Relation("R", ("a", "b", "c", "d")))
+    other = (Select(Cmp("=", Attr("c"), Const(2)), n) if second == "select"
+             else Union(n, Relation("T", ("a", "b", "c", "d"))))
+    q = Project(((Attr("a"), "a"),), Cross(Select(Cmp("=", Attr("b"), Const(1)), n), other))
+    got = rewrites.project_to_icols(q)
+    assert_same_plan(got, reference.project_to_icols(q))
+    assert any(isinstance(x, Project) and x.child is n.child for x in all_nodes(got)) == (
+        second == "select")
+
+
+def test_an_equality_under_a_difference_is_enforced():
+    # a = 1 and b = 1 license a = b at the cross product; a filter cannot
+    # move through a difference's right input, so the path to the root
+    # is unguarded
+    cross = Cross(Relation("R", ("a",)), Relation("S", ("b",)))
+    q = Diff(Relation("L", ("a", "b")),
+             Select(Cmp("=", Attr("a"), Const(1)), Select(Cmp("=", Attr("b"), Const(1)), cross)))
+    got = rewrites._enforce_ancestor_equalities(q)
+    assert_same_plan(got, reference._enforce_ancestor_equalities(q))
+    assert any(isinstance(x, Select) and x.cond == Cmp("=", Attr("a"), Attr("b"))
+               and x.child is cross for x in all_nodes(got))

@@ -82,6 +82,12 @@ class TestChoiceLog:
         with pytest.raises(EnumerationError):
             log.choose(2)
 
+    def test_out_of_range_predetermined_clamps_when_asked(self):
+        log = ChoiceLog(pending=[5, 2])
+        assert log.choose(2, clamp=True) == 1
+        assert log.choose(3, clamp=True) == 2
+        assert log.taken == [1, 2] and log.option_counts == [2, 3]
+
     def test_leftover_predetermined_raises(self):
         log = ChoiceLog(pending=[0, 1])
         log.choose(2)
@@ -245,6 +251,27 @@ class TestSimulatedAnnealing:
         b = optimize(pipeline, cost, strategy="sa", max_iters=40,
                      rng=random.Random(5))
         assert [p.path for p in a.trace] == [p.path for p in b.trace]
+
+    def test_a_shrinking_choice_point_clamps_the_kept_suffix(self, monkeypatch):
+        # a proposal that sets the first choice to 1 keeps a second choice
+        # of 1 or 2, out of range where that choice has one option
+        clamped = []
+        choose = ChoiceLog.choose
+
+        def recording(log, n, **kw):
+            clamped.append(bool(log.pending) and log.pending[0] >= n)
+            return choose(log, n, **kw)
+
+        monkeypatch.setattr(ChoiceLog, "choose", recording)
+
+        def pipeline(choose):
+            first = choose(2)
+            return first, choose(3 if first == 0 else 1)
+
+        res = optimize(pipeline, lambda path: 1.0 + path[1], strategy="sa", max_iters=40,
+                       rng=random.Random(1))
+        assert any(clamped)
+        assert {p.path for p in res.trace} == {(0, 0), (0, 1), (0, 2), (1, 0)}
 
     def test_finds_near_optimum_in_most_runs(self):
         pipeline, cost = self._pipeline_and_cost()

@@ -2,11 +2,16 @@ import sys
 
 import pytest
 
+from helpers import assert_same_plan
+from test_local_rules import reenact_txn_stack
+
 from provopt.algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Join, Project, Relation, Select,
-    Union, Window, structurally_equal,
+    Union, Window, all_nodes, structurally_equal,
 )
 from provopt.plantext import PlanSyntaxError, format_plan, parse_plan
+from provopt.rewrites import apply_pats
+from provopt.sqlgen import to_sql
 
 
 def roundtrip(node):
@@ -149,3 +154,14 @@ def test_roundtrip_at_5000_levels_of_expressions():
     text = format_plan(Project(((e, "x"),), Relation("R", ("a", "b"))))
     # compared as text, since comparing the expressions would recurse per level
     assert format_plan(parse_plan(text)) == text
+
+
+def test_fenced_projections_round_trip():
+    # the merged reenactment stack keeps the pairs it refused to merge as
+    # fences, which SQL generation makes CTEs of
+    plan = apply_pats(reenact_txn_stack())
+    assert sum(isinstance(n, Project) and n.materialize for n in all_nodes(plan)) == 27
+    again = parse_plan(format_plan(plan))
+    assert_same_plan(again, plan)
+    assert to_sql(again) == to_sql(plan)
+    roundtrip(Project(((Attr("a"), "b"),), Relation("R", ("a",)), materialize=True))

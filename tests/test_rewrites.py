@@ -18,7 +18,7 @@ from provopt.rewrites import (
     factor_expression, merge_projections, merge_selections,
     project_to_icols, pull_up_prov_projection, remove_dupelim_by_key,
     remove_dupelim_by_set, remove_redundant_projection, selection_move_around,
-    remove_window, total_expression_size, _place_pushed,
+    remove_window, total_expression_size, _landings, _place,
 )
 
 
@@ -267,9 +267,10 @@ class TestSelectionMoveAround:
 
     def test_pushed_condition_enters_every_union_input(self):
         r, s = Relation("R", ("a", "b")), Relation("S", ("c", "d"))
-        placed, inserted = _place_pushed(Cmp("=", Attr("b"), Const(2)), Union(r, s))
-        assert inserted
-        assert structurally_equal(placed, Union(Select(Cmp("=", Attr("b"), Const(2)), r),
+        union = Union(r, s)
+        spots = _landings(Cmp("=", Attr("b"), Const(2)), union)
+        assert spots
+        assert structurally_equal(_place(union, [spots]), Union(Select(Cmp("=", Attr("b"), Const(2)), r),
                                                 Select(Cmp("=", Attr("d"), Const(2)), s)))
 
 
