@@ -183,11 +183,16 @@ def instrument_agg_join(agg: Agg, instrumented_child: Node,
 def instrument_agg_window(agg: Agg, instrumented_child: Node,
                           prov_attrs: tuple[str, ...]) -> Node:
     """Window method: recompute each aggregate over the witness rows with a
-    whole-partition window partitioned by the group-by attributes."""
+    whole-partition window partitioned by the group-by attributes. An output
+    that reuses an input column's name is computed under a fresh name, which
+    the projection renames."""
     node: Node = instrumented_child
+    names: dict[str, str] = {}
     for fn, arg, out in agg.aggs:
-        node = Window(fn, arg, out, agg.group_by, (), node, FRAME_PARTITION)
-    return Project(identity_targets(schema_of(agg)) + identity_targets(prov_attrs), node)
+        names[out] = fresh_name(out, schema_of(node))
+        node = Window(fn, arg, names[out], agg.group_by, (), node, FRAME_PARTITION)
+    return Project(tuple((Attr(names.get(a, a)), a) for a in schema_of(agg))
+                   + identity_targets(prov_attrs), node)
 
 
 # ---------------------------------------------------------------------------

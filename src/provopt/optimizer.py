@@ -8,7 +8,11 @@ only O(depth) state: the next iteration replays a prefix of the previous
 path with the latest possible choice bumped, and defaults to option 0 from
 there on.
 
-Strategies:
+:func:`optimize` is the one search loop. Each turn it checks the stopping
+rule, seeds the prefix the strategy proposes, runs the pipeline, reads back
+the path and the option counts, costs the plan, sends the outcome to the
+strategy and charges the time. A strategy is a generator that only proposes
+the next prefix from the outcomes it is sent:
 
 * sequential: exhaustive left-to-right leaf order (the default),
 * binary: exhaustive, but bisecting the leaf order so early iterations
@@ -27,7 +31,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from .algebra import sharing_subplans
 
@@ -52,12 +56,6 @@ class ChoiceLog:
     pending: list[int] = field(default_factory=list)
     option_counts: list[int] = field(default_factory=list)
     max_state_len: int = 0
-    _exhausted: bool = False
-
-    def has_more_plans(self) -> bool:
-        """True before the first iteration and until every choice point has
-        run out of untried options."""
-        return not self._exhausted
 
     def choose(self, num_options: int, *, clamp: bool = False,
                fallback: Optional[Callable[[int], int]] = None) -> int:
@@ -90,16 +88,6 @@ class ChoiceLog:
             raise EnumerationError(
                 "pipeline finished with predetermined choices left over; "
                 "the previous iteration saw a longer path here")
-
-    def plan_next_iteration(self) -> bool:
-        """Set up the path for the next leaf; False when exhausted."""
-        nxt = _successor(self.taken, self.option_counts) or []
-        self.taken = []
-        self.option_counts = []
-        self.pending = nxt
-        self._exhausted = not nxt
-        self._track()
-        return bool(nxt)
 
     def seed(self, prefix: Iterable[int]) -> None:
         self.taken = []
@@ -143,17 +131,16 @@ class OptimizeResult:
     log: ChoiceLog
 
 
-#: runs the pipeline once with a choose callback; the plan, or ``_FAILED``
-Attempt = Callable[[Callable[[int], int]], object]
-
-
-def _run_lenient(attempt: Attempt, log: ChoiceLog, prefix: Iterable[int]):
-    """Run the pipeline once with an approximate predetermined prefix:
-    out-of-range options are clamped and leftovers ignored."""
-    log.seed(prefix)
-    plan = attempt(lambda n: log.choose(n, clamp=True))
-    log.pending = []
-    return plan
+#: What a strategy proposes for one run: the prefix to replay; ``exact``
+#: (every option in range and none left over) or approximate (out-of-range
+#: options clamped, leftovers dropped); ``fallback(num_options)`` for the
+#: choices past the prefix (None: the first option); and ``once``, which
+#: skips costing a path costed before.
+Proposal = tuple[list[int], bool, Optional[Callable[[int], int]], bool]
+#: What the strategy is sent back: the path taken, its option counts and its
+#: costed plan, None when ``once`` skipped the costing.
+Outcome = tuple[tuple[int, ...], tuple[int, ...], Optional[CostedPlan]]
+Strategy = Generator[Proposal, Outcome, None]
 
 
 def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
@@ -180,56 +167,60 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
     so the pipeline and ``cost_fn`` of one iteration reuse the subplans and
     facts of earlier ones; it ends before this call returns or raises.
     """
+    if strategy == "seq":
+        proposals = _sequential()
+    elif strategy == "bin":
+        proposals = _binary()
+    elif strategy == "sa":
+        if max_iters is None:
+            max_iters = 1 + _frozen_step(sa_temp, sa_cooling)  # the first plan, then one per step
+        proposals = _annealing(rng or random.Random(0), sa_temp, sa_cooling)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
     budget = OptimizerBudget(clock=clock or time.monotonic)
     log = ChoiceLog()
     trace: list[CostedPlan] = []
+    costed_paths: set[tuple[int, ...]] = set()
     best: Optional[CostedPlan] = None
     last_error: Optional[Exception] = None
 
-    def attempt(choose):
-        nonlocal last_error
-        try:
-            return pipeline(choose)
-        except EnumerationError:
-            raise
-        except Exception as exc:
-            last_error = exc
-            return _FAILED  # recorded with infinite cost
-
-    def should_continue() -> bool:
-        if stop == "adaptive" and not continue_adaptive(budget):
-            return False
-        if max_iters is not None and budget.iterations >= max_iters:
-            return False
-        return True
-
-    def consider(plan, path) -> CostedPlan:
-        nonlocal best, last_error
-        try:
-            c = cost_fn(plan) if plan is not _FAILED else math.inf
-        except Exception as exc:
-            last_error = exc
-            c = math.inf
-        costed = CostedPlan(plan, c, tuple(path))
-        trace.append(costed)
-        budget.iterations += 1
-        if c < budget.best_cost:
-            budget.best_cost = c
-            best = costed
-        return costed
-
     with sharing_subplans():
-        if strategy == "seq":
-            _search_sequential(attempt, log, budget, consider, should_continue)
-        elif strategy == "bin":
-            _search_binary(attempt, log, budget, consider, should_continue)
-        elif strategy == "sa":
-            if max_iters is None:
-                max_iters = 1 + _frozen_step(sa_temp, sa_cooling)  # the first plan, then one per step
-            _search_annealing(attempt, log, budget, consider, should_continue,
-                              rng or random.Random(0), sa_temp, sa_cooling)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        proposal: Optional[Proposal] = next(proposals)
+        while proposal is not None:
+            if (stop == "adaptive" and not continue_adaptive(budget)
+                    or max_iters is not None and budget.iterations >= max_iters):
+                break
+            started = budget.clock()
+            prefix, exact, fallback, once = proposal
+            log.seed(prefix)
+            try:
+                plan = pipeline(lambda n: log.choose(n, clamp=not exact, fallback=fallback))
+            except EnumerationError:
+                raise
+            except Exception as exc:
+                plan, last_error = _FAILED, exc  # recorded with infinite cost
+            if not exact:
+                log.pending = []
+            elif plan is not _FAILED:
+                log.finish_iteration()
+            path = tuple(log.taken)
+            costed = None
+            if not (once and path in costed_paths):
+                try:
+                    c = cost_fn(plan) if plan is not _FAILED else math.inf
+                except Exception as exc:
+                    c, last_error = math.inf, exc
+                costed = CostedPlan(plan, c, path)
+                trace.append(costed)
+                costed_paths.add(path)
+                budget.iterations += 1
+                if c < budget.best_cost:
+                    budget.best_cost, best = c, costed
+            try:
+                proposal = proposals.send((path, tuple(log.option_counts), costed))
+            except StopIteration:
+                proposal = None
+            budget.time_optimizing += budget.clock() - started
 
     if best is None:
         if last_error is None:
@@ -239,78 +230,40 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
     return OptimizeResult(best, trace, budget, log)
 
 
-def _search_sequential(attempt, log, budget, consider, should_continue):
-    first = True
-    while log.has_more_plans() and should_continue():
-        started = budget.clock()
-        if first:
-            log.seed([])
-            first = False
-        plan = attempt(log.choose)
-        if plan is not _FAILED:
-            log.finish_iteration()
-        path = list(log.taken)
-        log.plan_next_iteration()
-        consider(plan, path)
-        budget.time_optimizing += budget.clock() - started
+def _sequential() -> Strategy:
+    """Every leaf once, left to right: each run replays the last path's successor."""
+    prefix = []
+    while prefix is not None:
+        path, counts, _ = yield prefix, True, None, False
+        prefix = _successor(path, counts)
 
 
-def _search_binary(attempt, log, budget, consider, should_continue):
+def _binary() -> Strategy:
     """Bisect the leaf order; exhaustive and duplicate-free.
 
-    Intervals are pairs of realized paths; the midpoint prefix bumps the
-    first differing choice to roughly the average and extends with first
-    options.
+    Intervals are pairs of realized paths, the first and the last leaf to
+    begin with; the midpoint prefix bumps the first differing choice to
+    roughly the average and extends with first options. A midpoint that
+    lands on an end means the subtree left of the upper end's branch is
+    exhausted, and the lower end's successor is tried instead.
     """
-    realized: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def realize(prefix, *, maximal=False):
-        started = budget.clock()
-        if maximal:
-            log.seed([])
-            plan = attempt(lambda n: log.choose(n, fallback=lambda n: n - 1))
-        else:
-            plan = _run_lenient(attempt, log, prefix)
-        path = tuple(log.taken)
-        counts = tuple(log.option_counts)
-        fresh = path not in realized
-        realized[path] = counts
-        if fresh:
-            consider(plan, path)
-        budget.time_optimizing += budget.clock() - started
-        return path
-
-    lo = realize([])
-    if not should_continue():
-        return
-    hi = realize([], maximal=True)
+    lo, lo_counts, _ = yield [], False, None, True
+    hi, _, _ = yield [], False, lambda n: n - 1, True
+    counts = {lo: lo_counts}
     intervals = [(lo, hi)]
-    while intervals and should_continue():
+    while intervals:
         lo, hi = intervals.pop(0)
-        if lo == hi:
+        i = next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b), None)
+        if i is None:  # equal, or one a prefix of the other
             continue
-        mid = _bisect(lo, hi, realize, realized)
-        if mid is None or mid == hi or mid == lo:
-            continue
-        intervals.append((lo, mid))
-        intervals.append((mid, hi))
-
-
-def _bisect(lo, hi, realize, realized):
-    i = 0
-    while i < min(len(lo), len(hi)) and lo[i] == hi[i]:
-        i += 1
-    if i >= min(len(lo), len(hi)):
-        return None
-    pick = max(lo[i] + 1, (lo[i] + hi[i]) // 2)
-    mid = realize(list(lo[:i]) + [pick])
-    if mid == hi or mid == lo:
-        # subtree left of hi's branch is exhausted; fall back to lo's successor
-        mid = _successor(lo, realized[lo])
-        if mid is None:
-            return None
-        mid = realize(list(mid))
-    return mid
+        mid, counts[mid], _ = yield [*lo[:i], max(lo[i] + 1, (lo[i] + hi[i]) // 2)], False, None, True
+        if mid in (lo, hi):
+            nxt = _successor(lo, counts[lo])
+            if nxt is None:
+                continue
+            mid, counts[mid], _ = yield nxt, False, None, True
+        if mid not in (lo, hi):
+            intervals += [(lo, mid), (mid, hi)]
 
 
 def _successor(path, counts):
@@ -343,9 +296,8 @@ def _frozen_step(temp0: float, cooling: float) -> int:
     return step
 
 
-def _search_annealing(attempt, log, budget, consider, should_continue,
-                      rng: random.Random, temp0: float, cooling: float):
-    """Simulated annealing over choice paths.
+def _annealing(rng: random.Random, temp0: float, cooling: float) -> Strategy:
+    """Simulated annealing over choice paths, from a random first path.
 
     Each step rewrites one random position of the current path; the suffix
     is kept where the plan shape allows and re-extended with first options
@@ -353,30 +305,18 @@ def _search_annealing(attempt, log, budget, consider, should_continue,
     exp(-cost increase / temperature) and the temperature follows
     :func:`annealing_temperature`.
     """
-    started = budget.clock()
-    log.seed([])
-    plan = attempt(lambda n: log.choose(n, fallback=rng.randrange))
-    cur_path = list(log.taken)
-    cur_counts = list(log.option_counts)
-    cur_cost = consider(plan, cur_path).cost
-    budget.time_optimizing += budget.clock() - started
-
+    cur_path, cur_counts, cur = yield [], False, rng.randrange, False
     step = 0
-    while cur_path and should_continue():
-        started = budget.clock()
+    while cur_path:
         pos = rng.randrange(len(cur_path))
         proposal = list(cur_path)
         proposal[pos] = rng.randrange(cur_counts[pos])
-        plan = _run_lenient(attempt, log, proposal)
-        path = list(log.taken)
-        counts = list(log.option_counts)
-        costed = consider(plan, path)
-        diff = costed.cost - cur_cost
+        path, counts, costed = yield proposal, False, None, False
+        diff = costed.cost - cur.cost
         temp = annealing_temperature(temp0, cooling, step)
-        accept = costed.cost < cur_cost
+        accept = costed.cost < cur.cost
         if not accept and temp > _FROZEN and math.isfinite(diff):
             accept = rng.random() < math.exp(-diff / temp)
         if accept:
-            cur_path, cur_counts, cur_cost = path, counts, costed.cost
+            cur_path, cur_counts, cur = path, counts, costed
         step += 1
-        budget.time_optimizing += budget.clock() - started

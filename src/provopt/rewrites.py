@@ -486,11 +486,16 @@ def pull_up_prov_projection(root: Node) -> Node:
         reduced = Project(kept, node.child, node.materialize)
         inputs = [schema_of(done.get(c, c)) for c in parent.children]
         was = over_schemas(parent, inputs).schema
-        now = over_schemas(parent, [schema_of(reduced) if c is n else s
-                                    for c, s in zip(parent.children, inputs)]).schema
+        over = over_schemas(parent, [schema_of(reduced) if c is n else s
+                                     for c, s in zip(parent.children, inputs)])
+        now = over.schema
         if any(name in now for name in pull):
             return node
-        targets = identity_targets(now) + tuple((Attr(src), name) for name, src in pull.items())
+        # a source column may pass the parent under another name, such as a product's k'
+        lineage = over.lineage[parent.children.index(n)]
+        up = source_names(lineage) if lineage is not None else {}
+        targets = identity_targets(now) + tuple((Attr(up.get(src, src)), name)
+                                                for name, src in pull.items())
         # an ancestor product that renames a column would read another column under its name
         if _reshape(parent, was, tuple(t[1] for t in targets), parents, order(),
                     lambda c: done.get(c, c), wrapped=wrapped) != []:

@@ -19,6 +19,9 @@ class GenState:
     rng: random.Random
     relations: dict[str, tuple[str, ...]] = field(default_factory=dict)
     counter: int = 0
+    #: names base relations draw their attributes from, shared between
+    #: relations, so products prime them; empty: globally unique names
+    pool: tuple[str, ...] = ()
 
     def fresh_attr(self) -> str:
         self.counter += 1
@@ -26,7 +29,8 @@ class GenState:
 
     def fresh_relation(self, arity: int) -> Relation:
         name = f"rel{len(self.relations)}"
-        attrs = tuple(self.fresh_attr() for _ in range(arity))
+        shared = self.rng.sample(self.pool, min(arity, len(self.pool))) if self.pool else []
+        attrs = tuple(shared) + tuple(self.fresh_attr() for _ in range(arity - len(shared)))
         self.relations[name] = attrs
         return Relation(name, attrs)
 
@@ -49,12 +53,13 @@ def random_condition(rng: random.Random, attrs, *, equality_bias=0.4) -> Expr:
 
 def random_query(rng: random.Random, max_ops: int = 5,
                  ops=("select", "project", "join", "cross", "union",
-                      "intersect", "diff", "agg", "dupelim", "window")
-                 ) -> tuple[Node, GenState]:
+                      "intersect", "diff", "agg", "dupelim", "window"),
+                 *, pool: tuple[str, ...] = ()) -> tuple[Node, GenState]:
     """A random query of at most max_ops non-leaf operators; every base
-    relation has globally unique attribute names and a unique first-column
-    key can be imposed on its instances."""
-    state = GenState(rng)
+    relation has globally unique attribute names, or names drawn from
+    ``pool``, and a unique first-column key can be imposed on its
+    instances."""
+    state = GenState(rng, pool=pool)
     budget = [max_ops]
 
     def leaf() -> Node:
@@ -138,10 +143,12 @@ def random_instance(state: GenState, rng: random.Random, max_tuples: int = 8,
     return db
 
 
-def random_spju_query(rng: random.Random, max_ops: int = 4) -> tuple[Node, GenState]:
+def random_spju_query(rng: random.Random, max_ops: int = 4, *,
+                      pool: tuple[str, ...] = ()) -> tuple[Node, GenState]:
     """Random query from the provenance-instrumentable fragment (no
     duplicate elimination, aggregation handled separately)."""
-    return random_query(rng, max_ops, ops=("select", "project", "join", "cross", "union"))
+    return random_query(rng, max_ops, ops=("select", "project", "join", "cross", "union"),
+                        pool=pool)
 
 
 def share_subtree(rng: random.Random, q: Node) -> Node:
@@ -159,10 +166,11 @@ def schema_of_nodes(q: Node):
     return all_nodes(q)
 
 
-def random_agg_query(rng: random.Random, num_aggs: int) -> tuple[Node, GenState]:
+def random_agg_query(rng: random.Random, num_aggs: int, *,
+                     pool: tuple[str, ...] = ()) -> tuple[Node, GenState]:
     """1-3 aggregations over SPJ subtrees, combined without nesting one
-    aggregation inside another's subtree."""
-    state = GenState(rng)
+    aggregation inside another's subtree; base names as in :func:`random_query`."""
+    state = GenState(rng, pool=pool)
 
     def spj(budget: int) -> Node:
         node: Node = state.fresh_relation(rng.randint(2, 3))

@@ -274,6 +274,10 @@ def pull_up_prov_projection(root: Node) -> Node:
                 parent_schema = schema_of(new_parent)
             except SchemaError:
                 continue
+            # a source column may pass the parent under another name, such as a product's k'
+            lineage = new_parent.lineage[parent.children.index(proj)]
+            up = source_names(lineage) if lineage is not None else {}
+            pulled = {name: up.get(src, src) for name, src in pulled.items()}
             if any(src not in parent_schema for src in pulled.values()):
                 continue
             yield parent, Project(identity_targets(parent_schema)

@@ -86,6 +86,17 @@ for _strategy, *_stop in (("seq",), ("bin",), ("sa", "--stop", "max-iters=40")):
     COMMANDS[f"agg4_run_cbo_{_strategy}"] = (
         "run", "--prov-of", f"{G}/agg4.plan", "--data", f"{G}/agg4", "--agg-method", "cbo",
         "--strategy", _strategy, *_stop)
+# S(k, g) and T(k, h) share the column name k, which the join primes to k'
+_shared = ("--data", f"{G}/shared_names")
+COMMANDS.update({
+    "shared_names_join_run": ("run", "--prov-of", f"{G}/shared_names_join.plan", *_shared),
+    "shared_names_join_run_no_heuristics": ("run", "--prov-of", f"{G}/shared_names_join.plan",
+                                            *_shared, "--no-heuristics"),
+    "shared_names_agg_run_window": ("run", "--prov-of", f"{G}/shared_names_agg.plan", *_shared,
+                                    "--agg-method", "window"),
+    "shared_names_agg_run_cbo": ("run", "--prov-of", f"{G}/shared_names_agg.plan", *_shared,
+                                 "--agg-method", "cbo"),
+})
 COMMANDS["self_join_agg_run_cbo"] = ("run", "--prov-of", f"{G}/self_join_agg.plan",
                                      "--data", "fixtures", "--agg-method", "cbo")
 
@@ -103,6 +114,17 @@ def test_output_matches_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("PROVOPT_SEED", raising=False)
     assert run_command(name) == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_shared_names_join_has_the_unrewritten_plans_provenance(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("PROVOPT_SEED", raising=False)
+
+    def table(name):
+        out = run_command(name).decode()
+        return out[out.index("\n\n"):out.index("SQL:")]
+
+    assert table("shared_names_join_run") == table("shared_names_join_run_no_heuristics")
 
 
 if __name__ == "__main__":

@@ -124,6 +124,20 @@ class TestAggChoices:
             win_out = evaluate(instrument_query(q, agg_method="window"), db)
             assert bags_equal(join_out, win_out, by_name=True)
 
+    @pytest.mark.parametrize("aggs", [
+        (("sum", "k", "k"),),
+        # the second output takes the name the first one's window is computed under
+        (("sum", "k", "k"), ("count", "g", "k'")),
+    ])
+    def test_methods_agree_when_an_output_reuses_an_input_name(self, aggs):
+        agg = Agg(("g",), aggs, Relation("S", ("k", "g")))
+        db = {"S": bag(("k", "g"), [(1, 7), (3, 8), (2, 8)])}
+        join_out = evaluate(instrument_query(agg, agg_method="join"), db)
+        win_out = evaluate(instrument_query(agg, agg_method="window"), db)
+        assert join_out.schema == win_out.schema
+        assert join_out.tuples == win_out.tuples
+        assert {t[:2] for t in win_out.tuples} == {(7, 1), (8, 5)}  # g and the sum k
+
     def test_choice_callback_consulted_per_aggregation(self):
         inner = Agg(("b",), (("sum", "a", "s"),), Relation("R", ("a", "b")))
         outer = Agg(("s",), (("count", "b", "c"),), Project(

@@ -132,6 +132,16 @@ def test_pull_up_refuses_a_copy_whose_name_the_parent_holds():
     assert reference.pull_up_prov_projection(q) is q
 
 
+def test_pull_up_reads_the_source_under_the_name_the_product_gives_it():
+    # above the cross product T's k is k'; the pulled copy k2 reads it, not S's k
+    q = Cross(Relation("S", ("k",)), _copy_of_k("k2"))
+    db = {"S": BagRelation.from_rows(("k",), [(1,)]), "T": BagRelation.from_rows(("k",), [(2,)])}
+    got = rewrites.pull_up_prov_projection(q)
+    assert_same_plan(got, reference.pull_up_prov_projection(q))
+    assert isinstance(got, Project) and got.targets[-1] == (Attr("k'"), "k2")
+    assert evaluate(got, db).tuples == evaluate(q, db).tuples == {(1, 2, 2): 1}
+
+
 def test_pull_up_refuses_a_reordering_that_a_product_above_renames():
     # pulled above the duplicate elimination, the copy m' moves behind m;
     # the cross product over it then primes m to m' and m' to m'', so the

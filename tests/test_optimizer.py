@@ -5,7 +5,7 @@ import random
 import pytest
 
 from provopt.optimizer import (
-    ChoiceLog, EnumerationError, OptimizerBudget, continue_adaptive, optimize,
+    ChoiceLog, EnumerationError, OptimizerBudget, _successor, continue_adaptive, optimize,
 )
 
 
@@ -95,13 +95,10 @@ class TestChoiceLog:
             log.finish_iteration()
 
     def test_next_iteration_bumps_latest_choice(self):
-        log = ChoiceLog(taken=[0, 1], option_counts=[2, 2])
-        assert log.plan_next_iteration() is True
-        assert log.pending == [1]
+        assert _successor([0, 1], [2, 2]) == [1]
 
     def test_exhausted_when_all_last_options(self):
-        log = ChoiceLog(taken=[1, 1, 1], option_counts=[2, 2, 2])
-        assert log.plan_next_iteration() is False
+        assert _successor([1, 1, 1], [2, 2, 2]) is None
 
     @pytest.mark.parametrize("seed", range(30))
     def test_replay_reaches_lexicographic_successor(self, seed):
@@ -109,34 +106,32 @@ class TestChoiceLog:
         expected = leaves()
         log = ChoiceLog()
         visited = []
-        more = True
-        while more:
+        prefix = []
+        while prefix is not None:
+            log.seed(prefix)
             path = pipeline(log.choose)
+            log.finish_iteration()
             visited.append(path)
-            more = log.plan_next_iteration()
+            prefix = _successor(log.taken, log.option_counts)
         assert visited == expected
 
-    def test_has_more_plans_lifecycle(self):
+    def test_successor_lifecycle(self):
         log = ChoiceLog()
-        assert log.has_more_plans() is True
+        prefix = []
         count = 0
-        while log.has_more_plans():
+        while prefix is not None:
+            log.seed(prefix)
             fig_tree_pipeline(log.choose)
-            log.plan_next_iteration()
+            prefix = _successor(log.taken, log.option_counts)
             count += 1
         assert count == 6  # one iteration per leaf of the example tree
-        assert log.has_more_plans() is False
+        assert _successor(log.taken, log.option_counts) is None
 
     @pytest.mark.parametrize("seed", range(15))
     def test_iterations_until_exhausted_equals_leaf_count(self, seed):
         pipeline, leaves = structure(seed)
-        log = ChoiceLog()
-        count = 0
-        while log.has_more_plans():
-            pipeline(log.choose)
-            log.plan_next_iteration()
-            count += 1
-        assert count == len(leaves())
+        res = optimize(pipeline, lambda p: 1.0, strategy="seq")
+        assert len(res.trace) == len(leaves())
 
 
 class TestSequential:

@@ -365,6 +365,27 @@ class TestApplyPats:
             assert got.schema == expected.schema
             assert got.tuples == expected.tuples
 
+    def test_equivalence_on_shared_name_queries(self):
+        # base relations draw their columns from one small pool, so products
+        # prime them (k'); a rule must read a column under the name it has
+        # where the rule puts the reading, before and after instrumentation
+        from randgen import random_agg_query, random_spju_query
+        pool = ("a", "b", "c", "d")
+        instrumentable = ("select", "project", "join", "cross", "union", "agg", "dupelim")
+        rng = random.Random(2)
+        for i in range(240):
+            if i % 3 == 0:
+                q, state = random_agg_query(rng, rng.randint(1, 2), pool=pool)
+            elif i % 3 == 1:
+                q, state = random_spju_query(rng, pool=pool)
+            else:
+                q, state = random_query(rng, ops=instrumentable, pool=pool)
+            db = random_instance(state, rng, 5)
+            assert bags_equal(evaluate(q, db), evaluate(apply_pats(q), db), by_name=True), i
+            inst = instrument_query(q, agg_method=rng.choice(("join", "window")))
+            got = evaluate(apply_pats(inst, RewriteConfig()), db)
+            assert bags_equal(evaluate(inst, db), got, by_name=True), i
+
     def test_idempotent_on_instrumented_queries(self):
         # the corpus above; five of its queries once never reached a
         # fixpoint, because a constant equality lost at a renaming
