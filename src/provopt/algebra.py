@@ -670,6 +670,23 @@ def rebuild_bottom_up(root: Node, step: Callable[[Node, Node], Node]) -> Node:
     return new.get(root, root)
 
 
+def fold_down(root: Node, top: T, through: Callable[[Node, int, T], T], meet: Callable[[T, T], T],
+              finish: Optional[Callable[[Node, T], T]] = None) -> dict[Node, T]:
+    """Fold a graph parents first, in reverse :func:`all_nodes` order: the
+    root's value is ``top``; every other node's is ``meet`` over its parent
+    slots of ``through(parent, child index, the parent's value)``, passed
+    through ``finish(node, met)`` when given. A parent's value is final
+    before its children's are met. Returns the values, the root's first."""
+    value: dict[Node, T] = {}
+    met = {root: top}
+    for n in reversed(all_nodes(root)):
+        value[n] = met[n] if finish is None or n is root else finish(n, met[n])
+        for idx, child in enumerate(n.children):
+            v = through(n, idx, value[n])
+            met[child] = meet(met[child], v) if child in met else v
+    return value
+
+
 def substitute(root: Node, target: Node, replacement: Node, *, check_schema: bool = True) -> Node:
     """Return the graph with one node replaced, preserving sharing.
 

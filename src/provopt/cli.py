@@ -256,7 +256,8 @@ def cmd_run(args) -> int:
     out.append(f"seed: {_seed(args)}")
     out.append(f"iterations: {len(result.trace)}")
     for i, p in enumerate(result.trace):
-        out.append(f"  iter {i}: path={list(p.path)} cost={p.cost:.6g}")
+        why = "" if p.error is None else f" ({type(p.error).__name__}: {p.error})"
+        out.append(f"  iter {i}: path={list(p.path)} cost={p.cost:.6g}{why}")
     out.append(f"chosen path: {list(result.best.path)} cost={result.best.cost:.6g}")
     out.append("")
     out.append(format_bag(bag))

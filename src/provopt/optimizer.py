@@ -105,6 +105,9 @@ class CostedPlan:
     graph: object
     cost: float
     path: tuple[int, ...]
+    #: what the iteration's pipeline or costing raised (the cost is then
+    #: infinite); None when both ran
+    error: Optional[Exception] = None
 
 
 @dataclass
@@ -159,9 +162,9 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
     ``max_iters`` at its first step whose temperature is frozen (below
     ``1e-12``, where acceptance is already greedy), also under the adaptive
     rule, which never stops while no plan has a finite cost. Iterations whose
-    pipeline or costing raises are recorded with infinite cost and skipped;
-    when no plan is left, the error names the last such exception and
-    chains it.
+    pipeline or costing raises are recorded with infinite cost and the
+    exception, and skipped; when no plan is left, the error names the last
+    such exception and chains it.
 
     The search runs in one :func:`provopt.algebra.sharing_subplans` scope,
     so the pipeline and ``cost_fn`` of one iteration reuse the subplans and
@@ -193,12 +196,13 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
             started = budget.clock()
             prefix, exact, fallback, once = proposal
             log.seed(prefix)
+            error = None
             try:
                 plan = pipeline(lambda n: log.choose(n, clamp=not exact, fallback=fallback))
             except EnumerationError:
                 raise
             except Exception as exc:
-                plan, last_error = _FAILED, exc  # recorded with infinite cost
+                plan, error = _FAILED, exc  # recorded with infinite cost
             if not exact:
                 log.pending = []
             elif plan is not _FAILED:
@@ -209,13 +213,14 @@ def optimize(pipeline: Pipeline, cost_fn: CostFn, *,
                 try:
                     c = cost_fn(plan) if plan is not _FAILED else math.inf
                 except Exception as exc:
-                    c, last_error = math.inf, exc
-                costed = CostedPlan(plan, c, path)
+                    c, error = math.inf, exc
+                costed = CostedPlan(plan, c, path, error)
                 trace.append(costed)
                 costed_paths.add(path)
                 budget.iterations += 1
                 if c < budget.best_cost:
                     budget.best_cost, best = c, costed
+            last_error = error or last_error
             try:
                 proposal = proposals.send((path, tuple(log.option_counts), costed))
             except StopIteration:

@@ -37,8 +37,10 @@ values computed before and receives the new ones: a rule computes them only
 for the nodes it rebuilt, and the runs of one pipeline or optimization
 (:func:`provopt.algebra.sharing_subplans`) share the memo. It is not kept on
 the nodes, which kept plans would carry, and a keys memo is valid for one
-``base_keys`` only. Needed columns and duplicate insensitivity are top-down
-(they depend on a node's ancestors); a rule reads them once, on its input.
+``base_keys`` only. Downward classes, needed columns and duplicate
+insensitivity are top-down (they depend on a node's ancestors): each is one
+:func:`provopt.algebra.fold_down`, whose step maps a parent's value into one
+input, and a rule reads them once, on its input.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ from typing import Iterable, Mapping, Optional
 from .algebra import (
     Agg, Attr, BoolOp, Cmp, Const, Diff, DupElim, Expr,
     Node, Product, Project, Relation, Select, Union, Window,
-    all_nodes, expr_attrs, schema_of, uncached_nodes,
+    all_nodes, expr_attrs, fold_down, schema_of, uncached_nodes,
 )
 
 
@@ -152,13 +154,9 @@ def infer_keys(root: Node, base_keys: Optional[Mapping[str, Iterable[Iterable[st
 
     ``memo`` holds keys computed earlier under the same ``base_keys`` and
     receives the new ones; the result has exactly the graph's nodes."""
-    base_keys = base_keys or {}
     memo = {} if memo is None else memo
-    order = all_nodes(root)
-    for n in order:
-        if n not in memo:
-            memo[n] = _min_keys(_keys_of(n, memo, base_keys))
-    return {n: memo[n] for n in order}
+    keys_of(root, base_keys, memo)
+    return {n: memo[n] for n in all_nodes(root)}
 
 
 def keys_of(node: Node, base_keys: Optional[Mapping[str, Iterable[Iterable[str]]]],
@@ -257,26 +255,12 @@ def infer_ec(root: Node) -> dict[Node, frozenset[EcClass]]:
 
 def ec_top_down(root: Node, up: Mapping[Node, frozenset[EcClass]]) -> dict[Node, frozenset[EcClass]]:
     """The top-down pass of :func:`infer_ec` over the bottom-up classes
-    ``up`` (keyed children before parents, as :func:`infer_ec_bottom_up`
-    returns them); sparse, like ``up``. A node with several parents only
-    keeps what every parent path supports (pairwise intersection of the
-    contributions), so the combination stays sound on DAGs."""
-    order = list(up)
-    slots: dict[Node, list[tuple[Node, int]]] = {n: [] for n in order}
-    for n in order:
-        for idx, child in enumerate(n.children):
-            slots[child].append((n, idx))
-
-    down: dict[Node, frozenset[EcClass]] = {root: up[root]}
-    for n in reversed(order):  # every parent is finalized before its child
-        if n is root:
-            continue
-        combined: Optional[frozenset[EcClass]] = None
-        for parent, idx in slots[n]:
-            contrib = ec_transfer_down(parent, idx, down[parent])
-            combined = contrib if combined is None else _intersect_class_sets(combined, contrib)
-        down[n] = ec_closure(up[n] | (combined or frozenset()))
-    return down
+    ``up``, one :func:`provopt.algebra.fold_down`; sparse, like ``up``. A
+    node with several parents only keeps what every parent path supports
+    (pairwise intersection of the contributions), so the combination stays
+    sound on DAGs."""
+    return fold_down(root, up[root], ec_transfer_down, _intersect_class_sets,
+                     lambda n, met: ec_closure(up[n] | met))
 
 
 def _intersect_class_sets(a: Iterable[EcClass], b: Iterable[EcClass]) -> frozenset[EcClass]:
@@ -316,13 +300,11 @@ def infer_ec_bottom_up(root: Node, memo: Optional[dict[Node, frozenset[EcClass]]
     ``memo`` holds classes computed earlier and receives the new ones; the
     result has exactly the graph's nodes, children before parents."""
     memo = {} if memo is None else memo
-    order = all_nodes(root)
-    for n in order:
-        if n not in memo:
-            # a selection `a = a`, or an aggregation or projection keeping
-            # one member of a class, leaves a class of one member
-            memo[n] = frozenset(c for c in ec_closure(_ec_up(n, memo)) if len(c) > 1)
-    return {n: memo[n] for n in order}
+    for n in uncached_nodes(root, memo.__contains__):
+        # a selection `a = a`, or an aggregation or projection keeping
+        # one member of a class, leaves a class of one member
+        memo[n] = frozenset(c for c in ec_closure(_ec_up(n, memo)) if len(c) > 1)
+    return {n: memo[n] for n in all_nodes(root)}
 
 
 def _classes_through(n: Node, idx: int, up) -> frozenset[EcClass]:
@@ -365,35 +347,23 @@ def _ec_up(n: Node, up) -> frozenset[EcClass]:
 # needed columns (top-down)
 
 
-def infer_icols(root: Node, dropped=None) -> dict[Node, frozenset[str]]:
-    """Minimal output attributes each operator must produce for its ancestors.
-
-    The virtual root demands the full output schema; shared nodes take the
-    union of all parents' demands. A one-input node for which ``dropped(node,
-    need)`` (asked parents first) is true counts as removed from the graph.
-    """
-    order = all_nodes(root)
-    icols: dict[Node, set[str]] = {n: set() for n in order}
-    icols[root] = set(schema_of(root))
-    for n in reversed(order):  # parents processed before their children
-        need = frozenset(icols[n])
-        if dropped is not None and dropped(n, need):
-            icols[n.children[0]] |= need.intersection(schema_of(n.children[0]))
-            continue
-        for child_idx, child in enumerate(n.children):
-            icols[child] |= _icols_down(n, child_idx, need)
-    return {n: frozenset(cols) for n, cols in icols.items()}
+def infer_icols(root: Node) -> dict[Node, frozenset[str]]:
+    """Minimal output attributes each operator must produce for its
+    ancestors, one :func:`provopt.algebra.fold_down`. The virtual root
+    demands the full output schema; shared nodes take the union of all
+    parents' demands."""
+    return fold_down(root, frozenset(schema_of(root)), icols_down, frozenset.union)
 
 
-def _icols_down(n: Node, child_idx: int, need: frozenset[str]) -> set[str]:
+def icols_down(n: Node, child_idx: int, need: frozenset[str]) -> frozenset[str]:
     """The needed columns mapped down through the lineage, plus the input
     columns the operator itself reads."""
     lineage = n.lineage[child_idx]
     child = schema_of(n.children[child_idx])
     if lineage is None:  # a product's or a window's output has columns the input lacks
-        down = set(need) if len(child) == len(schema_of(n)) else set(child).intersection(need)
+        down = need if len(child) == len(schema_of(n)) else need.intersection(child)
     else:
-        down = {lineage[a] for a in need if a in lineage}
+        down = frozenset(lineage[a] for a in need if a in lineage)
     if isinstance(n, Select):
         return down | expr_attrs(n.cond)
     if isinstance(n, Project):
@@ -419,21 +389,10 @@ def _icols_down(n: Node, child_idx: int, need: frozenset[str]) -> set[str]:
 def infer_set(root: Node) -> dict[Node, bool]:
     """True when a duplicate elimination downstream on every path makes the
     operator's multiplicities irrelevant (no aggregation, window or bag
-    difference in between: each reads its inputs' multiplicities)."""
-    order = all_nodes(root)
-    value: dict[Node, Optional[bool]] = {n: None for n in order}
-    value[root] = False
-    for n in reversed(order):
-        if isinstance(n, DupElim):
-            contrib = True
-        elif isinstance(n, (Agg, Window, Diff)):
-            contrib = False
-        else:
-            contrib = bool(value[n])
-        for child in n.children:
-            prev = value[child]
-            value[child] = contrib if prev is None else (prev and contrib)
-    return {n: bool(v) for n, v in value.items()}
+    difference in between: each reads its inputs' multiplicities); one
+    :func:`provopt.algebra.fold_down`."""
+    return fold_down(root, False, lambda n, idx, dup: isinstance(n, DupElim) or (
+        dup and not isinstance(n, (Agg, Window, Diff))), lambda a, b: a and b)
 
 
 def infer_all(root: Node, base_keys: Optional[Mapping[str, Iterable[Iterable[str]]]] = None) -> PropertyStore:

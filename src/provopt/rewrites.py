@@ -5,11 +5,12 @@ property inference in :mod:`provopt.properties`. Each rule is one
 children-first pass, :func:`provopt.algebra.rebuild_bottom_up`, whose step
 gets a node and its copy over the rebuilt inputs. The local rules read only
 that copy and its input. The property-driven rules read top-down properties
-(needed columns, set-insensitivity, downward classes, parents) once, on the
-rule's input, keyed by the original node, and bottom-up ones (keys, upward
-classes) from the copy; each builds what rewriting one candidate at a time
-and rescanning the graph would. A rewrite that changes a node's schema is
-made only when the ancestors built so far still read it (:func:`_reshape`).
+(needed columns, set-insensitivity, downward classes, the guards of
+ancestor selections), each one :func:`provopt.algebra.fold_down`, once, on
+the rule's input, keyed by the original node, and bottom-up ones (keys,
+upward classes) from the copy; each builds what rewriting one candidate at
+a time and rescanning the graph would. A rewrite that changes a node's schema
+is made only when the ancestors built so far still read it (:func:`_reshape`).
 A rule that changes nothing returns its input object, so the pipeline
 detects its fixpoint by identity. Within a
 :func:`provopt.algebra.sharing_subplans` scope (one per optimization) the
@@ -35,18 +36,17 @@ from operator import is_
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from . import properties
 from .algebra import (
     Arith, Attr, Cmp, Cond, Const, Diff, DupElim, Expr,
     Intersect, Join, Node, Product, Project, Select, Union, Window,
     all_nodes, conjuncts, conjunction, expr_attrs,
-    expr_size, expr_with_children, fold_expr, identity_targets, over_schemas,
+    expr_size, expr_with_children, fold_down, fold_expr, identity_targets, over_schemas,
     parent_map, rebuild_bottom_up, replace_children, schema_of, shared_table,
     substitute_attrs, SchemaError,
 )
 from .properties import (
-    EcConst, ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up,
-    infer_icols, infer_keys, infer_set, keys_of, source_names,
+    EcConst, ec_top_down, ec_transfer_down, filter_map, icols_down, infer_ec_bottom_up,
+    infer_icols, infer_set, keys_of, source_names,
 )
 
 ChoiceFn = Callable[[int], int]
@@ -312,13 +312,11 @@ def _reshape(n: Node, before: tuple[str, ...], after: tuple[str, ...], parents, 
 
 
 def remove_dupelim_by_key(root: Node, base_keys=None, memo: Optional[dict] = None) -> Node:
-    """Drop duplicate eliminations over an input with a key; ``memo`` is an
-    :func:`infer_keys` memo for the same ``base_keys``, by default the
-    :func:`provopt.algebra.sharing_subplans` scope's."""
+    """Drop duplicate eliminations over an input with a key; ``memo`` is a
+    :func:`keys_of` memo for the same ``base_keys``, by default the
+    :func:`provopt.algebra.sharing_subplans` scope's. Only the inputs of
+    duplicate eliminations have their keys read."""
     memo = shared_table("keys", base_keys or None) if memo is None else memo
-    infer_keys(root, base_keys, memo)  # every node's, once per node for the runs sharing memo
-    if not any(isinstance(n, DupElim) for n in all_nodes(root)):
-        return root
 
     def step(n: Node, node: Node) -> Node:
         if isinstance(node, DupElim) and keys_of(node.child, base_keys, memo):
@@ -413,8 +411,9 @@ def project_to_icols(root: Node, icols_memo: Optional[dict] = None) -> Node:
 def remove_window(root: Node, icols_memo: Optional[dict] = None) -> Node:
     """Drop windows whose output no ancestor needs. ``icols_memo`` is a
     :func:`_needed_columns` memo. Dropping one lowers the demand below it, so
-    windows are decided parents first, over what the dropped ones leave; one
-    whose removal the ancestors cannot read (:func:`_reshape`) stays."""
+    windows are decided parents first, in the needed-columns fold, over what
+    the dropped ones leave; one whose removal the ancestors cannot read
+    (:func:`_reshape`) stays."""
     icols = _needed_columns(root, icols_memo if icols_memo is not None else {})
     if not any(isinstance(n, Window) and n.out not in need for n, need in icols.items()):
         return root
@@ -422,14 +421,15 @@ def remove_window(root: Node, icols_memo: Optional[dict] = None) -> Node:
     order = {n: i for i, n in enumerate(parents)}
     gone: set[Node] = set()
 
-    def dropped(n: Node, need: frozenset[str]) -> bool:
+    def through(n: Node, idx: int, need: frozenset[str]) -> frozenset[str]:
         if (isinstance(n, Window) and n.out not in need
                 and _reshape(n, schema_of(n), schema_of(n.child), parents, order,
                              lambda c: c, gone) is not None):
-            gone.add(n)
-        return n in gone
+            gone.add(n)  # dropped: its input is asked what the window was
+            return need.intersection(schema_of(n.child))
+        return icols_down(n, idx, need)
 
-    properties.infer_icols(root, dropped)  # another demand than the root's needed columns
+    fold_down(root, frozenset(schema_of(root)), through, frozenset.union)
     return rebuild_bottom_up(root, lambda n, node: node.child if n in gone else node)
 
 
@@ -664,50 +664,45 @@ def _place(node: Node, landed: list[list[tuple[tuple[int, ...], Expr]]], settle=
 
 def _enforce_ancestor_equalities(root: Node, ec_memo: Optional[dict] = None) -> Node:
     """Put a selection above each node for each equality its ancestors
-    license there (:func:`_new_equality`), the first found outermost.
-    Enforcing an equality changes no top-down class, so those are read once;
+    license there (:func:`_new_equalities`), the first found outermost.
+    Enforcing an equality changes no top-down fact, so those are read once,
+    the guards of :func:`_ancestor_guards` only when a pair gets that far;
     the bottom-up classes are the rebuilt node's. ``ec_memo`` is an
     :func:`infer_ec_bottom_up` memo, by default the
     :func:`provopt.algebra.sharing_subplans` scope's."""
     ecs = shared_table("ecs") if ec_memo is None else ec_memo
     up = infer_ec_bottom_up(root, memo=ecs)
     down = ec_top_down(root, up)
-    parents = parent_map(root)
+    guards = cache(lambda: _ancestor_guards(root))
 
     def step(n: Node, node: Node) -> Node:
         if n is root or not down[n]:
             return node
         classes = up[n] if node is n else infer_ec_bottom_up(node, memo=ecs)[node]
-        conds = []
-        while (pair := _new_equality(n, down, classes, parents)) is not None:
-            conds.append(Cmp("=", *map(_member_expr, pair)))
-            classes |= {frozenset(pair)}  # the selection above it guards the pair
-        for cond in reversed(conds):
-            node = Select(cond, node)
+        for pair in reversed(_new_equalities(n, down, classes, guards)):
+            node = Select(Cmp("=", *map(_member_expr, pair)), node)
         return node
 
     return rebuild_bottom_up(root, step)
 
 
-def _new_equality(n: Node, down, up_classes, parents) -> Optional[tuple]:
-    """The members of the first equality licensed by ancestors at this node
-    that is neither intrinsic here (in ``up_classes``), nor enforceable
-    deeper down, nor already filtered by an ancestor selection the new
-    filter would merely duplicate."""
-    for cls in sorted(down[n], key=_class_sort_key):
+def _new_equalities(n: Node, down, up_classes, guards: Callable[[], dict]) -> list[tuple]:
+    """The member pairs of the node's downward classes, in one ordered scan,
+    that are neither intrinsic here (in one of ``up_classes``, closed and so
+    disjoint), nor enforceable deeper down, nor already filtered by the
+    ancestors (in ``guards()[n]``)."""
+    class_of = {m: c for c in up_classes for m in c}
+    pairs = []
+    for cls in sorted(down[n], key=lambda c: sorted(map(_member_sort_key, c))):
         members = sorted(cls, key=_member_sort_key)
         for i, m1 in enumerate(members):
             for m2 in members[i + 1:]:
-                if isinstance(m1, EcConst) and isinstance(m2, EcConst):
-                    continue
-                if _same_up_class(up_classes, m1, m2):
-                    continue
-                if _licensed_below(n, down, m1, m2):
-                    continue
-                if _pair_guarded_above(n, parents, m1, m2):
-                    continue
-                return m1, m2
-    return None
+                if not (isinstance(m1, EcConst)  # so is m2: constants sort last
+                        or m2 in class_of.get(m1, ())
+                        or _licensed_below(n, down, m1, m2)
+                        or frozenset(map(_member_expr, (m1, m2))) in guards()[n]):
+                    pairs.append((m1, m2))
+    return pairs
 
 
 def _licensed_below(n: Node, down, m1, m2) -> bool:
@@ -721,45 +716,27 @@ def _licensed_below(n: Node, down, m1, m2) -> bool:
     return False
 
 
-def _pair_guarded_above(n: Node, parents, m1, m2) -> bool:
-    """True when every path to the root already filters on this equality
-    through operators the filter commutes with, making a new selection at
-    this node a no-op. The paths are walked up with a work list of (node,
-    members in its columns), each pair once, so any depth runs at any
-    recursion limit."""
-    todo = [(n, m1, m2)]
-    seen = set(todo)
-    while todo:
-        n, m1, m2 = todo.pop()
-        if not parents.get(n):
-            return False  # the root, reached unguarded
-        for p in parents[n]:
-            mapped = _map_members_up(p, n, (m1, m2))
-            if mapped is None:
-                return False
-            pm1, pm2 = mapped
-            if isinstance(p, Select) and any(
-                    c == Cmp("=", _member_expr(pm1), _member_expr(pm2))
-                    or c == Cmp("=", _member_expr(pm2), _member_expr(pm1))
-                    for c in conjuncts(p.cond)):
-                continue
-            if (p, pm1, pm2) not in seen:
-                seen.add((p, pm1, pm2))
-                todo.append((p, pm1, pm2))
-    return True
+def _ancestor_guards(root: Node) -> dict[Node, frozenset[frozenset[Expr]]]:
+    """Per node, the equalities a selection on it would merely repeat, each
+    the set of its two sides (attributes or constants): every path to the
+    root crosses a selection filtering on it, through operators the filter
+    commutes with. One :func:`provopt.algebra.fold_down`: the root guards
+    none, and a parent's guards and, for a selection, its ``=`` conjuncts
+    map down through :func:`filter_map` of the node's first slot in it, a
+    column only from the first output name of its source."""
+    def through(p: Node, idx: int, guarded: frozenset) -> frozenset:
+        if isinstance(p, Select):
+            guarded |= {frozenset((c.left, c.right)) for c in conjuncts(p.cond)
+                        if isinstance(c, Cmp) and c.op == "="
+                        and {type(c.left), type(c.right)} <= {Attr, Const}}
+        fmap = filter_map(p, p.children.index(p.children[idx]))
+        if fmap is None or not guarded:
+            return frozenset()
+        down = {Attr(name): Attr(src) for src, name in source_names(fmap).items()}
+        return frozenset(frozenset(down.get(x, x) for x in pair) for pair in guarded
+                         if all(x in down or isinstance(x, Const) for x in pair))
 
-
-def _map_members_up(parent: Node, child: Node, members):
-    """Map equality members from a child's output names into the parent's
-    through :func:`filter_map` (the first output name of each attribute);
-    None when the filter cannot travel (so a selection above cannot guard
-    the child)."""
-    fmap = filter_map(parent, next(i for i, c in enumerate(parent.children) if c is child))
-    if fmap is None:
-        return None
-    up = source_names(fmap)
-    out = tuple(m if isinstance(m, EcConst) else up.get(m) for m in members)
-    return None if None in out else out
+    return fold_down(root, frozenset(), through, frozenset.intersection)
 
 
 def _member_expr(m) -> Expr:
@@ -768,17 +745,6 @@ def _member_expr(m) -> Expr:
 
 def _member_sort_key(m):
     return (0, m) if isinstance(m, str) else (1, repr(m.value))
-
-
-def _class_sort_key(cls):
-    return tuple(sorted(_member_sort_key(m) for m in cls))
-
-
-def _same_up_class(up_classes, m1, m2) -> bool:
-    for cls in up_classes:
-        if m1 in cls and m2 in cls:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

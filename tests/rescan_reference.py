@@ -4,7 +4,9 @@ by :func:`_rewrite`, which applies the first candidate the graph absorbs,
 rebuilds every ancestor and rescans the whole graph until a scan applies
 none. Kept verbatim as the reference that each one-pass rule must match:
 the same plan, structurally, and for :func:`remove_dupelim_by_set` the same
-choices in the same order.
+choices in the same order. The equality enforcement's helpers, the walk up
+to the root per pair among them, are copies too, so the reference shares
+no enforcement code with the rule.
 """
 from __future__ import annotations
 
@@ -12,19 +14,16 @@ from operator import is_
 from typing import Callable, Iterable, Mapping, Optional
 
 from provopt.algebra import (
-    Attr, Cmp, Diff, DupElim, Expr, GraphError, Intersect, Join, Node, Product,
+    Attr, Cmp, Const, Diff, DupElim, Expr, GraphError, Intersect, Join, Node, Product,
     Project, Select, Union, Window, all_nodes, conjuncts, expr_attrs,
     identity_targets, parent_map, rebuild_bottom_up, replace_children, schema_of,
     shared_table, substitute_attrs, SchemaError,
 )
 from provopt.properties import (
-    EcConst, ec_top_down, filter_map, infer_ec_bottom_up, infer_icols, infer_keys, infer_set,
-    source_names,
+    EcConst, ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up, infer_icols,
+    infer_keys, infer_set, source_names,
 )
-from provopt.rewrites import (
-    _PULL_THROUGH, _chain_conjuncts, _class_sort_key, _licensed_below, _member_expr,
-    _member_sort_key, _pair_guarded_above, _same_up_class,
-)
+from provopt.rewrites import _PULL_THROUGH, _chain_conjuncts
 
 ChoiceFn = Callable[[int], int]
 #: (target node, replacement node) proposed by a rule
@@ -477,3 +476,73 @@ def _new_equality(n: Node, down, up_classes, parents) -> Optional[Expr]:
                 return Cmp("=", _member_expr(m1), _member_expr(m2))
     return None
 
+
+def _licensed_below(n: Node, down, m1, m2) -> bool:
+    """True when the equality can be enforced at one of the node's inputs
+    instead (insertion happens at the deepest licensed position only)."""
+    for idx, child in enumerate(n.children):
+        for cls in ec_transfer_down(n, idx, frozenset((frozenset((m1, m2)),))):
+            for dcls in down[child]:
+                if cls <= dcls:
+                    return True
+    return False
+
+
+def _pair_guarded_above(n: Node, parents, m1, m2) -> bool:
+    """True when every path to the root already filters on this equality
+    through operators the filter commutes with, making a new selection at
+    this node a no-op. The paths are walked up with a work list of (node,
+    members in its columns), each pair once, so any depth runs at any
+    recursion limit."""
+    todo = [(n, m1, m2)]
+    seen = set(todo)
+    while todo:
+        n, m1, m2 = todo.pop()
+        if not parents.get(n):
+            return False  # the root, reached unguarded
+        for p in parents[n]:
+            mapped = _map_members_up(p, n, (m1, m2))
+            if mapped is None:
+                return False
+            pm1, pm2 = mapped
+            if isinstance(p, Select) and any(
+                    c == Cmp("=", _member_expr(pm1), _member_expr(pm2))
+                    or c == Cmp("=", _member_expr(pm2), _member_expr(pm1))
+                    for c in conjuncts(p.cond)):
+                continue
+            if (p, pm1, pm2) not in seen:
+                seen.add((p, pm1, pm2))
+                todo.append((p, pm1, pm2))
+    return True
+
+
+def _map_members_up(parent: Node, child: Node, members):
+    """Map equality members from a child's output names into the parent's
+    through :func:`filter_map` (the first output name of each attribute);
+    None when the filter cannot travel (so a selection above cannot guard
+    the child)."""
+    fmap = filter_map(parent, next(i for i, c in enumerate(parent.children) if c is child))
+    if fmap is None:
+        return None
+    up = source_names(fmap)
+    out = tuple(m if isinstance(m, EcConst) else up.get(m) for m in members)
+    return None if None in out else out
+
+
+def _member_expr(m) -> Expr:
+    return Const(m.value) if isinstance(m, EcConst) else Attr(m)
+
+
+def _member_sort_key(m):
+    return (0, m) if isinstance(m, str) else (1, repr(m.value))
+
+
+def _class_sort_key(cls):
+    return tuple(sorted(_member_sort_key(m) for m in cls))
+
+
+def _same_up_class(up_classes, m1, m2) -> bool:
+    for cls in up_classes:
+        if m1 in cls and m2 in cls:
+            return True
+    return False

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from provopt import sqlgen
+from provopt import instrument, sqlgen
+from provopt.algebra import SchemaError
 from provopt.cli import main
 from provopt.rewrites import RULE_ORDER
 
@@ -117,6 +118,29 @@ class TestRun:
         assert "iterations: 2" in out  # the aggregation method is a choice
         assert len(rendered) == 1
         assert out.endswith(to_sql(rendered[0]).text)
+
+
+    def test_a_failed_plan_says_why(self, capsys, monkeypatch):
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        instrument_query = instrument.instrument_query
+
+        def join_method_fails(graph, choice, **kw):
+            picks = []
+            out = instrument_query(graph, choice=lambda n: picks.append(choice(n)) or picks[-1],
+                                   **kw)
+            if picks == [1]:
+                raise SchemaError("join method: unresolved attribute(s) ['g']")
+            return out
+
+        monkeypatch.setattr(instrument, "instrument_query", join_method_fails)
+        code, out, err = run_cli(capsys, "run", "--prov-of",
+                                 str(fixtures / "sales_per_shop.plan"), "--data", str(fixtures))
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[2] == "  iter 0: path=[0] cost=62.9248"
+        assert lines[3] == ("  iter 1: path=[1] cost=inf "
+                            "(SchemaError: join method: unresolved attribute(s) ['g'])")
+        assert lines[4] == "chosen path: [0] cost=62.9248"
 
 
 class TestOtherCommands:

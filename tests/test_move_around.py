@@ -2,10 +2,9 @@
 without recursing, so it runs on plans of any depth, and places all of one
 selection chain's conditions across a join in one rescan of the graph.
 
-The recursive helpers below, a recursive descent with the contract of
-``rewrites._landings`` and the recursive ``_pair_guarded_above`` that the
-work list replaced, are the reference: below the recursion limit, the rule
-must build the same plan with either. The transfer rule that placed one
+The recursive descent below, with the contract of ``rewrites._landings``,
+is the reference: below the recursion limit, the rule must build the same
+plan with either. The transfer rule that placed one
 condition per rescan is kept the same way, and placing several conditions
 in one rebuild must build what placing them one after another builds.
 """
@@ -27,7 +26,7 @@ from provopt.algebra import (
 )
 from provopt.plantext import format_plan
 from provopt.properties import filter_map
-from provopt.rewrites import _map_members_up, _member_expr, apply_pats, selection_move_around
+from provopt.rewrites import apply_pats, selection_move_around
 
 DEEP = 5000
 
@@ -70,35 +69,9 @@ def _recursive_landings(cond, node):
     return spots if entered else [((), cond)]
 
 
-def _old_pair_guarded_above(n, parents, m1, m2, memo):
-    key = (id(n), m1, m2)
-    if key in memo:
-        return memo[key]
-    memo[key] = False
-    result = bool(parents.get(n))
-    for p in parents.get(n, ()):
-        mapped = _map_members_up(p, n, (m1, m2))
-        if mapped is None:
-            result = False
-            break
-        pm1, pm2 = mapped
-        if isinstance(p, Select) and any(
-                c == Cmp("=", _member_expr(pm1), _member_expr(pm2))
-                or c == Cmp("=", _member_expr(pm2), _member_expr(pm1))
-                for c in conjuncts(p.cond)):
-            continue
-        if not _old_pair_guarded_above(p, parents, pm1, pm2, memo):
-            result = False
-            break
-    memo[key] = result
-    return result
-
-
 def with_recursive_helpers(fn, plan):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rewrites, "_landings", _recursive_landings)
-        mp.setattr(rewrites, "_pair_guarded_above",
-                   lambda n, parents, m1, m2: _old_pair_guarded_above(n, parents, m1, m2, {}))
         return fn(plan)
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from provopt.algebra import SchemaError
 from provopt.optimizer import (
     ChoiceLog, EnumerationError, OptimizerBudget, _successor, continue_adaptive, optimize,
 )
@@ -182,6 +183,26 @@ class TestSequential:
             optimize(pipeline, lambda p: 1.0, strategy=strategy,
                      max_iters=4, rng=random.Random(4))
         assert isinstance(info.value.__cause__, ValueError)
+
+    def test_a_failed_iteration_keeps_its_exception(self):
+        def pipeline(choose):
+            if choose(3) == 1:
+                raise SchemaError("projection target x: unresolved attribute(s)")
+            return "plan"
+
+        def cost(plan):  # the failed iteration is not costed, so this is the third
+            if costed:
+                raise KeyError("no statistics for relation r")
+            costed.append(plan)
+            return 1.0
+
+        costed = []
+        ok, failed, uncosted = optimize(pipeline, cost).trace
+        assert (ok.path, ok.cost, ok.error) == ((0,), 1.0, None)
+        assert failed.path == (1,) and math.isinf(failed.cost)
+        assert isinstance(failed.error, SchemaError) and "target x" in str(failed.error)
+        assert uncosted.graph == "plan" and math.isinf(uncosted.cost)
+        assert isinstance(uncosted.error, KeyError)
 
     def test_no_plan_error_names_the_costing_failure(self):
         def cost(plan):

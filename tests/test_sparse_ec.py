@@ -166,11 +166,16 @@ def test_a_class_of_one_constant_is_not_reported():
 
 def test_pipeline_builds_the_same_plans_over_dense_classes(monkeypatch):
     found = []
-    new_equality = rewrites._new_equality
-    monkeypatch.setattr(rewrites, "_new_equality",
-                        lambda *args: found.append(new_equality(*args)) or found[-1])
+    new_equalities = rewrites._new_equalities
+
+    def counted(*args):
+        pairs = new_equalities(*args)
+        found.extend(pairs)  # each pair is one enforced equality
+        return pairs
+
+    monkeypatch.setattr(rewrites, "_new_equalities", counted)
     got = [apply_pats(q, RewriteConfig()) for q in CORPUS]
-    enforced = sum(cond is not None for cond in found)
+    enforced = len(found)
     found.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rewrites, "infer_ec_bottom_up", dense_bottom_up)
@@ -179,4 +184,4 @@ def test_pipeline_builds_the_same_plans_over_dense_classes(monkeypatch):
     for i, (g, w) in enumerate(zip(got, want)):
         assert structurally_equal(g, w), i
     # the plans include equalities enforced from equivalence classes
-    assert enforced == sum(cond is not None for cond in found) > 30
+    assert enforced == len(found) > 30
