@@ -450,14 +450,15 @@ def pull_up_prov_projection(root: Node) -> Node:
     parent goes directly above it, below the earlier ones."""
     parents = parent_map(root)
     # below a positional set operator, where column order matters
-    positional = {d for n in parents if isinstance(n, (Union, Intersect, Diff)) for d in n.descendants}
+    positional = fold_down(root, False, lambda n, idx, below: below or isinstance(
+        n, (Union, Intersect, Diff)), lambda a, b: a or b)
 
     def pulled(n: Node, node: Node) -> dict[str, str]:
         """What the projection ``node`` at ``n``'s place can pull above its parent:
         copies of columns it also passes as themselves, unread by the parent."""
         parent = parents[n][0] if len(parents[n]) == 1 else None
-        if (not isinstance(node, Project) or node.materialize or n in positional
-                or not isinstance(parent, _PULL_THROUGH) or parent in positional):
+        if (not isinstance(node, Project) or node.materialize or positional[n]
+                or not isinstance(parent, _PULL_THROUGH) or positional[parent]):
             return {}
         # a pulled column crosses a DupElim as it is
         used = (expr_attrs(parent.cond) if isinstance(parent, Select) else frozenset(

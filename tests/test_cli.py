@@ -319,6 +319,16 @@ def test_empty_join_condition_is_a_syntax_error(capsys, tmp_path):
     assert err.startswith("plan syntax error: ") and "(line 1, column 7)" in err
 
 
+@pytest.mark.parametrize("cond", ["(not)", "(and)"])
+def test_a_malformed_expression_is_one_syntax_error_line(capsys, tmp_path, cond):
+    plan = tmp_path / "q.plan"
+    plan.write_text(f"(select {cond} (rel R (attrs a)))")
+    code, out, err = run_cli(capsys, "sql", "--plan", str(plan))
+    assert code == 2 and out == ""
+    assert err.startswith("plan syntax error: ") and err.count("\n") == 1
+    assert err.endswith("(line 1, column 9)\n")
+
+
 #: an int that no float can hold
 HUGE = "9" * 400
 

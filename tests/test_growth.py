@@ -97,3 +97,14 @@ def test_work_grows_within_its_bound(monkeypatch, family):
     started = time.perf_counter()
     rewrite(make(2 * N))
     assert time.perf_counter() - started < 2.0
+
+
+def test_stacked_unions_pass_the_provenance_pull_up_at_once():
+    # marking the nodes below a positional set operator is linear in the
+    # height of the stack
+    plan = Relation("R", ("a",))
+    for i in range(2000):
+        plan = Union(plan, Relation(f"S{i}", ("a",)))
+    started = time.process_time()
+    assert rewrites.pull_up_prov_projection(plan) is plan
+    assert time.process_time() - started < 1.0
