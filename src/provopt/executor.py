@@ -10,10 +10,13 @@ its output row -> count dict directly, with no per-row bookkeeping: only a
 projection and a union can produce one row twice and merge counts. The
 exception is a chain of projections: a projection whose one reader is a
 projection hands it its value columns and row counts, unmerged, and only the
-chain's top builds rows and merges counts (see :func:`evaluate`). Row
-widths and counts are checked where rows enter the evaluator
-(:meth:`BagRelation.add`, :meth:`BagRelation.from_rows`), not again by
-every operator. An equi-join builds a dict on the right input's key values
+chain's top builds rows and merges counts (see :func:`evaluate`). A join
+whose one reader is a projection of attributes only fills no dict of its
+own: the projection picks each of its rows from the join's pair of input
+rows, hashes and stores it once, and merges counts only when it drops a
+join column. Row widths and counts are checked where rows enter the
+evaluator (:meth:`BagRelation.add`, :meth:`BagRelation.from_rows`), not
+again by every operator. An equi-join builds a dict on the right input's key values
 and probes it with the left rows in order, so matches come out in
 nested-loop order (left rows in order, their right matches in right order)
 and bags, float sums above the join and printed output do not depend on the
@@ -51,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
@@ -488,7 +491,7 @@ _REFLEXIVE = frozenset((int, bool, str))
 
 
 def _equi_matches(left: Collection[tuple[tuple, object]], right: Collection[tuple[tuple, object]],
-                  li: Sequence[int], ri: Sequence[int]) -> Iterable[tuple]:
+                  li: Sequence[int], ri: Sequence[int]) -> Iterator[tuple]:
     """The (left item, right item) pairs whose rows agree on the key columns.
 
     Items are (row, payload) pairs; column ``li[k]`` of a left row is
@@ -507,9 +510,13 @@ def _equi_matches(left: Collection[tuple[tuple, object]], right: Collection[tupl
     null/NaN test runs only when the per-column type scan finds a value
     whose type is not one that always equals itself (int, bool, str): a
     null, a float or anything else.
+
+    The key checks, the null/NaN screen and the dict run when this is
+    called, so a key error is raised then; the pairs come out lazily, as
+    they are read.
     """
     if not left or not right:
-        return ()
+        return iter(())
     screen = False
     for i, j in zip(li, ri):
         lt = set(map(type, map(itemgetter(i), map(_ROW, left))))
@@ -527,7 +534,7 @@ def _equi_matches(left: Collection[tuple[tuple, object]], right: Collection[tupl
     table: dict[tuple, list] = {}
     for item in right:
         table.setdefault(rkey(item[0]), []).append(item)
-    return [(item, other) for item in left for other in table.get(lkey(item[0]), ())]
+    return ((item, other) for item in left for other in table.get(lkey(item[0]), ()))
 
 
 def _matchable(key: tuple) -> bool:
@@ -557,18 +564,32 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
     equal rows' counts once. A chained projection whose output could hold
     equal rows that expressions tell apart (``1`` and ``True``, or a NaN)
     merges them itself, as the top does. A chained projection's output is
-    dropped once its parent has read it. Each node's schema is read before
-    the node runs, so a schema error comes before any evaluation error of
-    the node."""
+    dropped once its parent has read it.
+
+    A join that is not the root and whose one parent slot is a projection
+    of attributes only is fused into that projection: the join runs its key
+    checks where it stands in the loop, so its key error is raised there,
+    and hands the projection its matches (:func:`_equi_matches`), so no
+    joined row is hashed or stored. The projection picks each of its rows
+    from a pair's joined row (made for that and dropped), hashes and stores
+    it once, and merges equal rows' counts only when it leaves out a join
+    column. It hands its reader a bag, even when that reader is a
+    projection.
+    Each node's schema is read before the node runs, so a schema error
+    comes before any evaluation error of the node."""
     nodes = all_nodes(root)
     #: the projections whose one parent slot is a projection's
     chained = {n.child for n in nodes if isinstance(n, Project) and isinstance(n.child, Project)}
-    if chained:
+    #: the joins whose one parent slot is a projection of attributes only
+    fused = {n.child for n in nodes if isinstance(n, Project) and isinstance(n.child, Product)
+             and all(isinstance(e, Attr) for e, _ in n.targets)}
+    if chained or fused:
         slots = Counter(c for n in nodes for c in n.children)
         chained = {c for c in chained if slots[c] == 1}
-    memo: dict[Node, BagRelation | _Chained] = {}
+        fused = {c for c in fused if slots[c] == 1}
+    memo: dict[Node, BagRelation | _Chained | Iterator[tuple]] = {}
 
-    def compute(n: Node) -> dict[tuple, int] | _Chained:
+    def compute(n: Node) -> dict[tuple, int] | _Chained | Iterator[tuple]:
         if isinstance(n, Relation):
             if n.name not in db:
                 raise EvalError(f"unbound relation {n.name!r}")
@@ -581,6 +602,8 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
             keep = selection_mask(n.cond, child.schema, list(child.tuples))
             return dict(compress(child.tuples.items(), keep))
         if isinstance(n, Project):
+            if n.child in fused:
+                return _fused(n, memo.pop(n.child))
             # a chain entry is read once: dropping it frees its columns
             child = memo.pop(n.child) if n.child in chained else memo[n.child]
             return _project(n, child, n in chained)
@@ -588,8 +611,10 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
             left, right = memo[n.left], memo[n.right]
             li = [left.schema.index(a) for a, _ in n.pairs]
             ri = [right.schema.index(b) for _, b in n.pairs]
-            return {lt + rt: lm * rm
-                    for (lt, lm), (rt, rm) in _equi_matches(left.rows(), right.rows(), li, ri)}
+            matches = _equi_matches(left.rows(), right.rows(), li, ri)
+            if n in fused:  # its projection builds the rows
+                return matches
+            return {lt + rt: lm * rm for (lt, lm), (rt, rm) in matches}
         if isinstance(n, Union):
             return _merged(memo[n.right].tuples.items(), dict(memo[n.left].tuples))
         if isinstance(n, Intersect):
@@ -618,7 +643,7 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
     for n in nodes:
         schema = schema_of(n)  # a schema error is raised before the node runs
         out = compute(n)
-        memo[n] = out if isinstance(out, _Chained) else BagRelation(schema, out)
+        memo[n] = BagRelation(schema, out) if type(out) is dict else out
     return memo[root]
 
 
@@ -647,17 +672,33 @@ def _project(n: Project, child: BagRelation | _Chained,
         batch.read_columns()
     else:
         new = _projected(exprs, index, list(child.tuples))
-        return _counted(new, child.tuples.values())
+        return _counted(zip(new, child.tuples.values()))
     columns = batch.evaluate(exprs, index)
     batch.raise_first_error(columns)
     if chained and batch.interchangeable(columns):
         return _Chained(_Batch.of_columns(columns, batch.types, batch.size), counts)
-    return _counted(_rows(columns, batch.size), counts)
+    return _counted(zip(_rows(columns, batch.size), counts))
 
 
-def _counted(rows: Iterable[tuple], counts: Iterable[int]) -> dict[tuple, int]:
-    """The row -> count dict of rows with their counts, equal rows merged."""
-    items = list(zip(rows, counts))
+def _fused(n: Project, matches: Iterator[tuple]) -> dict[tuple, int]:
+    """The row -> count dict of a projection of attributes over a join,
+    from the join's matches: each output row is picked from its pair's
+    joined row and hashed and stored once, in match order, so the dict and
+    its order are the ones projecting the join's bag gives."""
+    schema = schema_of(n.child)
+    index = _index(schema)
+    idx = [index[e.name] for e, _ in n.targets]
+    get = _columns(idx)
+    if len(set(idx)) == len(schema):
+        # rows that differ in some column differ in the output: none merge,
+        # and one comprehension skips _counted's list of (row, count) pairs
+        return {get(lt + rt): lm * rm for (lt, lm), (rt, rm) in matches}
+    return _counted((get(lt + rt), lm * rm) for (lt, lm), (rt, rm) in matches)
+
+
+def _counted(items: Iterable[tuple[tuple, int]]) -> dict[tuple, int]:
+    """The row -> count dict of (row, count) pairs, equal rows merged."""
+    items = list(items)
     out = dict(items)
     # a projection that keeps a key of its input merges no rows
     return out if len(out) == len(items) else _merged(items, {})

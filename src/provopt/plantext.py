@@ -85,12 +85,10 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 def _read(toks: list[_Tok], pos: int):
-    """Read one s-expression; returns (tree, next position). A list is
-    (opening token, items); the lists still open are a stack, so any depth
-    is read at any recursion limit."""
-    if pos >= len(toks):
-        last = toks[-1] if toks else _Tok("", 1, 1)
-        raise PlanSyntaxError("unexpected end of input", last.line, last.col)
+    """Read one s-expression starting at ``pos``, which must hold a token;
+    returns (tree, next position). A list is (opening token, items); the
+    lists still open are a stack, so any depth is read at any recursion
+    limit."""
     open_lists: list[tuple[_Tok, list]] = []
     while True:
         t = toks[pos]

@@ -42,3 +42,20 @@ def test_a_join_defect_in_the_evaluator_shows_against_the_oracle(
     assert not bags_equal(broken, oracle, by_name=True)
     assert encode_provenance(evaluate_annotated(shop_query, annotate(shop_db))).tuples == \
         oracle.tuples
+
+
+def test_a_join_defect_shows_through_a_projection_of_attributes_over_the_join(
+        monkeypatch, shop_query, shop_db):
+    # the shop query's top projection reads only attributes of the join under
+    # it, so it builds its rows from the join's matches
+    real = executor._equi_matches
+
+    def drop_last_match(left, right, li, ri):
+        pairs = list(real(left, right, li, ri))
+        return iter([p for p, after in zip(pairs, pairs[1:]) if after[0] == p[0]])
+
+    oracle = evaluate_annotated(shop_query, annotate(shop_db)).as_bag()
+    assert bags_equal(evaluate(shop_query, shop_db), oracle)
+    monkeypatch.setattr(executor, "_equi_matches", drop_last_match)
+    assert not bags_equal(evaluate(shop_query, shop_db), oracle)
+    assert evaluate_annotated(shop_query, annotate(shop_db)).as_bag().tuples == oracle.tuples

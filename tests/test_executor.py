@@ -8,9 +8,11 @@ from annotated import annotate, encode_provenance, evaluate_annotated, poly_weig
 from helpers import bags_equal, compile_expr, compile_row, eval_expr, reorder_columns
 from randgen import random_instance, random_spju_query
 
+from provopt import executor
 from provopt.algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Intersect,
     Join, Project, Relation, Select, Union, Window, FRAME_PARTITION,
+    all_nodes, identity_targets, replace_children, schema_of,
 )
 from provopt.executor import BagRelation, EvalError, cost, evaluate, TableStats
 from provopt.instrument import instrument_query
@@ -561,3 +563,167 @@ class TestJoinKeyScreen:
         nan = float("nan")
         db = {"L": bag(("a",), [(nan,)]), "R": bag(("b",), [(nan,)])}
         assert evaluate(_join([("a", "b")], ("a",), ("b",)), db).tuples == {}
+
+
+# ---------------------------------------------------------------------------
+# a projection of attributes over a join builds the join's rows
+
+
+def alone(root, db):
+    """Each node evaluated on its own, over its inputs' evaluated bags bound
+    as relations: a projection runs over a relation bound to its join's
+    bag, so no join is fused into its projection."""
+    bags = {}
+    for n in all_nodes(root):
+        if isinstance(n, Relation):
+            bags[n] = evaluate(n, db)
+            continue
+        kids = tuple(Relation(f"in{i}", schema_of(c)) for i, c in enumerate(n.children))
+        bags[n] = evaluate(replace_children(n, kids),
+                           {k.name: bags[c] for k, c in zip(kids, n.children)})
+    return bags[root]
+
+
+def outcome(evaluator, root, db):
+    """The bag's schema and its rows with their counts, in dict order (``repr``
+    tells ``1``, ``True`` and ``1.0`` apart), or the error's type and text."""
+    try:
+        out = evaluator(root, db)
+    except EvalError as exc:
+        return type(exc).__name__, str(exc)
+    return out.schema, [(repr(t), m) for t, m in out.tuples.items()]
+
+
+@pytest.fixture
+def fusions(monkeypatch):
+    """The projections evaluated over their join's matches, in order."""
+    seen = []
+    real = executor._fused
+
+    def spy(n, matches):
+        seen.append(n)
+        return real(n, matches)
+
+    monkeypatch.setattr(executor, "_fused", spy)
+    return seen
+
+
+def attrs(*pairs):
+    """Projection targets: each (input attribute, output name)."""
+    return tuple((Attr(a), name) for a, name in pairs)
+
+
+L2, R2 = Relation("L", ("a", "x")), Relation("R", ("b", "y"))
+ON_AB = Join((("a", "b"),), L2, R2)
+
+
+class TestFusedJoin:
+    @pytest.mark.parametrize("pool", [(), ("a", "b", "c")], ids=["unique", "pool"])
+    def test_random_corpus_matches_each_node_alone(self, pool, fusions):
+        rng = random.Random(27 + len(pool))
+        whole = partial = 0
+        for _ in range(150):
+            q, state = random_spju_query(rng, rng.randint(1, 4), pool=pool)
+            right = state.fresh_relation(rng.randint(1, 3))
+            if rng.random() < 0.2:
+                join = Cross(q, right)
+            else:
+                join = Join(((rng.choice(schema_of(q)), rng.choice(schema_of(right))),), q, right)
+            names = schema_of(join)
+            if rng.random() < 0.4:
+                read = rng.sample(names, len(names))  # every column, reordered
+            else:
+                read = rng.choices(names, k=rng.randint(0, len(names) + 1))
+            whole += set(read) == set(names)
+            partial += set(read) != set(names)
+            top = Project(attrs(*((a, f"t{i}") for i, a in enumerate(read))), join)
+            db = random_instance(state, rng, 6)
+            assert outcome(evaluate, top, db) == outcome(alone, top, db)
+        assert whole > 40 and partial > 40
+        assert len(fusions) > 150  # the top join and some inside the random queries
+
+    def test_a_projection_that_drops_columns_merges_counts(self, fusions):
+        db = {"L": bag(("a", "x"), [(1, "p"), (1, "q"), (2, "r")]),
+              "R": bag(("b", "y"), [(1, 10), (2, 20), (1, 10)])}
+        top = Project(attrs(("y", "y"), ("a", "a")), ON_AB)
+        got = outcome(evaluate, top, db)
+        assert got == (("y", "a"), [("(10, 1)", 4), ("(20, 2)", 1)])
+        assert got == outcome(alone, top, db)
+        assert fusions == [top]
+
+    def test_a_duplicating_projection(self, fusions):
+        db = {"L": bag(("a", "x"), [(1, "p"), (2, "q"), (1, "r")]),
+              "R": bag(("b", "y"), [(1, "s"), (2, "t"), (1, "u")])}
+        dropping = Project(attrs(("a", "x"), ("a", "y")), ON_AB)
+        got = outcome(evaluate, dropping, db)
+        assert got == (("x", "y"), [("(1, 1)", 4), ("(2, 2)", 1)])
+        assert got == outcome(alone, dropping, db)
+        keeping = Project(attrs(("y", "y"), ("a", "a1"), ("x", "x"), ("a", "a2"), ("b", "b")),
+                          ON_AB)
+        got = outcome(evaluate, keeping, db)
+        assert [t for t, _ in got[1]] == [
+            "('s', 1, 'p', 1, 1)", "('u', 1, 'p', 1, 1)", "('t', 2, 'q', 2, 2)",
+            "('s', 1, 'r', 1, 1)", "('u', 1, 'r', 1, 1)"]
+        assert got == outcome(alone, keeping, db)
+        assert fusions == [dropping, keeping]
+
+    def test_null_and_nan_keys_never_match_and_one_matches_one_point_zero(self, fusions):
+        nan = float("nan")
+        db = {"L": bag(("a", "x"), [(None, 1), (nan, 2), (1, 3), (1.0, 4)]),
+              "R": bag(("b", "y"), [(1.0, "u"), (None, "v"), (nan, "w"), (1, "z")])}
+        merged = Project(attrs(("b", "b")), ON_AB)
+        got = outcome(evaluate, merged, db)
+        assert got == (("b",), [("(1.0,)", 4)])
+        assert got == outcome(alone, merged, db)
+        every = Project(attrs(("x", "x"), ("y", "y"), ("a", "a"), ("b", "b")), ON_AB)
+        got = outcome(evaluate, every, db)
+        assert got == (("x", "y", "a", "b"), [
+            ("(3, 'u', 1, 1.0)", 1), ("(3, 'z', 1, 1)", 1),
+            ("(4, 'u', 1.0, 1.0)", 1), ("(4, 'z', 1.0, 1)", 1)])
+        assert got == outcome(alone, every, db)
+        assert fusions == [merged, every]
+
+    def test_a_key_error_comes_before_a_later_siblings_error(self, fusions):
+        db = {"L": bag(("a", "x"), [(1, 2)]), "R": bag(("b", "y"), [("k", 3)]),
+              "S": bag(("c",), [(0,)])}
+        fused = Project(attrs(("x", "x"), ("y", "y")), ON_AB)
+        failing = Project(((Arith("/", Const(1), Attr("c")), "q"),), Relation("S", ("c",)))
+        first = Cross(fused, failing)
+        got = outcome(evaluate, first, db)
+        assert got == ("EvalError",
+                       "cannot compare join key values of different kinds: int, str")
+        assert got == outcome(alone, first, db)
+        after = Cross(failing, fused)
+        got = outcome(evaluate, after, db)
+        assert got == ("EvalError", "division by zero")
+        assert got == outcome(alone, after, db)
+        assert fusions == []  # the join raised before its projection ran
+
+    def test_joins_that_must_not_fuse(self, fusions):
+        db = {"L": bag(("a", "x"), [(1, 2), (2, 3), (1, 4)]),
+              "R": bag(("b", "y"), [(1, 5), (1, 6), (3, 7)])}
+        two_slots = Union(Project(attrs(("a", "v")), ON_AB), Project(attrs(("y", "v")), ON_AB))
+        computed = Project(((Arith("+", Attr("x"), Const(1)), "z"), (Attr("a"), "a")), ON_AB)
+        for root in (ON_AB, two_slots, computed):
+            got = outcome(evaluate, root, db)
+            assert got == outcome(alone, root, db) and got[1]
+        assert fusions == []
+
+    def test_a_fused_projection_chained_under_projections(self, fusions):
+        # the history-join narrowing: a reenactment's projections over the
+        # updated rows, picked by a join with the updated keys
+        schema = ("k", "a", "b")
+        keys = Project(attrs(("k", "k1")), Relation("K", ("k",)))
+        narrowed = Project(identity_targets(schema),
+                           Join((("k", "k1"),), Relation("T", schema), keys))
+        update = Project(((Attr("k"), "k"),
+                          (Cond(Cmp("=", Attr("b"), Const(0)),
+                                Arith("+", Attr("a"), Const(1)), Attr("a")), "a"),
+                          (Attr("b"), "b")), narrowed)
+        top = Project(attrs(("a", "a"), ("b", "b")), update)
+        db = {"T": bag(schema, [(1, 5, 0), (2, 5, 1), (3, 4, 0), (4, 6, 0)]),
+              "K": bag(("k",), [(1,), (3,), (4,)])}
+        got = outcome(evaluate, top, db)
+        assert got == (("a", "b"), [("(6, 0)", 1), ("(5, 0)", 1), ("(7, 0)", 1)])
+        assert got == outcome(alone, top, db)
+        assert fusions == [narrowed]
