@@ -2,12 +2,12 @@
 
 Operators form an immutable rooted DAG: a query graph is identified by its
 root operator, and a node may be referenced by several parents (shared
-subexpression). Expressions are immutable trees with structural equality;
-operator nodes deliberately compare by identity so that two structurally
-identical subtrees can still be distinct (unshared) parts of one graph.
+subexpression). Expressions are hash-consed: equal ones are one object,
+compared and hashed by identity. Operator nodes compare by identity but are
+not hash-consed, so equal subtrees can be distinct parts of one graph.
 Every walk that computes one value per subexpression (rewriting, compiling,
-printing, costing) is a :func:`fold_expr` step, so a subexpression shared
-within a DAG is visited once and any depth is walked at any recursion limit.
+printing, costing) is a :func:`fold_expr` step, so a subexpression is
+visited once and any depth is walked at any recursion limit.
 
 A cross product is a join on no attribute pairs: both are :class:`Product`
 nodes, and a pass handles them as one operator that reads ``pairs``.
@@ -24,9 +24,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
+from weakref import ref
 
 
 class AlgebraError(Exception):
@@ -58,18 +59,40 @@ FRAME_PARTITION = "partition"
 # expressions
 
 
-@dataclass(frozen=True)
-class Attr:
+#: (class, fields) -> a weak reference to the expression, dropped when it dies
+_INTERNED: dict[tuple, ref] = {}
+
+
+class _HashConsed(type):
+    """The expression classes' type, which hash-conses them (Filliâtre and
+    Conchon, 2006): a call returns the live expression of its class and
+    fields, a subexpression keyed by identity and a constant by its type
+    and ``repr`` (``1``, ``1.0`` and ``True`` are three, ``0.0`` and
+    ``-0.0`` two), else builds it with ``size``, its tree's node count."""
+
+    def __call__(cls, *fields):
+        key = (cls, *fields) if cls is not Const else (cls, type(fields[0]), repr(fields[0]))
+        e = (known := _INTERNED.get(key)) and known()
+        if e is None:
+            e = super().__call__(*fields)
+            # a child that is not an expression is reported by the walks
+            object.__setattr__(e, "size", 1 + sum(getattr(c, "size", 1) for c in expr_children(e)))
+            _INTERNED[key] = ref(e, partial(_INTERNED.pop, key))
+        return e
+
+
+@dataclass(frozen=True, eq=False)
+class Attr(metaclass=_HashConsed):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, eq=False)
+class Const(metaclass=_HashConsed):
     value: Value
 
 
-@dataclass(frozen=True)
-class Arith:
+@dataclass(frozen=True, eq=False)
+class Arith(metaclass=_HashConsed):
     op: str
     left: "Expr"
     right: "Expr"
@@ -79,8 +102,8 @@ class Arith:
             raise AlgebraError(f"unknown arithmetic operator {self.op!r}")
 
 
-@dataclass(frozen=True)
-class Cmp:
+@dataclass(frozen=True, eq=False)
+class Cmp(metaclass=_HashConsed):
     op: str
     left: "Expr"
     right: "Expr"
@@ -90,8 +113,8 @@ class Cmp:
             raise AlgebraError(f"unknown comparison operator {self.op!r}")
 
 
-@dataclass(frozen=True)
-class BoolOp:
+@dataclass(frozen=True, eq=False)
+class BoolOp(metaclass=_HashConsed):
     op: str
     args: tuple["Expr", ...]
 
@@ -104,8 +127,8 @@ class BoolOp:
             raise AlgebraError(f"'{self.op}' needs at least one operand")
 
 
-@dataclass(frozen=True)
-class Cond:
+@dataclass(frozen=True, eq=False)
+class Cond(metaclass=_HashConsed):
     """CASE-style conditional: evaluates to if_true when pred holds."""
 
     pred: "Expr"
@@ -157,60 +180,52 @@ def expr_nodes(e: Expr) -> Iterator[Expr]:
 
 
 def expr_size(e: Expr) -> int:
-    """Node count of an expression tree."""
-    return sum(1 for _ in expr_nodes(e))
+    """Node count of an expression tree, kept on the expression."""
+    return e.size
 
 
 def expr_attrs(e: Expr) -> frozenset[str]:
     """All attribute names referenced by an expression. Iterative, and a
-    shared subexpression is read once (keyed by id; the expression holds
-    every subexpression alive, so an id cannot be reused during the walk),
-    so a DAG costs its size, not its tree size."""
+    subexpression is read once, so a DAG costs its size, not its tree size."""
     if isinstance(e, Attr):
         return frozenset((e.name,))
-    names = set()
-    seen = {id(e)}
-    stack = [e]
+    seen, stack = {e}, [e]
     children = _EXPR_CHILDREN.get  # expr_children, inlined
     while stack:
         x = stack.pop()
-        if isinstance(x, Attr):
-            names.add(x.name)
         for c in children(type(x), _not_an_expression)(x):
-            if id(c) not in seen:
-                seen.add(id(c))
+            if c not in seen:
+                seen.add(c)
                 stack.append(c)
-    return frozenset(names)
+    return frozenset(x.name for x in seen if isinstance(x, Attr))
 
 
 def fold_expr(roots: Iterable[Expr], step: Callable[[Expr, tuple], T]) -> list[T]:
     """Fold expressions children first: ``step(x, kid_values)`` gets a
     subexpression and the values of its :func:`expr_children`, in that
     order, and returns the subexpression's value; one value per root comes
-    back. A subexpression shared within or across the roots is folded once
-    (memoized by identity; the roots hold every subexpression alive, so an
-    id cannot be reused during the call). Iterative, so any depth is folded
-    at any recursion limit."""
+    back. A subexpression met again within or across the roots is folded
+    once. Iterative, so any depth is folded at any recursion limit."""
     roots = tuple(roots)
-    done: dict[int, T] = {}
+    done: dict[Expr, T] = {}
     children = _EXPR_CHILDREN.get  # expr_children, inlined
     for root in roots:
-        if id(root) in done:
+        if root in done:
             continue
         path = [(root, expr_children(root))]  # (subexpression, its children) from the root down
         while path:
             x, kids = path[-1]
             for c in kids:
-                if id(c) not in done:
+                if c not in done:
                     grandkids = children(type(c), _not_an_expression)(c)
                     if grandkids:
                         path.append((c, grandkids))
                         break
-                    done[id(c)] = step(c, ())  # a leaf folds in place
+                    done[c] = step(c, ())  # a leaf folds in place
             else:
                 path.pop()
-                done[id(x)] = step(x, tuple([done[id(c)] for c in kids]))
-    return [done[id(r)] for r in roots]
+                done[x] = step(x, tuple([done[c] for c in kids]))
+    return [done[r] for r in roots]
 
 
 def substitute_attrs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -712,10 +727,10 @@ def structurally_equal(a: Node, b: Node) -> bool:
 
     One work list holds pairs of nodes, of expressions and of the tuples
     and values in their fields, and each pair is compared once, so shared
-    subgraphs and subexpressions cost linear time; iterative, so graphs
-    and expressions of any depth compare at any recursion limit. Values
-    that are neither compare with ``==``, as the dataclasses' own ``==``
-    does.
+    subgraphs and subexpressions cost linear time; iterative, so graphs and
+    expressions of any depth compare at any recursion limit. Values that
+    are neither compare with ``==``, so ``Const(1)`` and ``Const(1.0)``,
+    two expressions, compare equal here.
     """
     compared: set[tuple[int, int]] = set()  # both graphs hold every pair alive
     pairs = [(a, b)]

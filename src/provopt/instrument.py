@@ -291,11 +291,8 @@ def conditions_over_prestate(updates: list[UpdateStmt], schema: tuple[str, ...])
     out = []
     for u in updates:
         out.append(substitute_attrs(u.where, env))
-        new_env = dict(env)
-        for a, e in u.set_clauses:
-            new_env[a] = Cond(substitute_attrs(u.where, env),
-                              substitute_attrs(e, env), env[a])
-        env = new_env
+        env = {**env, **{a: Cond(out[-1], substitute_attrs(e, env), env[a])
+                         for a, e in u.set_clauses}}
     return out
 
 

@@ -31,13 +31,13 @@ cross; top-down equivalence classes, selection push-down and the test
 whether an ancestor selection already guards a node read it.
 
 Keys and bottom-up equivalence classes depend only on a node's subgraph (and,
-for keys, on the declared base keys), so :func:`infer_keys`, :func:`keys_of`
-and :func:`infer_ec_bottom_up` take a node -> value ``memo`` that holds the
-values computed before and receives the new ones: a rule computes them only
-for the nodes it rebuilt, and the runs of one pipeline or optimization
-(:func:`provopt.algebra.sharing_subplans`) share the memo. It is not kept on
-the nodes, which kept plans would carry, and a keys memo is valid for one
-``base_keys`` only. Downward classes, needed columns and duplicate
+for keys, on the declared base keys), so :func:`infer_keys`, :func:`keys_of`,
+:func:`infer_ec_bottom_up` and :func:`ec_up_of` take a node -> value
+``memo`` that holds the values computed before and receives the new ones: a
+rule computes them only for the nodes it rebuilt, and the runs of one
+pipeline or optimization (:func:`provopt.algebra.sharing_subplans`) share
+the memo. It is not kept on the nodes, which kept plans would carry, and a
+keys memo is valid for one ``base_keys`` only. Downward classes, needed columns and duplicate
 insensitivity are top-down (they depend on a node's ancestors): each is one
 :func:`provopt.algebra.fold_down`, whose step maps a parent's value into one
 input, and a rule reads them once, on its input.
@@ -300,11 +300,17 @@ def infer_ec_bottom_up(root: Node, memo: Optional[dict[Node, frozenset[EcClass]]
     ``memo`` holds classes computed earlier and receives the new ones; the
     result has exactly the graph's nodes, children before parents."""
     memo = {} if memo is None else memo
-    for n in uncached_nodes(root, memo.__contains__):
+    ec_up_of(root, memo)
+    return {n: memo[n] for n in all_nodes(root)}
+
+
+def ec_up_of(node: Node, memo: dict[Node, frozenset[EcClass]]) -> frozenset[EcClass]:
+    """:func:`infer_ec_bottom_up` of one node, computing only what ``memo`` lacks."""
+    for n in uncached_nodes(node, memo.__contains__):
         # a selection `a = a`, or an aggregation or projection keeping
         # one member of a class, leaves a class of one member
         memo[n] = frozenset(c for c in ec_closure(_ec_up(n, memo)) if len(c) > 1)
-    return {n: memo[n] for n in all_nodes(root)}
+    return memo[node]
 
 
 def _classes_through(n: Node, idx: int, up) -> frozenset[EcClass]:

@@ -23,12 +23,12 @@ double the reference count, so chains of them grow exponentially), or when
 the merged expressions outgrow the inputs by more than a constant factor.
 A rejected pair marks the inner projection as a materialization fence for
 SQL generation. A merge step folds each computed outer target once (an
-attribute target is one lookup) and keeps target sizes per node, so it
+attribute target is one lookup) and reads sizes off the expressions, so it
 costs the outer projection, not the inner definitions it substitutes.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import dataclass, field
 from functools import cache
 from heapq import heappop, heappush
@@ -40,13 +40,13 @@ from .algebra import (
     Arith, Attr, Cmp, Cond, Const, Diff, DupElim, Expr,
     Intersect, Join, Node, Product, Project, Select, Union, Window,
     all_nodes, conjuncts, conjunction, expr_attrs,
-    expr_size, expr_with_children, fold_down, fold_expr, identity_targets, over_schemas,
+    expr_with_children, fold_down, fold_expr, identity_targets, over_schemas,
     parent_map, rebuild_bottom_up, replace_children, schema_of, shared_table,
     substitute_attrs, SchemaError,
 )
 from .properties import (
-    EcConst, ec_top_down, ec_transfer_down, filter_map, icols_down, infer_ec_bottom_up,
-    infer_icols, infer_set, keys_of, source_names,
+    EcConst, ec_top_down, ec_transfer_down, ec_up_of, filter_map, icols_down,
+    infer_ec_bottom_up, infer_icols, infer_set, keys_of, source_names,
 )
 
 ChoiceFn = Callable[[int], int]
@@ -82,13 +82,8 @@ class RewriteConfig:
 
 def total_expression_size(root: Node) -> int:
     """Summed size of all projection/selection expressions in a graph."""
-    total = 0
-    for n in all_nodes(root):
-        if isinstance(n, Project):
-            total += sum(expr_size(e) for e, _ in n.targets)
-        elif isinstance(n, Select):
-            total += expr_size(n.cond)
-    return total
+    return sum(n.cond.size if isinstance(n, Select) else sum(e.size for e, _ in n.targets)
+               for n in all_nodes(root) if isinstance(n, (Select, Project)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +120,14 @@ def factor_expression(e: Expr) -> Expr:
 def _factor_cond(pred: Expr, bigger: Expr, base: Expr, *, negate: bool) -> Optional[Expr]:
     if not isinstance(bigger, Arith):
         return None
-    op = bigger.op
-    candidates = []
-    if bigger.left == base:
-        candidates.append(bigger.right)
-    if op in _COMMUTES and bigger.right == base:
-        candidates.append(bigger.left)
-    for delta in candidates:
-        neutral = _NEUTRAL[op]
-        branch = Cond(pred, neutral, delta) if negate else Cond(pred, delta, neutral)
-        return Arith(op, base, branch)
-    return None
+    if bigger.left is base:
+        delta = bigger.right
+    elif bigger.op in _COMMUTES and bigger.right is base:
+        delta = bigger.left
+    else:
+        return None
+    neutral = _NEUTRAL[bigger.op]
+    return Arith(bigger.op, base, Cond(pred, neutral, delta) if negate else Cond(pred, delta, neutral))
 
 
 def factor_attributes(root: Node) -> Node:
@@ -158,19 +150,13 @@ def factor_attributes(root: Node) -> Node:
 
 def _merge_walk(e: Expr, leaves: Mapping[str, tuple]) -> tuple:
     """One outer target's walk: (``e`` with the inner definitions substituted,
-    its size, that with each inner reference at its definition's size, its
-    references to definitions over one node as nested tuples), per reference.
-    ``leaves`` holds the same per inner column."""
+    its references to definitions over one node as nested tuples), per
+    reference. ``leaves`` holds the same per inner column."""
     def step(x: Expr, kids: tuple[tuple, ...]) -> tuple:
         if not kids:
-            return (leaves.get(x.name) if isinstance(x, Attr) else None) or (x, 1, 1, ())
-        size = grown = 1
-        refs = []
-        for _, s, g, r in kids:
-            size, grown = size + s, grown + g
-            if r:
-                refs.append(r)
-        return (expr_with_children(x, [k[0] for k in kids]), size, grown,
+            return (leaves.get(x.name) if isinstance(x, Attr) else None) or (x, ())
+        refs = [r for _, r in kids if r]
+        return (expr_with_children(x, [k[0] for k in kids]),
                 refs[0] if len(refs) == 1 else tuple(refs))
 
     return fold_expr((e,), step)[0]
@@ -185,19 +171,18 @@ def _most_refs(refs: tuple) -> int:
             names.append(x)
         else:
             todo.extend(x)
-    return max(Counter(names).values()) if len(set(names)) < len(names) else min(len(names), 1)
+    return max(Counter(names).values(), default=0)
 
 
 def merge_projections(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
     """Collapse adjacent projections, substituting inner definitions.
 
     Pairs failing the safety check stay separate and the inner projection is
-    flagged as a materialization fence. Target sizes are kept per node, a
-    merged or fenced node's from its walk (:func:`_merge_walk`).
+    flagged as a materialization fence. The check reads the expressions'
+    sizes and walks each outer target once (:func:`_merge_walk`).
     """
     cfg = cfg or RewriteConfig()
     parents = cache(lambda: parent_map(root))
-    sizes: dict[Project, tuple[int, ...]] = shared_table("merge_sizes")
     results = shared_table("merges", cfg.unsafe_naive_merge)
 
     def step(n: Node, outer: Node) -> Node:
@@ -206,25 +191,20 @@ def merge_projections(root: Node, cfg: Optional[RewriteConfig] = None) -> Node:
             return outer
         if outer not in results:
             inner = outer.child
-            if inner not in sizes:
-                sizes[inner] = tuple(_merge_walk(e, {})[1] for e, _ in inner.targets)
-            leaves = {name: (e, 1, size, name if size > 1 else ())
-                      for (e, name), size in zip(inner.targets, sizes[inner])}
+            leaves = {name: (e, name if e.size > 1 else ()) for e, name in inner.targets}
             walks = [isinstance(e, Attr) and leaves.get(e.name) or _merge_walk(e, leaves)
                      for e, _ in outer.targets]
-            subs, own, grown, refs = zip(*walks) if walks else ((),) * 4
+            subs, refs = zip(*walks) if walks else ((), ())
             # a definition over one node referenced too often, or growth, compounds up a stack
             if cfg.unsafe_naive_merge or not (
                     _most_refs(refs) > MERGE_REF_LIMIT
-                    or sum(grown) > MERGE_GROWTH_FACTOR * (sum(own) + sum(sizes[inner]))):
-                merged = Project(tuple(zip(subs, (name for _, name in outer.targets))),
-                                 inner.child, outer.materialize)
-                sizes[merged] = grown
+                    or sum(e.size for e in subs) > MERGE_GROWTH_FACTOR * sum(
+                        e.size for t in (outer.targets, inner.targets) for e, _ in t)):
+                results[outer] = Project(tuple(zip(subs, (name for _, name in outer.targets))),
+                                         inner.child, outer.materialize)
             else:
-                merged = replace_children(
+                results[outer] = replace_children(
                     outer, (Project(inner.targets, inner.child, materialize=True),))
-                sizes[merged] = own
-            results[outer] = merged
         return results[outer]
 
     return rebuild_bottom_up(root, step)
@@ -556,6 +536,7 @@ def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = Non
     rebuild (:func:`_place`)."""
     seen = list(looked.get(j if copied is None else copied, (0, 0)))
     chains = [_chain_conjuncts(kid) for kid in j.children]
+    guarded = [set(chain) for chain in chains]
     while True:
         kids = list(j.children)
         for src_idx, mapping in ((0, dict(j.pairs)), (1, {b: a for a, b in j.pairs})):
@@ -565,7 +546,7 @@ def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = Non
                 attrs = expr_attrs(cond)
                 if attrs and attrs <= mapping.keys():
                     transferred = substitute_attrs(cond, {a: Attr(mapping[a]) for a in attrs})
-                    if not any(transferred == e for e in chains[dst_idx]):
+                    if transferred not in guarded[dst_idx]:
                         spots = _landings(transferred, kids[dst_idx])
                         if spots and not landed:
                             joins = [n for n in all_nodes(kids[dst_idx]) if isinstance(n, Join)]
@@ -584,6 +565,7 @@ def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = Non
                 # the joins the placements crossed can take their conditions
                 kids[dst_idx] = _place(kids[dst_idx], landed, lambda c, old: _settle(c, looked, old))
                 chains[dst_idx] = _chain_conjuncts(kids[dst_idx])
+                guarded[dst_idx] = set(chains[dst_idx])
                 if not takes_all:
                     break
         if all(map(is_, kids, j.children)):
@@ -602,7 +584,7 @@ def _landings(cond: Expr, node: Node) -> list[tuple[tuple[int, ...], Expr]]:
     visits = [(node, cond, expr_attrs(cond), None)]
     spots = []
     for v, (n, c, attrs, _) in enumerate(visits):  # grows as the descent goes
-        if isinstance(n, Select) and any(c == x for x in conjuncts(n.cond)):
+        if isinstance(n, Select) and c in conjuncts(n.cond):
             continue
         entered = False
         for idx, child in enumerate(n.children):
@@ -634,7 +616,7 @@ def _place(node: Node, landed: list[list[tuple[tuple[int, ...], Expr]]], settle=
     backwards."""
     visits = [node]
     below: list[dict[int, int]] = [{}]  # per visit, child index -> the visit below
-    over: list[list[Expr]] = [[]]  # per visit, the conditions landed there, outermost first
+    over: list[dict[Expr, None]] = [{}]  # per visit, the conditions landed there, outermost first
     for spots in landed:
         for path, cond in spots:
             v = 0
@@ -643,10 +625,9 @@ def _place(node: Node, landed: list[list[tuple[tuple[int, ...], Expr]]], settle=
                     below[v][idx] = len(visits)
                     visits.append(visits[v].children[idx])
                     below.append({})
-                    over.append([])
+                    over.append({})
                 v = below[v][idx]
-            if not any(cond == c for c in over[v]):
-                over[v].append(cond)
+            over[v].setdefault(cond)
     out: list[Node] = [None] * len(visits)
     for v in reversed(range(len(visits))):  # children after their parent in visits
         n = visits[v]
@@ -668,18 +649,19 @@ def _enforce_ancestor_equalities(root: Node, ec_memo: Optional[dict] = None) -> 
     license there (:func:`_new_equalities`), the first found outermost.
     Enforcing an equality changes no top-down fact, so those are read once,
     the guards of :func:`_ancestor_guards` only when a pair gets that far;
-    the bottom-up classes are the rebuilt node's. ``ec_memo`` is an
-    :func:`infer_ec_bottom_up` memo, by default the
-    :func:`provopt.algebra.sharing_subplans` scope's."""
+    the bottom-up classes are the rebuilt node's (:func:`ec_up_of`), kept
+    apart from ``ec_memo``, which holds :func:`infer_ec_bottom_up`'s alone,
+    by default the :func:`provopt.algebra.sharing_subplans` scope's."""
     ecs = shared_table("ecs") if ec_memo is None else ec_memo
     up = infer_ec_bottom_up(root, memo=ecs)
     down = ec_top_down(root, up)
     guards = cache(lambda: _ancestor_guards(root))
+    built = ChainMap({}, ecs)  # new nodes' classes go to the first map
 
     def step(n: Node, node: Node) -> Node:
         if n is root or not down[n]:
             return node
-        classes = up[n] if node is n else infer_ec_bottom_up(node, memo=ecs)[node]
+        classes = up[n] if node is n else ec_up_of(node, built)
         for pair in reversed(_new_equalities(n, down, classes, guards)):
             node = Select(Cmp("=", *map(_member_expr, pair)), node)
         return node
@@ -728,8 +710,7 @@ def _ancestor_guards(root: Node) -> dict[Node, frozenset[frozenset[Expr]]]:
     def through(p: Node, idx: int, guarded: frozenset) -> frozenset:
         if isinstance(p, Select):
             guarded |= {frozenset((c.left, c.right)) for c in conjuncts(p.cond)
-                        if isinstance(c, Cmp) and c.op == "="
-                        and {type(c.left), type(c.right)} <= {Attr, Const}}
+                        if isinstance(c, Cmp) and c.op == "="}
         fmap = filter_map(p, p.children.index(p.children[idx]))
         if fmap is None or not guarded:
             return frozenset()

@@ -8,11 +8,13 @@ growth per doubling must stay under its stated bound. Wall time is capped
 once, generously, as a backstop.
 
 The pruning family also counts the schemas re-derived over stub inputs,
-and the stacked reenactment the expression nodes the rules fold (the
-merge's substitution among them). Joins of many inputs, shared expression
-DAGs, unions of many inputs and stacked aggregations are still to come.
-``to_sql`` of shared expression DAGs stays out until the filter scope's SQL
-is staged, since its text is exponential.
+the stacked reenactment and the shared expression DAG the expression nodes
+folded (the merge's substitution, a transferred condition's renaming and
+the evaluator's batches among them), and every family the nodes each
+property read lists. Joins of many inputs, unions of many inputs and
+stacked aggregations are still to come. ``to_sql`` of shared expression
+DAGs stays out until the filter scope's SQL is staged, since its text is
+exponential.
 """
 import random
 import time
@@ -21,10 +23,11 @@ import pytest
 
 from test_move_around import chain_into_a_join, chain_into_a_relation, guarded_over_fences
 
-from provopt import properties, rewrites
+from provopt import algebra, executor, properties, rewrites
 from provopt.algebra import (
-    Arith, Attr, Cmp, Const, Project, Relation, Select, Union, identity_targets,
+    Arith, Attr, Cmp, Const, Join, Project, Relation, Select, Union, identity_targets,
 )
+from provopt.executor import BagRelation
 from provopt.instrument import UpdateStmt, reenact
 
 N = 100
@@ -53,6 +56,42 @@ def stacked_reenactment(n):
     return reenact(ups, schema=("id",) + cols)
 
 
+def exported_twice(n):
+    """``sigma(y = b)`` over a projection exporting ``a`` as ``x`` and ``y``,
+    over n fenced identity projections over ``R(a, b)``: the equality is
+    enforced at ``R``, so every node above it is rebuilt."""
+    node = Relation("R", ("a", "b"))
+    for _ in range(n):
+        node = Project(identity_targets(("a", "b")), node, materialize=True)
+    node = Project(((Attr("a"), "x"), (Attr("a"), "y"), (Attr("b"), "b")), node)
+    return Select(Cmp("=", Attr("y"), Attr("b")), node)
+
+
+def doubled(name, n):
+    """``x = x + x`` n times over an attribute: n + 1 distinct nodes, a tree
+    of 2**(n + 1) - 1."""
+    x = Attr(name)
+    for _ in range(n):
+        x = Arith("+", x, x)
+    return x
+
+
+def shared_dag(n):
+    """``project (doubled a) (sigma(doubled a > 0) R(a) join(a=b) S(b))``:
+    the condition transfers to ``S`` renamed, and back to ``R``, where it
+    meets itself."""
+    left = Select(Cmp(">", doubled("a", n), Const(0)), Relation("R", ("a",)))
+    return Project(((doubled("a", n), "x"),), Join((("a", "b"),), left, Relation("S", ("b",))))
+
+
+DAG_DB = {"R": BagRelation.from_rows(("a",), [(-1,), (1,), (2,)]),
+          "S": BagRelation.from_rows(("b",), [(1,), (2,), (3,)])}
+
+
+def rewritten_and_evaluated(plan):
+    return executor.evaluate(rewrites.apply_pats(plan), DAG_DB)
+
+
 #: family -> (plan maker, rewrite, the most work may grow per doubling)
 FAMILIES = {
     # (R(a) join(a=d) U(d)) join(a=b) sigma(b<>n)...sigma(b<>2) S(b)
@@ -65,6 +104,10 @@ FAMILIES = {
     "union-held selection chain": (union_held_chain, rewrites.project_to_icols, 2.2),
     # the rewrite pipeline over n stacked UPDATE projections
     "stacked reenactment": (stacked_reenactment, rewrites.apply_pats, 2.2),
+    # sigma(y = b) over a projection exporting a twice, over n fenced projections
+    "equality exported twice": (exported_twice, rewrites._enforce_ancestor_equalities, 2.2),
+    # a projection and a transferred selection of x = x + x, n levels, rewritten and evaluated
+    "shared expression DAG": (shared_dag, rewritten_and_evaluated, 2.2),
 }
 
 
@@ -77,10 +120,17 @@ def _work(monkeypatch, rewrite, plan) -> int:
             return fn(*args)
         return wrapper
 
+    def listed(root):
+        nodes = algebra.all_nodes(root)
+        count[0] += len(nodes)
+        return nodes
+
     with monkeypatch.context() as m:
-        rebuild, fold = rewrites.rebuild_bottom_up, rewrites.fold_expr
+        rebuild, fold = rewrites.rebuild_bottom_up, algebra.fold_expr
         m.setattr(rewrites, "rebuild_bottom_up", lambda root, step: rebuild(root, counted(step)))
-        m.setattr(rewrites, "fold_expr", lambda roots, step: fold(roots, counted(step)))
+        for module in (rewrites, algebra, executor):
+            m.setattr(module, "fold_expr", lambda roots, step: fold(roots, counted(step)))
+        m.setattr(properties, "all_nodes", listed)
         m.setattr(rewrites, "over_schemas", counted(rewrites.over_schemas))
         m.setattr(rewrites, "replace_children", counted(rewrites.replace_children))
         m.setattr(rewrites, "filter_map", counted(rewrites.filter_map))
