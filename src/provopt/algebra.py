@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property, partial
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
@@ -68,15 +68,20 @@ class _HashConsed(type):
     Conchon, 2006): a call returns the live expression of its class and
     fields, a subexpression keyed by identity and a constant by its type
     and ``repr`` (``1``, ``1.0`` and ``True`` are three, ``0.0`` and
-    ``-0.0`` two), else builds it with ``size``, its tree's node count."""
+    ``-0.0`` two), else builds it with ``size``, its tree's node count, and
+    ``attrs``, the attribute names it references, from its children's."""
 
     def __call__(cls, *fields):
         key = (cls, *fields) if cls is not Const else (cls, type(fields[0]), repr(fields[0]))
         e = (known := _INTERNED.get(key)) and known()
         if e is None:
             e = super().__call__(*fields)
-            # a child that is not an expression is reported by the walks
-            object.__setattr__(e, "size", 1 + sum(getattr(c, "size", 1) for c in expr_children(e)))
+            # a child that is not an expression is reported by the walks and expr_attrs
+            kids = expr_children(e)
+            object.__setattr__(e, "size", 1 + sum(getattr(c, "size", 1) for c in kids))
+            attrs = [_attrs(c) for c in kids]
+            object.__setattr__(e, "attrs", frozenset((e.name,)) if cls is Attr
+                               else None if None in attrs else frozenset().union(*attrs))
             _INTERNED[key] = ref(e, partial(_INTERNED.pop, key))
         return e
 
@@ -184,20 +189,18 @@ def expr_size(e: Expr) -> int:
     return e.size
 
 
+def _attrs(x) -> Optional[frozenset[str]]:
+    """An expression's ``attrs``; None for a value that is not an
+    expression, or an expression with such a part."""
+    return x.attrs if type(x) in _EXPR_CHILDREN else None
+
+
 def expr_attrs(e: Expr) -> frozenset[str]:
-    """All attribute names referenced by an expression. Iterative, and a
-    subexpression is read once, so a DAG costs its size, not its tree size."""
-    if isinstance(e, Attr):
-        return frozenset((e.name,))
-    seen, stack = {e}, [e]
-    children = _EXPR_CHILDREN.get  # expr_children, inlined
-    while stack:
-        x = stack.pop()
-        for c in children(type(x), _not_an_expression)(x):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return frozenset(x.name for x in seen if isinstance(x, Attr))
+    """All attribute names referenced by an expression, kept on it; raises
+    AlgebraError naming a part that is not an expression."""
+    while _attrs(e) is None:
+        e = next(c for c in expr_children(e) if _attrs(c) is None)
+    return e.attrs
 
 
 def fold_expr(roots: Iterable[Expr], step: Callable[[Expr, tuple], T]) -> list[T]:
@@ -725,12 +728,12 @@ def identity_targets(attrs: Iterable[str]) -> tuple[tuple[Expr, str], ...]:
 def structurally_equal(a: Node, b: Node) -> bool:
     """Compare two graphs by shape and fields, ignoring node identity.
 
-    One work list holds pairs of nodes, of expressions and of the tuples
-    and values in their fields, and each pair is compared once, so shared
-    subgraphs and subexpressions cost linear time; iterative, so graphs and
-    expressions of any depth compare at any recursion limit. Values that
-    are neither compare with ``==``, so ``Const(1)`` and ``Const(1.0)``,
-    two expressions, compare equal here.
+    One work list holds pairs of nodes and of the tuples and values in
+    their fields, and each pair is compared once, so shared subgraphs cost
+    linear time; iterative, so graphs of any depth compare at any recursion
+    limit. Values that are not nodes, expressions among them, compare with
+    ``==``, which for an expression is ``is``: ``Const(1)`` and
+    ``Const(1.0)`` differ.
     """
     compared: set[tuple[int, int]] = set()  # both graphs hold every pair alive
     pairs = [(a, b)]
@@ -739,7 +742,7 @@ def structurally_equal(a: Node, b: Node) -> bool:
         if x is y or (id(x), id(y)) in compared:
             continue
         compared.add((id(x), id(y)))
-        if is_dataclass(x):  # a node or an expression
+        if isinstance(x, Node):
             if type(x) is not type(y):
                 return False
             pairs.extend(zip(_field_values(x), _field_values(y)))
@@ -752,6 +755,6 @@ def structurally_equal(a: Node, b: Node) -> bool:
     return True
 
 
-def _field_values(x) -> tuple:
-    """Every dataclass field of a node or expression, children first."""
+def _field_values(x: Node) -> tuple:
+    """Every dataclass field of a node, children first."""
     return tuple(getattr(x, name) for part in _field_names(type(x)) for name in part)

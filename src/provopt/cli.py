@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:
-        # no pass recurses once per nesting level; kept as a guard
+        # only parse_updates (recursive descent) recurses once per nesting level
         print(f"error: input nested too deeply: {exc}", file=sys.stderr)
         return 1
 
@@ -411,11 +411,7 @@ def cmd_bench(args) -> int:
         lines.append(f"unoptimized,{plain_size}")
         lines.append(f"heuristic,{opt_size}")
         lines.append(f"naive_merge,{naive_size}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    else:
-        print(text, end="")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 

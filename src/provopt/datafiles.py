@@ -2,8 +2,8 @@
 
 A relation ``sale`` is loaded from ``sale.csv`` (header row holds attribute
 names) typed by ``sale.schema``, one ``attr:type`` line per attribute with
-types int, float, str, or bool. ``key:a,b`` lines declare candidate keys.
-Duplicate CSV rows accumulate multiplicity.
+types int, float, str, or bool, naming CSV columns. ``key:a,b`` lines
+declare candidate keys. Duplicate CSV rows accumulate multiplicity.
 """
 from __future__ import annotations
 
@@ -29,8 +29,9 @@ _PARSERS = {
 }
 
 
-def parse_schema_file(path: Path) -> tuple[dict[str, str], list[tuple[str, ...]]]:
-    """Returns (attr -> type name, declared keys)."""
+def parse_schema_file(path: Path, columns: list[str]) -> tuple[dict[str, str], list[tuple[str, ...]]]:
+    """Returns (attr -> type name, declared keys); a line naming an attribute
+    not in ``columns``, the CSV header, is an error."""
     types: dict[str, str] = {}
     keys: list[tuple[str, ...]] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -41,11 +42,15 @@ def parse_schema_file(path: Path) -> tuple[dict[str, str], list[tuple[str, ...]]
             raise DataError(f"{path}:{lineno}: expected attr:type or key:attrs")
         head, rest = line.split(":", 1)
         head, rest = head.strip(), rest.strip()
+        named = tuple(a.strip() for a in rest.split(",") if a.strip()) if head == "key" else (head,)
+        for attr in named:
+            if attr not in columns:
+                raise DataError(f"{path}:{lineno}: no column {attr!r} in the CSV header")
         if head == "key":
-            keys.append(tuple(a.strip() for a in rest.split(",") if a.strip()))
+            keys.append(named)
+        elif rest not in _PARSERS:
+            raise DataError(f"{path}:{lineno}: unknown type {rest!r}")
         else:
-            if rest not in _PARSERS:
-                raise DataError(f"{path}:{lineno}: unknown type {rest!r}")
             types[head] = rest
     return types, keys
 
@@ -54,9 +59,7 @@ def load_table(csv_path: Path, schema_path: Optional[Path] = None
                ) -> tuple[BagRelation, list[tuple[str, ...]]]:
     """Load one relation; returns the bag and its declared keys."""
     csv_path = Path(csv_path)
-    if schema_path is None:
-        schema_path = csv_path.with_suffix(".schema")
-    types, keys = parse_schema_file(Path(schema_path)) if Path(schema_path).exists() else ({}, [])
+    schema_path = Path(csv_path.with_suffix(".schema") if schema_path is None else schema_path)
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -64,6 +67,7 @@ def load_table(csv_path: Path, schema_path: Optional[Path] = None
         except StopIteration:
             raise DataError(f"{csv_path}: missing header row") from None
         header = [h.strip() for h in header]
+        types, keys = parse_schema_file(schema_path, header) if schema_path.exists() else ({}, [])
         parsers = []
         for attr in header:
             parsers.append(_PARSERS[types.get(attr, "str")])

@@ -519,7 +519,7 @@ class _UpdParser:
             return Const(int(t))
         if t == "-":
             inner = self.atom()
-            if isinstance(inner, Const) and isinstance(inner.value, (int, float)):
+            if isinstance(inner, Const) and type(inner.value) in (int, float):  # not a bool
                 return Const(-inner.value)
             return Arith("-", Const(0), inner)
         up = t.upper()

@@ -9,7 +9,8 @@ parents' duplicate-insensitivity, and accumulates equivalence information
 from every parent.
 
 Equivalence classes are frozensets whose members are attribute names (str)
-or ``EcConst`` wrappers; a class holds at most one constant in practice but
+or the interned ``Const`` expressions themselves (``1``, ``1.0`` and ``True``
+are three members); a class holds at most one constant in practice but
 nothing breaks if contradictory selections put two there (the corresponding
 instances are empty). The passes the rewrites read
 (:func:`infer_ec_bottom_up`, :func:`ec_top_down`, :func:`ec_transfer_down`)
@@ -52,13 +53,6 @@ from .algebra import (
     Node, Product, Project, Relation, Select, Union, Window,
     all_nodes, expr_attrs, fold_down, schema_of, uncached_nodes,
 )
-
-
-@dataclass(frozen=True)
-class EcConst:
-    """Constant member of an equivalence class."""
-
-    value: object
 
 
 EcClass = frozenset
@@ -124,9 +118,9 @@ def equality_classes_from_condition(e: Expr) -> frozenset[EcClass]:
             if isinstance(left, Attr) and isinstance(right, Attr):
                 out.append(frozenset((left.name, right.name)))
             elif isinstance(left, Attr) and isinstance(right, Const):
-                out.append(frozenset((left.name, EcConst(right.value))))
+                out.append(frozenset((left.name, right)))
             elif isinstance(left, Const) and isinstance(right, Attr):
-                out.append(frozenset((right.name, EcConst(left.value))))
+                out.append(frozenset((right.name, left)))
     return frozenset(out)
 
 

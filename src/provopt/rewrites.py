@@ -45,7 +45,7 @@ from .algebra import (
     substitute_attrs, SchemaError,
 )
 from .properties import (
-    EcConst, ec_top_down, ec_transfer_down, ec_up_of, filter_map, icols_down,
+    ec_top_down, ec_transfer_down, ec_up_of, filter_map, icols_down,
     infer_ec_bottom_up, infer_icols, infer_set, keys_of, source_names,
 )
 
@@ -680,7 +680,7 @@ def _new_equalities(n: Node, down, up_classes, guards: Callable[[], dict]) -> li
         members = sorted(cls, key=_member_sort_key)
         for i, m1 in enumerate(members):
             for m2 in members[i + 1:]:
-                if not (isinstance(m1, EcConst)  # so is m2: constants sort last
+                if not (isinstance(m1, Const)  # so is m2: constants sort last
                         or m2 in class_of.get(m1, ())
                         or _licensed_below(n, down, m1, m2)
                         or frozenset(map(_member_expr, (m1, m2))) in guards()[n]):
@@ -722,7 +722,7 @@ def _ancestor_guards(root: Node) -> dict[Node, frozenset[frozenset[Expr]]]:
 
 
 def _member_expr(m) -> Expr:
-    return Const(m.value) if isinstance(m, EcConst) else Attr(m)
+    return m if isinstance(m, Const) else Attr(m)
 
 
 def _member_sort_key(m):

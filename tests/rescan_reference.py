@@ -20,7 +20,7 @@ from provopt.algebra import (
     shared_table, substitute_attrs, SchemaError,
 )
 from provopt.properties import (
-    EcConst, ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up, infer_icols,
+    ec_top_down, ec_transfer_down, filter_map, infer_ec_bottom_up, infer_icols,
     infer_keys, infer_set, source_names,
 )
 from provopt.rewrites import _PULL_THROUGH, _chain_conjuncts
@@ -465,7 +465,7 @@ def _new_equality(n: Node, down, up_classes, parents) -> Optional[Expr]:
         members = sorted(cls, key=_member_sort_key)
         for i, m1 in enumerate(members):
             for m2 in members[i + 1:]:
-                if isinstance(m1, EcConst) and isinstance(m2, EcConst):
+                if isinstance(m1, Const) and isinstance(m2, Const):
                     continue
                 if _same_up_class(up_classes, m1, m2):
                     continue
@@ -525,12 +525,12 @@ def _map_members_up(parent: Node, child: Node, members):
     if fmap is None:
         return None
     up = source_names(fmap)
-    out = tuple(m if isinstance(m, EcConst) else up.get(m) for m in members)
+    out = tuple(m if isinstance(m, Const) else up.get(m) for m in members)
     return None if None in out else out
 
 
 def _member_expr(m) -> Expr:
-    return Const(m.value) if isinstance(m, EcConst) else Attr(m)
+    return m if isinstance(m, Const) else Attr(m)
 
 
 def _member_sort_key(m):

@@ -26,7 +26,7 @@ from provopt.instrument import (
     parse_updates, reenact, replay, scope_to_updated,
 )
 from provopt.optimizer import optimize
-from provopt.properties import EcConst, infer_all, infer_ec
+from provopt.properties import infer_all, infer_ec
 from provopt.rewrites import (
     RewriteConfig, apply_pats, factor_attributes,
     merge_projections, merge_selections, project_to_icols,
@@ -166,13 +166,13 @@ def test_criterion_04_property_soundness():
                         assert kv not in seen
                         seen.add(kv)
                 for cls in store.ecs[node]:
-                    members = sorted(cls, key=lambda m: (isinstance(m, EcConst), repr(m)))
+                    members = sorted(cls, key=lambda m: (isinstance(m, Const), repr(m)))
                     if len(members) < 2:
                         continue
                     first = members[0]
                     for other in members[1:]:
-                        lhs = Const(first.value) if isinstance(first, EcConst) else Attr(first)
-                        rhs = Const(other.value) if isinstance(other, EcConst) else Attr(other)
+                        lhs = first if isinstance(first, Const) else Attr(first)
+                        rhs = other if isinstance(other, Const) else Attr(other)
                         enforced = substitute(q, node, Select(Cmp("=", lhs, rhs), node),
                                               check_schema=False)
                         assert evaluate(enforced, db).tuples == expected.tuples
@@ -199,7 +199,7 @@ def test_criterion_05_ec_worked_examples():
         sel = Select(Cmp("=", Attr("a"), Const(5)),
                      Select(Cmp("<", Attr("c"), Const(9)), base))
         got = infer_ec(sel)[sel]
-        assert got == frozenset((frozenset(("a", "b", EcConst(5))), frozenset(("c",))))
+        assert got == frozenset((frozenset(("a", "b", Const(5))), frozenset(("c",))))
 
         left = Select(Cmp("=", Attr("a"), Attr("b")), Relation("R", ("a", "b", "c")))
         right = Select(Cmp("=", Attr("e"), Attr("f")), Relation("S", ("d", "e", "f")))

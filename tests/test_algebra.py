@@ -168,9 +168,9 @@ def test_structural_equality_of_deep_conditions():
 
 
 def test_structural_equality_compares_fields_as_eq_does():
-    # values that are neither nodes nor expressions compare with ==
-    assert structurally_equal(Select(Cmp("=", Attr("a"), Const(1)), rel()),
-                              Select(Cmp("=", Attr("a"), Const(1.0)), rel()))
+    # values that are not nodes, expressions among them, compare with ==
+    assert not structurally_equal(Select(Cmp("=", Attr("a"), Const(1)), rel()),
+                                  Select(Cmp("=", Attr("a"), Const(1.0)), rel()))
     assert not structurally_equal(Select(Cmp("=", Attr("a"), Const(1)), rel()),
                                   Select(Cmp("=", Attr("a"), Const("1")), rel()))
     assert not structurally_equal(Select(Cmp("=", Attr("a"), Attr("b")), rel()),
@@ -185,6 +185,14 @@ def test_structural_equality_compares_fields_as_eq_does():
     for _ in range(24):
         e1, e2 = Arith("+", e1, e1), Arith("+", e2, e2)
     assert structurally_equal(Project(((e1, "x"),), rel()), Project(((e2, "x"),), rel()))
+
+
+def test_structural_equality_tells_constants_of_another_type_apart():
+    for c1, c2 in ((1, 1.0), (0.0, -0.0)):
+        assert not structurally_equal(Select(Cmp("=", Attr("a"), Const(c1)), rel()),
+                                      Select(Cmp("=", Attr("a"), Const(c2)), rel()))
+        assert not structurally_equal(Project(((Const(c1), "x"),), rel()),
+                                      Project(((Const(c2), "x"),), rel()))
 
 
 class TestCachedStructure:

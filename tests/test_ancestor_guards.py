@@ -14,9 +14,9 @@ from rescan_reference import (
 )
 
 from provopt.algebra import (
-    Attr, Cmp, Join, Project, Relation, Select, all_nodes, conjuncts, parent_map, schema_of,
+    Attr, Cmp, Const, Join, Project, Relation, Select, all_nodes, conjuncts, parent_map, schema_of,
 )
-from provopt.properties import EcConst, ec_top_down, infer_ec_bottom_up
+from provopt.properties import ec_top_down, infer_ec_bottom_up
 from provopt.rewrites import _ancestor_guards
 
 
@@ -64,7 +64,7 @@ def _check_every_pair(q) -> tuple[int, int]:
     for n in all_nodes(q):
         members = sorted({m for c in down[n] for m in c} | set(schema_of(n)), key=_member_sort_key)
         for m1, m2 in combinations(members, 2):
-            if not isinstance(m1, EcConst):  # constants sort last
+            if not isinstance(m1, Const):  # constants sort last
                 checked += 1
                 guarded += _guarded(q, n, m1, m2, guards, parents)
     return checked, guarded
@@ -105,7 +105,7 @@ def test_a_node_read_in_both_slots_of_a_join_is_guarded_through_its_first():
     assert schema_of(join) == ("a", "b", "a'", "b'")
     assert _guarded(q, x, "a", "b")
     assert _guarded(q, join, "a", "b")
-    assert not _guarded(q, x, "a", EcConst(1))
+    assert not _guarded(q, x, "a", Const(1))
 
 
 def test_only_the_first_name_of_a_column_maps_down():

@@ -283,6 +283,24 @@ class TestOtherCommands:
         assert sizes["heuristic"] <= sizes["unoptimized"]
         assert sizes["naive_merge"] >= sizes["heuristic"]
 
+    def test_bench_out_file_holds_what_stdout_shows(self, capsys, tmp_path):
+        argv = ("bench", "--mode", "reenact", "--updates", "6")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        code, nothing, err = run_cli(capsys, *argv, "--out", str(tmp_path / "bench.csv"))
+        assert code == 0 and nothing == "", err
+        assert (tmp_path / "bench.csv").read_text() == out
+
+    @pytest.mark.parametrize("line", ["key: Z", "Z:int"])
+    def test_a_schema_naming_an_unknown_column_is_one_error_line(self, capsys, keyed_txn_data,
+                                                                  line):
+        data, txn = keyed_txn_data
+        (data / "R.schema").write_text(f"K:int\nA:int\nB:int\n{line}\n")
+        code, out, err = run_cli(capsys, "run", "--reenact", str(txn), "--data", str(data),
+                                 "--scope", "histjoin")
+        assert code == 1 and out == ""
+        assert err == f"error: {data / 'R.schema'}:4: no column 'Z' in the CSV header\n"
+
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -82,3 +82,19 @@ def test_apply_pats_keeps_constants_of_another_type(target, rows):
     db = {"R": BagRelation.from_rows(("a",), rows)}
     # compared as printed: as dict keys, 1 == 1.0 == True
     assert format_bag(evaluate(apply_pats(plan), db)) == format_bag(evaluate(plan, db))
+
+
+@pytest.mark.parametrize("constant, rows", [
+    # the classes {a, 1} and {b, true} merged, since the constants compared
+    # equal by value: the plan gained (= a b) and compared 1 with true
+    ("true", [(1, True), (2, False)]),
+    # with 1.0 the answer held, but the plan gained a redundant (= a b) and
+    # a second equality to the constant the merged class kept
+    ("1.0", [(1, 1.0), (2, 2.0)]),
+])
+def test_equalities_to_constants_of_another_type_stay_in_two_classes(constant, rows):
+    plan = parse_plan(f"(select (and (= a 1) (= b {constant})) (rel R (attrs a b)))")
+    db = {"R": BagRelation.from_rows(("a", "b"), rows)}
+    out = apply_pats(plan)
+    assert format_bag(evaluate(out, db)) == format_bag(evaluate(plan, db))
+    assert out is plan

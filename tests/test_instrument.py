@@ -345,6 +345,38 @@ class TestUpdateParser:
         with pytest.raises(UpdateSyntaxError):
             parse_updates("UPDATE R WHERE a = 1;")
 
+    def test_float_and_keyword_literals(self):
+        ups = parse_updates("UPDATE R SET a = 1.5, b = TRUE, c = false, d = Null WHERE e = -0.25")
+        assert ups[0].set_clauses == (("a", Const(1.5)), ("b", Const(True)),
+                                      ("c", Const(False)), ("d", Const(None)))
+        assert ups[0].where == Cmp("=", Attr("e"), Const(-0.25))
+
+    def test_a_minus_folds_into_a_number_but_not_a_boolean(self):
+        # -TRUE evaluates as 0 - TRUE, which is an error, not -1
+        ups = parse_updates("UPDATE R SET a = -TRUE, b = -FALSE, c = -3;")
+        assert ups[0].set_clauses == (("a", Arith("-", Const(0), Const(True))),
+                                      ("b", Arith("-", Const(0), Const(False))),
+                                      ("c", Const(-3)))
+
+    def test_the_last_statement_needs_no_semicolon(self):
+        ups = parse_updates("UPDATE R SET a = 1; UPDATE R SET b = 2")
+        assert [u.set_clauses for u in ups] == [(("a", Const(1)),), (("b", Const(2)),)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("UPDATE R SET a = 1 ? 2;", "cannot read input at '? 2;'"),
+        ("UPDATE R SET a = 1 2;", "trailing input '2'"),
+        ("UPDATE R SET a = 1 WHERE b = 1 c;", "trailing input 'c'"),
+        ("UPDATE R SET a =;", "unexpected end of statement"),
+        ("UPDATE R SET a = (1;", "unexpected end of statement"),
+        ("UPDATE R SET a = (1 2);", "expected ), found '2'"),
+        ("UPDATE R SET a = );", "cannot read expression at ')'"),
+        ("UPDATE R WHERE a = 1;", "expected SET, found 'WHERE'"),
+    ])
+    def test_a_syntax_error_says_where(self, text, message):
+        with pytest.raises(UpdateSyntaxError) as err:
+            parse_updates(text)
+        assert str(err.value) == message
+
 
 def test_replay_on_the_fixture_transaction():
     from pathlib import Path

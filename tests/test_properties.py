@@ -11,7 +11,7 @@ from provopt.algebra import (
 )
 from provopt.executor import evaluate
 from provopt.properties import (
-    EcConst, ec_closure, equality_classes_from_condition, filter_map,
+    ec_closure, equality_classes_from_condition, filter_map,
     infer_ec, infer_icols, infer_keys, infer_set,
 )
 
@@ -113,9 +113,9 @@ def _old_equality_classes(e):
             if isinstance(left, Attr) and isinstance(right, Attr):
                 out.append(frozenset((left.name, right.name)))
             elif isinstance(left, Attr) and isinstance(right, Const):
-                out.append(frozenset((left.name, EcConst(right.value))))
+                out.append(frozenset((left.name, Const(right.value))))
             elif isinstance(left, Const) and isinstance(right, Attr):
-                out.append(frozenset((right.name, EcConst(left.value))))
+                out.append(frozenset((right.name, Const(left.value))))
     return frozenset(out)
 
 
@@ -147,11 +147,11 @@ class TestCnf:
         e = BoolOp("and", tuple(Cmp("=", Attr(f"a{i}"), Const(i)) for i in range(300)))
         assert _old_cnf_conjuncts(e) is None
         assert equality_classes_from_condition(e) == frozenset(
-            frozenset((f"a{i}", EcConst(i))) for i in range(300))
+            frozenset((f"a{i}", Const(i))) for i in range(300))
 
     def test_equality_with_constant(self):
         got = equality_classes_from_condition(Cmp("=", Attr("a"), Const(5)))
-        assert got == frozenset((frozenset(("a", EcConst(5))),))
+        assert got == frozenset((frozenset(("a", Const(5))),))
 
 
 class TestEcWorkedExamples:
@@ -160,7 +160,7 @@ class TestEcWorkedExamples:
         base = Select(Cmp("=", Attr("a"), Attr("b")), Relation("R", ("a", "b", "c")))
         q = Select(BoolOp("and", (Cmp("=", Attr("a"), Const(5)),
                                   Cmp("<", Attr("c"), Const(9)))), base)
-        assert infer_ec(q)[q] == classes(("a", "b", EcConst(5)), ("c",))
+        assert infer_ec(q)[q] == classes(("a", "b", Const(5)), ("c",))
 
     def test_join_merges_across_inputs(self):
         left = Select(Cmp("=", Attr("a"), Attr("b")), Relation("R", ("a", "b", "c")))
@@ -190,12 +190,12 @@ class TestEcWorkedExamples:
         # still equated to it above
         q = Project(((Attr("a"), "b"),),
                     Select(Cmp("=", Attr("a"), Const(1)), Relation("R", ("a", "c"))))
-        assert frozenset(("b", EcConst(1))) in infer_ec(q)[q]
+        assert frozenset(("b", Const(1))) in infer_ec(q)[q]
 
     def test_constant_from_above_crosses_projection(self):
         proj = Project(((Attr("a"), "b"), (Attr("c"), "c")), Relation("R", ("a", "c")))
         q = Select(Cmp("=", Attr("b"), Const(1)), proj)
-        assert infer_ec(q)[proj.child] == classes(("a", EcConst(1)), ("c",))
+        assert infer_ec(q)[proj.child] == classes(("a", Const(1)), ("c",))
 
 
 class TestFilterMap:
@@ -347,13 +347,13 @@ class TestSoundness:
             expected = evaluate(q, db)
             for node in all_nodes(q):
                 for cls in ecs[node]:
-                    members = sorted(cls, key=lambda m: (isinstance(m, EcConst), repr(m)))
+                    members = sorted(cls, key=lambda m: (isinstance(m, Const), repr(m)))
                     if len(members) < 2:
                         continue
                     first = members[0]
                     for other in members[1:]:
-                        left = Const(first.value) if isinstance(first, EcConst) else Attr(first)
-                        right = Const(other.value) if isinstance(other, EcConst) else Attr(other)
+                        left = first if isinstance(first, Const) else Attr(first)
+                        right = other if isinstance(other, Const) else Attr(other)
                         enforced = substitute(q, node, Select(Cmp("=", left, right), node),
                                               check_schema=False)
                         assert evaluate(enforced, db).tuples == expected.tuples
@@ -399,11 +399,11 @@ class TestSoundness:
             dup = infer_set(dag)
             for node in all_nodes(dag):
                 for cls in ecs[node]:
-                    members = sorted(cls, key=lambda m: (isinstance(m, EcConst), repr(m)))
+                    members = sorted(cls, key=lambda m: (isinstance(m, Const), repr(m)))
                     for other in members[1:]:
                         first = members[0]
-                        lhs = Const(first.value) if isinstance(first, EcConst) else Attr(first)
-                        rhs = Const(other.value) if isinstance(other, EcConst) else Attr(other)
+                        lhs = first if isinstance(first, Const) else Attr(first)
+                        rhs = other if isinstance(other, Const) else Attr(other)
                         enforced = substitute(dag, node, Select(Cmp("=", lhs, rhs), node),
                                               check_schema=False)
                         assert evaluate(enforced, db).tuples == expected.tuples

@@ -20,7 +20,7 @@ from provopt.algebra import (
 )
 from provopt.instrument import instrument_query
 from provopt.properties import (
-    EcConst, ec_closure, ec_top_down, equality_classes_from_condition, filter_map,
+    ec_closure, ec_top_down, equality_classes_from_condition, filter_map,
     infer_ec, infer_ec_bottom_up, singletons,
 )
 from provopt.rewrites import RewriteConfig, apply_pats
@@ -159,8 +159,8 @@ def test_a_class_of_one_constant_is_not_reported():
     right = Select(Cmp("=", Attr("d"), Const(1)), Relation("S", ("c", "d")))
     q = Union(left, right)
     dense = dense_top_down(q, dense_bottom_up(q))[q]
-    assert frozenset((EcConst(1),)) in dense
-    assert infer_ec(q)[q] == dense - {frozenset((EcConst(1),))} == frozenset(
+    assert frozenset((Const(1),)) in dense
+    assert infer_ec(q)[q] == dense - {frozenset((Const(1),))} == frozenset(
         (frozenset(("a",)), frozenset(("b",))))
 
 
