@@ -7,7 +7,9 @@ compared and hashed by identity. Operator nodes compare by identity but are
 not hash-consed, so equal subtrees can be distinct parts of one graph.
 Every walk that computes one value per subexpression (rewriting, compiling,
 printing, costing) is a :func:`fold_expr` step, so a subexpression is
-visited once and any depth is walked at any recursion limit.
+visited once and any depth is walked at any recursion limit. A pass whose
+parts need parts of their own done first (reading a plan, settling joins)
+is a generator run by :func:`drive`, for the same reason.
 
 A cross product is a join on no attribute pairs: both are :class:`Product`
 nodes, and a pass handles them as one operator that reads ``pairs``.
@@ -26,7 +28,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property, partial
 from operator import attrgetter, is_
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 from weakref import ref
 
 
@@ -686,6 +688,23 @@ def rebuild_bottom_up(root: Node, step: Callable[[Node, Node], Node]) -> Node:
         if out is not n:
             new[n] = out
     return new.get(root, root)
+
+
+def drive(walk: Generator) -> object:
+    """Run a generator to its result. A walk yields the walk of each part
+    it needs done and is sent back that part's result, so this one loop
+    runs every level and any depth runs at any recursion limit."""
+    stack, result = [walk], None
+    while stack:
+        try:
+            part = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(part)
+            result = None
+    return result
 
 
 def fold_down(root: Node, top: T, through: Callable[[Node, int, T], T], meet: Callable[[T, T], T],

@@ -45,10 +45,6 @@ def main(argv=None) -> int:
             sqlgen.SqlGenError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError as exc:
-        # only parse_updates (recursive descent) recurses once per nesting level
-        print(f"error: input nested too deeply: {exc}", file=sys.stderr)
-        return 1
 
 
 @functools.cache

@@ -18,6 +18,12 @@ class DataError(Exception):
     pass
 
 
+def _parse_bool(s: str) -> bool:
+    if s.lower() not in ("true", "false"):
+        raise ValueError(f"invalid literal for bool: {s!r} (expected true or false)")
+    return s.lower() == "true"
+
+
 _PARSERS = {
     "int": int,
     "int64": int,
@@ -25,7 +31,7 @@ _PARSERS = {
     "float64": float,
     "str": str,
     "string": str,
-    "bool": lambda s: {"true": True, "false": False}[s.lower()],
+    "bool": _parse_bool,
 }
 
 
@@ -79,7 +85,7 @@ def load_table(csv_path: Path, schema_path: Optional[Path] = None
                 raise DataError(f"{csv_path}:{lineno}: expected {len(header)} fields")
             try:
                 values = tuple(p(v.strip()) for p, v in zip(parsers, row))
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise DataError(f"{csv_path}:{lineno}: {exc}") from exc
             bag.add(values)
     return bag, keys

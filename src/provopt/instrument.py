@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterable, Optional
 
 from .algebra import (
@@ -425,7 +426,8 @@ def parse_updates(text: str) -> list[UpdateStmt]:
     numbers, single-quoted strings, and TRUE/FALSE/NULL. ``--`` starts a
     line comment; a missing WHERE clause means every tuple matches. The
     text is read once, in order: a statement ends at a ``;`` token, so a
-    string may hold ``;`` and ``--``.
+    string may hold ``;`` and ``--``. Operators bind by one precedence table,
+    :data:`_LEVEL`; a SET value is read at the level of ``+ -``.
     """
     statements, toks = [], []
     for m in _UPD_TOKEN.finditer(text):
@@ -444,114 +446,103 @@ def parse_updates(text: str) -> list[UpdateStmt]:
     return statements
 
 
-class _UpdParser:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.pos = 0
+#: each binary operator's precedence level; a higher level binds tighter. An
+#: unparenthesized chain of AND or of OR is one BoolOp, a comparison takes
+#: no comparison as its left operand, and arithmetic folds left
+_LEVEL = {"OR": 1, "AND": 2, **dict.fromkeys(("=", "<>", "<", "<=", ">", ">="), 4),
+          "+": 5, "-": 5, "*": 6, "/": 6}
+_NOT, _CMP, _ATOM = 3, 4, 7
+#: each prefix's level: NOT is a prefix only where a condition may start (a
+#: floor of at most its level), a minus binds tighter than every binary
+#: operator, and a parenthesis (0) holds a whole condition
+_PREFIX = {"(": 0, "NOT": _NOT, "-": _ATOM}
+_WORDS = {"TRUE": True, "FALSE": False, "NULL": None}
+#: what an open operator builds, by level, from its operands and operators
+#: in order (a prefix first); a minus folds into a number, not into a bool
+_BUILD = {1: lambda p: BoolOp("or", tuple(p[::2])), 2: lambda p: BoolOp("and", tuple(p[::2])),
+          _NOT: lambda p: BoolOp("not", (p[1],)), _CMP: lambda p: Cmp(p[1], p[0], p[2]),
+          **dict.fromkeys((5, 6), lambda p: reduce(
+              lambda e, i: Arith(p[i], e, p[i + 1]), range(1, len(p), 2), p[0])),
+          _ATOM: lambda p: Const(-p[1].value) if isinstance(p[1], Const)
+          and type(p[1].value) in (int, float) else Arith("-", Const(0), p[1])}
 
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def next(self) -> str:
-        if self.pos >= len(self.toks):
-            raise UpdateSyntaxError("unexpected end of statement")
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kw: str) -> None:
-        t = self.next()
-        if t.upper() != kw:
-            raise UpdateSyntaxError(f"expected {kw}, found {t!r}")
-
-    def disjunction(self) -> Expr:
-        parts = [self.conjunction()]
-        while (self.peek() or "").upper() == "OR":
-            self.next()
-            parts.append(self.conjunction())
-        return parts[0] if len(parts) == 1 else BoolOp("or", tuple(parts))
-
-    def conjunction(self) -> Expr:
-        parts = [self.negation()]
-        while (self.peek() or "").upper() == "AND":
-            self.next()
-            parts.append(self.negation())
-        return parts[0] if len(parts) == 1 else BoolOp("and", tuple(parts))
-
-    def negation(self) -> Expr:
-        if (self.peek() or "").upper() == "NOT":
-            self.next()
-            return BoolOp("not", (self.negation(),))
-        return self.comparison()
-
-    def comparison(self) -> Expr:
-        left = self.additive()
-        if self.peek() in ("=", "<>", "<", "<=", ">", ">="):
-            op = self.next()
-            return Cmp(op, left, self.additive())
-        return left
-
-    def additive(self) -> Expr:
-        e = self.multiplicative()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            e = Arith(op, e, self.multiplicative())
-        return e
-
-    def multiplicative(self) -> Expr:
-        e = self.atom()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            e = Arith(op, e, self.atom())
-        return e
-
-    def atom(self) -> Expr:
-        t = self.next()
-        if t == "(":
-            e = self.disjunction()
-            self.expect(")")
-            return e
-        if t.startswith("'"):
-            return Const(t[1:-1].replace("''", "'"))
-        if re.fullmatch(r"\d+\.\d+", t):
-            return Const(float(t))
-        if re.fullmatch(r"\d+", t):
-            return Const(int(t))
-        if t == "-":
-            inner = self.atom()
-            if isinstance(inner, Const) and type(inner.value) in (int, float):  # not a bool
-                return Const(-inner.value)
-            return Arith("-", Const(0), inner)
+def _operand(t: str) -> Expr:
+    """The constant or attribute a token is, told by its first character."""
+    if t[0] == "'":
+        return Const(t[1:-1].replace("''", "'"))
+    if t[0].isdecimal():
+        return Const(float(t) if "." in t else int(t))
+    if t[0].isalpha() or t[0] == "_":
         up = t.upper()
-        if up == "TRUE":
-            return Const(True)
-        if up == "FALSE":
-            return Const(False)
-        if up == "NULL":
-            return Const(None)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t):
-            return Attr(t)
-        raise UpdateSyntaxError(f"cannot read expression at {t!r}")
+        return Const(_WORDS[up]) if up in _WORDS else Attr(t)
+    raise UpdateSyntaxError(f"cannot read expression at {t!r}")
+
+
+def _next(toks: list[str]) -> str:
+    """The next of a statement's tokens, which are kept last first."""
+    if not toks:
+        raise UpdateSyntaxError("unexpected end of statement")
+    return toks.pop()
+
+
+def _expect(toks: list[str], kw: str) -> None:
+    t = _next(toks)
+    if t.upper() != kw:
+        raise UpdateSyntaxError(f"expected {kw}, found {t!r}")
+
+
+def _expr(toks: list[str], floor: int) -> Expr:
+    """The expression next whose operators have level ``floor`` or more
+    (:data:`_LEVEL`), in one loop: each operator still open waits on a list
+    with its level, its operands and operators so far and the floor outside
+    it, so any nesting reads at any recursion limit."""
+    opened: list[tuple[int, list, int]] = []
+    while True:
+        t = _next(toks)
+        up = t.upper()
+        if up in _PREFIX and (up != "NOT" or floor <= _NOT):
+            opened.append((_PREFIX[up], [t], floor))
+            floor = _PREFIX[up] or 1
+            continue
+        e, level = _operand(t), _ATOM
+        while True:  # close operators until one takes e or the expression ends
+            op = _LEVEL.get(toks[-1].upper()) if toks else None
+            if opened and op == opened[-1][0] != _CMP:  # the open chain goes on
+                opened[-1][1].extend((e, toks.pop()))
+                break
+            if op is not None and floor <= op < level:  # e is its left operand
+                opened.append((op, [e, toks.pop()], floor))
+                floor = op + 1
+                break
+            if not opened:
+                return e
+            level, parts, floor = opened.pop()
+            if level:
+                parts.append(e)
+                e = _BUILD[level](parts)
+            else:
+                _expect(toks, ")")
+                level = _ATOM
 
 
 def _parse_update(toks: list[str]) -> UpdateStmt:
-    p = _UpdParser(toks)
-    p.expect("UPDATE")
-    rel = p.next()
-    p.expect("SET")
+    toks.reverse()  # read by popping
+    _expect(toks, "UPDATE")
+    rel = _next(toks)
+    _expect(toks, "SET")
     clauses = []
     while True:
-        attr = p.next()
-        p.expect("=")
-        clauses.append((attr, p.additive()))
-        if p.peek() == ",":
-            p.next()
-            continue
-        break
+        attr = _next(toks)
+        _expect(toks, "=")
+        clauses.append((attr, _expr(toks, _LEVEL["+"])))
+        if not toks or toks[-1] != ",":
+            break
+        toks.pop()
     where: Expr = Const(True)
-    if (p.peek() or "").upper() == "WHERE":
-        p.next()
-        where = p.disjunction()
-    if p.peek() is not None:
-        raise UpdateSyntaxError(f"trailing input {p.peek()!r}")
+    if toks and toks[-1].upper() == "WHERE":
+        toks.pop()
+        where = _expr(toks, _LEVEL["OR"])
+    if toks:
+        raise UpdateSyntaxError(f"trailing input {toks[-1]!r}")
     return UpdateStmt(rel, tuple(clauses), where)

@@ -36,7 +36,7 @@ from .algebra import (
     AGG_FNS, ARITH_OPS, CMP_OPS, FRAME_PARTITION, FRAME_RUNNING,
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr,
     Intersect, Join, Node, Product, Project, Relation, Select, Union as UnionOp,
-    Window, all_nodes, fold_expr,
+    Window, all_nodes, drive, fold_expr,
 )
 
 
@@ -233,9 +233,9 @@ def _format_join_cond(pairs) -> str:
 
 #: one way of writing a part: its grammar symbol, which repeats when it ends
 #: in ``+``; ``read(s-expression, catalog)``, giving the value or its parser
-#: (see :func:`_parse_all`); ``show(value)``, giving its text, empty for an
-#: optional part's default; and an optional part's ``absent(form, fields,
-#: catalog)``, the value of a form written without it
+#: (run by :func:`~provopt.algebra.drive`); ``show(value)``, giving its
+#: text, empty for an optional part's default; and an optional part's
+#: ``absent(form, fields, catalog)``, the value of a form written without it
 _Way = namedtuple("_Way", "symbol read show absent", defaults=(None,))
 
 
@@ -308,23 +308,6 @@ _EXPR_HEADS = {
 }
 
 
-def _parse_all(parser):
-    """Run a parser generator to its result. A parser yields the parser of
-    each child s-expression and is sent back that child's result, so this
-    one loop parses every level and any depth runs at any recursion limit."""
-    stack, result = [parser], None
-    while stack:
-        try:
-            child = stack[-1].send(result)
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
-        else:
-            stack.append(child)
-            result = None
-    return result
-
-
 def _parse_items(way: _Way, items: list, catalog) -> Iterator:
     """The parser of the values of items all written one way, in order."""
     values = []
@@ -335,7 +318,7 @@ def _parse_items(way: _Way, items: list, catalog) -> Iterator:
 
 
 def parse_expr(x) -> Iterator:
-    """The expression parser of an s-expression (see :func:`_parse_all`)."""
+    """The expression parser of an s-expression (see :func:`~provopt.algebra.drive`)."""
     if isinstance(x, _Tok):  # a bare name that is no literal is an attribute
         if _BARE.match(x.text) and x.text not in _LITERALS:
             return Attr(x.text)
@@ -350,7 +333,7 @@ def parse_expr(x) -> Iterator:
 
 
 def parse_node(x, catalog: Optional[Mapping[str, tuple[str, ...]]]) -> Iterator:
-    """The operator parser of an s-expression (see :func:`_parse_all`)."""
+    """The operator parser of an s-expression (see :func:`~provopt.algebra.drive`)."""
     kind, args = _split(x, "(operator ...)")
     if kind not in _FORMS:
         _err(x, f"unknown operator {kind!r}")
@@ -380,7 +363,7 @@ def parse_plan(text: str, catalog: Optional[Mapping[str, tuple[str, ...]]] = Non
     tree, pos = _read(toks, 0)
     if pos != len(toks):
         _err(toks[pos], f"trailing input {toks[pos].text!r}")
-    return _parse_all(parse_node(tree, catalog))
+    return drive(parse_node(tree, catalog))
 
 
 def format_plan(node: Node) -> str:

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from .algebra import (
     Arith, Attr, Cmp, Cond, Const, Diff, DupElim, Expr,
     Intersect, Join, Node, Product, Project, Select, Union, Window,
-    all_nodes, conjuncts, conjunction, expr_attrs,
+    all_nodes, conjuncts, conjunction, drive, expr_attrs,
     expr_with_children, fold_down, fold_expr, identity_targets, over_schemas,
     parent_map, rebuild_bottom_up, replace_children, schema_of, shared_table,
     substitute_attrs, SchemaError,
@@ -519,11 +519,11 @@ def _transfer_join_conditions(root: Node) -> Node:
     grow at their end, guards only multiply), so a join goes on from how many
     of each input's chain conditions it, or the join it copies, looked at."""
     looked: dict[Node, list[int]] = {}
-    return rebuild_bottom_up(root, lambda n, node: _settle(node, looked) if isinstance(node, Join)
-                             else node)
+    return rebuild_bottom_up(root, lambda n, node: drive(_settle(node, looked))
+                             if isinstance(node, Join) else node)
 
 
-def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = None) -> Join:
+def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = None) -> Iterator:
     """The join with every condition guarding one input placed in the other,
     where the pairs carry every attribute it reads and no identical conjunct
     guards the path yet, left input's chain first; ``looked`` holds each
@@ -533,7 +533,7 @@ def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = Non
     another would be: they take one path, a crossed join passes each to its
     other input, and carried back through injective pairs each is itself.
     Each condition is one descent (:func:`_landings`), each batch one
-    rebuild (:func:`_place`)."""
+    rebuild (:func:`_place`), yielded to :func:`~provopt.algebra.drive`."""
     seen = list(looked.get(j if copied is None else copied, (0, 0)))
     chains = [_chain_conjuncts(kid) for kid in j.children]
     guarded = [set(chain) for chain in chains]
@@ -563,7 +563,7 @@ def _settle(j: Join, looked: dict[Node, list[int]], copied: Optional[Join] = Non
                     break
             if landed:
                 # the joins the placements crossed can take their conditions
-                kids[dst_idx] = _place(kids[dst_idx], landed, lambda c, old: _settle(c, looked, old))
+                kids[dst_idx] = yield _place(kids[dst_idx], landed, looked)
                 chains[dst_idx] = _chain_conjuncts(kids[dst_idx])
                 guarded[dst_idx] = set(chains[dst_idx])
                 if not takes_all:
@@ -606,14 +606,15 @@ def _landings(cond: Expr, node: Node) -> list[tuple[tuple[int, ...], Expr]]:
     return spots
 
 
-def _place(node: Node, landed: list[list[tuple[tuple[int, ...], Expr]]], settle=None) -> Node:
+def _place(node: Node, landed: list[list[tuple[tuple[int, ...], Expr]]],
+           looked: Optional[dict[Node, list[int]]] = None) -> Iterator:
     """``node`` with each condition's :func:`_landings` on it selected, as
     placing the conditions one after another would leave it: a condition
     lands below those landed at the same spot before it, and not at all when
-    an identical one landed there first. ``settle(join, the join it copies)``,
-    when given, runs on each join whose inputs changed, children first. The
-    spots' paths make one list of visits, and the rebuild runs over it
-    backwards."""
+    an identical one landed there first. With ``looked``, each join whose
+    inputs changed is settled (:func:`_settle`), children first, by yielding
+    it to :func:`~provopt.algebra.drive`. The spots' paths make one list of
+    visits, and the rebuild runs over it backwards."""
     visits = [node]
     below: list[dict[int, int]] = [{}]  # per visit, child index -> the visit below
     over: list[dict[Expr, None]] = [{}]  # per visit, the conditions landed there, outermost first
@@ -636,8 +637,8 @@ def _place(node: Node, landed: list[list[tuple[tuple[int, ...], Expr]]], settle=
             for idx, w in below[v].items():
                 kids[idx] = out[w]
             n = replace_children(n, tuple(kids))
-            if settle is not None and isinstance(n, Join):
-                n = settle(n, visits[v])
+            if looked is not None and isinstance(n, Join):
+                n = yield _settle(n, looked, visits[v])
         for cond in reversed(over[v]):
             n = Select(cond, n)
         out[v] = n

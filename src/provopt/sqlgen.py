@@ -93,12 +93,13 @@ def _render_step(x: Expr, kids: tuple[str, ...]) -> str:
     if isinstance(x, Cond):
         return "CASE WHEN {} THEN {} ELSE {} END".format(*kids)
     # an Arith or Cmp: a side binding more loosely than the operator is
-    # parenthesized, and a right side binding equally too (a-(b-c))
+    # parenthesized, a right side binding equally too (a-(b-c)), and a
+    # minus's right side starting with a minus, or SQL reads a comment (a-(-3))
     prec = _PRECEDENCE[x.op] if isinstance(x, Arith) else _CMP_PRECEDENCE
     left, right = kids
     if _binding(x.left) < prec:
         left = f"({left})"
-    if _binding(x.right) <= prec:
+    if _binding(x.right) <= prec or x.op == "-" and right.startswith("-"):
         right = f"({right})"
     return f"{left}{x.op}{right}"
 

@@ -28,7 +28,8 @@ def test_schema_types_the_columns_and_declares_keys(tmp_path):
     ("", "a:int\n", "R.csv", "missing header row"),
     ("a,b\n1,2\n3\n", "a:int\n", "R.csv:3", "expected 2 fields"),
     ("a,b\nx,2\n", "a:int\n", "R.csv:2", "invalid literal for int() with base 10: 'x'"),
-    ("a,b\nyes,2\n", "a:bool\n", "R.csv:2", "'yes'"),  # the bool parser's KeyError
+    ("a,b\nyes,2\n", "a:bool\n", "R.csv:2",
+     "invalid literal for bool: 'yes' (expected true or false)"),
 ])
 def test_a_malformed_input_is_one_data_error(tmp_path, csv_text, schema_text, where, message):
     with pytest.raises(DataError) as err:

@@ -83,7 +83,10 @@ def _old_render_arith(e):
         return _old_operand(x)
 
     prec = _OLD_PRECEDENCE[e.op]
-    return f"{side(e.left, prec, False)}{e.op}{side(e.right, prec, True)}"
+    right = side(e.right, prec, True)
+    if e.op == "-" and right.startswith("-"):  # a-(-1): SQL reads -- as a comment
+        right = f"({right})"
+    return f"{side(e.left, prec, False)}{e.op}{right}"
 
 
 def _old_operand(x):

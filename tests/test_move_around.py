@@ -20,7 +20,7 @@ from rescan_reference import _rewrite
 
 from provopt import rewrites
 from provopt.algebra import (
-    Attr, Cmp, Const, Cross, DupElim, Join, Project, Relation, Select, Union, all_nodes,
+    Attr, Cmp, Const, Cross, DupElim, Join, Project, Relation, Select, Union, all_nodes, drive,
     conjuncts, expr_attrs, identity_targets, replace_children, schema_of, structurally_equal,
     substitute_attrs,
 )
@@ -306,7 +306,7 @@ def test_conditions_at_one_spot_stack_in_order_and_once():
     first, second = Cmp("=", Attr("x"), Const(1)), Cmp("<", Attr("b"), Const(2))
     spots = [rewrites._landings(c, plan) for c in (first, second, first)]
     assert spots[0] == [((0,), Cmp("=", Attr("a"), Const(1)))]
-    got = rewrites._place(plan, spots)
+    got = drive(rewrites._place(plan, spots))
     assert_same_plan(got, Project(plan.targets, Select(spots[0][0][1], Select(second, r))))
     # an identical conjunct on the path guards it: no spot
     assert rewrites._landings(first, Select(Cmp("=", Attr("x"), Const(1)), plan)) == []
@@ -327,7 +327,7 @@ def test_placing_at_once_matches_placing_one_after_another():
         for c in conds:
             spots = rewrites._landings(c, one_by_one)
             if spots:
-                one_by_one = rewrites._place(one_by_one, [spots])
-        assert_same_plan(rewrites._place(q, landed) if landed else q, one_by_one)
+                one_by_one = drive(rewrites._place(one_by_one, [spots]))
+        assert_same_plan(drive(rewrites._place(q, landed)) if landed else q, one_by_one)
         several += len(landed) > 1
     assert several > 100

@@ -8,7 +8,7 @@ from randgen import random_instance, random_query
 
 from provopt.algebra import (
     Agg, Arith, Attr, Cmp, Cond, Const, Cross, DupElim, Join, Node, Project,
-    Relation, Select, Union, Window, all_nodes, identity_targets,
+    Relation, Select, Union, Window, all_nodes, drive, identity_targets,
     schema_of, structurally_equal,
 )
 from provopt.executor import BagRelation, evaluate
@@ -270,7 +270,7 @@ class TestSelectionMoveAround:
         union = Union(r, s)
         spots = _landings(Cmp("=", Attr("b"), Const(2)), union)
         assert spots
-        assert structurally_equal(_place(union, [spots]), Union(Select(Cmp("=", Attr("b"), Const(2)), r),
+        assert structurally_equal(drive(_place(union, [spots])), Union(Select(Cmp("=", Attr("b"), Const(2)), r),
                                                 Select(Cmp("=", Attr("d"), Const(2)), s)))
 
 

@@ -5,9 +5,10 @@ from pathlib import Path
 from randgen import random_agg_query, random_instance, random_spju_query
 
 from provopt.algebra import (
-    Agg, Arith, Attr, Cmp, Cond, Const, DupElim, Join, Project,
+    CMP_OPS, Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, DupElim, Join, Project,
     Relation, Select, Union, Window, schema_of,
 )
+from provopt.datafiles import load_directory
 from provopt.executor import BagRelation, evaluate
 from provopt.instrument import instrument_query, parse_updates, reenact
 from provopt.sqlgen import render_expr, to_sql
@@ -42,6 +43,32 @@ class TestRenderExpr:
     def test_quoting_only_when_needed(self):
         assert render_expr(Attr("prov_R_0_a")) == "prov_R_0_a"
         assert render_expr(Attr("b'")) == '"b\'"'
+
+    def test_the_update_reader_reads_back_each_printed_expression(self):
+        # the printer's parentheses are enough under the reader's precedence
+        # table, which is SQL's: a condition reads back bare after WHERE and
+        # parenthesized as a SET value
+        rng = random.Random(31)
+
+        def expression(depth):
+            if depth == 0 or rng.random() < 0.25:
+                return rng.choice((Attr(rng.choice("abc")), Const(rng.randint(-5, 5)),
+                                   Const(rng.randint(-12, 12) / 4)))
+            kind = rng.randrange(4)
+            if kind == 0:
+                return Arith(rng.choice("+-*/"), expression(depth - 1), expression(depth - 1))
+            if kind == 1:
+                return Cmp(rng.choice(CMP_OPS), expression(depth - 1), expression(depth - 1))
+            if kind == 2:
+                return BoolOp("not", (expression(depth - 1),))
+            return BoolOp(rng.choice(("and", "or")),
+                          tuple(expression(depth - 1) for _ in range(rng.randint(2, 3))))
+
+        for _ in range(2000):
+            e = expression(5)
+            text = render_expr(e)
+            [u] = parse_updates(f"UPDATE R SET x = ({text}) WHERE {text}")
+            assert u.set_clauses[0][1] is e and u.where is e, text
 
 
 class TestGoldenFiles:
@@ -179,6 +206,22 @@ class TestSqliteCrossCheck:
                             "UPDATE R SET A = A + 1 WHERE B = 1;")
         q = reenact(ups, schema=("A", "B"))
         db = {"R": BagRelation.from_rows(("A", "B"), [(2, 1), (3, 2), (4, 2)])}
+        self._check(q, db)
+
+    def test_a_minus_before_a_negative_number_starts_no_comment(self):
+        # SQL reads -- as the start of a comment: a--3 must print as a-(-3)
+        r = Relation("R", ("a", "b"))
+        db = {"R": BagRelation.from_rows(("a", "b"), [(1, 2), (5, -1)])}
+        for e, text in ((Arith("-", Attr("a"), Const(-3)), "a-(-3)"),
+                        (Arith("-", Attr("a"), Arith("*", Const(-2), Attr("b"))), "a-(-2*b)")):
+            assert render_expr(e) == text
+            self._check(Project(((e, "x"),), r), db)
+
+    def test_reenacted_subtraction_of_a_negative_number(self):
+        ups = parse_updates("UPDATE R SET A = B - -2 WHERE B = 2;")
+        q = reenact(ups, schema=("A", "B"))
+        assert "B-(-2)" in to_sql(q).text
+        db, _ = load_directory(Path(__file__).resolve().parent.parent / "fixtures_txn")
         self._check(q, db)
 
     def test_shared_subexpressions_emit_ctes(self):
