@@ -28,7 +28,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property, partial
 from operator import attrgetter, is_
-from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, TypeVar, Union
+from typing import Callable, Container, Generator, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 from weakref import ref
 
 
@@ -176,21 +176,6 @@ def expr_with_children(e: Expr, kids: Iterable[Expr]) -> Expr:
     return Cond(*kids)
 
 
-def expr_nodes(e: Expr) -> Iterator[Expr]:
-    """Every node of an expression tree, a shared subexpression once per
-    reference. Iterative, so any depth is walked at any recursion limit."""
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        yield x
-        stack.extend(expr_children(x))
-
-
-def expr_size(e: Expr) -> int:
-    """Node count of an expression tree, kept on the expression."""
-    return e.size
-
-
 def _attrs(x) -> Optional[frozenset[str]]:
     """An expression's ``attrs``; None for a value that is not an
     expression, or an expression with such a part."""
@@ -273,9 +258,10 @@ def disjunction(parts: Iterable[Expr]) -> Expr:
     return BoolOp("or", tuple(parts))
 
 
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    """Derive an unused attribute name by priming the base name."""
-    taken = set(taken)
+def fresh_name(base: str, taken: Container[str]) -> str:
+    """Derive an unused attribute name by priming the base name. ``taken``
+    is only tested for membership, never copied: a caller naming several
+    columns keeps one set and adds each name it takes."""
     name = base
     while name in taken:
         name += "'"
@@ -306,13 +292,13 @@ def concat_qualified(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[tup
     Returns (output schema, output names of the right side aligned with its
     own attribute order).
     """
-    out = list(left)
+    taken = set(left)
     right_out = []
     for a in right:
-        name = fresh_name(a, out)
-        out.append(name)
+        name = fresh_name(a, taken)
+        taken.add(name)
         right_out.append(name)
-    return tuple(out), tuple(right_out)
+    return tuple(left) + tuple(right_out), tuple(right_out)
 
 
 @cache
@@ -403,12 +389,13 @@ class Project(Node):
     @cached_property
     def schema(self):
         sch = self.child.schema
-        out = []
+        have, out = set(sch), {}
         for expr, name in self.targets:
-            _need(expr_attrs(expr), sch, f"projection target {name}")
+            if not have.issuperset(expr_attrs(expr)):
+                _need(expr_attrs(expr), sch, f"projection target {name}")
             if name in out:
                 raise SchemaError(f"duplicate output name {name!r} in projection")
-            out.append(name)
+            out[name] = None
         return tuple(out)
 
     @cached_property
@@ -429,9 +416,12 @@ class Product(Node):
     @cached_property
     def schema(self):
         ls, rs = self.left.schema, self.right.schema
+        have_left, have_right = set(ls), set(rs)
         for a, b in self.pairs:
-            _need((a,), ls, "join condition (left)")
-            _need((b,), rs, "join condition (right)")
+            if a not in have_left:
+                _need((a,), ls, "join condition (left)")
+            if b not in have_right:
+                _need((b,), rs, "join condition (right)")
         return self.qualified[0]
 
     @cached_property
@@ -502,15 +492,21 @@ class Agg(Node):
     @cached_property
     def schema(self):
         sch = self.child.schema
-        _need(self.group_by, sch, "group-by")
-        out = list(self.group_by)
+        have, out = set(sch), {}
+        if not have.issuperset(self.group_by):
+            _need(self.group_by, sch, "group-by")
+        for name in self.group_by:
+            if name in out:
+                raise SchemaError(f"duplicate output name {name!r} in aggregation")
+            out[name] = None
         for fn, arg, name in self.aggs:
             if fn not in AGG_FNS:
                 raise SchemaError(f"unknown aggregation function {fn!r}")
-            _need((arg,), sch, f"aggregation {fn}({arg})")
+            if arg not in have:
+                _need((arg,), sch, f"aggregation {fn}({arg})")
             if name in out:
                 raise SchemaError(f"duplicate output name {name!r} in aggregation")
-            out.append(name)
+            out[name] = None
         return tuple(out)
 
     @cached_property

@@ -74,22 +74,35 @@ class PropertyStore:
 
 
 def ec_closure(classes: Iterable[frozenset]) -> frozenset[EcClass]:
-    """Merge overlapping classes to a fixpoint (transitivity of equality)."""
-    pending = [set(c) for c in classes if c]
-    merged: list[set] = []
-    while pending:
-        cur = pending.pop()
-        changed = True
-        while changed:
-            changed = False
-            for other in merged:
-                if cur & other:
-                    merged.remove(other)
-                    cur |= other
-                    changed = True
-                    break
-        merged.append(cur)
-    return frozenset(frozenset(c) for c in merged)
+    """Merge overlapping classes to a fixpoint (transitivity of equality).
+    Disjoint classes, the common case, come back as they are. Else each
+    member maps to the merged class holding it, and where a class meets
+    two merged ones the smaller joins the larger, so a member moves a
+    logarithmic number of times at most."""
+    classes = classes if isinstance(classes, frozenset) else frozenset(map(frozenset, classes))
+    if len(classes) < 2 or len(frozenset().union(*classes)) == sum(map(len, classes)):
+        return classes - {frozenset()} if frozenset() in classes else classes
+    holder: dict = {}  # member -> the merged class holding it
+    for c in classes:
+        into = None
+        for m in c:
+            other = holder.get(m)
+            if other is None or other is into:
+                continue
+            if into is None:
+                into = other
+                continue
+            if len(other) > len(into):
+                into, other = other, into
+            into |= other
+            for x in other:
+                holder[x] = into
+        if into is None:
+            into = set()
+        into |= c
+        for m in c:
+            holder[m] = into
+    return frozenset(map(frozenset, {id(s): s for s in holder.values()}.values()))
 
 
 def singletons(attrs: Iterable[str]) -> frozenset[EcClass]:
@@ -367,10 +380,11 @@ def icols_down(n: Node, child_idx: int, need: frozenset[str]) -> frozenset[str]:
     if isinstance(n, Select):
         return down | expr_attrs(n.cond)
     if isinstance(n, Project):
+        computed = []  # joined in one union: adding one at a time copies the set each time
         for e, name in n.targets:
             if name in need and not isinstance(e, Attr):
-                down |= expr_attrs(e)
-        return down
+                computed.append(expr_attrs(e))
+        return down.union(*computed) if computed else down
     if isinstance(n, Product):
         return down | {pair[child_idx] for pair in n.pairs}
     if isinstance(n, Agg):

@@ -28,6 +28,7 @@ costs the outer projection, not the inner definitions it substitutes.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import ChainMap, Counter
 from dataclasses import dataclass, field
 from functools import cache
@@ -45,7 +46,7 @@ from .algebra import (
     substitute_attrs, SchemaError,
 )
 from .properties import (
-    ec_top_down, ec_transfer_down, ec_up_of, filter_map, icols_down,
+    ec_top_down, ec_up_of, filter_map, icols_down,
     infer_ec_bottom_up, infer_icols, infer_set, keys_of, source_names,
 )
 
@@ -674,30 +675,54 @@ def _new_equalities(n: Node, down, up_classes, guards: Callable[[], dict]) -> li
     """The member pairs of the node's downward classes, in one ordered scan,
     that are neither intrinsic here (in one of ``up_classes``, closed and so
     disjoint), nor enforceable deeper down, nor already filtered by the
-    ancestors (in ``guards()[n]``)."""
+    ancestors (in ``guards()[n]``). A class inside one upward class holds
+    intrinsic pairs only and is not scanned; in the others a member is
+    paired with the later members of the other upward classes only, so the
+    scan costs the class and the pairs it tests."""
     class_of = {m: c for c in up_classes for m in c}
+    crossing = [c for c in down[n] if not c <= class_of.get(next(iter(c)), frozenset())]
+    if not crossing:
+        return []
+    licensed_below = _licensed_below(n, down)
     pairs = []
-    for cls in sorted(down[n], key=lambda c: sorted(map(_member_sort_key, c))):
+    for cls in sorted(crossing, key=lambda c: sorted(map(_member_sort_key, c))):
         members = sorted(cls, key=_member_sort_key)
+        group = [class_of.get(m, m) for m in members]  # its upward class, or the member alone
+        later_others: dict = {}  # group -> the positions of the other groups' members, in order
         for i, m1 in enumerate(members):
-            for m2 in members[i + 1:]:
-                if not (isinstance(m1, Const)  # so is m2: constants sort last
-                        or m2 in class_of.get(m1, ())
-                        or _licensed_below(n, down, m1, m2)
+            if isinstance(m1, Const):  # so are the members after it: constants sort last
+                break
+            if group[i] not in later_others:
+                later_others[group[i]] = [j for j, g in enumerate(group) if g is not group[i]]
+            others = later_others[group[i]]
+            for j in others[bisect_right(others, i):]:
+                m2 = members[j]
+                if not (licensed_below(m1, m2)
                         or frozenset(map(_member_expr, (m1, m2))) in guards()[n]):
                     pairs.append((m1, m2))
     return pairs
 
 
-def _licensed_below(n: Node, down, m1, m2) -> bool:
-    """True when the equality can be enforced at one of the node's inputs
-    instead (insertion happens at the deepest licensed position only)."""
-    for idx, child in enumerate(n.children):
-        for cls in ec_transfer_down(n, idx, frozenset((frozenset((m1, m2)),))):
-            for dcls in down[child]:
-                if cls <= dcls:
+def _licensed_below(n: Node, down) -> Callable[[str, object], bool]:
+    """The test whether the equality of an attribute and a later member of
+    the node's downward class can be enforced at one of its inputs instead
+    (insertion happens at the deepest licensed position only): both cross
+    into the input through :func:`filter_map` (a constant as it is) as two
+    members of one of its downward classes. Each input's filter map and
+    member -> class map are built on the first test."""
+    inputs = cache(lambda idx: (filter_map(n, idx),
+                                {m: c for c in down[n.children[idx]] for m in c}))
+
+    def licensed(m1: str, m2) -> bool:
+        for idx in range(len(n.children)):
+            fmap, class_of = inputs(idx)
+            if fmap is not None and m1 in fmap:
+                m2_below = m2 if isinstance(m2, Const) else fmap.get(m2)
+                if m2_below not in (None, fmap[m1]) and m2_below in class_of.get(fmap[m1], ()):
                     return True
-    return False
+        return False
+
+    return licensed
 
 
 def _ancestor_guards(root: Node) -> dict[Node, frozenset[frozenset[Expr]]]:

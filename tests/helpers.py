@@ -5,10 +5,10 @@ and expressions."""
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from provopt.algebra import (
-    Attr, Expr, Node, Value, all_nodes, expr_nodes, fold_expr, schema_of, structurally_equal,
+    Attr, Expr, Node, Value, all_nodes, expr_children, fold_expr, schema_of, structurally_equal,
 )
 from provopt.executor import BagRelation, EvalError, evaluate_exprs, selection_mask
 
@@ -90,6 +90,21 @@ def assert_same_plan(got: Node, want: Node, note: object = "") -> None:
 
 def node_count(root: Node) -> int:
     return len(all_nodes(root))
+
+
+def expr_nodes(e: Expr) -> Iterator[Expr]:
+    """Every node of an expression tree, a shared subexpression once per
+    reference. Iterative, so any depth is walked at any recursion limit."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(expr_children(x))
+
+
+def expr_size(e: Expr) -> int:
+    """Node count of an expression tree, kept on the expression."""
+    return e.size
 
 
 def count_attr_refs(e: Expr, name: str) -> int:

@@ -1,11 +1,11 @@
 import pytest
 
-from helpers import node_count
+from helpers import expr_size, node_count
 
 from provopt.algebra import (
     Agg, Arith, Attr, Cmp, Const, Cross, DupElim, GraphError,
     Join, Project, Relation, SchemaError, Select, Union, Window,
-    all_nodes, expr_attrs, expr_size, fresh_name,
+    all_nodes, expr_attrs, fresh_name,
     parent_map, replace_children, right_output_names, schema_of,
     structurally_equal, substitute, substitute_attrs,
 )
@@ -55,6 +55,34 @@ class TestSchemaOf:
         q = Union(rel("R", ("a", "b")), rel("S", ("c",)))
         with pytest.raises(SchemaError):
             schema_of(q)
+
+    def test_duplicate_group_by_column_raises(self):
+        q = Agg(("a", "a"), (("count", "b", "n"),), rel())
+        with pytest.raises(SchemaError, match="^duplicate output name 'a' in aggregation$"):
+            schema_of(q)
+
+    @pytest.mark.parametrize("node, message", [
+        # each operator reports the first of its errors, target by target
+        (Project(((Attr("zz"), "x"), (Attr("a"), "x")), rel()),
+         "projection target x: unresolved attribute(s) ['zz'] in schema ['a', 'b']"),
+        (Project(((Attr("a"), "x"), (Attr("a"), "x"), (Attr("zz"), "y")), rel()),
+         "duplicate output name 'x' in projection"),
+        (Join((("a", "c"), ("zz", "c")), rel(), rel("S", ("c",))),
+         "join condition (left): unresolved attribute(s) ['zz'] in schema ['a', 'b']"),
+        (Join((("a", "zz"), ("zz", "c")), rel(), rel("S", ("c",))),
+         "join condition (right): unresolved attribute(s) ['zz'] in schema ['c']"),
+        (Agg(("zz", "a", "a"), (), rel()),
+         "group-by: unresolved attribute(s) ['zz'] in schema ['a', 'b']"),
+        (Agg(("a",), (("sum", "zz", "s"), ("median", "b", "m")), rel()),
+         "aggregation sum(zz): unresolved attribute(s) ['zz'] in schema ['a', 'b']"),
+        (Agg(("a",), (("median", "zz", "m"),), rel()), "unknown aggregation function 'median'"),
+        (Agg(("a",), (("sum", "b", "a"), ("sum", "zz", "s")), rel()),
+         "duplicate output name 'a' in aggregation"),
+    ])
+    def test_the_first_error_is_reported(self, node, message):
+        with pytest.raises(SchemaError) as raised:
+            schema_of(node)
+        assert str(raised.value) == message
 
 
 class TestSubstitute:
@@ -135,6 +163,14 @@ class TestExprHelpers:
 
     def test_fresh_name_primes(self):
         assert fresh_name("b", ("a", "b", "b'")) == "b''"
+
+    def test_fresh_name_only_tests_membership(self):
+        # one lookup per name tried, never a copy: a set of any size costs the same
+        class Taken:
+            def __contains__(self, name):
+                return name in {"b", "b'", "c"}
+
+        assert fresh_name("b", Taken()) == "b''"
 
 
 def test_structural_equality_ignores_identity():

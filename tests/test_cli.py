@@ -329,6 +329,17 @@ def test_a_script_without_updates_is_one_error_line(capsys, monkeypatch, tmp_pat
     assert err == f"error: {empty} holds no UPDATE statement to reenact\n"
 
 
+@pytest.mark.parametrize("mode", ["--plan", "--prov-of"])
+def test_a_duplicate_group_by_column_is_one_error_line(capsys, monkeypatch, tmp_path, mode):
+    monkeypatch.chdir(ROOT)
+    plan = tmp_path / "q.plan"
+    plan.write_text("(agg (groupby shop shop) (aggs (count item -> n)) (rel sale))\n")
+    code, out, err = run_cli(capsys, "run", mode, str(plan), "--data", "fixtures")
+    assert code == 1 and "shop | shop" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "duplicate output name 'shop' in aggregation" in err
+
+
 def test_empty_join_condition_is_a_syntax_error(capsys, tmp_path):
     plan = tmp_path / "q.plan"
     plan.write_text("(join (and) (rel R (attrs a b)) (rel S (attrs c)))")

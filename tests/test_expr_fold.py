@@ -26,14 +26,14 @@ from typing import Callable
 
 import pytest
 
-from helpers import compile_expr, compile_predicate, compile_row
+from helpers import compile_expr, compile_predicate, compile_row, expr_nodes
 from randgen import random_condition, random_query
 
 from provopt import cli
 from provopt.algebra import (
     ARITH_OPS, AlgebraError, Arith, Attr, BoolOp, CMP_OPS, Cmp, Cond, Const,
     Expr, Project, Relation, Select, all_nodes, conjunction, conjuncts,
-    Value, expr_attrs, expr_children, expr_nodes, fold_expr, schema_of,
+    Value, expr_attrs, expr_children, fold_expr, schema_of,
 )
 from provopt.executor import (
     RANGE_SELECTIVITY, BagRelation, EvalError, TableStats, cost, evaluate, evaluate_exprs,

@@ -12,7 +12,9 @@ import weakref
 
 import pytest
 
-from provopt.algebra import Arith, Attr, BoolOp, Cmp, Cond, Const, expr_size
+from helpers import expr_size
+
+from provopt.algebra import Arith, Attr, BoolOp, Cmp, Cond, Const
 from provopt.cli import format_bag
 from provopt.executor import BagRelation, evaluate
 from provopt.plantext import parse_plan

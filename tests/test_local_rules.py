@@ -14,14 +14,14 @@ from pathlib import Path
 import pytest
 
 from annotated import annotate, evaluate_annotated
-from helpers import assert_same_plan, count_attr_refs
+from helpers import assert_same_plan, count_attr_refs, expr_size
 from randgen import random_agg_query, random_query, random_spju_query, share_subtree
 from rescan_reference import _rewrite
 from test_expr_fold import random_dag
 
 from provopt.algebra import (
     Arith, Attr, BoolOp, Cmp, Cond, Const, DupElim, Join, Node, Project,
-    Relation, Select, Union, all_nodes, conjunction, expr_attrs, expr_size,
+    Relation, Select, Union, all_nodes, conjunction, expr_attrs,
     expr_with_children, fold_expr, identity_targets, parent_map,
     rebuild_bottom_up, schema_of, structurally_equal, substitute,
     substitute_attrs,

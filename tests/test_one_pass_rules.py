@@ -2,10 +2,10 @@
 that rewriting one candidate at a time and rescanning the graph built.
 
 The rescanning rules are kept verbatim in ``rescan_reference``. On the
-pipeline corpus, on the random plans of the move-around tests and on
-unions of selection chains, every rule must build a structurally equal
-plan, return its input object when the reference does, and
-``remove_dupelim_by_set`` must ask the same choices in the same order.
+pipeline corpus, on the random plans of the move-around tests, on unions
+of selection chains and on join chains and stars, every rule must build a
+structurally equal plan, return its input object when the reference does,
+and ``remove_dupelim_by_set`` must ask the same choices in the same order.
 """
 import random
 
@@ -19,8 +19,8 @@ from test_pipeline_memo import CORPUS, RecordingChoice
 
 from provopt import rewrites
 from provopt.algebra import (
-    Attr, Cmp, Const, Cross, Diff, DupElim, Project, Relation, Select, Union, all_nodes,
-    identity_targets, structurally_equal,
+    Attr, Cmp, Const, Cross, Diff, DupElim, Join, Project, Relation, Select, Union, all_nodes,
+    conjunction, identity_targets, structurally_equal,
 )
 from provopt.executor import BagRelation, evaluate
 
@@ -47,9 +47,40 @@ def union_held_chains(rng, count):
                       Union(*inputs))
 
 
+def chains_and_stars(rng, count):
+    """Right-nested join chains ``R0 join(a0=a1) (R1 join(a1=a2) (...))``
+    and left-deep stars ``((R0 join(a0=a1) R1) join(a0=a2) R2) ...`` of 2
+    to 30 joins over ``R_i(a_i, b_i)``, under a selection of one to three
+    equalities, some also on a relation. An equality of two ``a`` columns
+    lies inside the joins' class; one with a ``b`` column or a constant
+    makes classes that cross the classes below it."""
+    for made in range(count):
+        k = rng.randint(2, 30)
+        rels = [Relation(f"R{i}", (f"a{i}", f"b{i}")) for i in range(k + 1)]
+        if rng.random() < 0.3:
+            i = rng.randrange(k + 1)
+            rels[i] = Select(Cmp("=", Attr(f"a{i}"), Const(rng.randrange(3))), rels[i])
+        if made % 2:
+            node = rels[k]
+            for i in reversed(range(k)):
+                node = Join(((f"a{i}", f"a{i + 1}"),), rels[i], node)
+        else:
+            node = rels[0]
+            for i in range(1, k + 1):
+                node = Join((("a0", f"a{i}"),), node, rels[i])
+
+        def operand():
+            return Attr(f"{rng.choice('aab')}{rng.randrange(k + 1)}")
+
+        yield Select(conjunction(
+            Cmp("=", operand(), operand() if rng.random() < 0.8 else Const(rng.randrange(3)))
+            for _ in range(rng.randint(1, 3))), node)
+
+
 def _plans():
     """(plan, base keys): the pipeline corpus, then the move-around tests'
-    random plans and joins of selection chains, then unions of chains."""
+    random plans and joins of selection chains, then unions of chains, then
+    join chains and stars."""
     yield from CORPUS
     rng = random.Random(12)
     for _ in range(300):
@@ -57,6 +88,8 @@ def _plans():
     for q in joins_of_chains(rng, 600):
         yield q, {}
     for q in union_held_chains(rng, 300):
+        yield q, {}
+    for q in chains_and_stars(rng, 60):
         yield q, {}
 
 
