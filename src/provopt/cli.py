@@ -138,10 +138,10 @@ def _load_data(args):
 
 
 def _distincts(rel: BagRelation) -> dict[str, float]:
-    out = {}
-    for i, attr in enumerate(rel.schema):
-        out[attr] = float(len({t[i] for t in rel.tuples}))
-    return out
+    """Each attribute's number of distinct values, its column read once
+    through one transposition of the tuples."""
+    columns = list(zip(*rel.tuples)) or [()] * len(rel.schema)
+    return {attr: float(len(set(column))) for attr, column in zip(rel.schema, columns)}
 
 
 def _emit(args, text: str) -> None:

@@ -8,6 +8,7 @@ declare candidate keys. Duplicate CSV rows accumulate multiplicity.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -63,7 +64,13 @@ def parse_schema_file(path: Path, columns: list[str]) -> tuple[dict[str, str], l
 
 def load_table(csv_path: Path, schema_path: Optional[Path] = None
                ) -> tuple[BagRelation, list[tuple[str, ...]]]:
-    """Load one relation; returns the bag and its declared keys."""
+    """Load one relation; returns the bag and its declared keys.
+
+    The rows are read first, then each column is converted by one ``map``
+    of its type's parser over its stripped fields, and equal tuples are
+    counted in one pass. When a row has the wrong number of fields or a
+    field does not parse, the rows are checked again one at a time, so the
+    error names the first bad line in file order."""
     csv_path = Path(csv_path)
     schema_path = Path(csv_path.with_suffix(".schema") if schema_path is None else schema_path)
     with open(csv_path, newline="") as fh:
@@ -74,21 +81,39 @@ def load_table(csv_path: Path, schema_path: Optional[Path] = None
             raise DataError(f"{csv_path}: missing header row") from None
         header = [h.strip() for h in header]
         types, keys = parse_schema_file(schema_path, header) if schema_path.exists() else ({}, [])
-        parsers = []
-        for attr in header:
-            parsers.append(_PARSERS[types.get(attr, "str")])
-        bag = BagRelation(tuple(header))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{csv_path}:{lineno}: expected {len(header)} fields")
+        parsers = [_PARSERS[types.get(attr, "str")] for attr in header]
+        records: list[list[str]] = []
+        try:
+            records.extend(reader)
+        except (csv.Error, UnicodeDecodeError):
+            # a bad line read before the one the reader fails on is reported first
+            _raise_first_bad_line(csv_path, records, parsers)
+            raise
+    rows = [r for r in records if r]  # a blank line holds no row
+    try:
+        if set(map(len, rows)) - {len(header)}:
+            raise ValueError("a row with the wrong number of fields")
+        columns = [list(map(p, map(str.strip, column))) for p, column in zip(parsers, zip(*rows))]
+    except ValueError:
+        _raise_first_bad_line(csv_path, records, parsers)
+        raise
+    return BagRelation(tuple(header), dict(Counter(zip(*columns)))), keys
+
+
+def _raise_first_bad_line(csv_path: Path, records: list[list[str]], parsers: list) -> None:
+    """Raise the DataError of the first record, in file order, with the
+    wrong number of fields or a field its column's parser rejects; returns
+    when every record is sound."""
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != len(parsers):
+            raise DataError(f"{csv_path}:{lineno}: expected {len(parsers)} fields")
+        for p, v in zip(parsers, row):
             try:
-                values = tuple(p(v.strip()) for p, v in zip(parsers, row))
+                p(v.strip())
             except ValueError as exc:
                 raise DataError(f"{csv_path}:{lineno}: {exc}") from exc
-            bag.add(values)
-    return bag, keys
 
 
 def load_directory(path: Path) -> tuple[dict[str, BagRelation], dict[str, list[tuple[str, ...]]]]:

@@ -112,7 +112,7 @@ class BagRelation:
         return all(self.tuples.get(t, 0) >= m for t, m in other.tuples.items())
 
 
-def _columns(idx: Sequence[int]) -> Callable[[tuple], tuple]:
+def columns_getter(idx: Sequence[int]) -> Callable[[tuple], tuple]:
     """A function from a row to the tuple of its columns ``idx``: one
     ``itemgetter`` call, which also gives a 1-tuple for one column."""
     if len(idx) == 1:
@@ -250,18 +250,21 @@ def _bool_value(op: str, args: tuple):
 class _Batch:
     """Rows evaluated together: their columns, read when first needed, and
     the types each column may hold (a superset of its values' types),
-    recorded for every computed column and scanned for a column of the
-    rows when first needed. Only a computed column can hold an error. A
-    batch may also be built from its columns alone (:meth:`of_columns`)."""
+    recorded for every computed column and, for a column of the rows read
+    one at a time, taken from ``column_types`` when given (a superset for
+    each column of the rows) or else scanned when first needed. Only a
+    computed column can hold an error. A batch may also be built from its
+    columns alone (:meth:`of_columns`)."""
 
-    __slots__ = ("rows", "size", "columns", "types")
+    __slots__ = ("rows", "size", "columns", "types", "column_types")
 
-    def __init__(self, rows: list[tuple]):
+    def __init__(self, rows: list[tuple], column_types: Optional[Sequence[frozenset]] = None):
         self.rows = rows
         self.size = len(rows)
         self.columns: dict[int, Sequence] = {}
         #: id(column) -> (column, types); holding the column keeps its id unique
         self.types: dict[int, tuple[Sequence, frozenset]] = {}
+        self.column_types = column_types
 
     @classmethod
     def of_columns(cls, columns: Sequence[Sequence],
@@ -283,6 +286,8 @@ class _Batch:
         col = self.columns.get(i)
         if col is None:
             col = self.columns[i] = list(map(itemgetter(i), self.rows))
+            if self.column_types is not None:
+                self.types[id(col)] = (col, self.column_types[i])
         return col
 
     def types_of(self, column: Sequence) -> frozenset:
@@ -386,11 +391,12 @@ def _index(schema: Sequence[str]) -> dict[str, int]:
     return {a: i for i, a in enumerate(schema)}
 
 
-def _mask(cond: Expr, index: Mapping[str, int],
-          rows: list[tuple]) -> tuple[Sequence, int, Optional[EvalError]]:
+def _mask(cond: Expr, index: Mapping[str, int], rows: list[tuple],
+          column_types: Optional[Sequence[frozenset]] = None
+          ) -> tuple[Sequence, int, Optional[EvalError]]:
     """A selection condition's column over the rows, its first row whose
     value is not a boolean (else the row count), and that row's error."""
-    batch = _Batch(rows)
+    batch = _Batch(rows, column_types)
     column = batch.evaluate((cond,), index)[0]
     bad = batch.non_booleans(column)
     if not bad:
@@ -404,7 +410,7 @@ def _projected(exprs: Sequence[Expr], index: Mapping[str, int],
     """The tuple of the expressions' values for each row. A list of bound
     attributes only is one ``itemgetter`` call per row."""
     if exprs and all(isinstance(e, Attr) and e.name in index for e in exprs):
-        return list(map(_columns([index[e.name] for e in exprs]), rows))
+        return list(map(columns_getter([index[e.name] for e in exprs]), rows))
     batch = _Batch(rows)
     batch.read_columns()
     columns = batch.evaluate(exprs, index)
@@ -421,8 +427,15 @@ def evaluate_exprs(exprs: Sequence[Expr], schema: Sequence[str], rows: list[tupl
     """The value column of each expression over rows of ``schema``: one list
     per expression, one value per row. Raises what evaluating the rows one
     at a time, in order, would raise first."""
-    batch = _Batch(rows)
-    columns = batch.evaluate(exprs, _index(schema))
+    return _values(exprs, _index(schema), rows)
+
+
+def _values(exprs: Sequence[Expr], index: Mapping[str, int], rows: list[tuple],
+            column_types: Optional[Sequence[frozenset]] = None) -> list[Sequence]:
+    """:func:`evaluate_exprs` over the columns ``index`` names, each of
+    which is read only if an expression reads it."""
+    batch = _Batch(rows, column_types)
+    columns = batch.evaluate(exprs, index)
     batch.raise_first_error(columns)
     return columns
 
@@ -436,17 +449,20 @@ def selection_mask(cond: Expr, schema: Sequence[str], rows: list[tuple]) -> Sequ
     return column
 
 
-def updated_rows(cond: Expr, exprs: Sequence[Expr], schema: Sequence[str],
-                 rows: list[tuple]) -> tuple[list[tuple], list[tuple]]:
+def updated_rows(cond: Expr, exprs: Sequence[Expr], schema: Sequence[str], rows: list[tuple],
+                 column_types: Optional[Sequence[frozenset]] = None
+                 ) -> tuple[list[tuple], list[tuple]]:
     """The rows of ``schema`` that satisfy ``cond``, in order, and the tuple
     of the expressions' values for each of them. Raises what evaluating the
     rows one at a time, in order, would raise first: each row's condition,
-    then, if it holds, its expressions."""
+    then, if it holds, its expressions. ``column_types``, when given, holds
+    for each column of ``schema`` a superset of the types of its values in
+    ``rows``, which spares scanning the columns the expressions read."""
     index = _index(schema)
-    test, bad, error = _mask(cond, index, rows)
+    test, bad, error = _mask(cond, index, rows, column_types)
     # the rows before the first failing condition are matched or not
     matched = list(compress(rows, islice(test, bad)))
-    new = _projected(exprs, index, matched)
+    new = _rows(_values(exprs, index, matched, column_types), len(matched))
     if error is not None:
         raise error
     return matched, new
@@ -527,7 +543,7 @@ def _equi_matches(left: Collection[tuple[tuple, object]], right: Collection[tupl
         if lt and rt and len({_kind(tp) for tp in lt | rt}) > 1:
             raise EvalError("cannot compare join key values of different kinds: "
                             + ", ".join(sorted(tp.__name__ for tp in lt | rt)))
-    lkey, rkey = _columns(li), _columns(ri)
+    lkey, rkey = columns_getter(li), columns_getter(ri)
     if screen:
         left = [item for item in left if _matchable(lkey(item[0]))]
         right = [item for item in right if _matchable(rkey(item[0]))]
@@ -626,7 +642,7 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
                     if (rest := m - other(t, 0)) > 0}
         if isinstance(n, Agg):
             child = memo[n.child]
-            key = _columns([child.schema.index(a) for a in n.group_by])
+            key = columns_getter([child.schema.index(a) for a in n.group_by])
             args = [child.schema.index(a) for _, a, _ in n.aggs]
             groups: dict[tuple, list[tuple[tuple, int]]] = {}
             for item in child.tuples.items():
@@ -688,7 +704,7 @@ def _fused(n: Project, matches: Iterator[tuple]) -> dict[tuple, int]:
     schema = schema_of(n.child)
     index = _index(schema)
     idx = [index[e.name] for e, _ in n.targets]
-    get = _columns(idx)
+    get = columns_getter(idx)
     if len(set(idx)) == len(schema):
         # rows that differ in some column differ in the output: none merge,
         # and one comprehension skips _counted's list of (row, count) pairs
@@ -721,7 +737,7 @@ def _window(n: Window, child: BagRelation) -> dict[tuple, int]:
     would add floats in another order than the per-row sum, and the
     evaluator, being the oracle, must stay exact.
     """
-    part = _columns([child.schema.index(a) for a in n.partition_by])
+    part = columns_getter([child.schema.index(a) for a in n.partition_by])
     oi = [child.schema.index(a) for a in n.order_by]
     ai = child.schema.index(n.arg)
     parts: dict[tuple, list[tuple[tuple, int]]] = {}

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Optional
 
 from .algebra import (
@@ -35,7 +36,7 @@ from .algebra import (
     FRAME_PARTITION, all_nodes, disjunction, expr_attrs, fresh_name, identity_targets,
     replace_children, schema_of, shared_table, substitute, substitute_attrs,
 )
-from .executor import BagRelation, EvalError, updated_rows
+from .executor import BagRelation, EvalError, columns_getter, updated_rows
 
 
 class InstrumentError(Exception):
@@ -262,23 +263,44 @@ def replay(updates: list[UpdateStmt], state: BagRelation,
     changes it.
 
     ``state`` is copied once and left unchanged. Each update evaluates its
-    condition over the whole copy as one batch, then its new values over the
-    matched rows as another (:func:`~provopt.executor.updated_rows`); an
-    error is the one a row-at-a-time scan would raise first, each row's
-    condition before its new values. Then it removes the matched rows and
-    adds their new values, so only those rows are rewritten."""
+    condition over the whole copy as one batch, then the expressions it
+    assigns to attributes of the schema over the matched rows as another
+    (:func:`~provopt.executor.updated_rows`), the last one for an attribute
+    assigned twice; an assignment to an attribute outside the schema is
+    never evaluated. An error is the one a row-at-a-time scan would raise
+    first, each row's condition before its new values. Then it removes the
+    matched rows and adds each one rebuilt around its new values, so only
+    those rows are rewritten. The types each column may hold are scanned
+    once and grown by the values assigned to it, so no condition scans the
+    column it reads."""
     schema = state.schema
+    width = len(schema)
+    # an unassigned attribute keeps the value an expression reading it sees,
+    # its name's last column, which a repeated name's earlier columns take
+    # too, so their types start as the last column's as well
+    index = {a: i for i, a in enumerate(schema)}
+    kept = [index[a] for a in schema]
     tuples = dict(state.tuples)
+    types = [frozenset(map(type, column)) for column in zip(*tuples)] or [frozenset()] * width
+    types = [types[i] | types[j] for i, j in enumerate(kept)]
     for u in updates:
         assigned = dict(u.set_clauses)
-        matched, new = updated_rows(u.where, [assigned.get(a, Attr(a)) for a in schema],
-                                    schema, list(tuples))
+        targets = [i for i, a in enumerate(schema) if a in assigned]
+        # a matched row followed by its new values -> the row rebuilt around them
+        picks = list(kept)
+        for k, i in enumerate(targets):
+            picks[i] = width + k
+        rebuilt = columns_getter(picks)
+        matched, new = updated_rows(u.where, [assigned[schema[i]] for i in targets],
+                                    schema, list(tuples), types)
         if on_match is not None:
             for t in matched:
                 on_match(dict(zip(schema, t)))
         counts = [tuples.pop(t) for t in matched]
-        for row, m in zip(new, counts):
+        for row, m in zip(map(rebuilt, map(add, matched, new)), counts):
             tuples[row] = tuples.get(row, 0) + m
+        for i, values in zip(targets, zip(*new)):
+            types[i] = types[i].union(map(type, values))
     return BagRelation(schema, tuples)
 
 

@@ -713,6 +713,27 @@ def test_replay_matches_the_row_compiler_on_random_scripts():
     assert outcomes == {"value", "error"}
 
 
+def test_replay_reads_a_column_whose_type_a_set_changed():
+    # a SET gives some rows of a a string, a null, a bool or a float; a later
+    # WHERE or SET reads a, so it must see the new type. In the last state a
+    # names two columns, which read as its last one
+    states = [BagRelation.from_rows(SCHEMA, [(0, 1, 0), (1, 2, 1), (2, 1, 0), (3, 3, 1)]),
+              BagRelation.from_rows(SCHEMA, [(2, 1, 0), (1.5, 2, 1), (0, 1, 1)]),
+              BagRelation.from_rows(("a", "b", "a"), [("x", 1, 0), (1, 1, 2), (None, 2, 2)])]
+    outcomes = collections.Counter()
+    for value in ["'x'", "NULL", "TRUE", "(a > 1)", "a / 2", "2.0", "a + 0.5"]:
+        for where in ["a = 2", "a > 1", "a", "NOT a", "a + 1 = 3", "a = 'x'", "a = TRUE",
+                      "a <> NULL", "c = 0"]:
+            updates = parse_updates(f"UPDATE R SET a = {value} WHERE b = 1;\n"
+                                    f"UPDATE R SET c = a + 1 WHERE {where};\n"
+                                    f"UPDATE R SET b = 5 WHERE a = 2;\n")
+            for state in states:
+                want = _first_error_or(lambda: _reference_replay(updates, state))
+                assert _first_error_or(lambda: _replay_outcome(updates, state)) == want, updates
+                outcomes[want[0]] += 1
+    assert outcomes["value"] > 30 and outcomes["error"] > 30
+
+
 def test_a_shared_strict_dag_evaluates_once_per_node():
     x = Attr("a")
     for _ in range(60):

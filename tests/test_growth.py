@@ -56,18 +56,43 @@ def union_held_chain(n):
     return Project(identity_targets(("a",)), Union(left, Relation("S", ("a", "b"))))
 
 
-def stacked_reenactment(n):
+COLS = tuple(f"a{i}" for i in range(1, 9))
+
+
+def stacked_updates(n):
     """n statements ``UPDATE r SET a_i = a_i + c WHERE a_j = v`` over
     ``r(id, a1..a8)``, the columns drawn as the reenact_txn benchmark draws
-    them, reenacted as a stack of n projections."""
+    them."""
     shape, rng = random.Random("reenact_txn"), random.Random(n)
-    cols = tuple(f"a{i}" for i in range(1, 9))
     ups = []
     for _ in range(n):
-        i, j = cols[shape.randrange(8)], cols[shape.randrange(8)]
+        i, j = COLS[shape.randrange(8)], COLS[shape.randrange(8)]
         ups.append(UpdateStmt("r", ((i, Arith("+", Attr(i), Const(rng.randrange(1, 10)))),),
                               Cmp("=", Attr(j), Const(rng.randrange(100)))))
-    return reenact(ups, schema=("id",) + cols)
+    return ups
+
+
+def stacked_reenactment(n):
+    """:func:`stacked_updates` reenacted as a stack of n projections."""
+    return reenact(stacked_updates(n), schema=("id",) + COLS)
+
+
+#: 500 rows of ``r(id, a1..a8)``, the values drawn as reenact_txn draws them
+HISTORY = BagRelation.from_rows(
+    ("id",) + COLS, [(k,) + tuple(random.Random(k).randrange(100) for _ in COLS)
+                     for k in range(500)])
+
+
+def histjoin_scoped(ups):
+    """The transaction run on a store holding :data:`HISTORY`, its
+    reenactment narrowed to the rows it touched by the history join, and
+    the narrowed plan rewritten, as ``provopt run --scope histjoin`` does."""
+    store = instrument.VersionedStore()
+    store.load("r", HISTORY, key=("id",))
+    store.apply_transaction(1, ups)
+    plan, _ = instrument.scope_to_updated(reenact(ups, schema=HISTORY.schema), ups, store,
+                                          instrument.HIST_JOIN, txn_id=1)
+    return rewrites.apply_pats(plan, rewrites.RewriteConfig(base_keys={"r": [("id",)]}))
 
 
 def exported_twice(n):
@@ -118,6 +143,8 @@ FAMILIES = {
     "union-held selection chain": (union_held_chain, rewrites.project_to_icols, 2.2),
     # the rewrite pipeline over n stacked UPDATE projections
     "stacked reenactment": (stacked_reenactment, rewrites.apply_pats, 2.2),
+    # n UPDATE statements replayed on a 500-row store, scoped by the history join, rewritten
+    "stacked reenactment, histjoin scope": (stacked_updates, histjoin_scoped, 2.2),
     # sigma(y = b) over a projection exporting a twice, over n fenced projections
     "equality exported twice": (exported_twice, rewrites._enforce_ancestor_equalities, 2.2),
     # a projection and a transferred selection of x = x + x, n levels, rewritten and evaluated

@@ -433,6 +433,13 @@ class TestReplay:
         back = UpdateStmt("R", (("b", Const(0)),), Cmp("=", Attr("b"), Const(1)))
         assert replay([up, back], state).tuples == {(2, 0): 2, (3, 0): 4}
 
+    def test_only_the_last_assignment_to_an_attribute_of_the_schema_is_evaluated(self):
+        # zz is no attribute of R, and a's first value is assigned over: the
+        # division by zero and a + 1 are never evaluated
+        ups = parse_updates("UPDATE R SET zz = 1/0, a = a + 1, a = a + 10 WHERE b = 2")
+        got = replay(ups, bag(("a", "b"), [(1, 2), (3, 4)]))
+        assert list(got.tuples.items()) == [((3, 4), 1), ((11, 2), 1)]
+
     def test_an_unbound_set_attribute_over_an_empty_bag_does_not_raise(self):
         up = UpdateStmt("R", (("a", Attr("missing")),), Const(True))
         assert replay([up], BagRelation(("a",))).tuples == {}
