@@ -12,7 +12,10 @@ parts need parts of their own done first (reading a plan, settling joins)
 is a generator run by :func:`drive`, for the same reason.
 
 A cross product is a join on no attribute pairs: both are :class:`Product`
-nodes, and a pass handles them as one operator that reads ``pairs``.
+nodes, and a pass handles them as one operator that reads ``pairs``. Each
+pass over operators keeps, in its own module, one :class:`PassTable` from
+operator class to its step, looked up along the class's MRO, so ``Join``
+and ``Cross`` share ``Product``'s step; this module imports no pass.
 
 Schemas are ordered tuples of attribute names, unique within one schema.
 Name collisions that would arise when concatenating the inputs of a product
@@ -548,6 +551,34 @@ class Window(Node):
         if self.frame not in (FRAME_RUNNING, FRAME_PARTITION):
             raise SchemaError(f"unknown window frame {self.frame!r}")
         return sch + (self.out,)
+
+
+class PassTable(dict):
+    """One pass's step per operator class. ``table[cls]`` is the step of
+    ``cls``'s nearest base in the table along its MRO, so ``Join`` and
+    ``Cross`` share ``Product``'s, kept under ``cls`` once found; calling the
+    table runs the node's step. A class in ``unsupported``, or with no step,
+    raises ``error(cls)``, the error the pass gives an operator it does not
+    handle (by default a TypeError naming the pass)."""
+
+    def __init__(self, name: str, steps: Mapping[type, Callable],
+                 unsupported: Iterable[type] = (),
+                 error: Optional[Callable[[type], Exception]] = None):
+        super().__init__(steps)
+        self.name, self.unsupported = name, frozenset(unsupported)
+        self.error = error or (lambda cls: TypeError(f"no {name} step for operator {cls.__name__}"))
+
+    def __missing__(self, cls: type) -> Callable:
+        for base in cls.__mro__:
+            if base in self.unsupported:
+                break
+            if base in self:
+                step = self[cls] = self[base]
+                return step
+        raise self.error(cls)
+
+    def __call__(self, node: Node, *args):
+        return self[type(node)](node, *args)
 
 
 def replace_children(node: Node, kids: tuple[Node, ...]) -> Node:

@@ -5,46 +5,35 @@ operator implements its multiset definition directly, and it is the one
 evaluator in the package (provenance comes from evaluating an instrumented
 query, not from a second engine).
 
-Each operator touches each input row a constant number of times and fills
-its output row -> count dict directly, with no per-row bookkeeping: only a
-projection and a union can produce one row twice and merge counts. The
-exception is a chain of projections: a projection whose one reader is a
-projection hands it its value columns and row counts, unmerged, and only the
-chain's top builds rows and merges counts (see :func:`evaluate`). A join
-whose one reader is a projection of attributes only fills no dict of its
-own: the projection picks each of its rows from the join's pair of input
-rows, hashes and stores it once, and merges counts only when it drops a
-join column. Row widths and counts are checked where rows enter the
-evaluator (:meth:`BagRelation.add`, :meth:`BagRelation.from_rows`), not
-again by every operator. An equi-join builds a dict on the right input's key values
-and probes it with the left rows in order, so matches come out in
-nested-loop order (left rows in order, their right matches in right order)
-and bags, float sums above the join and printed output do not depend on the
-join algorithm. A key with a null never matches, ``1`` matches ``1.0``, and
-a key column whose non-null values on the two inputs span more than one
-kind (boolean, numeric, other) raises :class:`EvalError` unless an input is
-empty; the per-row null/NaN test runs only when a key column holds a value
-of a type other than int, bool or str. A cross product is the equi-join on
-no key columns.
-
-Expressions run a column at a time (:func:`evaluate_exprs`): a selection,
-a projection and each replayed UPDATE evaluate their expressions in one
-pass over the operator's whole input, computing every subexpression once
-as a list of values, one per row, and most of them as one ``map`` of an
-``operator`` function. A conditional computes both of its branches over
-every row. Errors are values: a row that fails holds its error where its
-value would be, so every type check of a row-at-a-time evaluation is kept,
-and the first row's error, in row order, is the one raised. A projection
-of attributes only, a join key and a grouping key are each one
-``itemgetter`` call per row.
-
 Evaluation and costing are each one loop over
-:func:`~provopt.algebra.all_nodes`, children before parents: a node's
+:func:`~provopt.algebra.all_nodes`, children before parents, that runs each
+node's step from one table, :data:`EVALUATE` and :data:`ESTIMATE`: a node's
 result goes into a dict that its parents read, so shared nodes run once
 and a plan of any depth runs at the default recursion limit.
 
+Each operator touches each input row a constant number of times and fills
+its output row -> count dict directly, with no per-row bookkeeping: only a
+projection and a union can produce one row twice and merge counts. A chain
+of projections and a join read by a projection of attributes build fewer
+rows (:func:`evaluate`). Row widths and counts are checked where rows enter
+the evaluator (:meth:`BagRelation.add`, :meth:`BagRelation.from_rows`), not
+again by every operator. An equi-join, and a cross product as the equi-join
+on no key columns, gives its matches in nested-loop order
+(:func:`_equi_matches`), so bags, float sums above the join and printed
+output do not depend on the join algorithm.
+
+Expressions run a column at a time (:func:`evaluate_exprs`): a selection,
+a projection and each replayed UPDATE evaluate their expressions in one
+pass over the operator's whole input, each subexpression once, as a list
+of values, one per row; errors are values (see the expression evaluation
+section). A projection of attributes only, a join key and a grouping key
+are each one ``itemgetter`` call per row.
+
 The cost model is a deterministic textbook estimator; it exists to give the
 cost-based optimizer a total order over plans, not to predict real runtimes.
+An operator's own cost is ``CPU_WEIGHT`` per input row plus ``BUILD_WEIGHT``
+per estimated output row, plus a sort term when it sorts its input; a scan
+costs ``CPU_WEIGHT`` per row.
 """
 from __future__ import annotations
 
@@ -54,12 +43,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
     FRAME_PARTITION, Intersect, Node, Product, Project, Relation,
-    Select, Union, Window, Value,
+    PassTable, Select, Union, Window, Value,
     all_nodes, fold_expr, schema_of, shared_table,
 )
 
@@ -565,12 +555,6 @@ def _matchable(key: tuple) -> bool:
 def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
     """Evaluate a graph over named base relations; shared nodes run once.
 
-    Each operator builds its output row -> count dict directly and wraps it
-    once; only Project and Union can produce one row twice and merge
-    counts. Rows enter through :class:`BagRelation` (``from_rows``,
-    ``add``), which checks their width and counts, so no operator checks
-    them again.
-
     A stack of projections runs column by column. A projection that is not
     the root and whose one parent slot is a projection's passes that parent
     its value columns, the types recorded for them and each row's count,
@@ -603,64 +587,74 @@ def evaluate(root: Node, db: Mapping[str, BagRelation]) -> BagRelation:
         slots = Counter(c for n in nodes for c in n.children)
         chained = {c for c in chained if slots[c] == 1}
         fused = {c for c in fused if slots[c] == 1}
+    run = SimpleNamespace(db=db, chained=chained, fused=fused)
+    once = chained | fused  # an entry read by its one parent slot is dropped then
     memo: dict[Node, BagRelation | _Chained | Iterator[tuple]] = {}
-
-    def compute(n: Node) -> dict[tuple, int] | _Chained | Iterator[tuple]:
-        if isinstance(n, Relation):
-            if n.name not in db:
-                raise EvalError(f"unbound relation {n.name!r}")
-            rel = db[n.name]
-            if len(rel.schema) != len(n.attrs):
-                raise EvalError(f"relation {n.name!r} bound with wrong arity")
-            return dict(rel.tuples)
-        if isinstance(n, Select):
-            child = memo[n.child]
-            keep = selection_mask(n.cond, child.schema, list(child.tuples))
-            return dict(compress(child.tuples.items(), keep))
-        if isinstance(n, Project):
-            if n.child in fused:
-                return _fused(n, memo.pop(n.child))
-            # a chain entry is read once: dropping it frees its columns
-            child = memo.pop(n.child) if n.child in chained else memo[n.child]
-            return _project(n, child, n in chained)
-        if isinstance(n, Product):
-            left, right = memo[n.left], memo[n.right]
-            li = [left.schema.index(a) for a, _ in n.pairs]
-            ri = [right.schema.index(b) for _, b in n.pairs]
-            matches = _equi_matches(left.rows(), right.rows(), li, ri)
-            if n in fused:  # its projection builds the rows
-                return matches
-            return {lt + rt: lm * rm for (lt, lm), (rt, rm) in matches}
-        if isinstance(n, Union):
-            return _merged(memo[n.right].tuples.items(), dict(memo[n.left].tuples))
-        if isinstance(n, Intersect):
-            other = memo[n.right].tuples
-            return {t: min(m, other[t]) for t, m in memo[n.left].tuples.items() if t in other}
-        if isinstance(n, Diff):
-            other = memo[n.right].tuples.get
-            return {t: rest for t, m in memo[n.left].tuples.items()
-                    if (rest := m - other(t, 0)) > 0}
-        if isinstance(n, Agg):
-            child = memo[n.child]
-            key = columns_getter([child.schema.index(a) for a in n.group_by])
-            args = [child.schema.index(a) for _, a, _ in n.aggs]
-            groups: dict[tuple, list[tuple[tuple, int]]] = {}
-            for item in child.tuples.items():
-                groups.setdefault(key(item[0]), []).append(item)
-            return {k + tuple(aggregate(fn, [(t[ai], m) for t, m in members])
-                              for (fn, _, _), ai in zip(n.aggs, args)): 1
-                    for k, members in groups.items()}
-        if isinstance(n, DupElim):
-            return dict.fromkeys(memo[n.child].tuples, 1)
-        if isinstance(n, Window):
-            return _window(n, memo[n.child])
-        raise EvalError(f"unknown operator {type(n).__name__}")
-
     for n in nodes:
         schema = schema_of(n)  # a schema error is raised before the node runs
-        out = compute(n)
+        out = EVALUATE(n, [memo.pop(c) if c in once else memo[c] for c in n.children], run)
         memo[n] = BagRelation(schema, out) if type(out) is dict else out
     return memo[root]
+
+
+def _scan(n: Relation, inputs: list, run) -> dict[tuple, int]:
+    if n.name not in run.db:
+        raise EvalError(f"unbound relation {n.name!r}")
+    rel = run.db[n.name]
+    if len(rel.schema) != len(n.attrs):
+        raise EvalError(f"relation {n.name!r} bound with wrong arity")
+    return dict(rel.tuples)
+
+
+def _join(n: Product, inputs: list, run) -> dict[tuple, int] | Iterator[tuple]:
+    left, right = inputs
+    li = [left.schema.index(a) for a, _ in n.pairs]
+    ri = [right.schema.index(b) for _, b in n.pairs]
+    matches = _equi_matches(left.rows(), right.rows(), li, ri)
+    if n in run.fused:  # its projection builds the rows
+        return matches
+    return {lt + rt: lm * rm for (lt, lm), (rt, rm) in matches}
+
+
+def _intersect(n: Intersect, inputs: list, run) -> dict[tuple, int]:
+    other = inputs[1].tuples
+    return {t: min(m, other[t]) for t, m in inputs[0].tuples.items() if t in other}
+
+
+def _difference(n: Diff, inputs: list, run) -> dict[tuple, int]:
+    other = inputs[1].tuples.get
+    return {t: rest for t, m in inputs[0].tuples.items() if (rest := m - other(t, 0)) > 0}
+
+
+def _aggregation(n: Agg, inputs: list, run) -> dict[tuple, int]:
+    child, = inputs
+    key = columns_getter([child.schema.index(a) for a in n.group_by])
+    args = [child.schema.index(a) for _, a, _ in n.aggs]
+    groups: dict[tuple, list[tuple[tuple, int]]] = {}
+    for item in child.tuples.items():
+        groups.setdefault(key(item[0]), []).append(item)
+    return {k + tuple(aggregate(fn, [(t[ai], m) for t, m in members])
+                      for (fn, _, _), ai in zip(n.aggs, args)): 1
+            for k, members in groups.items()}
+
+
+#: each operator's evaluation, ``step(node, its inputs' outputs, run)``: its
+#: row -> count dict, or what its one reader takes instead; ``run`` holds the
+#: relations ``db`` and the ``chained`` and ``fused`` nodes of :func:`evaluate`
+EVALUATE = PassTable("evaluate", {
+    Relation: _scan,
+    Select: lambda n, inputs, run: dict(compress(inputs[0].tuples.items(), selection_mask(
+        n.cond, inputs[0].schema, list(inputs[0].tuples)))),
+    Project: lambda n, inputs, run: (_fused(n, inputs[0]) if n.child in run.fused
+                                     else _project(n, inputs[0], n in run.chained)),
+    Product: _join,
+    Union: lambda n, inputs, run: _merged(inputs[1].tuples.items(), dict(inputs[0].tuples)),
+    Intersect: _intersect,
+    Diff: _difference,
+    Agg: _aggregation,
+    DupElim: lambda n, inputs, run: dict.fromkeys(inputs[0].tuples, 1),
+    Window: lambda n, inputs, run: _window(n, inputs[0]),
+}, error=lambda cls: EvalError(f"unknown operator {cls.__name__}"))
 
 
 class _Chained(NamedTuple):
@@ -793,112 +787,105 @@ def _sort_term(rows: float) -> float:
     return rows * math.log2(rows + 1.0)
 
 
+def _distinct_of(d: Mapping[str, float], attr: str, rows: float) -> float:
+    return max(1.0, min(d.get(attr, rows), rows))
+
+
+def _selectivity(cond: Expr, d: Mapping[str, float], rows: float) -> float:
+    def step(x: Expr, kids: tuple[float, ...]) -> float:
+        if isinstance(x, BoolOp):
+            if x.op == "and":
+                return math.prod(kids)
+            if x.op == "or":
+                return 1.0 - math.prod(1.0 - s for s in kids)
+            return max(0.0, 1.0 - kids[0])
+        if isinstance(x, Cmp) and x.op == "=":
+            attrs = [s.name for s in (x.left, x.right) if isinstance(s, Attr)]
+            if len(attrs) == 2:
+                return 1.0 / max(_distinct_of(d, attrs[0], rows), _distinct_of(d, attrs[1], rows))
+            if len(attrs) == 1:
+                return 1.0 / _distinct_of(d, attrs[0], rows)
+            return RANGE_SELECTIVITY
+        if isinstance(x, Const) and x.value is True:
+            return 1.0
+        return RANGE_SELECTIVITY
+
+    return fold_expr((cond,), step)[0]
+
+
+def _groups(d: Mapping[str, float], attrs: Iterable[str], rows: float) -> float:
+    """The estimated number of groups of ``rows`` rows on the columns ``attrs``."""
+    return min(rows, math.prod((_distinct_of(d, a, rows) for a in attrs), start=1.0))
+
+
+def _scan_estimate(n: Relation, rows: list, distinct: list, stats: Mapping[str, TableStats]):
+    if n.name not in stats:
+        raise EvalError(f"missing statistics for relation {n.name!r}")
+    st = stats[n.name]
+    return st.rows, {a: st.distinct.get(a, st.rows) for a in n.attrs}
+
+
+def _join_estimate(n: Product, rows: list, distinct: list, stats: Mapping[str, TableStats]):
+    est = rows[0] * rows[1]
+    for a, b in n.pairs:
+        est /= max(_distinct_of(distinct[0], a, rows[0]), _distinct_of(distinct[1], b, rows[1]))
+    return est, None
+
+
+#: each operator's ``step(node, its inputs' estimated rows, their distinct
+#: counts, stats)``: its estimated rows, and its distinct counts unless its
+#: lineage passes them (None)
+ESTIMATE = PassTable("estimate", {
+    Relation: _scan_estimate,
+    Select: lambda n, rows, distinct, stats: (
+        rows[0] * _selectivity(n.cond, distinct[0], rows[0]), None),
+    # a projection and a window keep every row, a difference at most its left input's
+    **dict.fromkeys((Project, Diff, Window), lambda n, rows, distinct, stats: (rows[0], None)),
+    Product: _join_estimate,
+    Union: lambda n, rows, distinct, stats: (rows[0] + rows[1], {
+        a: distinct[0].get(a, rows[0]) + distinct[1].get(b, rows[1])
+        for a, b in n.lineage[1].items()}),
+    Intersect: lambda n, rows, distinct, stats: (min(rows), None),
+    Agg: lambda n, rows, distinct, stats: (_groups(distinct[0], n.group_by, rows[0]), None),
+    DupElim: lambda n, rows, distinct, stats: (
+        _groups(distinct[0], schema_of(n.child), rows[0]), None),
+}, error=lambda cls: EvalError(f"unknown operator {cls.__name__}"))
+
+
 def cost(root: Node, stats: Mapping[str, TableStats]) -> CostEstimate:
     """Deterministic bottom-up cost estimate; shared nodes are charged once.
 
     A node's estimate depends on its subgraph and the statistics only, so
     within a :func:`provopt.algebra.sharing_subplans` scope the estimates
     under one ``stats`` object are kept for every later plan."""
-    #: node -> (estimated rows, distinct counts), and node -> own cost
-    info: dict[Node, tuple[float, dict[str, float]]] = shared_table("cost_rows", stats)
-    own_cost: dict[Node, float] = shared_table("cost_own", stats)
+    #: node -> (estimated rows, distinct counts, own cost)
+    info: dict[Node, tuple[float, dict[str, float], float]] = shared_table("cost", stats)
     per_node: dict[Node, tuple[float, float]] = {}
 
-    def distinct_of(d: Mapping[str, float], attr: str, rows: float) -> float:
-        return max(1.0, min(d.get(attr, rows), rows))
-
-    def selectivity(cond: Expr, d: Mapping[str, float], rows: float) -> float:
-        def step(x: Expr, kids: tuple[float, ...]) -> float:
-            if isinstance(x, BoolOp):
-                if x.op == "and":
-                    return math.prod(kids)
-                if x.op == "or":
-                    return 1.0 - math.prod(1.0 - s for s in kids)
-                return max(0.0, 1.0 - kids[0])
-            if isinstance(x, Cmp) and x.op == "=":
-                attrs = [s.name for s in (x.left, x.right) if isinstance(s, Attr)]
-                if len(attrs) == 2:
-                    return 1.0 / max(distinct_of(d, attrs[0], rows), distinct_of(d, attrs[1], rows))
-                if len(attrs) == 1:
-                    return 1.0 / distinct_of(d, attrs[0], rows)
-                return RANGE_SELECTIVITY
-            if isinstance(x, Const) and x.value is True:
-                return 1.0
-            return RANGE_SELECTIVITY
-
-        return fold_expr((cond,), step)[0]
-
-    def cap(d: Mapping[str, float], rows: float) -> dict[str, float]:
-        return {a: max(1.0, min(v, rows)) for a, v in d.items()}
-
-    def passed(n: Node, est: float) -> dict[str, float]:
-        """Capped distinct counts: a column passing an input through keeps
-        the first such input's count, any other gets the output estimate."""
+    def passed(n: Node) -> Mapping[str, float]:
+        """The distinct counts of the columns passing an input through, each
+        the first such input's."""
         d: Mapping[str, float] = {}
         for child, lineage in zip(n.children, n.lineage):
             cd = info[child][1]
             if lineage is not None:
                 cd = {a: cd[src] for a, src in lineage.items()}
             d = {**cd, **d} if d else cd
-        return {a: max(1.0, min(d.get(a, est), est)) for a in schema_of(n)}
-
-    def compute(n: Node) -> tuple[float, float, Optional[dict[str, float]]]:
-        """(estimated rows, own cost, distinct counts unless they pass
-        through the lineage)."""
-        if isinstance(n, Relation):
-            if n.name not in stats:
-                raise EvalError(f"missing statistics for relation {n.name!r}")
-            st = stats[n.name]
-            return st.rows, CPU_WEIGHT * st.rows, {a: st.distinct.get(a, st.rows) for a in n.attrs}
-        if isinstance(n, Select):
-            in_rows, d = info[n.child]
-            est = in_rows * selectivity(n.cond, d, in_rows)
-            return est, CPU_WEIGHT * in_rows + BUILD_WEIGHT * est, None
-        if isinstance(n, Project):
-            in_rows = info[n.child][0]
-            return in_rows, CPU_WEIGHT * in_rows + BUILD_WEIGHT * in_rows, None
-        if isinstance(n, Product):
-            lr, ld = info[n.left]
-            rr, rd = info[n.right]
-            est = lr * rr
-            for a, b in n.pairs:
-                est /= max(distinct_of(ld, a, lr), distinct_of(rd, b, rr))
-            return est, CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est, None
-        if isinstance(n, Union):
-            lr, ld = info[n.left]
-            rr, rd = info[n.right]
-            est = lr + rr
-            d = {a: ld.get(a, lr) + rd.get(b, rr) for a, b in n.lineage[1].items()}
-            return est, CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est, d
-        if isinstance(n, (Intersect, Diff)):
-            lr, rr = info[n.left][0], info[n.right][0]
-            est = min(lr, rr) if isinstance(n, Intersect) else lr
-            return est, CPU_WEIGHT * (lr + rr) + BUILD_WEIGHT * est, None
-        if isinstance(n, Agg):
-            in_rows, d = info[n.child]
-            groups = 1.0
-            for a in n.group_by:
-                groups *= distinct_of(d, a, in_rows)
-            est = min(in_rows, groups) if n.group_by else min(in_rows, 1.0)
-            return est, CPU_WEIGHT * in_rows + BUILD_WEIGHT * est + _sort_term(in_rows), None
-        if isinstance(n, DupElim):
-            in_rows, d = info[n.child]
-            groups = 1.0
-            for a in schema_of(n.child):
-                groups *= distinct_of(d, a, in_rows)
-            est = min(in_rows, groups)
-            return est, CPU_WEIGHT * in_rows + BUILD_WEIGHT * est, None
-        if isinstance(n, Window):
-            in_rows = info[n.child][0]
-            own = CPU_WEIGHT * in_rows + BUILD_WEIGHT * in_rows + _sort_term(in_rows)
-            return in_rows, own, None
-        raise EvalError(f"unknown operator {type(n).__name__}")
+        return d
 
     for n in all_nodes(root):
         if n not in info:
-            est, own, d = compute(n)
-            info[n] = (est, passed(n, est) if d is None else cap(d, est))
-            own_cost[n] = own
-        per_node[n] = (info[n][0], own_cost[n])
-    total = sum(c for _, c in per_node.values())
-    return CostEstimate(total, per_node)
+            rows = [info[c][0] for c in n.children]
+            est, d = ESTIMATE(n, rows, [info[c][1] for c in n.children], stats)
+            if rows:  # an operator reads its inputs' rows and builds its own
+                in_rows = sum(rows)
+                own = CPU_WEIGHT * in_rows + BUILD_WEIGHT * est
+                if isinstance(n, (Agg, Window)):  # each sorts its input
+                    own += _sort_term(in_rows)
+            else:  # a scan reads its rows and builds none
+                own = CPU_WEIGHT * est
+            d = passed(n) if d is None else d
+            # capped by the estimate, which a column without a count gets
+            info[n] = (est, {a: max(1.0, min(d.get(a, est), est)) for a in schema_of(n)}, own)
+        per_node[n] = (info[n][0], info[n][2])
+    return CostEstimate(sum(c for _, c in per_node.values()), per_node)

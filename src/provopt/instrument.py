@@ -7,8 +7,9 @@ occurrence. Aggregations can be instrumented two equivalent ways (joining
 the aggregate back to the witness rows, or recomputing it as a window over
 them); the choice goes through a callback so a cost-based optimizer can
 drive it. Operators are rewritten children first, in one loop over
-:func:`~provopt.algebra.all_nodes`, which is the order of the choices; an
-operator outside the fragment is rejected before the first choice. Within a
+:func:`~provopt.algebra.all_nodes`, which is the order of the choices, each
+by its step in one table, :data:`INSTRUMENT`; every step is looked up first,
+so an operator outside the fragment is rejected before the first choice. Within a
 :func:`~provopt.algebra.sharing_subplans` scope an operator rewritten over
 the same instrumented inputs, with the same occurrence number or method,
 is the same node, so the plans of one optimization share their unchanged
@@ -31,8 +32,8 @@ from operator import add
 from typing import Callable, Iterable, Optional
 
 from .algebra import (
-    Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, DupElim, Expr, Join,
-    Node, Product, Project, Relation, Select, Union, Window,
+    Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Cross, Diff, DupElim, Expr, Intersect, Join,
+    Node, PassTable, Product, Project, Relation, Select, Union, Window,
     FRAME_PARTITION, all_nodes, disjunction, expr_attrs, fresh_name, identity_targets,
     replace_children, schema_of, shared_table, substitute, substitute_attrs,
 )
@@ -79,68 +80,24 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
         decide = choice if choice is not None else (lambda n: AGG_WINDOW)
 
     nodes = all_nodes(root)
-    for n in nodes:  # before the first choice is made
-        if not isinstance(n, (Relation, Select, Project, Product, Union, Agg, DupElim)):
-            raise InstrumentError(
-                f"operator {type(n).__name__} is outside the instrumentable fragment")
+    steps = [INSTRUMENT[type(n)] for n in nodes]  # an unsupported operator raises before any choice
     occurrences: dict[str, int] = {}
     memo: dict[Node, _Instrumented] = {}
-
-    def rewrite(n: Node, arg: Optional[int]) -> _Instrumented:
-        """``arg`` is a relation's occurrence, an aggregation's method."""
-        if isinstance(n, Relation):
-            prov = tuple(prov_attr_name(n.name, arg, a) for a in n.attrs)
-            targets = identity_targets(n.attrs) + tuple(
-                (Attr(a), p) for a, p in zip(n.attrs, prov))
-            return _Instrumented(Project(targets, n), prov)
-        if isinstance(n, Select):
-            child = memo[n.child]
-            return _Instrumented(Select(n.cond, child.node), child.prov_attrs)
-        if isinstance(n, Project):
-            child = memo[n.child]
-            targets = n.targets + identity_targets(child.prov_attrs)
-            return _Instrumented(Project(targets, child.node), child.prov_attrs)
-        if isinstance(n, (Product, Union)):
-            left, right = memo[n.left], memo[n.right]
-            overlap = set(left.prov_attrs) & set(right.prov_attrs)
-            if overlap:
-                raise InstrumentError(
-                    f"provenance columns collide across {type(n).__name__.lower()} inputs: "
-                    f"{sorted(overlap)}; a relation read by both inputs must be two "
-                    "distinct relation occurrences")
-            prov = left.prov_attrs + right.prov_attrs
-            if isinstance(n, Product):
-                return _Instrumented(replace_children(n, (left.node, right.node)), prov)
-            lt = identity_targets(schema_of(n.left) + left.prov_attrs) + tuple(
-                (Const(None), p) for p in right.prov_attrs)
-            rt = (tuple((Attr(b), a) for a, b in n.lineage[1].items())
-                  + tuple((Const(None), p) for p in left.prov_attrs)
-                  + identity_targets(right.prov_attrs))
-            return _Instrumented(Union(Project(lt, left.node), Project(rt, right.node)), prov)
-        if isinstance(n, Agg):
-            child = memo[n.child]
-            if arg == AGG_WINDOW:
-                node = instrument_agg_window(n, child.node, child.prov_attrs)
-            else:
-                node = instrument_agg_join(n, child.node, child.prov_attrs)
-            return _Instrumented(node, child.prov_attrs)
-        # DupElim: provenance rows are per-witness; eliminating duplicates
-        # would collapse distinct witnesses, so the operator is dropped here
-        return memo[n.child]
 
     # an operator's instrumentation is a function of the operator, its
     # instrumented inputs and its argument, so plans alike share it
     shared = shared_table("instrumented")
-    for n in nodes:
+    for n, step in zip(nodes, steps):
         if isinstance(n, Relation):
             arg = occurrences.get(n.name, 0)
             occurrences[n.name] = arg + 1
         else:
             arg = decide(2) if isinstance(n, Agg) else None
-        key = (n, arg, *[memo[c].node for c in n.children])
+        inputs = [memo[c] for c in n.children]
+        key = (n, arg, *[i.node for i in inputs])
         inst = shared.get(key)
         if inst is None:
-            inst = shared[key] = rewrite(n, arg)
+            inst = shared[key] = step(n, arg, inputs)
         memo[n] = inst
     inst = memo[root]
     want = schema_of(root) + inst.prov_attrs
@@ -153,6 +110,59 @@ def instrument_query(root: Node, choice: Optional[ChoiceFn] = None,
     if key not in normalized:
         normalized[key] = Project(identity_targets(want), inst.node)
     return normalized[key]
+
+
+def _relation_witness(n: Relation, occurrence: int, inputs: list) -> _Instrumented:
+    prov = tuple(prov_attr_name(n.name, occurrence, a) for a in n.attrs)
+    targets = identity_targets(n.attrs) + tuple((Attr(a), p) for a, p in zip(n.attrs, prov))
+    return _Instrumented(Project(targets, n), prov)
+
+
+def _both_witnesses(n: Node, left: _Instrumented, right: _Instrumented) -> tuple[str, ...]:
+    """The provenance columns of a binary operator's inputs, left's first."""
+    overlap = set(left.prov_attrs) & set(right.prov_attrs)
+    if overlap:
+        raise InstrumentError(
+            f"provenance columns collide across {type(n).__name__.lower()} inputs: "
+            f"{sorted(overlap)}; a relation read by both inputs must be two "
+            "distinct relation occurrences")
+    return left.prov_attrs + right.prov_attrs
+
+
+def _union_witness(n: Union, arg, inputs: list) -> _Instrumented:
+    """Each input's rows, padded with nulls for the other input's witness."""
+    left, right = inputs
+    prov = _both_witnesses(n, left, right)
+    lt = identity_targets(schema_of(n.left) + left.prov_attrs) + tuple(
+        (Const(None), p) for p in right.prov_attrs)
+    rt = (tuple((Attr(b), a) for a, b in n.lineage[1].items())
+          + tuple((Const(None), p) for p in left.prov_attrs)
+          + identity_targets(right.prov_attrs))
+    return _Instrumented(Union(Project(lt, left.node), Project(rt, right.node)), prov)
+
+
+#: each operator's rewrite, ``step(node, arg, its inputs' rewrites)``, where
+#: ``arg`` is a relation's occurrence or an aggregation's method; an operator
+#: outside the instrumentable fragment raises
+INSTRUMENT = PassTable("instrument", {
+    Relation: _relation_witness,
+    Select: lambda n, arg, inputs: _Instrumented(Select(n.cond, inputs[0].node),
+                                                 inputs[0].prov_attrs),
+    Project: lambda n, arg, inputs: _Instrumented(
+        Project(n.targets + identity_targets(inputs[0].prov_attrs), inputs[0].node),
+        inputs[0].prov_attrs),
+    Product: lambda n, arg, inputs: _Instrumented(  # the inputs' witnesses are checked first
+        prov_attrs=_both_witnesses(n, *inputs),
+        node=replace_children(n, (inputs[0].node, inputs[1].node))),
+    Union: _union_witness,
+    Agg: lambda n, method, inputs: _Instrumented(
+        (instrument_agg_window if method == AGG_WINDOW else instrument_agg_join)(
+            n, inputs[0].node, inputs[0].prov_attrs), inputs[0].prov_attrs),
+    # provenance rows are per-witness; eliminating duplicates would collapse
+    # distinct witnesses, so the operator is dropped
+    DupElim: lambda n, arg, inputs: inputs[0],
+}, unsupported=(Intersect, Diff, Window), error=lambda cls: InstrumentError(
+    f"operator {cls.__name__} is outside the instrumentable fragment"))
 
 
 def instrument_agg_join(agg: Agg, instrumented_child: Node,

@@ -24,12 +24,17 @@ projection exporting it under two names, groups those names itself.
 one-member class for each column in no larger class.
 
 Each operator declares its column lineage (``Node.lineage``): which output
-columns pass which input columns through unchanged. Keys and bottom-up
-classes come from the inputs whose rows the output holds, renamed through
-it, and needed columns map down through it plus what the operator reads.
-:func:`filter_map` is the lineage narrowed to the columns a filter may
-cross; top-down equivalence classes, selection push-down and the test
-whether an ancestor selection already guards a node read it.
+columns pass which input columns through unchanged. Each operator's keys,
+bottom-up classes and the input columns it reads itself are its steps in
+three tables (:class:`~provopt.algebra.PassTable`), :data:`KEYS`,
+:data:`EC_UP` and :data:`READS`: keys and classes mostly come from the
+inputs whose rows the output holds, renamed through the lineage, and needed
+columns map down through it plus what the operator reads. Where a table
+would add nothing the pass is one expression: :func:`filter_map` is the
+lineage narrowed to the columns a filter may cross (top-down equivalence
+classes, selection push-down and the test whether an ancestor selection
+already guards a node read it), and :func:`infer_set` names the operators
+that read multiplicities.
 
 Keys and bottom-up equivalence classes depend only on a node's subgraph (and,
 for keys, on the declared base keys), so :func:`infer_keys`, :func:`keys_of`,
@@ -46,11 +51,11 @@ input, and a rule reads them once, on its input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
-    Agg, Attr, BoolOp, Cmp, Const, Diff, DupElim, Expr,
-    Node, Product, Project, Relation, Select, Union, Window,
+    Agg, Attr, BoolOp, Cmp, Const, Diff, DupElim, Expr, Intersect,
+    Node, PassTable, Product, Project, Relation, Select, Union, Window,
     all_nodes, expr_attrs, fold_down, schema_of, uncached_nodes,
 )
 
@@ -174,14 +179,6 @@ def keys_of(node: Node, base_keys: Optional[Mapping[str, Iterable[Iterable[str]]
     return memo[node]
 
 
-def _from_row_inputs(through, n: Node, values) -> frozenset:
-    """The union of ``through(n, idx, values)`` over the inputs whose rows
-    the output rows hold: every input but a difference's right one."""
-    if isinstance(n, Diff) or len(n.children) == 1:
-        return through(n, 0, values)
-    return frozenset().union(*[through(n, idx, values) for idx in range(len(n.children))])
-
-
 def _keys_through(n: Node, idx: int, keys) -> frozenset[KeySet]:
     """The keys of input ``idx`` whose columns all pass, in output names."""
     lineage = n.lineage[idx]
@@ -192,31 +189,51 @@ def _keys_through(n: Node, idx: int, keys) -> frozenset[KeySet]:
     return frozenset(frozenset(names[a] for a in k) for k in child if all(a in names for a in k))
 
 
-def _keys_of(n: Node, out, base_keys) -> frozenset[KeySet]:
-    if isinstance(n, Relation):
-        sch = set(n.attrs)
-        return frozenset(k for k in map(frozenset, base_keys.get(n.name, ())) if k and k <= sch)
-    if isinstance(n, Product):
-        rb = frozenset(source_names(n.lineage[1])[b] for _, b in n.pairs)
-        la = frozenset(a for a, _ in n.pairs)
-        right_keys = _keys_through(n, 1, out)
-        keys = []
-        for k1 in out[n.left]:
-            for k2 in right_keys:
-                keys.append((k1 | la) | (k2 - rb))
-                keys.append((k2 | rb) | (k1 - la))
-        return frozenset(keys)
-    if isinstance(n, Agg):
-        if not n.group_by:
-            return frozenset(frozenset((name,)) for _, _, name in n.aggs)
-        group = frozenset(n.group_by)
-        return frozenset([k for k in out[n.child] if k <= group] or (group,))
-    if isinstance(n, Union):
-        return frozenset()
-    keys = _from_row_inputs(_keys_through, n, out)
-    if isinstance(n, DupElim) and not keys:
-        return frozenset((frozenset(schema_of(n)),))
-    return keys
+def _every_input(through: Callable) -> Callable:
+    """The step giving the union of ``through(n, idx, memo)`` over every
+    input of a node, whose output row is one row of each input."""
+    return lambda n, memo, *_: frozenset().union(
+        *[through(n, idx, memo) for idx in range(len(n.children))])
+
+
+def _relation_keys(n: Relation, out, base_keys) -> frozenset[KeySet]:
+    sch = set(n.attrs)
+    return frozenset(k for k in map(frozenset, base_keys.get(n.name, ())) if k and k <= sch)
+
+
+def _product_keys(n: Product, out, base_keys) -> frozenset[KeySet]:
+    rb = frozenset(source_names(n.lineage[1])[b] for _, b in n.pairs)
+    la = frozenset(a for a, _ in n.pairs)
+    right_keys = _keys_through(n, 1, out)
+    keys = []
+    for k1 in out[n.left]:
+        for k2 in right_keys:
+            keys.append((k1 | la) | (k2 - rb))
+            keys.append((k2 | rb) | (k1 - la))
+    return frozenset(keys)
+
+
+def _agg_keys(n: Agg, out, base_keys) -> frozenset[KeySet]:
+    if not n.group_by:
+        return frozenset(frozenset((name,)) for _, _, name in n.aggs)
+    group = frozenset(n.group_by)
+    return frozenset([k for k in out[n.child] if k <= group] or (group,))
+
+
+_passed_keys = _every_input(_keys_through)
+#: each operator's candidate keys, ``step(node, keys memo, base keys)``;
+#: sound and possibly incomplete
+KEYS = PassTable("keys", {
+    **dict.fromkeys((Select, Project, Intersect, Window), _passed_keys),
+    Relation: _relation_keys,
+    Product: _product_keys,
+    Union: lambda n, out, base_keys: frozenset(),
+    Diff: lambda n, out, base_keys: _keys_through(n, 0, out),  # its rows are the left input's
+    Agg: _agg_keys,
+    DupElim: lambda n, out, base_keys: (_passed_keys(n, out)
+                                        or frozenset((frozenset(schema_of(n)),))),
+})
+_keys_of = KEYS  # the per-node step :func:`keys_of` calls, through this module global
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +358,24 @@ def _classes_through(n: Node, idx: int, up) -> frozenset[EcClass]:
     return frozenset(out)
 
 
-def _ec_up(n: Node, up) -> frozenset[EcClass]:
-    if isinstance(n, Agg):
-        group = frozenset(n.group_by)
-        return frozenset(c & group for c in up[n.child])
-    if isinstance(n, Union):
-        return _intersect_class_sets(up[n.left], _classes_through(n, 1, up))
-    classes = _from_row_inputs(_classes_through, n, up)
-    if isinstance(n, Select):
-        classes |= equality_classes_from_condition(n.cond)
-    elif isinstance(n, Product):
-        right = source_names(n.lineage[1])
-        classes |= frozenset(frozenset((a, right[b])) for a, b in n.pairs)
-    return classes
+def _product_classes(n: Product, up) -> frozenset[EcClass]:
+    right = source_names(n.lineage[1])
+    return _passed_classes(n, up) | frozenset(frozenset((a, right[b])) for a, b in n.pairs)
+
+
+_passed_classes = _every_input(_classes_through)
+#: each operator's upward equivalence classes, ``step(node, classes memo)``,
+#: before :func:`ec_up_of` closes them and drops those of one member
+EC_UP = PassTable("upward classes", {
+    **dict.fromkeys((Project, Intersect, DupElim, Window), _passed_classes),
+    Relation: lambda n, up: frozenset(),
+    Select: lambda n, up: _passed_classes(n, up) | equality_classes_from_condition(n.cond),
+    Product: _product_classes,
+    Union: lambda n, up: _intersect_class_sets(up[n.left], _classes_through(n, 1, up)),
+    Diff: lambda n, up: _classes_through(n, 0, up),  # its rows are the left input's
+    Agg: lambda n, up: frozenset(map(frozenset(n.group_by).intersection, up[n.child])),
+})
+_ec_up = EC_UP  # the per-node step :func:`ec_up_of` calls, through this module global
 
 
 # ---------------------------------------------------------------------------
@@ -370,30 +392,32 @@ def infer_icols(root: Node) -> dict[Node, frozenset[str]]:
 
 def icols_down(n: Node, child_idx: int, need: frozenset[str]) -> frozenset[str]:
     """The needed columns mapped down through the lineage, plus the input
-    columns the operator itself reads."""
+    columns the operator itself reads (:data:`READS`)."""
     lineage = n.lineage[child_idx]
     child = schema_of(n.children[child_idx])
     if lineage is None:  # a product's or a window's output has columns the input lacks
         down = need if len(child) == len(schema_of(n)) else need.intersection(child)
     else:
         down = frozenset(lineage[a] for a in need if a in lineage)
-    if isinstance(n, Select):
-        return down | expr_attrs(n.cond)
-    if isinstance(n, Project):
-        computed = []  # joined in one union: adding one at a time copies the set each time
-        for e, name in n.targets:
-            if name in need and not isinstance(e, Attr):
-                computed.append(expr_attrs(e))
-        return down.union(*computed) if computed else down
-    if isinstance(n, Product):
-        return down | {pair[child_idx] for pair in n.pairs}
-    if isinstance(n, Agg):
-        return down | set(n.group_by) | {arg for _, arg, _ in n.aggs}
-    if isinstance(n, Window):
-        return down | {n.arg} | set(n.partition_by) | set(n.order_by)
-    if isinstance(n, Union):
-        return down
-    return down | set(child)  # compares whole rows
+    reads = READS(n, child_idx, need)
+    return down | reads if reads else down
+
+
+#: the columns of input ``child_idx`` an operator reads itself to give the
+#: output columns ``need``: ``step(node, child_idx, need)``
+READS = PassTable("reads", {
+    # a relation has no input; a union passes its inputs' columns as they are
+    **dict.fromkeys((Relation, Union), lambda n, child_idx, need: frozenset()),
+    # each compares whole rows
+    **dict.fromkeys((Intersect, Diff, DupElim), lambda n, child_idx, need: frozenset(
+        schema_of(n.children[child_idx]))),
+    Select: lambda n, child_idx, need: expr_attrs(n.cond),
+    Project: lambda n, child_idx, need: frozenset().union(
+        *[expr_attrs(e) for e, name in n.targets if name in need and not isinstance(e, Attr)]),
+    Product: lambda n, child_idx, need: frozenset(pair[child_idx] for pair in n.pairs),
+    Agg: lambda n, child_idx, need: frozenset(n.group_by).union(arg for _, arg, _ in n.aggs),
+    Window: lambda n, child_idx, need: frozenset((n.arg, *n.partition_by, *n.order_by)),
+})
 
 
 # ---------------------------------------------------------------------------

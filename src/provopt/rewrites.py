@@ -46,7 +46,7 @@ from .algebra import (
     substitute_attrs, SchemaError,
 )
 from .properties import (
-    ec_top_down, ec_up_of, filter_map, icols_down,
+    READS, ec_top_down, ec_up_of, filter_map, icols_down,
     infer_ec_bottom_up, infer_icols, infer_set, keys_of, source_names,
 )
 
@@ -441,9 +441,10 @@ def pull_up_prov_projection(root: Node) -> Node:
         if (not isinstance(node, Project) or node.materialize or positional[n]
                 or not isinstance(parent, _PULL_THROUGH) or positional[parent]):
             return {}
-        # a pulled column crosses a DupElim as it is
-        used = (expr_attrs(parent.cond) if isinstance(parent, Select) else frozenset(
-            a for pair in parent.pairs for a in pair) if isinstance(parent, Product) else ())
+        # a selection or product reads the same columns whatever its output
+        # needs; a pulled column is a copy, so a DupElim, reading whole rows, passes it
+        used = () if isinstance(parent, DupElim) else frozenset().union(
+            *[READS(parent, idx, frozenset()) for idx in range(len(parent.children))])
         renames = node.lineage[0]
         out = {name: src for name, src in renames.items()
                if name != src and name not in used and renames.get(src) == src}

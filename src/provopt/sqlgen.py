@@ -1,11 +1,11 @@
 """Deterministic SQL text generation for algebra graphs.
 
 Every operator renders to a canonical SELECT block over parenthesized
-subqueries. Nodes referenced by more than one parent, and projections
-flagged as materialization fences, become named common table expressions
-emitted once in dependency order; a fence additionally carries a
-``/*MATERIALIZE*/`` comment (and optionally the MATERIALIZED keyword,
-which some engines honor). The inputs of joins, cross products and set
+subqueries, its step in one table, :data:`RENDER`. Nodes referenced by more
+than one parent, and projections flagged as materialization fences, become
+named common table expressions emitted once in dependency order; a fence
+additionally carries a ``/*MATERIALIZE*/`` comment (and optionally the
+MATERIALIZED keyword, which some engines honor). The inputs of joins, cross products and set
 operators are aliased ``t1``, ``t2``, ... in reading order: the CTE bodies
 in CTE order, then the main query, each input before the inputs nested in
 it.
@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, Iterable
+
 from .algebra import (
     Agg, Arith, Attr, BoolOp, Cmp, Cond, Const, Diff, DupElim, Expr,
-    FRAME_PARTITION, Intersect, Node, Product, Project, Relation, Select, Union,
-    Window, all_nodes, fold_expr, parent_map, schema_of,
+    FRAME_PARTITION, Intersect, Node, PassTable, Product, Project, Relation, Select,
+    SetOp, Union, Window, all_nodes, fold_expr, parent_map, schema_of,
 )
 
 
@@ -108,6 +110,77 @@ def render_expr(e: Expr) -> str:
     return fold_expr((e,), _render_step)[0]
 
 
+def _columns(attrs: Iterable[str]) -> str:
+    return ", ".join(quote_ident(a) for a in attrs)
+
+
+def _render_project(n: Project, source, aliases) -> str:
+    texts = fold_expr((e for e, _ in n.targets), _render_step)
+    passed = n.lineage[0]  # a column under its own name prints bare
+    cols = [text if passed.get(name) == name else f"{text} AS {quote_ident(name)}"
+            for (_, name), text in zip(n.targets, texts)]
+    return f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
+
+
+def _render_join(n: Product, source, aliases) -> str:
+    la, ra = aliases[n, 0], aliases[n, 1]
+    cols = [f"{la}.{quote_ident(a)}" for a in schema_of(n.left)]
+    for out, src in n.lineage[1].items():
+        ref = f"{ra}.{quote_ident(src)}"
+        cols.append(ref if src == out else f"{ref} AS {quote_ident(out)}")
+    sql = f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
+    if not n.pairs:
+        return f"{sql} CROSS JOIN {source(n, 1)}"
+    on = " AND ".join(f"{la}.{quote_ident(a)}={ra}.{quote_ident(b)}" for a, b in n.pairs)
+    return f"{sql} INNER JOIN {source(n, 1)} ON {on}"
+
+
+def _set_operation(keyword: str) -> Callable[[SetOp, Callable, dict], str]:
+    return lambda n, source, aliases: (
+        f"SELECT * FROM {source(n, 0)} {keyword} SELECT * FROM {source(n, 1)}")
+
+
+def _render_agg(n: Agg, source, aliases) -> str:
+    cols = [quote_ident(a) for a in n.group_by]
+    cols += [f"{fn}({quote_ident(arg)}) AS {quote_ident(out)}" for fn, arg, out in n.aggs]
+    sql = f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
+    if n.group_by:
+        sql += " GROUP BY " + _columns(n.group_by)
+    return sql
+
+
+def _render_window(n: Window, source, aliases) -> str:
+    over = []
+    if n.partition_by:
+        over.append("PARTITION BY " + _columns(n.partition_by))
+    if n.order_by:
+        over.append("ORDER BY " + _columns(n.order_by))
+    if n.frame == FRAME_PARTITION:
+        over.append("ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING")
+    elif n.order_by:
+        over.append("RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW")
+    window = f"{n.fn}({quote_ident(n.arg)}) OVER ({' '.join(over)})"
+    return (f"SELECT {_columns(schema_of(n.child))}, {window} AS {quote_ident(n.out)}"
+            f" FROM {source(n, 0)}")
+
+
+#: each operator's SELECT block: ``step(node, source, aliases)``, where
+#: ``source(node, i)`` is input i's FROM text and ``aliases[node, i]`` its alias
+RENDER = PassTable("render", {
+    Relation: lambda n, source, aliases: f"SELECT {_columns(n.attrs)} FROM {quote_ident(n.name)}",
+    Select: lambda n, source, aliases: f"SELECT * FROM {source(n, 0)} WHERE {render_expr(n.cond)}",
+    Project: _render_project,
+    Product: _render_join,
+    Union: _set_operation("UNION ALL"),
+    Intersect: _set_operation("INTERSECT ALL"),
+    Diff: _set_operation("EXCEPT ALL"),
+    Agg: _render_agg,
+    DupElim: lambda n, source, aliases: (
+        f"SELECT DISTINCT {_columns(schema_of(n))} FROM {source(n, 0)}"),
+    Window: _render_window,
+}, error=lambda cls: SqlGenError(f"unknown operator {cls.__name__}"))
+
+
 def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
     """Render a graph to SQL; shared nodes and fences become CTEs."""
     parents = parent_map(root)
@@ -145,62 +218,8 @@ def to_sql(root: Node, *, materialized_keyword: bool = False) -> SqlUnit:
         alias = aliases.get((n, i))
         return f"{sql} AS {alias}" if alias else sql
 
-    def render(n: Node) -> str:
-        if isinstance(n, Relation):
-            cols = ", ".join(quote_ident(a) for a in n.attrs)
-            return f"SELECT {cols} FROM {quote_ident(n.name)}"
-        if isinstance(n, Select):
-            return f"SELECT * FROM {source(n, 0)} WHERE {render_expr(n.cond)}"
-        if isinstance(n, Project):
-            texts = fold_expr((e for e, _ in n.targets), _render_step)
-            passed = n.lineage[0]  # a column under its own name prints bare
-            cols = [text if passed.get(name) == name else f"{text} AS {quote_ident(name)}"
-                    for (_, name), text in zip(n.targets, texts)]
-            return f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
-        if isinstance(n, Product):
-            la, ra = aliases[n, 0], aliases[n, 1]
-            cols = [f"{la}.{quote_ident(a)}" for a in schema_of(n.left)]
-            for out, src in n.lineage[1].items():
-                ref = f"{ra}.{quote_ident(src)}"
-                cols.append(ref if src == out else f"{ref} AS {quote_ident(out)}")
-            sql = f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
-            if not n.pairs:
-                return f"{sql} CROSS JOIN {source(n, 1)}"
-            on = " AND ".join(f"{la}.{quote_ident(a)}={ra}.{quote_ident(b)}" for a, b in n.pairs)
-            return f"{sql} INNER JOIN {source(n, 1)} ON {on}"
-        if isinstance(n, (Union, Intersect, Diff)):
-            op = {"Union": "UNION ALL", "Intersect": "INTERSECT ALL",
-                  "Diff": "EXCEPT ALL"}[type(n).__name__]
-            return f"SELECT * FROM {source(n, 0)} {op} SELECT * FROM {source(n, 1)}"
-        if isinstance(n, Agg):
-            cols = [quote_ident(a) for a in n.group_by]
-            cols += [f"{fn}({quote_ident(arg)}) AS {quote_ident(out)}"
-                     for fn, arg, out in n.aggs]
-            sql = f"SELECT {', '.join(cols)} FROM {source(n, 0)}"
-            if n.group_by:
-                sql += " GROUP BY " + ", ".join(quote_ident(a) for a in n.group_by)
-            return sql
-        if isinstance(n, DupElim):
-            cols = ", ".join(quote_ident(a) for a in schema_of(n))
-            return f"SELECT DISTINCT {cols} FROM {source(n, 0)}"
-        if isinstance(n, Window):
-            over = []
-            if n.partition_by:
-                over.append("PARTITION BY " + ", ".join(quote_ident(a) for a in n.partition_by))
-            if n.order_by:
-                over.append("ORDER BY " + ", ".join(quote_ident(a) for a in n.order_by))
-            if n.frame == FRAME_PARTITION:
-                over.append("ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING")
-            elif n.order_by:
-                over.append("RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW")
-            window = f"{n.fn}({quote_ident(n.arg)}) OVER ({' '.join(over)})"
-            cols = ", ".join(quote_ident(a) for a in schema_of(n.child))
-            return (f"SELECT {cols}, {window} AS {quote_ident(n.out)}"
-                    f" FROM {source(n, 0)}")
-        raise SqlGenError(f"unknown operator {type(n).__name__}")
-
     for n in order:
-        text[n] = render(n)
+        text[n] = RENDER(n, source, aliases)
     cte_defs = tuple((cte_names[n], text[n]) for n in cte_nodes)
     # the root has no parent and is never a fence, so it is never a CTE
     main = text[root] + ";\n"

@@ -77,14 +77,14 @@ def _check_every_plan(query, db, base_keys, want: BagRelation, instrument: bool)
     return len(plans)
 
 
-def _keys(state, rng):
-    """Half the time, instances whose first columns are declared keys."""
+def _declared_keys(state, rng):
+    """Half the time, instances whose first columns are unique and declared keys."""
     unique = rng.random() < 0.5
     keys = {name: [attrs[:1]] for name, attrs in state.relations.items()} if unique else {}
     return unique, keys
 
 
-@pytest.mark.parametrize("pool", [(), POOL], ids=["unique", "pool"])
+@pytest.mark.parametrize("pool", [(), POOL], ids=["own-names", "pool"])
 @pytest.mark.parametrize("family", ["spju", "agg"])
 def test_every_instrumented_plan_gives_the_provenance(family, pool):
     rng = random.Random(f"{family}-{len(pool)}")
@@ -94,7 +94,7 @@ def test_every_instrumented_plan_gives_the_provenance(family, pool):
             q, state = random_spju_query(rng, rng.randint(1, 4), pool=pool)
         else:
             q, state = random_agg_query(rng, rng.randint(1, 3), pool=pool)
-        unique, keys = _keys(state, rng)
+        unique, keys = _declared_keys(state, rng)
         db = random_instance(state, rng, 5, unique_first=unique)
         want = encode_provenance(evaluate_annotated(q, annotate(db)))
         plans += _check_every_plan(q, db, keys, want, instrument=True)
@@ -102,7 +102,7 @@ def test_every_instrumented_plan_gives_the_provenance(family, pool):
     assert plans > 60 if family == "agg" else plans == 60
 
 
-@pytest.mark.parametrize("pool", [(), POOL], ids=["unique", "pool"])
+@pytest.mark.parametrize("pool", [(), POOL], ids=["own-names", "pool"])
 def test_every_uninstrumented_plan_gives_the_query_answer(pool):
     rng = random.Random(f"dupelim-{len(pool)}")
     plans = 0
@@ -110,7 +110,7 @@ def test_every_uninstrumented_plan_gives_the_query_answer(pool):
         q, state = random_query(rng, rng.randint(1, 5), UNINSTRUMENTED_OPS, pool=pool)
         if rng.random() < 0.5:  # the duplicate eliminations below become removable
             q = DupElim(q)
-        unique, keys = _keys(state, rng)
+        unique, keys = _declared_keys(state, rng)
         db = random_instance(state, rng, 5, unique_first=unique)
         plans += _check_every_plan(q, db, keys, evaluate(q, db), instrument=False)
     assert plans > 150  # some duplicate eliminations are removable

@@ -306,3 +306,13 @@ def test_wide_work_grows_within_its_bound_per_doubling_of_width(monkeypatch, fam
     started = time.perf_counter()
     rewrite(make(sizes[1]))
     assert time.perf_counter() - started < 2.0
+
+
+def test_histjoin_scope_time_grows_within_its_bound_per_doubling():
+    # the counter sees fold_expr steps, one per expression node per batch,
+    # so the store replay's per-row work (each statement's WHERE scan over
+    # the 500 rows, the matched rows' rebuild) is bounded by time: linear in
+    # statements is 2.0, and the ratio gets 30% for noise, as the wide
+    # families' timed ratio does
+    small, large = _seconds(histjoin_scoped, stacked_updates, (N, 2 * N))
+    assert large <= 2.6 * small, (small, large)
