@@ -192,8 +192,11 @@ def _keys_through(n: Node, idx: int, keys) -> frozenset[KeySet]:
 def _every_input(through: Callable) -> Callable:
     """The step giving the union of ``through(n, idx, memo)`` over every
     input of a node, whose output row is one row of each input."""
-    return lambda n, memo, *_: frozenset().union(
-        *[through(n, idx, memo) for idx in range(len(n.children))])
+    def step(n: Node, memo, *_) -> frozenset:
+        if len(n.children) == 1:
+            return through(n, 0, memo)
+        return frozenset().union(*[through(n, idx, memo) for idx in range(len(n.children))])
+    return step
 
 
 def _relation_keys(n: Relation, out, base_keys) -> frozenset[KeySet]:
@@ -409,14 +412,14 @@ READS = PassTable("reads", {
     # a relation has no input; a union passes its inputs' columns as they are
     **dict.fromkeys((Relation, Union), lambda n, child_idx, need: frozenset()),
     # each compares whole rows
-    **dict.fromkeys((Intersect, Diff, DupElim), lambda n, child_idx, need: frozenset(
-        schema_of(n.children[child_idx]))),
+    **dict.fromkeys((Intersect, Diff, DupElim),
+                    lambda n, child_idx, need: set(schema_of(n.children[child_idx]))),
     Select: lambda n, child_idx, need: expr_attrs(n.cond),
     Project: lambda n, child_idx, need: frozenset().union(
         *[expr_attrs(e) for e, name in n.targets if name in need and not isinstance(e, Attr)]),
-    Product: lambda n, child_idx, need: frozenset(pair[child_idx] for pair in n.pairs),
-    Agg: lambda n, child_idx, need: frozenset(n.group_by).union(arg for _, arg, _ in n.aggs),
-    Window: lambda n, child_idx, need: frozenset((n.arg, *n.partition_by, *n.order_by)),
+    Product: lambda n, child_idx, need: {pair[child_idx] for pair in n.pairs},
+    Agg: lambda n, child_idx, need: {*n.group_by, *[arg for _, arg, _ in n.aggs]},
+    Window: lambda n, child_idx, need: {n.arg, *n.partition_by, *n.order_by},
 })
 
 
