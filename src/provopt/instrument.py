@@ -8,12 +8,12 @@ the aggregate back to the witness rows, or recomputing it as a window over
 them); the choice goes through a callback so a cost-based optimizer can
 drive it. Operators are rewritten children first, in one loop over
 :func:`~provopt.algebra.all_nodes`, which is the order of the choices, each
-by its step in one table, :data:`INSTRUMENT`; every step is looked up first,
-so an operator outside the fragment is rejected before the first choice. Within a
-:func:`~provopt.algebra.sharing_subplans` scope an operator rewritten over
-the same instrumented inputs, with the same occurrence number or method,
-is the same node, so the plans of one optimization share their unchanged
-subtrees.
+by its step in one table, :data:`INSTRUMENT`; every step is looked up
+first, so an operator outside the fragment is rejected before the first
+choice. Within a :func:`~provopt.algebra.sharing_subplans` scope an
+operator rewritten over the same instrumented inputs, with the same
+occurrence number or method, is the same node, so the plans of one
+optimization share their unchanged subtrees.
 
 ``reenact`` compiles a sequence of updates against one relation into a
 stack of conditional projections over the pre-state, and

@@ -5,10 +5,10 @@ subqueries, its step in one table, :data:`RENDER`. Nodes referenced by more
 than one parent, and projections flagged as materialization fences, become
 named common table expressions emitted once in dependency order; a fence
 additionally carries a ``/*MATERIALIZE*/`` comment (and optionally the
-MATERIALIZED keyword, which some engines honor). The inputs of joins, cross products and set
-operators are aliased ``t1``, ``t2``, ... in reading order: the CTE bodies
-in CTE order, then the main query, each input before the inputs nested in
-it.
+MATERIALIZED keyword, which some engines honor). The inputs of joins, cross
+products and set operators are aliased ``t1``, ``t2``, ... in reading
+order: the CTE bodies in CTE order, then the main query, each input before
+the inputs nested in it.
 
 Identifiers are emitted bare when they are plain lowercase-safe names and
 double-quoted otherwise, so generated provenance columns read naturally
